@@ -6,6 +6,10 @@ the prefix unions of a consistent ordering: the first variable is the value
 on the minimal set (drawn from the initial law), and each later variable is
 the difference of consecutive prefix values.  Summing disjoint blocks of the
 increment vector evaluates the process anywhere in the generated algebra.
+
+Both routes are generic over the kernel protocol: ``exact_fdd`` chains the
+kernel's ``increment_pmf``, and ``sample_increments`` feeds one counter-based
+uniform per (sample, step) through ``initial_ppf`` and ``increment_ppf``.
 """
 
 from __future__ import annotations
@@ -14,16 +18,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special, stats
 
-from .distributions import tv_distance
+from .distributions import pmf_ppf, tv_distance
 from .errors import (
     ConfigError,
     DecompositionError,
     TableSizeError,
     UnsupportedKernelError,
 )
-from .grid import mask_cells, measure_of
+from .grid import mask_cells, measure_of  # noqa: F401  (perfbench traces it here)
 from .kernels import TransitionKernel
 from .lattice import (
     ConsistentOrdering,
@@ -43,8 +46,8 @@ _TINY = np.finfo(float).tiny
 class FddSpec:
     """One construction instance: lattice, ordering, kernel and initial law.
 
-    ``initial`` optionally overrides the kernel's default initial pmf for
-    finite-state kinds (dict state -> probability).
+    ``initial`` optionally overrides the kernel's default initial pmf
+    (dict state -> probability); only finite-state kinds accept one.
     """
 
     lattice: Semilattice
@@ -59,6 +62,9 @@ class FddSpec:
             raise ConfigError("ordering belongs to a different lattice")
         if self.kernel.grid != self.lattice.grid:
             raise ConfigError("kernel measures live on a different grid")
+        if self.initial is not None and not self.kernel.finite_state:
+            raise ConfigError(
+                f"an initial pmf needs a finite-state kernel, not {self.kernel.kind}")
 
     @property
     def min_set(self) -> IndexedSet:
@@ -231,106 +237,22 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     kernel = spec.kernel
     ordering = spec.ordering
     n_steps = len(ordering)
-    min_set = spec.min_set
     keys = list(step_keys) if step_keys is not None else list(range(n_steps))
     if len(keys) != n_steps:
         raise ConfigError("step_keys must name every column")
-
-    def step_uniforms_for(i):
-        return _clip_u(step_uniforms(seed, keys[i], start, count))
-
     out = np.empty((count, n_steps))
-    u0 = step_uniforms_for(0)
-    kind = kernel.kind
-    if kind == "empirical":
-        if spec.initial is not None:
-            vals, cum = _pmf_arrays(spec.initial)
-            x = vals[np.searchsorted(cum, u0, side="right").clip(max=len(vals) - 1)]
-        else:
-            x = stats.binom.ppf(u0, kernel.n, measure_of(kernel.F, min_set))
-        out[:, 0] = x
-        for i in range(1, n_steps):
-            prev, cur = ordering.prefix_set(i - 1), ordering.prefix_set(i)
-            p = kernel.success_probability(prev, cur) if prev.mask != cur.mask else 0.0
-            u = step_uniforms_for(i)
-            inc = stats.binom.ppf(u, kernel.n - x, p)
-            out[:, i] = inc
-            x = x + inc
-        return out
-    if kind == "gaussian":
-        if kernel.initial == "zero":
-            out[:, 0] = 0.0
-        else:
-            out[:, 0] = special.ndtri(u0) * np.sqrt(measure_of(kernel.lam, min_set))
-        for i in range(1, n_steps):
-            prev, cur = ordering.prefix_set(i - 1), ordering.prefix_set(i)
-            var = measure_of(kernel.lam, cur - prev)
-            u = step_uniforms_for(i)
-            out[:, i] = special.ndtri(u) * np.sqrt(var)
-        return out
-    if kind == "poisson":
-        if spec.initial is not None:
-            vals, cum = _pmf_arrays(spec.initial)
-            out[:, 0] = vals[np.searchsorted(cum, u0, side="right").clip(max=len(vals) - 1)]
-        elif kernel.initial == "zero":
-            out[:, 0] = 0.0
-        else:
-            out[:, 0] = stats.poisson.ppf(u0, measure_of(kernel.lam, min_set))
-        for i in range(1, n_steps):
-            prev, cur = ordering.prefix_set(i - 1), ordering.prefix_set(i)
-            mean = measure_of(kernel.lam, cur - prev)
-            u = step_uniforms_for(i)
-            out[:, i] = stats.poisson.ppf(u, mean) if mean > 0 else 0.0
-        return out
-    if kind == "compound_poisson":
-        base = IndexedSet(kernel.grid, 0)
-        if spec.initial is not None:
-            pmf0 = dict(spec.initial)
-        elif kernel.initial == "zero":
-            pmf0 = {0.0: 1.0}
-        else:
-            pmf0 = kernel.increment_pmf(base, min_set, 0.0)
-        vals, cum = _pmf_arrays(pmf0)
-        out[:, 0] = vals[np.searchsorted(cum, u0, side="right").clip(max=len(vals) - 1)]
-        for i in range(1, n_steps):
-            prev, cur = ordering.prefix_set(i - 1), ordering.prefix_set(i)
-            pmf = kernel.increment_pmf(prev, cur, 0.0)
-            vals, cum = _pmf_arrays(pmf)
-            u = step_uniforms_for(i)
-            out[:, i] = vals[np.searchsorted(cum, u, side="right").clip(max=len(vals) - 1)]
-        return out
-    if kind == "dirichlet":
-        a0 = measure_of(kernel.alpha, min_set)
-        b0 = kernel.alpha.total - a0
-        out[:, 0] = _beta_ppf(u0, a0, b0)
-        x = out[:, 0].copy()
-        for i in range(1, n_steps):
-            prev, cur = ordering.prefix_set(i - 1), ordering.prefix_set(i)
-            a = measure_of(kernel.alpha, cur - prev)
-            b = measure_of(kernel.alpha, cur.complement())
-            u = step_uniforms_for(i)
-            inc = (1.0 - x) * _beta_ppf(u, a, b)
-            out[:, i] = inc
-            x = x + inc
-        return out
-    raise UnsupportedKernelError(f"no sampler for kernel kind {kind!r}")
-
-
-def _pmf_arrays(pmf: dict):
-    items = sorted(pmf.items())
-    vals = np.array([v for v, _ in items], dtype=float)
-    probs = np.array([p for _, p in items], dtype=float)
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)  # absorb truncation mass in the last atom
-    return vals, cum
-
-
-def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    if a == 0:
-        return np.zeros_like(u)
-    if b == 0:
-        return np.ones_like(u)
-    return special.betaincinv(a, b, u)
+    u = _clip_u(step_uniforms(seed, keys[0], start, count))
+    if spec.initial is not None:
+        out[:, 0] = pmf_ppf(spec.initial, u)
+    else:
+        out[:, 0] = kernel.initial_ppf(spec.min_set, u)
+    x = out[:, 0].copy()
+    for i in range(1, n_steps):
+        u = _clip_u(step_uniforms(seed, keys[i], start, count))
+        out[:, i] = kernel.increment_ppf(ordering.prefix_set(i - 1),
+                                         ordering.prefix_set(i), x, u)
+        x = x + out[:, i]
+    return out
 
 
 @dataclass(frozen=True)

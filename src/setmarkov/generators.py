@@ -3,10 +3,10 @@ the operator identities that tie the two together.
 
 A flow turns the set-indexed kernel into a one-parameter family of
 transition operators driven entirely by the measure trace t -> m(f(t))
-(piecewise linear between knots).  Finite-state kinds are represented by
-matrices; the gaussian and dirichlet kinds by quadrature applied to callables
-(Gauss-Hermite, resp. Gauss-Jacobi, which absorbs the beta endpoint
-singularities into the weight).
+(piecewise linear between knots, ``lattice.Trace``).  Finite-state kinds are
+represented by matrices; the gaussian and dirichlet kinds by quadrature
+applied to callables (the Gauss-Hermite, resp. Gauss-Jacobi rules of
+``quadrature``).  Each kernel builds its own semigroup (``flow_semigroup``).
 
 Checks provided:
 
@@ -22,117 +22,49 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
 
+from .distributions import binomial_pmf, compound_poisson_dict
 from .errors import ConfigError, UnsupportedKernelError
-from .grid import measure_of
-from .kernels import binomial_pmf
-from .lattice import ConsistentOrdering, DiscreteFlow, flow_from_ordering
+from .lattice import ConsistentOrdering, DiscreteFlow, Trace, flow_from_ordering
+from .quadrature import HERMITE_ORDER, gauss_segment, hermite, jacobi01, jacobi01_raw
 
 GAUSS_NODES = 32
-GH_ORDER = 64
 JACOBI_ORDER = 48
 GAUSS_STENCIL = 1.0 / 512.0
 
 
-class Trace:
-    """Piecewise-linear nondecreasing measure trace along a flow."""
+class MatrixSemigroup:
+    """Transition and generator matrices acting on state vectors."""
 
-    def __init__(self, times, values):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.times.ndim != 1 or self.times.shape != self.values.shape:
-            raise ConfigError("trace needs matching 1-d times and values")
-        if np.any(np.diff(self.times) <= 0):
-            raise ConfigError("trace times must be strictly increasing")
-        if np.any(np.diff(self.values) < -1e-12):
-            raise ConfigError("trace values must be nondecreasing")
+    finite_state = True
 
-    @classmethod
-    def along_flow(cls, measure, flow: DiscreteFlow) -> "Trace":
-        vals = [measure_of(measure, s) for s in flow.stages]
-        return cls(flow.times, vals)
+    def apply(self, s, t, h):
+        return self.matrix(s, t) @ np.asarray(h, dtype=float)
 
-    @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
-
-    def __call__(self, t: float) -> float:
-        if not self.t0 - 1e-12 <= t <= self.t1 + 1e-12:
-            raise ConfigError(f"time {t} outside trace domain")
-        return float(np.interp(t, self.times, self.values))
-
-    def _leg(self, t: float, side: str) -> int:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        on_knot = any(abs(t - k) < 1e-12 for k in self.times)
-        if on_knot and side == "-":
-            idx = int(np.searchsorted(self.times, t, side="left")) - 1
-        return min(max(idx, 0), len(self.times) - 2)
-
-    def slope(self, t: float, side: str = "+") -> float:
-        """One-sided derivative; ``side`` resolves the knot ambiguity."""
-        if side not in ("+", "-"):
-            raise ConfigError("side must be '+' or '-'")
-        k = self._leg(t, side)
-        return float((self.values[k + 1] - self.values[k]) /
-                     (self.times[k + 1] - self.times[k]))
-
-    def breakpoints(self, s: float, t: float) -> list[float]:
-        inner = [float(k) for k in self.times if s + 1e-12 < k < t - 1e-12]
-        return [s] + inner + [t]
+    def apply_generator(self, s, h, side="+"):
+        return self.generator_matrix(s, side) @ np.asarray(h, dtype=float)
 
 
-@lru_cache(maxsize=None)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+class QuadratureSemigroup:
+    """Operators acting on callables, read off at fixed probe points."""
+
+    finite_state = False
+
+    def values(self, h):
+        if callable(h):
+            return np.asarray([h(x) for x in self.probes])
+        return np.asarray(h, dtype=float)
 
 
-def _gauss_segment(a: float, b: float, order: int = GAUSS_NODES):
-    x, w = _leggauss(order)
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    return mid + half * x, half * w
-
-
-@lru_cache(maxsize=None)
-def _hermite(order: int):
-    z, w = special.roots_hermitenorm(order)
-    return z, w / math.sqrt(2.0 * math.pi)
-
-
-@lru_cache(maxsize=None)
-def _jacobi01(order: int, a: float, c: float):
-    """Nodes/weights on [0, 1] for the weight y^(a-1) (1-y)^(c-1),
-    normalized to integrate the constant 1 to 1 (a beta expectation rule)."""
-    x, w = special.roots_jacobi(order, c - 1.0, a - 1.0)
-    y = (x + 1.0) / 2.0
-    w = w / w.sum()
-    return y, w
-
-
-@lru_cache(maxsize=None)
-def _jacobi01_raw(order: int, c: float):
-    """Nodes/weights on [0, 1] for the weight (1-u)^(c-1), unnormalized."""
-    x, w = special.roots_jacobi(order, c - 1.0, 0.0)
-    u = (x + 1.0) / 2.0
-    return u, w * 2.0 ** (-c)
-
-
-class EmpiricalFlowSemigroup:
+class EmpiricalFlowSemigroup(MatrixSemigroup):
     """Binomial transition matrices along a flow of a size-n empirical process.
 
     The trace G(t) is the sampling probability of the flow stage; the success
     probability between s and t is (G(t)-G(s))/(1-G(s)).  ``corrupted``
     reproduces the broken kernel that skips the denominator.
     """
-
-    finite_state = True
 
     def __init__(self, n: int, trace: Trace, corrupted: bool = False):
         self.n = n
@@ -172,12 +104,6 @@ class EmpiricalFlowSemigroup:
             G[k, k + 1] = (n - k) * rate
         return G
 
-    def apply(self, s, t, h):
-        return self.matrix(s, t) @ np.asarray(h, dtype=float)
-
-    def apply_generator(self, s, h, side="+"):
-        return self.generator_matrix(s, side) @ np.asarray(h, dtype=float)
-
     def values(self, h):
         return np.asarray(h, dtype=float)
 
@@ -186,14 +112,12 @@ class EmpiricalFlowSemigroup:
         return [eye[k] for k in range(self.n + 1)] + [self.states.astype(float)]
 
 
-class JumpFlowSemigroup:
+class JumpFlowSemigroup(MatrixSemigroup):
     """Poisson / compound-poisson transition matrices along a flow, on the
     integer states 0..cap.  Jumps must be positive integers; the matrices are
     the exactly killed (sub-stochastic) restriction, so the generator/semigroup
     identities hold to machine precision on states that cannot reach the cap.
     """
-
-    finite_state = True
 
     def __init__(self, trace: Trace, jump_values=(1,), jump_probs=(1.0,),
                  start_mass_cap: int = 0, tail: float = 1e-14):
@@ -212,8 +136,6 @@ class JumpFlowSemigroup:
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
 
     def _increment(self, lam: float) -> dict:
-        from .distributions import compound_poisson_dict
-
         d = compound_poisson_dict(lam, self.jump_values, self.jump_probs, tail=self.tail)
         return {int(round(v)): p for v, p in d.items()}
 
@@ -241,12 +163,6 @@ class JumpFlowSemigroup:
                     G[i, i + v] = rate * p
         return G
 
-    def apply(self, s, t, h):
-        return self.matrix(s, t) @ np.asarray(h, dtype=float)
-
-    def apply_generator(self, s, h, side="+"):
-        return self.generator_matrix(s, side) @ np.asarray(h, dtype=float)
-
     def values(self, h):
         return np.asarray(h, dtype=float)[self.probe_states]
 
@@ -260,16 +176,14 @@ class JumpFlowSemigroup:
         return out
 
 
-class GaussianFlowSemigroup:
+class GaussianFlowSemigroup(QuadratureSemigroup):
     """Heat semigroup along a flow: convolution with a centered normal whose
     variance is the trace increment.  Transition operators act on callables
     via Gauss-Hermite quadrature; the generator is half the trace slope times
     a centered second difference with a fixed fine stencil."""
 
-    finite_state = False
-
     def __init__(self, trace: Trace, stencil: float = GAUSS_STENCIL,
-                 gh_order: int = GH_ORDER, probes=None):
+                 gh_order: int = HERMITE_ORDER, probes=None):
         self.trace = trace
         self.stencil = stencil
         self.gh_order = gh_order
@@ -283,7 +197,7 @@ class GaussianFlowSemigroup:
         if var == 0.0:
             return h
         sd = math.sqrt(var)
-        z, w = _hermite(self.gh_order)
+        z, w = hermite(self.gh_order)
 
         def out(x):
             return float(np.dot(w, [h(x + sd * zz) for zz in z]))
@@ -299,16 +213,11 @@ class GaussianFlowSemigroup:
 
         return out
 
-    def values(self, h):
-        if callable(h):
-            return np.asarray([h(x) for x in self.probes])
-        return np.asarray(h, dtype=float)
-
     def basis(self):
         return [np.sin, np.cos, lambda x: math.sin(1.7 * x + 0.3)]
 
 
-class DirichletFlowSemigroup:
+class DirichletFlowSemigroup(QuadratureSemigroup):
     """Beta-step semigroup of the Dirichlet process along a flow.
 
     The trace a(t) is the parameter mass of the growing stage; transitions
@@ -317,8 +226,6 @@ class DirichletFlowSemigroup:
     The generator integral uses the substitution y = (1-x)u, after which the
     integrand is regular at u = 0 with limit (1-x) h'(x).
     """
-
-    finite_state = False
 
     def __init__(self, trace: Trace, alpha_total: float,
                  order: int = JACOBI_ORDER, probes=None):
@@ -340,7 +247,7 @@ class DirichletFlowSemigroup:
             return h
         if c <= 0.0:
             return lambda x: h(1.0)
-        y, w = _jacobi01(self.order, a, c)
+        y, w = jacobi01(self.order, a, c)
 
         def out(x):
             if x >= 1.0:
@@ -354,7 +261,7 @@ class DirichletFlowSemigroup:
         c = self.alpha_total - self.trace(s)
         if c <= 0.0:
             raise ConfigError("generator undefined once the trace exhausts the mass")
-        u, w = _jacobi01_raw(self.order, c)
+        u, w = jacobi01_raw(self.order, c)
 
         def out(x):
             if x >= 1.0:
@@ -371,36 +278,13 @@ class DirichletFlowSemigroup:
 
         return out
 
-    def values(self, h):
-        if callable(h):
-            return np.asarray([h(x) for x in self.probes])
-        return np.asarray(h, dtype=float)
-
     def basis(self):
         return [lambda x: x, lambda x: x * x, lambda x: math.cos(2.0 * x)]
 
 
 def system_along_flow(kernel, flow: DiscreteFlow):
     """Build the one-parameter semigroup of a kernel transported by a flow."""
-    kind = kernel.kind
-    if kind == "empirical":
-        return EmpiricalFlowSemigroup(kernel.n, Trace.along_flow(kernel.F, flow),
-                                      corrupted=kernel.corrupted)
-    if kind == "gaussian":
-        return GaussianFlowSemigroup(Trace.along_flow(kernel.lam, flow))
-    if kind == "poisson":
-        trace = Trace.along_flow(kernel.lam, flow)
-        start = 0
-        if kernel.initial == "poisson":
-            start = int(stats.poisson.ppf(1.0 - 1e-13, max(trace.values[0], 1e-9)))
-        return JumpFlowSemigroup(trace, start_mass_cap=start)
-    if kind == "compound_poisson":
-        trace = Trace.along_flow(kernel.lam, flow)
-        return JumpFlowSemigroup(trace, kernel.jump_values, kernel.jump_probs)
-    if kind == "dirichlet":
-        return DirichletFlowSemigroup(Trace.along_flow(kernel.alpha, flow),
-                                      kernel.alpha.total)
-    raise UnsupportedKernelError(f"no flow semigroup for kernel kind {kind!r}")
+    return kernel.flow_semigroup(flow)
 
 
 def semigroup_apply(system, s: float, t: float, h):
@@ -459,7 +343,7 @@ def generator_integral(system, s: float, t: float, h, nodes: int = GAUSS_NODES,
     pts = system.trace.breakpoints(s, t)
     acc = None
     for a, b in zip(pts, pts[1:]):
-        xs, ws = _gauss_segment(a, b, nodes)
+        xs, ws = gauss_segment(a, b, nodes)
         for v, w in zip(xs, ws):
             if knot_compose:
                 inner = apply_through_knots(system, v, t, h)
@@ -591,20 +475,13 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
     else:
         h_basis = [eye[k] for k in range(dim)] + [states.astype(float)]
 
-    def gen_int_g(arrive_slot: int) -> np.ndarray:
-        a, b = float(arrive_slot - 2), float(arrive_slot - 1)
-        xs, ws = _gauss_segment(a, b, nodes)
+    def gen_int(system, slot: int) -> np.ndarray:
+        """Generator integral over the flow leg that ends at 1-based ``slot``."""
+        a, b = float(slot - 2), float(slot - 1)
+        xs, ws = gauss_segment(a, b, nodes)
         acc = np.zeros((dim, dim))
         for v, w in zip(xs, ws):
-            acc += w * (g_sys.generator_matrix(v) @ g_sys.matrix(v, b))
-        return acc
-
-    def gen_int_f(leg_end_slot: int) -> np.ndarray:
-        a, b = float(leg_end_slot - 2), float(leg_end_slot - 1)
-        xs, ws = _gauss_segment(a, b, nodes)
-        acc = np.zeros((dim, dim))
-        for v, w in zip(xs, ws):
-            acc += w * (f_sys.generator_matrix(v) @ f_sys.matrix(v, b))
+            acc += w * (system.generator_matrix(v) @ system.matrix(v, b))
         return acc
 
     exact = 0.0
@@ -613,8 +490,8 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
     if level == 2:
         a, b = pi(2) - 1, pi(2)
         T_f = f_sys.matrix(0.0, 1.0)
-        Phi_f = gen_int_f(2)
-        R_g = gen_int_g(b)
+        Phi_f = gen_int(f_sys, 2)
+        R_g = gen_int(g_sys, b)
         chain_T = [Tg(1, a), Tg(a, b)]
         chain_R = [Tg(1, a), R_g]
         for x in supp:
@@ -637,10 +514,10 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
     chain = [Tg(1, times[0])] + [Tg(u, v) for u, v in zip(times, times[1:])]
     arrive_step = idx_of[p3b] - 1  # which matrix lands on slot pi(3)
     chain_R = list(chain)
-    chain_R[arrive_step] = gen_int_g(p3b)
+    chain_R[arrive_step] = gen_int(g_sys, p3b)
     last_is_insertion = p3b == max(times)
     T_f23 = f_sys.matrix(1.0, 2.0)
-    Phi_f3 = gen_int_f(3)
+    Phi_f3 = gen_int(f_sys, 3)
     chain_2 = [Tg(1, p2a), Tg(p2a, p2b)]
     pairs = [(h2, h3) for h2 in h_basis for h3 in h_basis]
     for x in supp:

@@ -1,7 +1,7 @@
-"""Transition systems between nested set unions.
+"""Transition systems between nested set unions, behind one kernel protocol.
 
 A kernel maps (B, B', x) with B a subset of B' to the conditional law of the
-process value at B' given value x at B.  Four built-in families:
+process value at B' given value x at B.  Five built-in families:
 
 * independent-increment kinds (gaussian / poisson / compound poisson), whose
   law depends on (B, B') only through the intensity of B' minus B;
@@ -9,9 +9,11 @@ process value at B' given value x at B.  Four built-in families:
   counts and displayed as count/n);
 * the Dirichlet process (beta steps on [0, 1]).
 
-The empirical kernel has a ``corrupted`` switch that drops the conditioning
-denominator from the success probability; it deliberately violates the
-composition law and is used to show the checks have power.
+Construction, sampling, the checks and the flow semigroups call only the
+methods of ``TransitionKernel`` (listed there); none of them switches on
+``kind``.  The empirical kernel has a ``corrupted`` switch that drops the
+conditioning denominator from the success probability; it deliberately
+violates the composition law and is used to show the checks have power.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from .distributions import (
     BetaSegment,
@@ -32,11 +34,18 @@ from .distributions import (
     binomial_pmf,
     canonical_value,
     compound_poisson_dict,
+    pmf_ppf,
     tv_distance,
 )
 from .errors import ConfigError, UnsupportedKernelError
+from .generators import (
+    DirichletFlowSemigroup,
+    EmpiricalFlowSemigroup,
+    GaussianFlowSemigroup,
+    JumpFlowSemigroup,
+)
 from .grid import CellMeasure, GroundGrid, measure_of
-from .lattice import IndexedSet
+from .lattice import IndexedSet, Trace
 
 PROBE_POINTS = 101
 
@@ -47,22 +56,60 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
 
 
 class TransitionKernel:
-    """Shared plumbing for the built-in kernel families.
+    """The kernel protocol every layer calls.
 
     Internal machinery works on *internal states* (integer counts for the
-    empirical kernel, reals otherwise); ``display`` converts to user units.
+    empirical kernel, reals otherwise).  A kind implements ``measure``,
+    ``law``, ``initial_ppf``, ``increment_ppf``, ``flow_semigroup`` and
+    ``describe_initial``; finite-state kinds add the exact pmfs, continuous
+    kinds add ``cdf_probes``.  The defaults of ``to_state``, ``display`` and
+    ``probe_states`` suit real-valued states.
     """
 
     kind = "abstract"
     finite_state = False
 
-    grid: GroundGrid
+    @property
+    def measure(self) -> CellMeasure:
+        """The cell measure that drives the kernel."""
+        raise NotImplementedError
+
+    @property
+    def grid(self) -> GroundGrid:
+        return self.measure.grid
+
+    def to_state(self, x):
+        """Internal state of the display value x."""
+        return float(x)
 
     def display(self, state):
+        """Display value (user units) of an internal state."""
         return float(state)
 
+    def probe_states(self) -> tuple:
+        """Display states from which the composition law is checked."""
+        return (0.0, 1.0, 2.0)
+
+    def cdf_probes(self, B, B2, x) -> np.ndarray:
+        """Points where composed and direct cdfs of B -> B2 from x are compared."""
+        raise NotImplementedError
+
+    def initial_ppf(self, min_set, u: np.ndarray) -> np.ndarray:
+        """Inverse cdf of the initial value (internal units) at uniforms u."""
+        raise NotImplementedError
+
+    def increment_ppf(self, prev, cur, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse cdf of (value at cur) - (value at prev) given internal
+        states x at prev, one uniform of u per state."""
+        raise NotImplementedError
+
+    def flow_semigroup(self, flow):
+        """The one-parameter semigroup of this kernel transported by a flow."""
+        raise NotImplementedError
+
     def step_pmf(self, B, B2, state) -> dict:
-        raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
+        """Law of the value at B2 given the value ``state`` at B."""
+        return {state + j: p for j, p in self.increment_pmf(B, B2, state).items()}
 
     def increment_pmf(self, B, B2, state) -> dict:
         """Law of (value at B2) - (value at B) given the value at B."""
@@ -71,11 +118,9 @@ class TransitionKernel:
     def initial_pmf_for(self, min_set) -> dict:
         raise UnsupportedKernelError(f"{self.kind} kernel has no finite initial pmf")
 
-    def step_sample(self, rng, B, B2, state):
-        raise NotImplementedError
-
-    def initial_sample_for(self, rng, min_set):
-        raise NotImplementedError
+    def ck_monte_carlo(self, B, B1, B2, states, seed: int, count: int) -> "CkResult":
+        raise UnsupportedKernelError(
+            f"{self.kind} kernel has no Monte Carlo composition check")
 
     def law(self, B, B2, x):
         raise NotImplementedError
@@ -102,17 +147,20 @@ class EmpiricalKernel(TransitionKernel):
             raise ConfigError("empirical kernel needs a probability measure")
 
     @property
-    def grid(self):
-        return self.F.grid
+    def measure(self):
+        return self.F
 
     def display(self, state):
         return state / self.n
 
-    def to_count(self, x) -> int:
+    def to_state(self, x) -> int:
         k = int(round(x * self.n))
         if not 0 <= k <= self.n or abs(x * self.n - k) > 1e-9:
             raise ConfigError(f"{x} is not a multiple of 1/{self.n} in [0, 1]")
         return k
+
+    def probe_states(self):
+        return tuple(j / self.n for j in range(self.n + 1))
 
     def success_probability(self, B, B2) -> float:
         inc = measure_of(self.F, B2 - B)
@@ -122,14 +170,6 @@ class EmpiricalKernel(TransitionKernel):
         if rest <= 1e-15:
             return 0.0
         return min(inc / rest, 1.0)
-
-    def step_pmf(self, B, B2, state) -> dict:
-        _require_nested(B, B2)
-        k = int(state)
-        if B.mask == B2.mask:
-            return {k: 1.0}
-        p = self.success_probability(B, B2)
-        return binomial_pmf(self.n - k, p, shift=k).as_dict()
 
     def increment_pmf(self, B, B2, state) -> dict:
         _require_nested(B, B2)
@@ -142,18 +182,19 @@ class EmpiricalKernel(TransitionKernel):
     def initial_pmf_for(self, min_set: IndexedSet) -> dict:
         return binomial_pmf(self.n, measure_of(self.F, min_set)).as_dict()
 
-    def step_sample(self, rng, B, B2, state):
-        k = int(state)
-        if B.mask == B2.mask:
-            return k
-        p = self.success_probability(B, B2)
-        return k + int(rng.binomial(self.n - k, p))
+    def initial_ppf(self, min_set, u):
+        return stats.binom.ppf(u, self.n, measure_of(self.F, min_set))
 
-    def initial_sample_for(self, rng, min_set):
-        return int(rng.binomial(self.n, measure_of(self.F, min_set)))
+    def increment_ppf(self, prev, cur, x, u):
+        p = self.success_probability(prev, cur) if prev.mask != cur.mask else 0.0
+        return stats.binom.ppf(u, self.n - x, p)
+
+    def flow_semigroup(self, flow):
+        return EmpiricalFlowSemigroup(self.n, Trace.along_flow(self.F, flow),
+                                      corrupted=self.corrupted)
 
     def law(self, B, B2, x):
-        pmf = self.step_pmf(B, B2, self.to_count(x))
+        pmf = self.step_pmf(B, B2, self.to_state(x))
         return FinitePmf([self.display(v) for v in pmf], list(pmf.values()))
 
     def describe_initial(self, min_set=None) -> str:
@@ -176,8 +217,15 @@ class GaussianIncrementKernel(TransitionKernel):
             raise ConfigError("gaussian initial law must be 'normal' or 'zero'")
 
     @property
-    def grid(self):
-        return self.lam.grid
+    def measure(self):
+        return self.lam
+
+    def probe_states(self):
+        return (0.0, 1.0, -0.5)
+
+    def cdf_probes(self, B, B2, x):
+        half = 5.0 * math.sqrt(max(measure_of(self.lam, B2 - B), 1e-12))
+        return np.linspace(x - half, x + half, PROBE_POINTS)
 
     def law(self, B, B2, x):
         _require_nested(B, B2)
@@ -186,19 +234,16 @@ class GaussianIncrementKernel(TransitionKernel):
             return PointMass(float(x))
         return NormalLaw(float(x), var)
 
-    def step_sample(self, rng, B, B2, state):
-        var = measure_of(self.lam, B2 - B)
-        if var == 0:
-            return float(state)
-        return float(state) + float(rng.normal(0.0, math.sqrt(var)))
-
-    def initial_law_for(self, min_set):
+    def initial_ppf(self, min_set, u):
         if self.initial == "zero":
-            return PointMass(0.0)
-        return NormalLaw(0.0, measure_of(self.lam, min_set))
+            return np.zeros_like(u)
+        return special.ndtri(u) * np.sqrt(measure_of(self.lam, min_set))
 
-    def initial_sample_for(self, rng, min_set):
-        return self.initial_law_for(min_set).sample(rng)
+    def increment_ppf(self, prev, cur, x, u):
+        return special.ndtri(u) * np.sqrt(measure_of(self.lam, cur - prev))
+
+    def flow_semigroup(self, flow):
+        return GaussianFlowSemigroup(Trace.along_flow(self.lam, flow))
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
@@ -221,8 +266,8 @@ class PoissonIncrementKernel(TransitionKernel):
             raise ConfigError("poisson initial law must be 'poisson' or 'zero'")
 
     @property
-    def grid(self):
-        return self.lam.grid
+    def measure(self):
+        return self.lam
 
     def law(self, B, B2, x):
         _require_nested(B, B2)
@@ -230,10 +275,6 @@ class PoissonIncrementKernel(TransitionKernel):
         if mean == 0:
             return PointMass(float(x))
         return ShiftedPoisson(float(x), mean)
-
-    def step_pmf(self, B, B2, state, tail: float = 1e-13) -> dict:
-        _require_nested(B, B2)
-        return {state + j: p for j, p in self.increment_pmf(B, B2, state, tail).items()}
 
     def increment_pmf(self, B, B2, state=0, tail: float = 1e-13) -> dict:
         _require_nested(B, B2)
@@ -247,22 +288,25 @@ class PoissonIncrementKernel(TransitionKernel):
         return {j: float(probs[j]) for j in range(kmax + 1)}
 
     def initial_pmf_for(self, min_set, tail: float = 1e-13) -> dict:
-        if self.initial == "zero":
+        if self.initial == "zero" or measure_of(self.lam, min_set) == 0:
             return {0: 1.0}
-        mean = measure_of(self.lam, min_set)
-        full = IndexedSet(self.grid, 0)
-        return self.step_pmf(full, min_set, 0, tail=tail) if mean > 0 else {0: 1.0}
+        return self.increment_pmf(IndexedSet(self.grid, 0), min_set, 0, tail=tail)
 
-    def step_sample(self, rng, B, B2, state):
-        mean = measure_of(self.lam, B2 - B)
-        if mean == 0:
-            return state
-        return state + int(rng.poisson(mean))
-
-    def initial_sample_for(self, rng, min_set):
+    def initial_ppf(self, min_set, u):
         if self.initial == "zero":
-            return 0
-        return int(rng.poisson(measure_of(self.lam, min_set)))
+            return np.zeros_like(u)
+        return stats.poisson.ppf(u, measure_of(self.lam, min_set))
+
+    def increment_ppf(self, prev, cur, x, u):
+        mean = measure_of(self.lam, cur - prev)
+        return stats.poisson.ppf(u, mean) if mean > 0 else np.zeros_like(u)
+
+    def flow_semigroup(self, flow):
+        trace = Trace.along_flow(self.lam, flow)
+        start = 0
+        if self.initial == "poisson":
+            start = int(stats.poisson.ppf(1.0 - 1e-13, max(trace.values[0], 1e-9)))
+        return JumpFlowSemigroup(trace, start_mass_cap=start)
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
@@ -292,8 +336,8 @@ class CompoundPoissonKernel(TransitionKernel):
             raise ConfigError("compound poisson initial law must be 'compound' or 'zero'")
 
     @property
-    def grid(self):
-        return self.lam.grid
+    def measure(self):
+        return self.lam
 
     def step_pmf(self, B, B2, state) -> dict:
         _require_nested(B, B2)
@@ -321,21 +365,15 @@ class CompoundPoissonKernel(TransitionKernel):
         probs = probs / probs.sum()  # renormalize truncation for the public law
         return FinitePmf(vals, probs)
 
-    def step_sample(self, rng, B, B2, state):
-        mean = measure_of(self.lam, B2 - B)
-        if mean == 0:
-            return state
-        count = int(rng.poisson(mean))
-        if count == 0:
-            return state
-        draws = rng.choice(len(self.jump_values), size=count, p=self.jump_probs)
-        return state + float(sum(self.jump_values[i] for i in draws))
+    def initial_ppf(self, min_set, u):
+        return pmf_ppf(self.initial_pmf_for(min_set), u)
 
-    def initial_sample_for(self, rng, min_set):
-        if self.initial == "zero":
-            return 0.0
-        full = IndexedSet(self.grid, 0)
-        return self.step_sample(rng, full, min_set, 0.0)
+    def increment_ppf(self, prev, cur, x, u):
+        return pmf_ppf(self.increment_pmf(prev, cur), u)
+
+    def flow_semigroup(self, flow):
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow),
+                                 self.jump_values, self.jump_probs)
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
@@ -358,8 +396,14 @@ class DirichletKernel(TransitionKernel):
             raise ConfigError("dirichlet kernel needs a dirichlet parameter measure")
 
     @property
-    def grid(self):
-        return self.alpha.grid
+    def measure(self):
+        return self.alpha
+
+    def probe_states(self):
+        return (0.0, 0.25, 0.5)
+
+    def cdf_probes(self, B, B2, x):
+        return np.linspace(0.0, 1.0, PROBE_POINTS)
 
     def law(self, B, B2, x):
         _require_nested(B, B2)
@@ -374,25 +418,58 @@ class DirichletKernel(TransitionKernel):
             return PointMass(x)
         return BetaSegment(a, b, lo=x)
 
-    def step_sample(self, rng, B, B2, state):
-        x = float(state)
-        if x >= 1.0:
-            return 1.0
+    def initial_ppf(self, min_set, u):
+        a = measure_of(self.alpha, min_set)
+        return _beta_ppf(u, a, self.alpha.total - a)
+
+    def increment_ppf(self, prev, cur, x, u):
+        a = measure_of(self.alpha, cur - prev)
+        b = measure_of(self.alpha, cur.complement())
+        return (1.0 - x) * _beta_ppf(u, a, b)
+
+    def flow_semigroup(self, flow):
+        return DirichletFlowSemigroup(Trace.along_flow(self.alpha, flow),
+                                      self.alpha.total)
+
+    def _beta_steps(self, rng, B, B2, x: np.ndarray) -> np.ndarray:
+        """x + (1 - x) Beta(alpha(B2 - B), alpha(B2 complement)), one draw
+        per state below 1, in order; a degenerate leg draws nothing."""
         a = measure_of(self.alpha, B2 - B)
-        b = measure_of(self.alpha, B2.complement())
         if a == 0:
             return x
-        if b == 0:
-            return 1.0
-        return x + (1.0 - x) * float(rng.beta(a, b))
+        out = np.ones_like(x)
+        b = measure_of(self.alpha, B2.complement())
+        live = x < 1.0
+        if b > 0:
+            out[live] = x[live] + (1.0 - x[live]) * rng.beta(a, b, size=int(live.sum()))
+        return out
 
-    def initial_law_for(self, min_set):
-        a = measure_of(self.alpha, min_set)
-        b = measure_of(self.alpha, min_set.complement())
-        return BetaSegment(a, b, lo=0.0)
-
-    def initial_sample_for(self, rng, min_set):
-        return self.initial_law_for(min_set).sample(rng)
+    def ck_monte_carlo(self, B, B1, B2, states, seed, count):
+        """Two-stage draws against the direct cdf, compared at the direct
+        law's deciles (exact reference probabilities, so each probe has a
+        known binomial standard error); keeps the state with the most
+        sigmas.  A state whose direct law is a point mass is skipped: both
+        routes are exact there."""
+        worst, worst_se, worst_sigmas = 0.0, None, -1.0
+        for x in states:
+            direct = kernel_eval(self, B, B2, x)
+            if not isinstance(direct, BetaSegment) or direct._degenerate() is not None:
+                continue
+            rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 7]))
+            ys = self._beta_steps(rng, B, B1, np.full(count, float(x)))
+            zs = self._beta_steps(rng, B1, B2, ys)
+            levels = np.linspace(0.1, 0.9, 9)
+            probes = np.asarray([direct.lo + (1.0 - direct.lo) *
+                                 stats.beta.ppf(q, direct.a, direct.b)
+                                 for q in levels])
+            emp = np.searchsorted(np.sort(zs), probes, side="right") / count
+            gaps = np.abs(emp - levels)
+            ses = np.sqrt(levels * (1 - levels) / count)
+            i = int(np.argmax(gaps / ses))
+            if gaps[i] / ses[i] > worst_sigmas:
+                worst_sigmas = float(gaps[i] / ses[i])
+                worst, worst_se = float(gaps[i]), float(ses[i])
+        return CkResult(worst, worst_se)
 
     def describe_initial(self, min_set=None) -> str:
         return "beta(alpha(min), alpha(min complement))"
@@ -406,32 +483,47 @@ def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):
     return kernel.law(B, B2, x)
 
 
+def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    if a == 0:
+        return np.zeros_like(u)
+    if b == 0:
+        return np.ones_like(u)
+    return special.betaincinv(a, b, u)
+
+
+def chain_pmf(kernel, stages, state) -> dict:
+    """Exact pmf of the internal state at stages[-1] after chaining the
+    kernel through the consecutive stages, from ``state`` at stages[0]."""
+    pmf = {state: 1.0}
+    for a, b in zip(stages, stages[1:]):
+        if a.mask == b.mask:
+            continue
+        out: dict = {}
+        for y, p in pmf.items():
+            for z, q in kernel.step_pmf(a, b, y).items():
+                out[z] = out.get(z, 0.0) + p * q
+        pmf = out
+    return pmf
+
+
 def compose_kernels(kernel, B, B1, B2, x):
     """Chain the kernel through an intermediate set: B -> B1 -> B2.
 
-    Exact pmf composition for finite-state kinds; a sampling/quadrature
-    ``TwoStage`` law for the continuous kinds.
+    Exact pmf composition for finite-state kinds.  For the continuous kinds
+    a leg over a set of zero measure is the identity, so the other leg's law
+    is returned exactly; otherwise a quadrature ``TwoStage`` law.
     """
     _require_nested(B, B1)
     _require_nested(B1, B2)
     if kernel.finite_state:
-        if kernel.kind == "empirical":
-            k = kernel.to_count(x)
-            first = kernel.step_pmf(B, B1, k)
-            out: dict = {}
-            for y, p in first.items():
-                for z, q in kernel.step_pmf(B1, B2, y).items():
-                    out[z] = out.get(z, 0.0) + p * q
-            return FinitePmf([kernel.display(v) for v in out], list(out.values()))
-        first = kernel.step_pmf(B, B1, float(x))
-        out = {}
-        for y, p in first.items():
-            for z, q in kernel.step_pmf(B1, B2, y).items():
-                out[z] = out.get(z, 0.0) + p * q
+        out = chain_pmf(kernel, (B, B1, B2), kernel.to_state(x))
         total = sum(out.values())
-        return FinitePmf(list(out.keys()), [v / total for v in out.values()])
-    first = kernel_eval(kernel, B, B1, x)
-    return TwoStage(first, lambda y: kernel_eval(kernel, B1, B2, y))
+        return FinitePmf([kernel.display(v) for v in out], [p / total for p in out.values()])
+    if measure_of(kernel.measure, B2 - B1) == 0:
+        return kernel_eval(kernel, B, B1, x)
+    if measure_of(kernel.measure, B1 - B) == 0:
+        return kernel_eval(kernel, B1, B2, x)
+    return TwoStage(kernel_eval(kernel, B, B1, x), lambda y: kernel_eval(kernel, B1, B2, y))
 
 
 @dataclass
@@ -448,64 +540,27 @@ class CkResult:
         return self.defect / max(self.se, 1e-300)
 
 
-def _probe_grid_gaussian(kernel, B, B2, x):
-    var = max(measure_of(kernel.lam, B2 - B), 1e-12)
-    half = 5.0 * math.sqrt(var)
-    return np.linspace(x - half, x + half, PROBE_POINTS)
-
-
 def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> CkResult:
     """Deviation of the two-step composition from the direct kernel.
 
     Finite-state kinds: exact total-variation distance, maximized over
-    ``states``.  Gaussian: sup over a 101-point probe grid of the quadrature
-    cdf of the composition against the closed-form direct cdf.  Dirichlet:
-    Monte Carlo with ``mc=(seed, count)`` two-stage draws against the direct
-    cdf, reported with a binomial standard error.
+    ``states``.  Continuous kinds: sup over the kernel's ``cdf_probes`` of
+    the quadrature cdf of the composition against the direct cdf.  With
+    ``mc=(seed, count)`` the kernel's Monte Carlo route instead (dirichlet
+    only), reported with a binomial standard error.
     """
+    if mc is not None:
+        return kernel.ck_monte_carlo(B, B1, B2, states, *mc)
     worst = 0.0
-    worst_se = None
-    worst_sigmas = -1.0
     for x in states:
         if kernel.finite_state:
-            # exact comparison on internal states via the truncated pmfs
-            k0 = kernel.to_count(x) if kernel.kind == "empirical" else x
-            direct_pmf = kernel.step_pmf(B, B2, k0)
-            composed_pmf: dict = {}
-            for y, p in kernel.step_pmf(B, B1, k0).items():
-                for z, q in kernel.step_pmf(B1, B2, y).items():
-                    composed_pmf[z] = composed_pmf.get(z, 0.0) + p * q
-            worst = max(worst, tv_distance(composed_pmf, direct_pmf))
-            continue
-        direct = kernel_eval(kernel, B, B2, x)
-        if kernel.kind == "dirichlet" and mc is not None:
-            # two-stage sampling against the direct cdf, compared at the
-            # direct law's deciles (exact reference probabilities, so each
-            # probe has a known binomial standard error)
-            if not isinstance(direct, BetaSegment):
-                continue  # degenerate point mass: both routes are exact
-            seed, count = mc
-            rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 7]))
-            mid = kernel_eval(kernel, B, B1, x)
-            ys = np.asarray([mid.sample(rng) for _ in range(count)])
-            zs = np.asarray([kernel.step_sample(rng, B1, B2, y) for y in ys])
-            levels = np.linspace(0.1, 0.9, 9)
-            probes = np.asarray([direct.lo + (1.0 - direct.lo) *
-                                 stats.beta.ppf(q, direct.a, direct.b)
-                                 for q in levels])
-            emp = np.searchsorted(np.sort(zs), probes, side="right") / count
-            gaps = np.abs(emp - levels)
-            ses = np.sqrt(levels * (1 - levels) / count)
-            i = int(np.argmax(gaps / ses))
-            if gaps[i] / ses[i] > worst_sigmas:
-                worst_sigmas = float(gaps[i] / ses[i])
-                worst, worst_se = float(gaps[i]), float(ses[i])
-            continue
-        composed = compose_kernels(kernel, B, B1, B2, x)
-        if kernel.kind == "gaussian":
-            probes = _probe_grid_gaussian(kernel, B, B2, x)
+            state = kernel.to_state(x)
+            d = tv_distance(chain_pmf(kernel, (B, B1, B2), state),
+                            kernel.step_pmf(B, B2, state))
         else:
-            probes = np.linspace(0.0, 1.0, PROBE_POINTS)
-        d = max(abs(composed.cdf(z) - direct.cdf(z)) for z in probes)
+            direct = kernel_eval(kernel, B, B2, x)
+            composed = compose_kernels(kernel, B, B1, B2, x)
+            d = max(abs(composed.cdf(z) - direct.cdf(z))
+                    for z in kernel.cdf_probes(B, B2, x))
         worst = max(worst, d)
-    return CkResult(worst, worst_se)
+    return CkResult(worst)

@@ -4,7 +4,8 @@ Sets are bitmasks of grid cells.  A semilattice is a finite family closed
 under pairwise intersection whose members all contain a common nonempty
 minimal set.  Orderings that never place a set before one of its subsets,
 the disjoint "left neighbourhood" cells they induce, extremal union
-representations, chain embeddings and monotone flows all live here.
+representations, chain embeddings, monotone flows and the piecewise-linear
+measure traces along them all live here.
 """
 
 from __future__ import annotations
@@ -410,6 +411,44 @@ def embed_chain(chain, lat: Semilattice):
     return ordering, tuple(prefix_indices)
 
 
+class Trace:
+    """Piecewise-linear nondecreasing measure trace t -> m(f(t)) along a flow."""
+
+    def __init__(self, times, values):
+        self.times = np.asarray(times, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+        if self.times.ndim != 1 or self.times.shape != self.values.shape:
+            raise ConfigError("trace needs matching 1-d times and values")
+        if np.any(np.diff(self.times) <= 0):
+            raise ConfigError("trace times must be strictly increasing")
+        if np.any(np.diff(self.values) < -1e-12):
+            raise ConfigError("trace values must be nondecreasing")
+
+    @classmethod
+    def along_flow(cls, measure: CellMeasure, flow: "DiscreteFlow") -> "Trace":
+        return cls(flow.times, [measure_of(measure, s) for s in flow.stages])
+
+    def __call__(self, t: float) -> float:
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
+            raise ConfigError(f"time {t} outside trace domain")
+        return float(np.interp(t, self.times, self.values))
+
+    def slope(self, t: float, side: str = "+") -> float:
+        """One-sided derivative; ``side`` resolves the knot ambiguity."""
+        if side not in ("+", "-"):
+            raise ConfigError("side must be '+' or '-'")
+        on_knot = any(abs(t - k) < 1e-12 for k in self.times)
+        pick = "left" if on_knot and side == "-" else "right"
+        k = int(np.searchsorted(self.times, t, side=pick)) - 1
+        k = min(max(k, 0), len(self.times) - 2)
+        return float((self.values[k + 1] - self.values[k]) /
+                     (self.times[k + 1] - self.times[k]))
+
+    def breakpoints(self, s: float, t: float) -> list[float]:
+        inner = [float(k) for k in self.times if s + 1e-12 < k < t - 1e-12]
+        return [s] + inner + [t]
+
+
 @dataclass(frozen=True)
 class DiscreteFlow:
     """A monotone chain of stages at increasing knot times, with an optional
@@ -429,22 +468,15 @@ class DiscreteFlow:
                 raise ConfigError("flow stages must be monotone under inclusion")
 
     @cached_property
-    def trace_values(self) -> tuple[float, ...]:
+    def trace(self) -> Trace:
+        """The trace of ``trace_measure``; callable at any time of the flow."""
         if self.trace_measure is None:
             raise ConfigError("flow has no trace measure")
-        return tuple(measure_of(self.trace_measure, s) for s in self.stages)
+        return Trace.along_flow(self.trace_measure, self)
 
-    def trace(self, t: float) -> float:
-        """Measure of the flow at time t, linearly interpolated between knots."""
-        times = self.times
-        vals = self.trace_values
-        if not times[0] <= t <= times[-1]:
-            raise ConfigError(f"time {t} outside flow domain")
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        if k >= len(times) - 1:
-            return vals[-1]
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        return vals[k] + w * (vals[k + 1] - vals[k])
+    @property
+    def trace_values(self) -> tuple[float, ...]:
+        return tuple(self.trace.values.tolist())
 
 
 def flow_from_ordering(ordering: ConsistentOrdering,

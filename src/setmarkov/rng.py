@@ -24,16 +24,3 @@ def step_uniforms(seed: int, step_index: int, start: int, count: int) -> np.ndar
         bg.advance(start)
     raw = np.random.Generator(bg).random(_BLOCK * count)
     return np.ascontiguousarray(raw[::_BLOCK])
-
-
-def sample_uniform(seed: int, sample_index: int, step_index: int) -> float:
-    """The single uniform for one (seed, sample, step) triple."""
-    return float(step_uniforms(seed, step_index, sample_index, 1)[0])
-
-
-def check_stream(seed: int, tag: int) -> np.random.Generator:
-    """A plain deterministic stream for Monte Carlo checks that are not part
-    of the per-sample contract (tag separates independent uses)."""
-    bg = np.random.Philox(key=np.array([seed & _MASK64, (0xC0FFEE ^ tag) & _MASK64],
-                                       dtype=np.uint64))
-    return np.random.Generator(bg)

@@ -68,16 +68,6 @@ def _orderings(cfg):
     return orders[:cap]
 
 
-def _display_states(kernel):
-    if kernel.kind == "empirical":
-        return [j / kernel.n for j in range(kernel.n + 1)]
-    if kernel.kind == "dirichlet":
-        return [0.0, 0.25, 0.5]
-    if kernel.kind in ("poisson", "compound_poisson"):
-        return [0.0, 1.0, 2.0]
-    return [0.0, 1.0, -0.5]
-
-
 def _fd_order_row(system, h, name, instance):
     errs = finite_difference_generator_errors(system, 0.25, FD_EPS, h)
     if max(errs) < 1e-12:
@@ -95,7 +85,7 @@ def _finite_state_rows(cfg):
     kernel = spec.kernel
     tol = cfg.tolerances
     orders = _orderings(cfg)
-    states = _display_states(kernel)
+    states = kernel.probe_states()
 
     # composition law on every prefix triple of every ordering
     worst = 0.0
@@ -133,7 +123,7 @@ def _finite_state_rows(cfg):
         worst = 0.0
         for m in cfg.lattice.members:
             got = joint_over_increments(spec, [m]).scalar_dict()
-            want = binomial_pmf(kernel.n, measure_of(kernel.F, m)).as_dict()
+            want = binomial_pmf(kernel.n, measure_of(kernel.measure, m)).as_dict()
             worst = max(worst, tv_distance(got, want))
         rows.append(_row("marginal_law", "all members vs binomial", worst, tol["exact"]))
 
@@ -162,16 +152,15 @@ def _finite_state_rows(cfg):
         rows.append(_row("increment_independence",
                          f"B=prefix[{k}], {len(a_list)} sets", r.defect, tol["exact"]))
 
-    flow = flow_from_ordering(ordering, _kernel_measure(kernel))
+    flow = flow_from_ordering(ordering, kernel.measure)
     r = flow_markov_defect(spec, flow)
     rows.append(_row("flow_markov", "canonical flow", r.defect, tol["exact"]))
 
     # flow matching: a refined chain against the one-step chain
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
                           (flow.stages[0], flow.stages[-1]), flow.trace_measure)
-    int_states = range(kernel.n + 1) if kernel.kind == "empirical" else range(3)
     d = flow_matching_defect(kernel, coarse, (0, 1), flow, (0, len(flow.stages) - 1),
-                             list(int_states))
+                             [kernel.to_state(x) for x in states])
     rows.append(_row("flow_matching", "one-step vs refined chain", d, tol["exact"]))
 
     # the matrix semigroup needs a closed integer state grid; compound
@@ -210,12 +199,6 @@ def _finite_state_rows(cfg):
     return rows
 
 
-def _kernel_measure(kernel):
-    return {"empirical": getattr(kernel, "F", None),
-            "dirichlet": getattr(kernel, "alpha", None)}.get(kernel.kind,
-                                                             getattr(kernel, "lam", None))
-
-
 def _continuous_rows(cfg):
     rows = []
     spec = cfg.spec
@@ -224,31 +207,26 @@ def _continuous_rows(cfg):
     seed = cfg.seed
     count = int(cfg.experiment.get("mc_samples", 100_000))
     orders = _orderings(cfg)
-    states = _display_states(kernel)
+    states = kernel.probe_states()
     ordering = spec.ordering
 
-    # composition law
+    # composition law: Monte Carlo for the dirichlet kind, quadrature otherwise
+    mc = (seed, count) if kernel.kind == "dirichlet" else None
     worst = 0.0
-    worst_sig = 0.0
     o = ordering
     triples = [(0, 1, len(o) - 1)] if len(o) > 2 else [(0, 0, len(o) - 1)]
     if len(o) > 3:
         triples.append((1, 2, len(o) - 1))
     for i, j, k in triples:
-        if kernel.kind == "dirichlet":
-            r = ck_defect(kernel, o.prefix_set(i), o.prefix_set(j), o.prefix_set(k),
-                          states, mc=(seed, count))
-            worst_sig = max(worst_sig, r.sigmas or 0.0)
-        else:
-            r = ck_defect(kernel, o.prefix_set(i), o.prefix_set(j), o.prefix_set(k),
-                          states)
-            worst = max(worst, r.defect)
-    if kernel.kind == "dirichlet":
-        rows.append(_row("chapman_kolmogorov", f"{len(triples)} triples, MC sigmas",
-                         worst_sig, tol["mc_sigmas"]))
-    else:
+        r = ck_defect(kernel, o.prefix_set(i), o.prefix_set(j), o.prefix_set(k),
+                      states, mc=mc)
+        worst = max(worst, r.defect if mc is None else r.sigmas or 0.0)
+    if mc is None:
         rows.append(_row("chapman_kolmogorov", f"{len(triples)} triples, quadrature cdf",
                          worst, tol["quadrature"]))
+    else:
+        rows.append(_row("chapman_kolmogorov", f"{len(triples)} triples, MC sigmas",
+                         worst, tol["mc_sigmas"]))
 
     # ordering invariance by Monte Carlo, samples cached per ordering
     aligned = [aligned_increment_samples(spec, o, seed, count) for o in orders]
@@ -269,10 +247,9 @@ def _continuous_rows(cfg):
         worst = 0.0
         crit = None
         for m in cfg.lattice.members:
-            idx = [i for i, c in enumerate(lefts.sets) if c.mask and c.issubset(m)]
-            vals = arr[:, idx].sum(axis=1)
-            a = measure_of(kernel.alpha, m)
-            b = kernel.alpha.total - a
+            vals = _member_values(arr, lefts, m)
+            a = measure_of(kernel.measure, m)
+            b = kernel.measure.total - a
             ks = stats.kstest(vals, lambda z: stats.beta.cdf(z, a, b))
             crit = special.kolmogi(0.01) / math.sqrt(count)
             worst = max(worst, ks.statistic)
@@ -286,7 +263,7 @@ def _continuous_rows(cfg):
                 xj = _member_values(arr, lefts, mem[j])
                 prod = (xi - xi.mean()) * (xj - xj.mean())
                 se = prod.std(ddof=1) / math.sqrt(count)
-                want = measure_of(kernel.lam, mem[i] & mem[j])
+                want = measure_of(kernel.measure, mem[i] & mem[j])
                 worst_sig = max(worst_sig, abs(prod.mean() - want) / max(se, 1e-300))
         rows.append(_row("marginal_law", "covariance vs intensity, member pairs",
                          worst_sig, tol["mc_sigmas"]))
@@ -294,7 +271,7 @@ def _continuous_rows(cfg):
     if len(ordering) < 2:
         return rows  # no flow legs to differentiate along
 
-    flow = flow_from_ordering(ordering, _kernel_measure(kernel))
+    flow = flow_from_ordering(ordering, kernel.measure)
     system = system_along_flow(kernel, flow)
     h = system.basis()[1]
     t_end = float(flow.times[-1])
@@ -326,14 +303,9 @@ def run_gencheck(cfg, eps_list, tolerance: float | None,
     if not 0 <= ordering_index < len(orders):
         raise ConfigError(
             f"ordering index {ordering_index} out of range (have {len(orders)})")
-    flow = flow_from_ordering(orders[ordering_index], _kernel_measure(kernel))
+    flow = flow_from_ordering(orders[ordering_index], kernel.measure)
     system = system_along_flow(kernel, flow)
-    if kernel.kind == "dirichlet":
-        itol = tolerance or tol["dirichlet_quadrature"]
-    elif kernel.finite_state:
-        itol = tolerance or tol["quadrature"]
-    else:
-        itol = tolerance or tol["dirichlet_quadrature"]
+    itol = tolerance or tol["quadrature" if kernel.finite_state else "dirichlet_quadrature"]
     rows = []
     hs = system.basis()
     h = hs[1] if len(hs) > 1 else hs[0]

@@ -23,6 +23,7 @@ from .construction import (
 )
 from .distributions import tv_distance
 from .errors import ConfigError, UnsupportedKernelError
+from .kernels import chain_pmf
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -277,21 +278,6 @@ def flow_markov_defect(spec, flow: DiscreteFlow,
     return ConditionalCheck(defect, skipped, events)
 
 
-def compose_along_knots(kernel, stages, x) -> dict:
-    """Exact pmf of the endpoint value after chaining the kernel through the
-    consecutive stages, starting from internal state x at stages[0]."""
-    pmf = {x: 1.0}
-    for a, b in zip(stages, stages[1:]):
-        if a.mask == b.mask:
-            continue
-        out: dict = {}
-        for y, p in pmf.items():
-            for z, q in kernel.step_pmf(a, b, y).items():
-                out[z] = out.get(z, 0.0) + p * q
-        pmf = out
-    return pmf
-
-
 def flow_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow, span2,
                          states) -> float:
     """Two flows passing through the same pair of sets must transport a state
@@ -306,7 +292,7 @@ def flow_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow
         raise UnsupportedKernelError("flow matching check needs a finite-state kernel")
     worst = 0.0
     for x in states:
-        p1 = compose_along_knots(kernel, flow1.stages[i1: j1 + 1], x)
-        p2 = compose_along_knots(kernel, flow2.stages[i2: j2 + 1], x)
+        p1 = chain_pmf(kernel, flow1.stages[i1: j1 + 1], x)
+        p2 = chain_pmf(kernel, flow2.stages[i2: j2 + 1], x)
         worst = max(worst, tv_distance(p1, p2))
     return worst

@@ -141,6 +141,35 @@ def test_single_member_lattice_validates(tmp_path):
     assert json.loads(out.read_text())["pass"] is True
 
 
+def test_gaussian_null_second_leg_passes_composition(tmp_path):
+    # the last member adds no cell, so one composition leg is a point mass;
+    # a valid process must still pass at the default quadrature tolerance
+    payload = {"grid": {"extents": [2, 2]},
+               "semilattice": {"cell_lists": [[0, 1], [0, 2], [0, 1, 2]]},
+               "process": {"kind": "gaussian", "measure": {"constant": 2.0}}}
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    ck = [c for c in json.loads(out.read_text())["checks"]
+          if c["name"] == "chapman_kolmogorov"]
+    assert ck[0]["pass"] and ck[0]["tolerance"] == 1e-7 and ck[0]["defect"] < 1e-12
+
+
+def test_gaussian_narrow_second_leg_passes_composition(tmp_path):
+    # the triple (1, 2, 3) has leg variances 1 and 0.01: the second-stage cdf
+    # turns far faster than the first stage's quadrature nodes are spaced
+    payload = {"grid": {"extents": [2, 2]},
+               "semilattice": {"cell_lists": [[0, 1], [0, 2], [0, 1, 2, 3]]},
+               "process": {"kind": "gaussian",
+                           "measure": {"weights": [1.0, 1.0, 1.0, 0.01]}}}
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    ck = [c for c in json.loads(out.read_text())["checks"]
+          if c["name"] == "chapman_kolmogorov"]
+    assert ck[0]["pass"] and ck[0]["tolerance"] == 1e-7 and ck[0]["defect"] < 1e-9
+
+
 def test_mixture_config_fails_markov_checks(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["process"]["mixture"] = {

@@ -20,7 +20,7 @@ from setmarkov import (
     sample_increments,
 )
 from setmarkov.distributions import binomial_pmf, tv_distance
-from setmarkov.errors import DecompositionError, UnsupportedKernelError
+from setmarkov.errors import ConfigError, DecompositionError, UnsupportedKernelError
 from setmarkov.grid import measure_of
 
 from helpers import place_points_joint
@@ -177,6 +177,15 @@ class TestInitialOverride:
         assert law.table[(2, 0, 0)] == pytest.approx(1.0)
         arr = sample_increments(spec, 3, 100)
         assert np.all(arr[:, 0] == 2) and np.all(arr[:, 1:] == 0)
+
+
+    def test_continuous_kinds_reject_an_initial_pmf(self, lattice3, grid2):
+        # the sampler would otherwise draw from the kernel's own initial law
+        lam = CellMeasure(grid2, [0.5, 1.0, 1.5, 2.0])
+        alpha = CellMeasure(grid2, [1.0] * 4, "dirichlet")
+        for kernel in (GaussianIncrementKernel(lam), DirichletKernel(alpha)):
+            with pytest.raises(ConfigError, match="finite-state"):
+                FddSpec(lattice3, kernel, initial={5.0: 1.0})
 
 
 class TestSampling:

@@ -13,6 +13,7 @@ from setmarkov.distributions import (
     binomial_pmf,
     compound_poisson_dict,
     pmf_csv_rows,
+    pmf_ppf,
     tv_distance,
 )
 from setmarkov.errors import ConfigError
@@ -36,15 +37,15 @@ def test_finite_pmf_cdf_and_sampling():
     pmf = FinitePmf([0.0, 1.0, 2.0], [0.2, 0.5, 0.3])
     assert pmf.cdf(-0.5) == 0.0
     assert pmf.cdf(1.0) == pytest.approx(0.7)
-    rng = np.random.default_rng(0)
-    draws = [pmf.sample(rng) for _ in range(4000)]
-    assert np.mean([d == 0.0 for d in draws]) == pytest.approx(0.2, abs=0.03)
+    draws = pmf_ppf(pmf.as_dict(), np.random.default_rng(0).random(4000))
+    assert np.mean(draws == 0.0) == pytest.approx(0.2, abs=0.03)
+    assert np.mean(draws == 2.0) == pytest.approx(0.3, abs=0.03)
 
 
 def test_point_mass():
     d = PointMass(1.5)
     assert d.cdf(1.4) == 0.0 and d.cdf(1.5) == 1.0
-    assert d.sample(np.random.default_rng(0)) == 1.5
+    assert np.all(pmf_ppf(d.as_dict(), np.array([1e-300, 0.5, 1.0 - 1e-16])) == 1.5)
 
 
 def test_normal_law():
@@ -72,7 +73,8 @@ def test_beta_segment_cdf():
 def test_beta_segment_degenerate_endpoints():
     assert BetaSegment(2.0, 0.0, 0.3).cdf(0.999) == 0.0  # point mass at 1
     assert BetaSegment(0.0, 2.0, 0.3).cdf(0.3) == 1.0    # no mass to add
-    assert BetaSegment(1.0, 1.0, 1.0).sample(np.random.default_rng(0)) == 1.0
+    full = BetaSegment(1.0, 1.0, 1.0)  # started at 1: stays there
+    assert full.cdf(0.999) == 0.0 and full.cdf(1.0) == 1.0
 
 
 def test_two_stage_gaussian_cdf_matches_convolution():
@@ -83,9 +85,26 @@ def test_two_stage_gaussian_cdf_matches_convolution():
         assert comp.cdf(z) == pytest.approx(direct.cdf(z), abs=1e-7)
 
 
-def test_two_stage_sampling():
+@pytest.mark.parametrize("second_var", [4.0, 1.0, 0.25, 0.1, 0.01])
+def test_two_stage_gaussian_cdf_any_leg_ratio(second_var):
+    # a second stage much narrower than the first turns its cdf too sharply
+    # for the Gauss-Hermite nodes; the composition must stay exact anyway
+    comp = TwoStage(NormalLaw(0.0, 1.0), lambda y: NormalLaw(y, second_var))
+    direct = NormalLaw(0.0, 1.0 + second_var)
+    worst = max(abs(comp.cdf(z) - direct.cdf(z)) for z in np.linspace(-4.0, 4.0, 81))
+    assert worst < 1e-9
+
+
+def test_two_stage_point_mass_stages_compose_exactly():
     comp = TwoStage(PointMass(1.0), lambda y: NormalLaw(y, 0.0))
-    assert comp.sample(np.random.default_rng(0)) == 1.0
+    assert comp.cdf(0.999) == 0.0 and comp.cdf(1.0) == 1.0
+
+
+def test_pmf_ppf_inverts_the_cdf():
+    # u at an atom's cdf value already maps to the next atom; the mass a
+    # tail truncation lost goes to the last atom
+    u = np.array([0.1, 0.49, 0.5, 0.97])
+    assert pmf_ppf({1: 0.45, 0: 0.5}, u).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_compound_poisson_dict():

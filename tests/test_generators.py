@@ -48,6 +48,10 @@ class TestTrace:
         tr = Trace([0.0, 1.0, 2.0], [0.0, 0.5, 0.6])
         assert tr.breakpoints(0.25, 1.75) == [0.25, 1.0, 1.75]
 
+    def test_one_trace_class_for_flows_and_semigroups(self):
+        from setmarkov import lattice
+        assert Trace is lattice.Trace
+
     def test_decreasing_rejected(self):
         with pytest.raises(ConfigError):
             Trace([0.0, 1.0], [0.5, 0.2])

@@ -1,0 +1,136 @@
+"""Golden outputs: SHA-256 digests of `sample` and `fdd` CSVs and of sampled
+increment arrays, recorded before the kernel classes shared one protocol.
+
+Any change to these bytes is a change of the sampler or of the exact-law
+export, not a refactor.  Re-record only for an intended change of output.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from setmarkov import (
+    CellMeasure,
+    EmpiricalKernel,
+    FddSpec,
+    GroundGrid,
+    IndexedSet,
+    PoissonIncrementKernel,
+    close_under_intersection,
+    sample_increments,
+)
+from setmarkov.cli import main
+
+SEED = 11
+ROWS = 2000
+WEIGHTS = [0.5, 1.0, 1.5, 2.0]
+
+PROCESSES = {
+    "empirical": {"kind": "empirical", "n": 3,
+                  "measure": {"weights": [0.4, 0.3, 0.2, 0.1]}},
+    "gaussian": {"kind": "gaussian", "measure": {"weights": WEIGHTS}},
+    "gaussian_zero": {"kind": "gaussian", "initial": "zero",
+                      "measure": {"weights": WEIGHTS}},
+    "poisson": {"kind": "poisson", "measure": {"weights": WEIGHTS}},
+    "poisson_zero": {"kind": "poisson", "initial": "zero",
+                     "measure": {"weights": WEIGHTS}},
+    "compound_poisson": {"kind": "compound_poisson", "measure": {"constant": 0.7},
+                         "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}},
+    "compound_zero": {"kind": "compound_poisson", "initial": "zero",
+                      "measure": {"constant": 0.7},
+                      "jumps": {"values": [1, 2], "probs": [0.5, 0.5]}},
+    "dirichlet": {"kind": "dirichlet", "measure": {"weights": WEIGHTS}},
+    "mixture": {"kind": "empirical", "n": 2, "measure": {"uniform": True},
+                "mixture": {"measure": {"weights": [0.7, 0.1, 0.1, 0.1]},
+                            "weight": 0.4}},
+}
+
+SAMPLE_SHA256 = {
+    "empirical":
+        "6a9e0f865267b19a34cb061be09095f27fd019b450b7b0ef96d19394f2f64e16",
+    "gaussian":
+        "f6f76ce625be53abe2280d9ea8cc9867e89b01f95a021577d15704911a1e51d9",
+    "gaussian_zero":
+        "1164ffbc9db30c2b46e87a2c54ba5c9b86be5fe2ea6a0b4ae0e6c0216ba8653d",
+    "poisson":
+        "b5c010b2c5b34a37d7d11ae5ff24ddc752ab8c31eda8a98e15e027b67ee761a2",
+    "poisson_zero":
+        "6a6f11b9ca45e7316b7f99869528e70b00279b37e1e75c56f7bd8eb0f8d3176b",
+    "compound_poisson":
+        "120120f951daac87ec1c48832ea0570d563409bc043a2963907d04b23b63e64b",
+    "compound_zero":
+        "950b376aced0873b6461ca2bc01b19393df7311455f20880f9dadd29eafc2402",
+    "dirichlet":
+        "c7e48d42b5ace5b578115acdd8ed27a96f5aa32c0c477810da296133a3ca4250",
+    "mixture":
+        "e1ee638dc432d35f88bc5b52517ac6d5dd07e45b4e0080621daa425cc6cfb6e5",
+}
+
+FDD_SHA256 = {
+    "empirical":
+        "a74d98670975cb2d2df3f3e2a049ebe99779fff5fd2ce96d28aed020109e9195",
+    "poisson":
+        "f97ff3b396ac7cd09f832546892d74708eeed2f0d398bf1ae173fb00062c634f",
+    "compound_poisson":
+        "48ed28d1cbf45245f7aed5c126b8593d4bc02ec1713493c097d94b781ebfbd89",
+}
+
+# sample_increments on specs whose initial pmf overrides the kernel's own
+INITIAL_OVERRIDE_SHA256 = {
+    "empirical":
+        "57e6faeb090d93239ebd4452a6711cea01351b7f5e62936a35a8830dd1ef0e62",
+    "poisson":
+        "99c7ca309e6bdd1cc5c7e08979b540eb0268cfdae9e7cd8af2aecebc9c0e6a25",
+}
+
+
+def _config(tmp_path, name):
+    cfg = {
+        "grid": {"extents": [2, 2]},
+        "semilattice": {"cell_lists": [[0, 1], [0, 2]]},
+        "process": PROCESSES[name],
+        "experiment": {"derived_sets": [{"name": "u12", "union": [1, 2]},
+                                        {"name": "d1", "union": [1], "minus": [0]}]},
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _sha256(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_SHA256))
+def test_sample_csv_digest(tmp_path, name):
+    out = tmp_path / "paths.csv"
+    rc = main(["sample", "--config", _config(tmp_path, name), "--n", str(ROWS),
+               "--seed", str(SEED), "--out", str(out)])
+    assert rc == 0
+    assert _sha256(out) == SAMPLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FDD_SHA256))
+def test_fdd_csv_digest(tmp_path, name):
+    out = tmp_path / "law.csv"
+    assert main(["fdd", "--config", _config(tmp_path, name), "--out", str(out)]) == 0
+    assert _sha256(out) == FDD_SHA256[name]
+
+
+def _override_spec(name):
+    grid = GroundGrid((2, 2))
+    lattice = close_under_intersection([IndexedSet.from_cells(grid, [0, 1]),
+                                        IndexedSet.from_cells(grid, [0, 2])])
+    if name == "empirical":
+        F = CellMeasure(grid, [0.4, 0.3, 0.2, 0.1], "probability")
+        return FddSpec(lattice, EmpiricalKernel(3, F), initial={0: 0.2, 1: 0.5, 3: 0.3})
+    lam = CellMeasure(grid, WEIGHTS)
+    return FddSpec(lattice, PoissonIncrementKernel(lam), initial={2: 0.25, 5: 0.75})
+
+
+@pytest.mark.parametrize("name", sorted(INITIAL_OVERRIDE_SHA256))
+def test_initial_override_sample_digest(name):
+    arr = sample_increments(_override_spec(name), SEED, ROWS)
+    assert hashlib.sha256(arr.tobytes()).hexdigest() == INITIAL_OVERRIDE_SHA256[name]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from setmarkov import (
     CellMeasure,
@@ -16,7 +17,14 @@ from setmarkov import (
     kernel_eval,
 )
 from setmarkov.distributions import BetaSegment, NormalLaw, PointMass, tv_distance
-from setmarkov.errors import ConfigError
+from setmarkov.errors import ConfigError, UnsupportedKernelError
+from setmarkov.generators import (
+    DirichletFlowSemigroup,
+    EmpiricalFlowSemigroup,
+    GaussianFlowSemigroup,
+    JumpFlowSemigroup,
+)
+from setmarkov.lattice import DiscreteFlow
 
 
 def cells(g, *idx):
@@ -49,6 +57,49 @@ class TestIdentityLaw:
             law = kernel_eval(k, sets2["s01"], sets2["s01"], 0.5)
             assert isinstance(law, PointMass)
             assert law.value == 0.5
+
+
+def _all_kinds(grid2, uniform2):
+    lam = CellMeasure(grid2, [0.5, 1.0, 1.5, 2.0])
+    alpha = CellMeasure(grid2, [0.5, 1.0, 1.5, 2.0], "dirichlet")
+    return [
+        (EmpiricalKernel(3, uniform2), uniform2, EmpiricalFlowSemigroup),
+        (GaussianIncrementKernel(lam), lam, GaussianFlowSemigroup),
+        (PoissonIncrementKernel(lam), lam, JumpFlowSemigroup),
+        (CompoundPoissonKernel(lam, (1, 2), (0.5, 0.5)), lam, JumpFlowSemigroup),
+        (DirichletKernel(alpha), alpha, DirichletFlowSemigroup),
+    ]
+
+
+class TestKernelProtocol:
+    def test_measure_and_grid(self, grid2, uniform2):
+        for k, measure, _ in _all_kinds(grid2, uniform2):
+            assert k.measure is measure and k.grid == grid2
+
+    def test_probe_states_round_trip_through_internal_states(self, grid2, uniform2):
+        for k, _, _ in _all_kinds(grid2, uniform2):
+            for x in k.probe_states():
+                assert k.display(k.to_state(x)) == x
+
+    def test_ppfs_are_vectorised_and_monotone_in_u(self, grid2, uniform2, sets2):
+        u = np.linspace(0.01, 0.99, 50)
+        for k, _, _ in _all_kinds(grid2, uniform2):
+            x = k.initial_ppf(sets2["s0"], u)
+            inc = k.increment_ppf(sets2["s0"], sets2["s01"], np.zeros_like(u), u)
+            assert x.shape == inc.shape == u.shape
+            assert np.all(np.diff(x) >= 0) and np.all(np.diff(inc) >= 0)
+
+    def test_flow_semigroup_per_kind(self, grid2, uniform2, sets2):
+        flow = DiscreteFlow((0.0, 1.0, 2.0), (sets2["s0"], sets2["s01"], sets2["s012"]))
+        for k, measure, cls in _all_kinds(grid2, uniform2):
+            sg = k.flow_semigroup(flow)
+            assert isinstance(sg, cls)
+            assert sg.trace(2.0) == pytest.approx(measure.weights[:3].sum())
+
+    def test_monte_carlo_route_is_dirichlet_only(self, grid2, uniform2, sets2):
+        for k, _, _ in _all_kinds(grid2, uniform2)[:4]:
+            with pytest.raises(UnsupportedKernelError):
+                ck_defect(k, sets2["s0"], sets2["s01"], sets2["s012"], [0.0], mc=(1, 100))
 
 
 class TestEmpiricalKernel:
@@ -147,12 +198,11 @@ class TestDirichletKernel:
     def test_states_stay_monotone_in_unit_interval(self, grid2, sets2):
         alpha = CellMeasure(grid2, [0.5, 1.0, 1.5, 1.0], "dirichlet")
         k = DirichletKernel(alpha)
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            x = k.initial_sample_for(rng, cells(grid2, 0))
-            y = k.step_sample(rng, cells(grid2, 0), cells(grid2, 0, 1), x)
-            z = k.step_sample(rng, cells(grid2, 0, 1), cells(grid2, 0, 1, 2), y)
-            assert 0.0 <= x <= y <= z <= 1.0
+        u = np.random.default_rng(5).random((3, 200))
+        x = k.initial_ppf(cells(grid2, 0), u[0])
+        y = x + k.increment_ppf(cells(grid2, 0), cells(grid2, 0, 1), x, u[1])
+        z = y + k.increment_ppf(cells(grid2, 0, 1), cells(grid2, 0, 1, 2), y, u[2])
+        assert np.all((0.0 <= x) & (x <= y) & (y <= z) & (z <= 1.0))
 
 
 class TestComposition:
@@ -166,6 +216,15 @@ class TestComposition:
         comp = compose_kernels(k, sets2["s0"], sets2["s01"], sets2["s012"], 0.0)
         direct = kernel_eval(k, sets2["s0"], sets2["s012"], 0.0)
         assert tv_distance(comp.as_dict(), direct.as_dict()) < 1e-15
+
+    def test_zero_measure_leg_returns_other_leg_exactly(self, grid2, sets2):
+        lam = CellMeasure(grid2, [1.0, 0.0, 2.0, 1.0])
+        k = GaussianIncrementKernel(lam)
+        # the second leg adds nothing, the first leg adds only a null cell
+        assert compose_kernels(k, sets2["s0"], sets2["s012"], sets2["s012"], 0.5) == \
+            NormalLaw(0.5, 2.0)
+        assert compose_kernels(k, sets2["s0"], sets2["s01"], sets2["s012"], 0.5) == \
+            NormalLaw(0.5, 2.0)
 
     def test_gaussian_variances_add(self, grid2, sets2):
         lam = CellMeasure(grid2, [0.5, 0.25, 0.75, 0.5])
@@ -189,6 +248,31 @@ class TestChapmanKolmogorov:
         r = ck_defect(k, sets2["s0"], sets2["s01"], sets2["s012"], [0.0, 1.0])
         assert r.defect < 1e-6
 
+    def test_gaussian_composition_to_machine_precision(self, grid2, sets2):
+        lam = CellMeasure(grid2, [2.0] * 4)
+        k = GaussianIncrementKernel(lam)
+        for B1 in (sets2["s01"], sets2["s012"]):
+            r = ck_defect(k, sets2["s0"], B1, sets2["s012"], k.probe_states())
+            assert r.defect < 1e-14
+
+    def test_dirichlet_monte_carlo_matches_scalar_draws(self, grid2, sets2):
+        # the vectorised route draws the same Philox stream, in the same
+        # order, as one scalar beta draw per path and leg
+        alpha = CellMeasure(grid2, [0.5, 1.0, 1.5, 1.0], "dirichlet")
+        k = DirichletKernel(alpha)
+        B, B1, B2 = sets2["s0"], sets2["s01"], sets2["s012"]
+        seed, count, x = 9, 500, 0.25
+        rng = np.random.Generator(np.random.Philox(key=[seed, 7]))
+        ys = [x + (1 - x) * float(rng.beta(1.0, 2.5)) for _ in range(count)]
+        zs = np.sort([y + (1 - y) * float(rng.beta(1.5, 1.0)) for y in ys])
+        levels = np.linspace(0.1, 0.9, 9)
+        probes = [x + (1 - x) * stats.beta.ppf(q, 2.5, 1.0) for q in levels]
+        emp = np.searchsorted(zs, probes, side="right") / count
+        ses = np.sqrt(levels * (1 - levels) / count)
+        i = int(np.argmax(np.abs(emp - levels) / ses))
+        r = ck_defect(k, B, B1, B2, [x], mc=(seed, count))
+        assert (r.defect, r.se) == (abs(emp[i] - levels[i]), ses[i])
+
     def test_dirichlet_monte_carlo(self, grid2, sets2):
         alpha = CellMeasure(grid2, [1.0] * 4, "dirichlet")
         k = DirichletKernel(alpha)
@@ -196,6 +280,15 @@ class TestChapmanKolmogorov:
                       mc=(2024, 100_000))
         assert r.se is not None
         assert r.sigmas < 3.0
+
+    def test_dirichlet_monte_carlo_skips_point_mass_direct_law(self, grid2, sets2):
+        # B -> B2 adds only a cell of zero weight: the direct law is a point
+        # mass at x, exact on both routes, and must not score a defect
+        alpha = CellMeasure(grid2, [1.0, 0.0, 1.0, 1.0], "dirichlet")
+        k = DirichletKernel(alpha)
+        r = ck_defect(k, sets2["s0"], sets2["s01"], sets2["s01"], [0.0, 0.25],
+                      mc=(3, 2000))
+        assert r.defect == 0.0
 
     def test_corrupted_kernel_breaks_composition(self, grid2, uniform2, sets2):
         k = EmpiricalKernel(2, uniform2, corrupted=True)

@@ -21,6 +21,7 @@ from setmarkov.errors import (
     EmptyRootError,
     OrderingOverflowError,
 )
+from setmarkov.lattice import Trace
 
 from helpers import (
     brute_force_orderings,
@@ -273,6 +274,12 @@ class TestFlows:
         flow = flow_from_ordering(default_ordering(lat), uniform2)
         assert len(flow.stages) == 1
         assert flow.trace(0.0) == pytest.approx(0.25)
+
+    def test_flow_trace_is_the_piecewise_linear_trace(self, orderings3, uniform2):
+        flow = flow_from_ordering(orderings3[0], uniform2)
+        assert isinstance(flow.trace, Trace)
+        assert flow.trace.slope(1.0, "-") == pytest.approx(0.25)
+        assert flow.trace.breakpoints(0.5, 2.0) == [0.5, 1.0, 2.0]
 
     def test_stages_monotone_required(self, grid2, uniform2):
         with pytest.raises(ConfigError):
