@@ -10,6 +10,11 @@ increment vector evaluates the process anywhere in the generated algebra.
 Both routes are generic over the kernel protocol: ``exact_fdd`` chains the
 kernel's ``increment_pmf``, and ``sample_increments`` feeds one counter-based
 uniform per (sample, step) through ``initial_ppf`` and ``increment_ppf``.
+
+A ``JointLaw`` is a key matrix (one row per outcome, one column per variable,
+internal states) and a probability vector.  Its operations group rows by one
+int64 code per row, built in mixed radix from per-column value ranks
+(``group_rows``), and sum probabilities with ``bincount``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import pmf_ppf, tv_distance
+from .distributions import pmf_ppf
 from .errors import (
     ConfigError,
     DecompositionError,
@@ -123,49 +128,105 @@ class MixtureSpec:
                            self.weights)
 
 
-@dataclass
+def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a 2-d array by equal values.
+
+    Returns a group id per row, with groups numbered by first appearance, and
+    the first row of each group.  Each column is replaced by the index of its
+    value among the column's distinct values, and the ranks are combined into
+    one int64 code per row in mixed radix; a code about to overflow is first
+    re-ranked over its distinct values.
+    """
+    code = np.zeros(columns.shape[0], dtype=np.int64)
+    radix = 1
+    for col in columns.T:
+        uniq, rank = np.unique(col, return_inverse=True)
+        size = len(uniq)
+        if radix * size >= 2**62:
+            _, code = np.unique(code, return_inverse=True)
+            radix = int(code.max()) + 1
+        code *= size
+        code += rank
+        radix *= size
+    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    relabel = np.empty(len(order), dtype=np.int64)
+    relabel[order] = np.arange(len(order))
+    return relabel[inverse], first[order]
+
+
 class JointLaw:
-    """Exact pmf of the increment vector (or a pushforward of it)."""
+    """Exact pmf of the increment vector (or a pushforward of it).
 
-    labels: tuple[str, ...]
-    sets: tuple[IndexedSet, ...] | None
-    table: dict[tuple, float]
+    ``keys`` holds one row per outcome and one column per variable (internal
+    states, no row repeated), stored column by column (Fortran order) since
+    every operation works on whole columns; ``probs`` holds the probability
+    of each row.  ``table`` is the same law as a dict {key tuple:
+    probability}, built on first access.
+    """
 
-    def __post_init__(self):
-        total = sum(self.table.values())
+    def __init__(self, labels, sets, keys, probs):
+        self.labels = tuple(labels)
+        self.sets = sets
+        self.keys = np.asfortranarray(keys)
+        self.probs = np.asarray(probs, dtype=float)
+        if self.keys.shape != (len(self.probs), len(self.labels)):
+            raise ConfigError(f"key matrix of shape {self.keys.shape} does not fit "
+                              f"{len(self.probs)} outcomes of {len(self.labels)} variables")
+        total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-10:
             raise ConfigError(f"joint law sums to {total}, not 1")
-        if any(p < -1e-12 for p in self.table.values()):
+        if np.any(self.probs < -1e-12):
             raise ConfigError("joint law has a negative weight")
+
+    @cached_property
+    def table(self) -> dict[tuple, float]:
+        return dict(zip(map(tuple, self.keys.tolist()), self.probs.tolist()))
+
+    def columns(self, indices) -> np.ndarray:
+        """The key matrix restricted to the given variables, in that order."""
+        return self.keys.T[list(indices)].T
+
+    def group_sums(self, groups) -> np.ndarray:
+        """Per outcome, the sum of its values over each index group (0 for an
+        empty group), added left to right."""
+        out = np.zeros((len(groups), len(self.probs)), dtype=self.keys.dtype)
+        for j, g in enumerate(groups):
+            for i in g:
+                out[j] += self.keys[:, i]
+        return out.T
+
+    def _merged(self, values: np.ndarray, labels, sets) -> "JointLaw":
+        """Law of the per-outcome rows ``values``: equal rows merged."""
+        ids, first = group_rows(values)
+        return JointLaw(labels, sets, values[first], np.bincount(ids, weights=self.probs))
 
     def permuted(self, perm) -> "JointLaw":
         """Reorder variables: new variable j is old variable perm[j]."""
+        perm = list(perm)
         labels = tuple(self.labels[p] for p in perm)
         sets = tuple(self.sets[p] for p in perm) if self.sets else None
-        table = {tuple(k[p] for p in perm): v for k, v in self.table.items()}
-        return JointLaw(labels, sets, table)
+        return JointLaw(labels, sets, self.columns(perm), self.probs)
 
     def marginal(self, indices) -> "JointLaw":
         indices = list(indices)
         labels = tuple(self.labels[i] for i in indices)
         sets = tuple(self.sets[i] for i in indices) if self.sets else None
-        out: dict[tuple, float] = {}
-        for k, v in self.table.items():
-            kk = tuple(k[i] for i in indices)
-            out[kk] = out.get(kk, 0.0) + v
-        return JointLaw(labels, sets, out)
+        return self._merged(self.columns(indices), labels, sets)
 
     def pushforward_sums(self, groups, labels=None, sets=None) -> "JointLaw":
         """Map each outcome to the vector of sums over the index groups."""
-        out: dict[tuple, float] = {}
-        for k, v in self.table.items():
-            kk = tuple(sum(k[i] for i in g) if g else 0 for g in groups)
-            out[kk] = out.get(kk, 0.0) + v
         labels = labels or tuple(f"S{i}" for i in range(len(groups)))
-        return JointLaw(tuple(labels), sets, out)
+        return self._merged(self.group_sums(groups), tuple(labels), sets)
 
     def tv(self, other: "JointLaw") -> float:
-        return tv_distance(self.table, other.table)
+        """Total variation distance (sup over events) to a law of as many
+        variables."""
+        if self.keys.shape[1] != other.keys.shape[1]:
+            raise ConfigError("laws over different numbers of variables")
+        ids, _ = group_rows(np.concatenate([self.keys.T, other.keys.T], axis=1).T)
+        diff = np.bincount(ids, weights=np.concatenate([self.probs, -other.probs]))
+        return 0.5 * float(np.abs(diff).sum())
 
     def scalar_dict(self) -> dict:
         """For single-variable laws: value -> probability."""
@@ -176,35 +237,54 @@ class JointLaw:
 
 def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
     """Exact joint pmf of the increments over the ordering's left
-    neighbourhoods; finite-state kernels only."""
+    neighbourhoods; finite-state kernels only.
+
+    Each step groups the rows by running sum, asks the kernel for the
+    increment pmf of each distinct sum once, and expands every row by its
+    pmf; each probability is the product of the row's and the step's.  The
+    size of the next table is known before it is built, and a table of more
+    than ``cap`` entries raises ``TableSizeError`` instead.
+    """
     if isinstance(spec, MixtureSpec):
         parts = [exact_fdd(c, cap) for c in spec.components]
-        table: dict[tuple, float] = {}
-        for w, part in zip(spec.weights, parts):
-            for k, v in part.table.items():
-                table[k] = table.get(k, 0.0) + w * v
-        return JointLaw(parts[0].labels, parts[0].sets, table)
+        keys = np.concatenate([part.keys.T for part in parts], axis=1).T
+        probs = np.concatenate([w * part.probs for w, part in zip(spec.weights, parts)])
+        ids, first = group_rows(keys)
+        return JointLaw(parts[0].labels, parts[0].sets, keys[first],
+                        np.bincount(ids, weights=probs))
     kernel = spec.kernel
     if not kernel.finite_state:
         raise UnsupportedKernelError(
             f"{kernel.kind} kernel has no exact finite table; use sampling instead"
         )
     ordering = spec.ordering
-    table = {(s,): float(p) for s, p in spec.initial_pmf().items()}
+    initial = spec.initial_pmf()
+    running = np.array(list(initial))
+    columns = [running]
+    probs = np.array([float(p) for p in initial.values()])
     for i in range(1, len(ordering)):
         prev = ordering.prefix_set(i - 1)
         cur = ordering.prefix_set(i)
-        new: dict[tuple, float] = {}
-        for key, p in table.items():
-            x = sum(key)
-            for inc, q in kernel.increment_pmf(prev, cur, x).items():
-                nk = key + (inc,)
-                new[nk] = new.get(nk, 0.0) + p * q
-        if len(new) > cap:
+        states, group = np.unique(running, return_inverse=True)
+        pmfs = [kernel.increment_pmf(prev, cur, x) for x in states.tolist()]
+        sizes = np.array([len(pmf) for pmf in pmfs])
+        counts = sizes[group]
+        total = int(counts.sum())
+        if total > cap:
             raise TableSizeError(f"joint table exceeds {cap} entries")
-        table = new
+        incs = np.array([v for pmf in pmfs for v in pmf])
+        steps = np.array([q for pmf in pmfs for q in pmf.values()], dtype=float)
+        # row r expands to its group's pmf, in pmf order: position j of that
+        # block reads entry (group offset + j) of the concatenated pmfs
+        row = np.repeat(np.arange(len(probs)), counts)
+        block_start = np.cumsum(counts) - counts
+        at = np.arange(total) + np.repeat((np.cumsum(sizes) - sizes)[group] - block_start,
+                                          counts)
+        columns = [c[row] for c in columns] + [incs[at]]
+        probs = probs[row] * steps[at]
+        running = running[row] + columns[-1]
     labels = tuple(f"C{i}" for i in range(len(ordering)))
-    return JointLaw(labels, spec.lefts.sets, table)
+    return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs)
 
 
 def _clip_u(u: np.ndarray) -> np.ndarray:

@@ -227,6 +227,19 @@ def convolve_dicts(a: dict, b: dict) -> dict:
     return out
 
 
+def poisson_tail_count(mean: float, tail: float) -> int:
+    """Smallest k >= 0 with P(Poisson(mean) > k) <= tail: where the exact
+    pmfs truncate the count.  One vectorised sf over a range of counts that
+    is doubled until the tail drops below ``tail``; ``special.pdtrc`` is the
+    function ``stats.poisson.sf`` evaluates, without its argument checks."""
+    hi = int(mean + 12.0 * math.sqrt(mean)) + 32
+    while True:
+        below = np.flatnonzero(special.pdtrc(np.arange(hi), mean) <= tail)
+        if below.size:
+            return int(below[0])
+        hi *= 2
+
+
 def compound_poisson_dict(lam: float, jump_values, jump_probs,
                           tail: float = 1e-13) -> dict:
     """Law of a Poisson(lam) number of iid jumps, as a dict pmf.
@@ -239,9 +252,7 @@ def compound_poisson_dict(lam: float, jump_values, jump_probs,
     base = {_key(v): float(p) for v, p in zip(jump_values, jump_probs)}
     if abs(sum(base.values()) - 1.0) > PMF_TOTAL_TOL:
         raise ConfigError("jump pmf must sum to 1")
-    kmax = 0
-    while stats.poisson.sf(kmax, lam) > tail:
-        kmax += 1
+    kmax = poisson_tail_count(lam, tail)
     out = {0.0: math.exp(-lam)}
     power = {0.0: 1.0}
     weight = math.exp(-lam)

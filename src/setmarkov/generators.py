@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import binomial_pmf, compound_poisson_dict
+from .distributions import compound_poisson_dict
 from .errors import ConfigError, UnsupportedKernelError
 from .lattice import ConsistentOrdering, DiscreteFlow, Trace, flow_from_ordering
 from .quadrature import HERMITE_ORDER, gauss_segment, hermite, jacobi01, jacobi01_raw
@@ -71,6 +71,10 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self.trace = trace
         self.corrupted = corrupted
         self.states = np.arange(n + 1)
+        # entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
+        k, j = np.nonzero(np.add.outer(self.states, self.states) <= n)
+        self._rows, self._heads, self._tails = k, j, n - k - j
+        self._comb = np.array([float(math.comb(n - a, b)) for a, b in zip(k, j)])
 
     def success(self, s: float, t: float) -> float:
         gs, gt = self.trace(s), self.trace(t)
@@ -84,10 +88,13 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
     def matrix(self, s: float, t: float) -> np.ndarray:
         n = self.n
         p = self.success(s, t)
+        q = 1.0 - p
+        # powers by Python's float pow, as distributions.binomial_pmf takes them
+        p_pow = np.array([p**j for j in range(n + 1)])
+        q_pow = np.array([q**j for j in range(n + 1)])
         M = np.zeros((n + 1, n + 1))
-        for k in range(n + 1):
-            for j, q in binomial_pmf(n - k, p).as_dict().items():
-                M[k, k + j] = q
+        M[self._rows, self._rows + self._heads] = (
+            self._comb * p_pow[self._heads] * q_pow[self._tails])
         return M
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
@@ -145,22 +152,17 @@ class JumpFlowSemigroup(MatrixSemigroup):
         M = np.zeros((size, size))
         if lam == 0.0:
             return np.eye(size)
-        inc = self._increment(lam)
-        for i in range(size):
-            for v, p in inc.items():
-                if i + v <= self.cap:
-                    M[i, i + v] = p
+        for v, p in self._increment(lam).items():
+            _fill_band(M, v, p)
         return M
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
         rate = self.trace.slope(s, side)
         size = self.cap + 1
         G = np.zeros((size, size))
-        for i in range(size):
-            G[i, i] = -rate
-            for v, p in zip(self.jump_values, self.jump_probs):
-                if i + v <= self.cap:
-                    G[i, i + v] = rate * p
+        _fill_band(G, 0, -rate)
+        for v, p in zip(self.jump_values, self.jump_probs):
+            _fill_band(G, v, rate * p)
         return G
 
     def values(self, h):
@@ -174,6 +176,12 @@ class JumpFlowSemigroup(MatrixSemigroup):
             out.append(e)
         out.append(np.cos(self.states.astype(float)))
         return out
+
+
+def _fill_band(M: np.ndarray, offset: int, value: float) -> None:
+    """Set M[i, i + offset] = value wherever that entry exists (offset >= 0)."""
+    rows = np.arange(max(M.shape[0] - offset, 0))
+    M[rows, rows + offset] = value
 
 
 class GaussianFlowSemigroup(QuadratureSemigroup):

@@ -19,7 +19,8 @@ violates the composition law and is used to show the checks have power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 from scipy import special, stats
@@ -35,6 +36,7 @@ from .distributions import (
     canonical_value,
     compound_poisson_dict,
     pmf_ppf,
+    poisson_tail_count,
     tv_distance,
 )
 from .errors import ConfigError, UnsupportedKernelError
@@ -48,6 +50,10 @@ from .grid import CellMeasure, GroundGrid, measure_of
 from .lattice import IndexedSet, Trace
 
 PROBE_POINTS = 101
+# the poisson count is truncated where its tail drops below this
+PMF_TAIL = 1e-13
+_NO_MOVE = MappingProxyType({0: 1.0})
+_NO_MOVE_REAL = MappingProxyType({0.0: 1.0})
 
 
 def _require_nested(B: IndexedSet, B2: IndexedSet):
@@ -55,6 +61,7 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
         raise ConfigError("kernel evaluation needs B contained in B'")
 
 
+@dataclass(frozen=True)
 class TransitionKernel:
     """The kernel protocol every layer calls.
 
@@ -64,10 +71,23 @@ class TransitionKernel:
     ``describe_initial``; finite-state kinds add the exact pmfs, continuous
     kinds add ``cdf_probes``.  The defaults of ``to_state``, ``display`` and
     ``probe_states`` suit real-valued states.
+
+    Finite-state kinds memoise their pmfs on the instance (``_pmfs``) and
+    return them as read-only mappings shared by every caller.
     """
+
+    _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     kind = "abstract"
     finite_state = False
+
+    def _memo(self, key, compute) -> MappingProxyType:
+        """The pmf stored under ``key``, computed on first use."""
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            # setdefault: a sampler thread that lost a race gets the stored pmf
+            pmf = self._pmfs.setdefault(key, MappingProxyType(compute()))
+        return pmf
 
     @property
     def measure(self) -> CellMeasure:
@@ -171,16 +191,17 @@ class EmpiricalKernel(TransitionKernel):
             return 0.0
         return min(inc / rest, 1.0)
 
-    def increment_pmf(self, B, B2, state) -> dict:
+    def increment_pmf(self, B, B2, state):
         _require_nested(B, B2)
-        k = int(state)
         if B.mask == B2.mask:
-            return {0: 1.0}
-        p = self.success_probability(B, B2)
-        return binomial_pmf(self.n - k, p).as_dict()
+            return _NO_MOVE
+        rest = self.n - int(state)
+        return self._memo((B.mask, B2.mask, rest), lambda: binomial_pmf(
+            rest, self.success_probability(B, B2)).as_dict())
 
-    def initial_pmf_for(self, min_set: IndexedSet) -> dict:
-        return binomial_pmf(self.n, measure_of(self.F, min_set)).as_dict()
+    def initial_pmf_for(self, min_set: IndexedSet):
+        return self._memo(("initial", min_set.mask), lambda: binomial_pmf(
+            self.n, measure_of(self.F, min_set)).as_dict())
 
     def initial_ppf(self, min_set, u):
         return stats.binom.ppf(u, self.n, measure_of(self.F, min_set))
@@ -276,21 +297,15 @@ class PoissonIncrementKernel(TransitionKernel):
             return PointMass(float(x))
         return ShiftedPoisson(float(x), mean)
 
-    def increment_pmf(self, B, B2, state=0, tail: float = 1e-13) -> dict:
+    def increment_pmf(self, B, B2, state=0):
         _require_nested(B, B2)
-        mean = measure_of(self.lam, B2 - B)
-        if mean == 0:
-            return {0: 1.0}
-        kmax = 0
-        while stats.poisson.sf(kmax, mean) > tail:
-            kmax += 1
-        probs = stats.poisson.pmf(np.arange(kmax + 1), mean)
-        return {j: float(probs[j]) for j in range(kmax + 1)}
+        return self._memo((B.mask, B2.mask),
+                          lambda: _poisson_pmf(measure_of(self.lam, B2 - B)))
 
-    def initial_pmf_for(self, min_set, tail: float = 1e-13) -> dict:
+    def initial_pmf_for(self, min_set):
         if self.initial == "zero" or measure_of(self.lam, min_set) == 0:
-            return {0: 1.0}
-        return self.increment_pmf(IndexedSet(self.grid, 0), min_set, 0, tail=tail)
+            return _NO_MOVE
+        return self.increment_pmf(IndexedSet(self.grid, 0), min_set, 0)
 
     def initial_ppf(self, min_set, u):
         if self.initial == "zero":
@@ -345,18 +360,21 @@ class CompoundPoissonKernel(TransitionKernel):
         return {canonical_value(state + v): p
                 for v, p in self.increment_pmf(B, B2, state).items()}
 
-    def increment_pmf(self, B, B2, state=0.0) -> dict:
+    def increment_pmf(self, B, B2, state=0.0):
         _require_nested(B, B2)
-        mean = measure_of(self.lam, B2 - B)
+        return self._memo((B.mask, B2.mask),
+                          lambda: self._pmf_of_mean(measure_of(self.lam, B2 - B)))
+
+    def _pmf_of_mean(self, mean: float) -> dict:
         if mean == 0:
             return {0.0: 1.0}
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
+        return compound_poisson_dict(mean, self.jump_values, self.jump_probs,
+                                     tail=PMF_TAIL)
 
-    def initial_pmf_for(self, min_set) -> dict:
+    def initial_pmf_for(self, min_set):
         if self.initial == "zero":
-            return {0.0: 1.0}
-        mean = measure_of(self.lam, min_set)
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
+            return _NO_MOVE_REAL
+        return self.increment_pmf(IndexedSet(self.grid, 0), min_set)
 
     def law(self, B, B2, x):
         pmf = self.step_pmf(B, B2, float(x))
@@ -473,6 +491,14 @@ class DirichletKernel(TransitionKernel):
 
     def describe_initial(self, min_set=None) -> str:
         return "beta(alpha(min), alpha(min complement))"
+
+
+def _poisson_pmf(mean: float) -> dict:
+    if mean == 0:
+        return {0: 1.0}
+    kmax = poisson_tail_count(mean, PMF_TAIL)
+    probs = stats.poisson.pmf(np.arange(kmax + 1), mean)
+    return {j: float(probs[j]) for j in range(kmax + 1)}
 
 
 def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):

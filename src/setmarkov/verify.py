@@ -19,6 +19,7 @@ from .construction import (
     MixtureSpec,
     decompose_over_lefts,
     exact_fdd,
+    group_rows,
     sample_increments,
 )
 from .distributions import tv_distance
@@ -55,33 +56,52 @@ class McDefect:
     sigmas: float
 
 
-def conditional_independence_defect(law, target_fn, history_fn, present_fn,
+def conditional_independence_defect(law, target, history, present,
                                     min_prob: float = MIN_CONDITION_PROB) -> ConditionalCheck:
     """TV distance between law(target | history) and law(target | present),
-    maximized over history outcomes of probability >= min_prob."""
-    hist: dict = {}
-    pres: dict = {}
-    for key, p in law.table.items():
-        t = target_fn(key)
-        h = history_fn(key)
-        g = present_fn(key)
-        hist.setdefault(h, [0.0, {}, g])
-        hist[h][0] += p
-        hist[h][1][t] = hist[h][1].get(t, 0.0) + p
-        pres.setdefault(g, [0.0, {}])
-        pres[g][0] += p
-        pres[g][1][t] = pres[g][1].get(t, 0.0) + p
-    defect = 0.0
-    skipped = 0
-    for h, (ph, table, g) in hist.items():
-        if ph < min_prob:
-            skipped += 1
-            continue
-        pg, gtable = pres[g]
-        cond_h = {t: v / ph for t, v in table.items()}
-        cond_g = {t: v / pg for t, v in gtable.items()}
-        defect = max(defect, tv_distance(cond_h, cond_g))
-    return ConditionalCheck(defect, skipped, len(hist))
+    maximized over history outcomes of probability >= min_prob.
+
+    ``target``, ``history`` and ``present`` are lists of column-index groups
+    of ``law``; each observes the vector of its group sums.  The present is
+    a function of the history, but float sums of one history can differ in
+    their last bits, so each history takes the present of its first row.
+    """
+    if not min_prob > 0:
+        raise ConfigError("min_prob must be positive: histories are conditioned on")
+    p = law.probs
+    t, _ = group_rows(law.group_sums(target))
+    h, h_first = group_rows(law.group_sums(history))
+    g, _ = group_rows(law.group_sums(present))
+    g = g[h_first[h]]
+    nt = int(t.max()) + 1
+    ph = np.bincount(h, weights=p)
+    pg = np.bincount(g, weights=p)
+    ht, ht_mass = _joint_masses(h, t, nt, p)
+    gt, gt_mass = _joint_masses(g, t, nt, p)
+    keep = np.flatnonzero(ph >= min_prob)
+    skipped = len(ph) - len(keep)
+    if not keep.size:
+        return ConditionalCheck(0.0, skipped, len(ph))
+    # compare on every target seen with the present g(h) of each kept history
+    # h: a superset of the targets seen with h
+    gh = g[h_first[keep]]
+    lo = np.searchsorted(gt, gh * nt)
+    counts = np.searchsorted(gt, (gh + 1) * nt) - lo
+    pair = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    hk = np.repeat(keep, counts)
+    code = hk * nt + gt[pair] % nt
+    at = np.searchsorted(ht, code).clip(max=len(ht) - 1)
+    cond_h = np.where(ht[at] == code, ht_mass[at] / ph[hk], 0.0)
+    cond_g = gt_mass[pair] / pg[np.repeat(gh, counts)]
+    tv = 0.5 * np.bincount(np.repeat(np.arange(len(keep)), counts),
+                           weights=np.abs(cond_h - cond_g))
+    return ConditionalCheck(float(tv.max()), skipped, len(ph))
+
+
+def _joint_masses(a: np.ndarray, t: np.ndarray, nt: int, p: np.ndarray):
+    """Sorted distinct codes a * nt + t and the probability of each."""
+    codes, inverse = np.unique(a * nt + t, return_inverse=True)
+    return codes, np.bincount(inverse, weights=p)
 
 
 def align_variables(lefts_a, lefts_b) -> tuple[int, ...]:
@@ -212,17 +232,7 @@ def set_markov_defect(spec, A: IndexedSet, B, partition,
     target_idx = decompose_over_lefts(lefts, A.mask & ~b_mask)
     part_idx = [decompose_over_lefts(lefts, p) for p in partition]
     b_idx = decompose_over_lefts(lefts, b_mask)
-
-    def target(key):
-        return sum(key[i] for i in target_idx)
-
-    def history(key):
-        return tuple(sum(key[i] for i in g) for g in part_idx)
-
-    def present(key):
-        return sum(key[i] for i in b_idx)
-
-    return conditional_independence_defect(law, target, history, present, min_prob)
+    return conditional_independence_defect(law, [target_idx], part_idx, [b_idx], min_prob)
 
 
 def increment_vector_independence_defect(spec, B, a_list,
@@ -238,17 +248,8 @@ def increment_vector_independence_defect(spec, B, a_list,
     b_mask = getattr(B, "mask", B)
     target_groups = [decompose_over_lefts(lefts, a.mask & ~b_mask) for a in a_list]
     hist_idx = [i for i, c in enumerate(lefts.sets) if c.mask and c.mask & ~b_mask == 0]
-
-    def target(key):
-        return tuple(sum(key[i] for i in g) for g in target_groups)
-
-    def history(key):
-        return tuple(key[i] for i in hist_idx)
-
-    def present(key):
-        return sum(key[i] for i in hist_idx)
-
-    return conditional_independence_defect(law, target, history, present, min_prob)
+    return conditional_independence_defect(law, target_groups, [[i] for i in hist_idx],
+                                           [hist_idx], min_prob)
 
 
 def flow_markov_defect(spec, flow: DiscreteFlow,
@@ -258,20 +259,12 @@ def flow_markov_defect(spec, flow: DiscreteFlow,
     through the current one.  Maximized over all knot pairs s < t."""
     ordering, prefixes = embed_chain(flow.stages, spec.lattice)
     law = exact_fdd(spec.with_ordering(ordering))
-    m = len(flow.stages)
+    stage = [list(range(k + 1)) for k in prefixes]  # columns summing to each stage
     defect, skipped, events = 0.0, 0, 0
-    for t in range(1, m):
+    for t in range(1, len(stage)):
         for s in range(t):
-            def target(key, _t=t):
-                return sum(key[: prefixes[_t] + 1])
-
-            def history(key, _s=s):
-                return tuple(sum(key[: prefixes[l] + 1]) for l in range(_s + 1))
-
-            def present(key, _s=s):
-                return sum(key[: prefixes[_s] + 1])
-
-            c = conditional_independence_defect(law, target, history, present, min_prob)
+            c = conditional_independence_defect(law, [stage[t]], stage[: s + 1],
+                                                [stage[s]], min_prob)
             defect = max(defect, c.defect)
             skipped += c.skipped
             events += c.events
