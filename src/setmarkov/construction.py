@@ -345,21 +345,8 @@ class ProcessSample:
 
     def value(self, target) -> float:
         """Process value on a union of left neighbourhoods (0 on the empty set)."""
-        mask = getattr(target, "mask", target)
-        if mask == 0:
-            return 0.0
-        total = 0.0
-        covered = 0
-        for inc, c in zip(self.increments, self.lefts.sets):
-            if c.mask & ~mask == 0:
-                total += inc
-                covered |= c.mask
-        if covered != mask:
-            missing = mask_cells(mask & ~covered)
-            raise DecompositionError(
-                f"cells {missing} are not covered by left neighbourhoods"
-            )
-        return total
+        parts = decompose_over_lefts(self.lefts, target)
+        return sum((self.increments[i] for i in parts), 0.0)
 
 
 def evaluate_on_algebra(sample: ProcessSample, plus, minus=None) -> float:

@@ -46,6 +46,9 @@ class MatrixSemigroup:
     def apply_generator(self, s, h, side="+"):
         return self.generator_matrix(s, side) @ np.asarray(h, dtype=float)
 
+    def values(self, h):
+        return np.asarray(h, dtype=float)[self.probe_states]
+
 
 class QuadratureSemigroup:
     """Operators acting on callables, read off at fixed probe points."""
@@ -70,7 +73,7 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self.n = n
         self.trace = trace
         self.corrupted = corrupted
-        self.states = np.arange(n + 1)
+        self.states = self.probe_states = np.arange(n + 1)
         # entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
         k, j = np.nonzero(np.add.outer(self.states, self.states) <= n)
         self._rows, self._heads, self._tails = k, j, n - k - j
@@ -105,14 +108,8 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         else:
             rest = 1.0 - self.trace(s)
             rate = 0.0 if slope == 0.0 else slope / rest
-        G = np.zeros((n + 1, n + 1))
-        for k in range(n):
-            G[k, k] = -(n - k) * rate
-            G[k, k + 1] = (n - k) * rate
-        return G
-
-    def values(self, h):
-        return np.asarray(h, dtype=float)
+        out = (n - self.states[:-1]) * rate
+        return np.diag(np.append(-out, 0.0)) + np.diag(out, 1)
 
     def basis(self):
         eye = np.eye(self.n + 1)
@@ -165,17 +162,9 @@ class JumpFlowSemigroup(MatrixSemigroup):
             _fill_band(G, v, rate * p)
         return G
 
-    def values(self, h):
-        return np.asarray(h, dtype=float)[self.probe_states]
-
     def basis(self):
-        out = []
-        for k in self.probe_states[: min(len(self.probe_states), 6)]:
-            e = np.zeros(self.cap + 1)
-            e[k] = 1.0
-            out.append(e)
-        out.append(np.cos(self.states.astype(float)))
-        return out
+        eye = np.eye(self.cap + 1)
+        return list(eye[self.probe_states[:6]]) + [np.cos(self.states.astype(float))]
 
 
 def _fill_band(M: np.ndarray, offset: int, value: float) -> None:
@@ -349,18 +338,13 @@ def generator_integral(system, s: float, t: float, h, nodes: int = GAUSS_NODES,
     transition operator compose through the knots, which matters only for
     families that break the composition law."""
     pts = system.trace.breakpoints(s, t)
-    acc = None
+    acc = np.zeros_like(system.values(h))
     for a, b in zip(pts, pts[1:]):
         xs, ws = gauss_segment(a, b, nodes)
         for v, w in zip(xs, ws):
-            if knot_compose:
-                inner = apply_through_knots(system, v, t, h)
-            else:
-                inner = system.apply(v, t, h)
-            term = w * system.values(system.apply_generator(v, inner))
-            acc = term if acc is None else acc + term
-    if acc is None:
-        acc = np.zeros_like(system.values(h))
+            inner = (apply_through_knots(system, v, t, h) if knot_compose
+                     else system.apply(v, t, h))
+            acc = acc + w * system.values(system.apply_generator(v, inner))
     return acc
 
 
@@ -403,34 +387,52 @@ def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: Discret
 
 @dataclass
 class PermutationIdentityResult:
-    """Exact transition-operator defect and generator-form quadrature residual."""
+    """Exact transition-operator defect and generator-form quadrature
+    residual, each the worst over the start states checked."""
 
     exact_defect: float
     generator_residual: float
+    start_states: tuple[int, ...]
 
     @property
     def defect(self) -> float:
         return max(self.exact_defect, self.generator_residual)
 
 
-def _chain_distribution(mats, x_idx: int,
-                        tol: float = 1e-16) -> list[tuple[float, tuple[int, ...]]]:
-    """All state tuples of a matrix chain started at x_idx, with weights.
+def _increment_law(chain, observed) -> np.ndarray:
+    """Joint law of the rises of the ``observed`` legs of a matrix chain.
 
-    Paths whose weight magnitude falls below ``tol`` are dropped; all matrix
-    entries are O(1), so pruned paths cannot recover.
+    ``out[x, d_1, ..., d_k]`` is the total weight of the paths from state x
+    whose observed legs (in chain order) rise by d_1, ..., d_k; a leg rises
+    by d from y with weight ``M[y, y + d]``.  The arrival state of the chain
+    is summed out.
     """
-    paths = [(1.0, (x_idx,))]
-    for M in mats:
-        new = []
-        for p, ys in paths:
-            row = M[ys[-1]]
-            for j in np.nonzero(row)[0]:
-                w = p * float(row[j])
-                if abs(w) >= tol:
-                    new.append((w, ys + (int(j),)))
-        paths = new
-    return paths
+    n = len(chain[0])
+    y, d = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) < n)
+    law = np.eye(n)  # axes: start, the observed rises so far, current state
+    for i, M in enumerate(chain):
+        if i not in observed:
+            law = law @ M
+            continue
+        rises = np.zeros((n, n))
+        rises[y, d] = M[y, y + d]
+        if i == len(chain) - 1:
+            return law @ rises
+        step = np.zeros(law.shape[:-1] + (n, n))
+        step[..., d, y + d] = law[..., y] * rises[y, d]
+        law = step
+    return law.sum(axis=-1)
+
+
+def _by_arrival(law: np.ndarray) -> np.ndarray:
+    """``law[x, d_1, ..., d_k]`` with the last rise replaced by the arrival
+    state x + d_1 + ... + d_k; an arrival past the last state is dropped,
+    as the killed matrices drop it."""
+    n = len(law)
+    idx = np.nonzero(sum(np.ix_(*[np.arange(n)] * law.ndim)) < n)
+    out = np.zeros_like(law)
+    out[idx[:-1] + (sum(idx),)] = law[idx]
+    return out
 
 
 def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentOrdering,
@@ -440,122 +442,80 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
 
     ``level`` 2 compares the law of the first post-minimal increment of
     ordering 1 with the matching increment of ordering 2; level 3 does the
-    same jointly for the first two increments.  Both orderings start at the
-    shared minimal set.  Exact matrix algebra on one side; the other side is
-    also expressed through generator integrals (quadrature residual).
+    same jointly for the first two increments, as E[h2(first rise) h3(x +
+    both rises)].  Both orderings start at the shared minimal set, from every
+    state x of the initial support inside the semigroup's ``probe_states``,
+    and h, h2, h3 run over the indicators of all states plus the state
+    function.  Exact matrix algebra on one side; the other side is also
+    expressed through generator integrals (quadrature residual).
     """
     if level not in (2, 3):
         raise ConfigError("only levels 2 and 3 are implemented")
-    kernel = spec.kernel
-    if not kernel.finite_state:
+    if not spec.kernel.finite_state:
         raise UnsupportedKernelError("permutation identities need a finite-state kernel")
-    n_slots = len(ord1)
-    if level > n_slots:
+    if level > len(ord1):
         raise ConfigError("lattice too small for this level")
     pos2 = {s.mask: j for j, s in enumerate(ord2.sets)}
-    try:
-        tilde = [pos2[s.mask] for s in ord1.sets]
+    try:  # 1-based slot of ordering 2 holding each set of ordering 1
+        slots = [pos2[s.mask] + 1 for s in ord1.sets]
     except KeyError:
         raise ConfigError("orderings do not order the same lattice") from None
 
-    def pi(i: int) -> int:  # 1-based slot map with the shared minimal set first
-        return tilde[i - 1] + 1
-
-    f_sys = system_along_flow(kernel, flow_from_ordering(ord1))
-    g_sys = system_along_flow(kernel, flow_from_ordering(ord2))
+    f_sys = system_along_flow(spec.kernel, flow_from_ordering(ord1))
+    g_sys = system_along_flow(spec.kernel, flow_from_ordering(ord2))
+    dim = len(f_sys.states)
 
     def Tg(i: int, j: int) -> np.ndarray:  # between 1-based slots of ordering 2
-        if i == j:
-            return np.eye(len(g_sys.states))
-        return g_sys.matrix(float(i - 1), float(j - 1))
-
-    mu = spec.initial_pmf()
-    supp = [int(k) for k, p in sorted(mu.items()) if p > support_tol]
-    states = np.asarray(f_sys.states)
-    dim = len(states)
-    eye = np.eye(dim)
-    if dim > 8:
-        # large truncated state spaces: probe the heaviest initial states and
-        # a reduced indicator basis to keep the path enumeration tractable
-        supp = [k for k, _ in sorted(mu.items(), key=lambda kv: -kv[1])[:6]]
-        supp = sorted(int(k) for k in supp)
-        h_basis = [eye[k] for k in range(6)] + [states.astype(float)]
-    else:
-        h_basis = [eye[k] for k in range(dim)] + [states.astype(float)]
+        return np.eye(dim) if i == j else g_sys.matrix(float(i - 1), float(j - 1))
 
     def gen_int(system, slot: int) -> np.ndarray:
         """Generator integral over the flow leg that ends at 1-based ``slot``."""
         a, b = float(slot - 2), float(slot - 1)
         xs, ws = gauss_segment(a, b, nodes)
-        acc = np.zeros((dim, dim))
-        for v, w in zip(xs, ws):
-            acc += w * (system.generator_matrix(v) @ system.matrix(v, b))
-        return acc
+        return sum(w * (system.generator_matrix(v) @ system.matrix(v, b))
+                   for v, w in zip(xs, ws))
 
-    exact = 0.0
-    residual = 0.0
+    starts = tuple(int(k) for k, p in sorted(spec.initial_pmf().items())
+                   if p > support_tol and int(k) in f_sys.probe_states)
+    basis = np.vstack([np.eye(dim), f_sys.states.astype(float)])
 
+    def worst(diff: np.ndarray) -> float:
+        """Largest gap over the start states and the basis (or pairs of it)."""
+        out = diff[list(starts)] @ basis.T
+        if level == 3:
+            out = basis @ out
+        return float(np.max(np.abs(out), initial=0.0))
+
+    p2 = slots[1]
+    first = _increment_law([Tg(1, p2 - 1), Tg(p2 - 1, p2)], {1})
     if level == 2:
-        a, b = pi(2) - 1, pi(2)
-        T_f = f_sys.matrix(0.0, 1.0)
-        Phi_f = gen_int(f_sys, 2)
-        R_g = gen_int(g_sys, b)
-        chain_T = [Tg(1, a), Tg(a, b)]
-        chain_R = [Tg(1, a), R_g]
-        for x in supp:
-            paths_T = _chain_distribution(chain_T, x)
-            paths_R = _chain_distribution(chain_R, x)
-            for h in h_basis:
-                lhs = float(T_f[x] @ h)
-                rhs = sum(p * h[x + ys[2] - ys[1]] for p, ys in paths_T)
-                exact = max(exact, abs(lhs - rhs))
-                lhs_g = float(Phi_f[x] @ h)
-                rhs_g = sum(p * h[x + ys[2] - ys[1]] for p, ys in paths_R)
-                residual = max(residual, abs(lhs_g - rhs_g))
-        return PermutationIdentityResult(exact, residual)
+        first_R = _increment_law([Tg(1, p2 - 1), gen_int(g_sys, p2)], {1})
+        return PermutationIdentityResult(
+            worst(f_sys.matrix(0.0, 1.0) - _by_arrival(first)),
+            worst(gen_int(f_sys, 2) - _by_arrival(first_R)), starts)
 
-    # level 3
-    p2a, p2b = pi(2) - 1, pi(2)
-    p3a, p3b = pi(3) - 1, pi(3)
-    times = sorted(set([p2a, p2b, p3a, p3b]))
-    idx_of = {t: i + 1 for i, t in enumerate(times)}  # position within a path tuple
+    def then(M: np.ndarray) -> np.ndarray:
+        """Ordering 2's first rise a from x, then M from x + a (the index is
+        clipped only where the rise has no weight)."""
+        r = np.arange(dim)
+        return first[:, :, None] * M[np.minimum(np.add.outer(r, r), dim - 1)]
+
+    p3 = slots[2]
+    times = sorted({p2 - 1, p2, p3 - 1, p3})
     chain = [Tg(1, times[0])] + [Tg(u, v) for u, v in zip(times, times[1:])]
-    arrive_step = idx_of[p3b] - 1  # which matrix lands on slot pi(3)
-    chain_R = list(chain)
-    chain_R[arrive_step] = gen_int(g_sys, p3b)
-    last_is_insertion = p3b == max(times)
-    T_f23 = f_sys.matrix(1.0, 2.0)
-    Phi_f3 = gen_int(f_sys, 3)
-    chain_2 = [Tg(1, p2a), Tg(p2a, p2b)]
-    pairs = [(h2, h3) for h2 in h_basis for h3 in h_basis]
-    for x in supp:
-        paths2 = _chain_distribution(chain_2, x)
-        paths4 = _chain_distribution(chain, x)
-        paths4R = _chain_distribution(chain_R, x)
+    at2, at3 = times.index(p2), times.index(p3)
+    chain_R = chain[:at3] + [gen_int(g_sys, p3)] + chain[at3 + 1:]
 
-        def deltas(ys):
-            y = {1: x}
-            for t, i in idx_of.items():
-                y[t] = ys[i]
-            return y[p2b] - y[p2a], y[p3b] - y[p3a]
+    def joint(ch) -> np.ndarray:  # axes: start, slot-2 rise, slot-3 rise
+        law = _increment_law(ch, {at2, at3})
+        return law if at2 < at3 else law.transpose(0, 2, 1)
 
-        for h2, h3 in pairs:
-            lhs = sum(p * h2[ys[2] - ys[1]] * float(T_f23[x + ys[2] - ys[1]] @ h3)
-                      for p, ys in paths2)
-            rhs = 0.0
-            for p, ys in paths4:
-                d2, d3 = deltas(ys)
-                rhs += p * h2[d2] * h3[x + d2 + d3]
-            exact = max(exact, abs(lhs - rhs))
-
-            lhs_g = sum(p * h2[ys[2] - ys[1]] * float(Phi_f3[x + ys[2] - ys[1]] @ h3)
-                        for p, ys in paths2)
-            rhs_g = 0.0
-            for p, ys in paths4R:
-                d2, d3 = deltas(ys)
-                tail = h3[x + d2 + d3]
-                if not last_is_insertion:
-                    tail -= h3[x + d2]
-                rhs_g += p * h2[d2] * tail
-            residual = max(residual, abs(lhs_g - rhs_g))
-    return PermutationIdentityResult(exact, residual)
+    law, law_R = joint(chain), joint(chain_R)
+    if at3 < at2:
+        # the slot-2 leg follows the generator leg and depends on the state it
+        # leaves, so compare h3(x + d2 + d3) - h3(x + d2): the generator's
+        # identity part then drops out exactly
+        law_R[:, :, 0] -= law_R.sum(axis=2)
+    return PermutationIdentityResult(
+        worst(then(f_sys.matrix(1.0, 2.0)) - _by_arrival(law)),
+        worst(then(gen_int(f_sys, 3)) - _by_arrival(law_R)), starts)

@@ -61,6 +61,11 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
         raise ConfigError("kernel evaluation needs B contained in B'")
 
 
+def _start_cap(kernel, flow) -> int:
+    """Largest state of the initial law at the flow's first stage."""
+    return int(max(kernel.initial_pmf_for(flow.stages[0])))
+
+
 @dataclass(frozen=True)
 class TransitionKernel:
     """The kernel protocol every layer calls.
@@ -317,11 +322,8 @@ class PoissonIncrementKernel(TransitionKernel):
         return stats.poisson.ppf(u, mean) if mean > 0 else np.zeros_like(u)
 
     def flow_semigroup(self, flow):
-        trace = Trace.along_flow(self.lam, flow)
-        start = 0
-        if self.initial == "poisson":
-            start = int(stats.poisson.ppf(1.0 - 1e-13, max(trace.values[0], 1e-9)))
-        return JumpFlowSemigroup(trace, start_mass_cap=start)
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow),
+                                 start_mass_cap=_start_cap(self, flow))
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
@@ -390,8 +392,8 @@ class CompoundPoissonKernel(TransitionKernel):
         return pmf_ppf(self.increment_pmf(prev, cur), u)
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow),
-                                 self.jump_values, self.jump_probs)
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self.jump_values,
+                                 self.jump_probs, start_mass_cap=_start_cap(self, flow))
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":

@@ -63,9 +63,17 @@ def _row(name, instance, defect, tolerance):
 
 
 def _orderings(cfg):
+    """The first ``ordering_cap`` consistent orderings, and how many there are."""
     cap = int(cfg.experiment.get("ordering_cap", 24))
     orders = enumerate_consistent_orderings(cfg.lattice)
-    return orders[:cap]
+    return orders[:cap], len(orders)
+
+
+def _counted(orders, total) -> str:
+    """'16 orderings', or '4 of 16 orderings' when the cap cut some."""
+    if len(orders) == total:
+        return f"{total} orderings"
+    return f"{len(orders)} of {total} orderings"
 
 
 def _fd_order_row(system, h, name, instance):
@@ -84,7 +92,9 @@ def _finite_state_rows(cfg):
     mixture = isinstance(spec, MixtureSpec)
     kernel = spec.kernel
     tol = cfg.tolerances
-    orders = _orderings(cfg)
+    orders, total = _orderings(cfg)
+    counted = _counted(orders, total)
+    cut = "" if len(orders) == total else ", " + counted
     states = kernel.probe_states()
 
     # composition law on every prefix triple of every ordering
@@ -103,7 +113,7 @@ def _finite_state_rows(cfg):
                                   o.prefix_set(k), states)
                     worst = max(worst, r.defect)
     rows.append(_row("chapman_kolmogorov",
-                     f"{len(seen)} prefix triples, {len(orders)} orderings",
+                     f"{len(seen)} prefix triples, {counted}",
                      worst, tol["exact"]))
 
     # joint increment law invariant under the ordering
@@ -115,7 +125,7 @@ def _finite_state_rows(cfg):
             perm = align_variables(lefts[i], lefts[j])
             worst = max(worst, laws[i].tv(laws[j].permuted(perm)))
     rows.append(_row("ordering_invariance",
-                     f"{len(orders) * (len(orders) - 1) // 2} ordering pairs",
+                     f"{len(orders) * (len(orders) - 1) // 2} ordering pairs{cut}",
                      worst, tol["exact"]))
 
     # exact marginals for the empirical process
@@ -191,11 +201,11 @@ def _finite_state_rows(cfg):
             if level > len(ordering):
                 continue
             r = permutation_identity_check(kernel_spec, pair[0], pair[1], level)
-            rows.append(_row(f"permutation_identity_{level}", "first swapped pair",
+            instance = f"first swapped pair, {len(r.start_states)} start states{cut}"
+            rows.append(_row(f"permutation_identity_{level}", instance,
                              r.exact_defect, tol["exact"]))
-            rows.append(_row(f"permutation_identity_{level}_generator",
-                             "first swapped pair", r.generator_residual,
-                             tol["quadrature"]))
+            rows.append(_row(f"permutation_identity_{level}_generator", instance,
+                             r.generator_residual, tol["quadrature"]))
     return rows
 
 
@@ -206,7 +216,8 @@ def _continuous_rows(cfg):
     tol = cfg.tolerances
     seed = cfg.seed
     count = int(cfg.experiment.get("mc_samples", 100_000))
-    orders = _orderings(cfg)
+    orders, total = _orderings(cfg)
+    cut = "" if len(orders) == total else ", " + _counted(orders, total)
     states = kernel.probe_states()
     ordering = spec.ordering
 
@@ -237,7 +248,8 @@ def _continuous_rows(cfg):
         for j in range(i + 1, len(orders)):
             worst_sig = max(worst_sig, probability_gap(probs[i], probs[j], count).sigmas)
     rows.append(_row("ordering_invariance",
-                     f"{len(orders) * (len(orders) - 1) // 2} ordering pairs, MC sigmas",
+                     f"{len(orders) * (len(orders) - 1) // 2} ordering pairs{cut}, "
+                     "MC sigmas",
                      worst_sig, tol["mc_sigmas"]))
 
     # marginal laws
@@ -299,10 +311,10 @@ def run_gencheck(cfg, eps_list, tolerance: float | None,
                  ordering_index: int = 0) -> list[dict]:
     kernel = cfg.spec.kernel
     tol = cfg.tolerances
-    orders = _orderings(cfg)
+    orders, total = _orderings(cfg)
     if not 0 <= ordering_index < len(orders):
-        raise ConfigError(
-            f"ordering index {ordering_index} out of range (have {len(orders)})")
+        raise ConfigError(f"ordering index {ordering_index} out of range "
+                          f"(have {_counted(orders, total)})")
     flow = flow_from_ordering(orders[ordering_index], kernel.measure)
     system = system_along_flow(kernel, flow)
     itol = tolerance or tol["quadrature" if kernel.finite_state else "dirichlet_quadrature"]

@@ -6,9 +6,17 @@ to a fixed point on raw masks, and the chain-embedding oracle searches all
 consistent orderings exhaustively.  The ``ref_*`` functions compute the
 exact-law operations with one dict entry per outcome, accumulated row by
 row: the reference for the array engine in ``construction`` and ``verify``.
+``ref_permutation_identity_check`` enumerates matrix-chain paths one by one:
+the reference for the matrix algebra of ``generators.permutation_identity_check``.
 """
 
 import itertools
+
+import numpy as np
+
+from setmarkov.generators import system_along_flow
+from setmarkov.lattice import flow_from_ordering
+from setmarkov.quadrature import gauss_segment
 
 
 def brute_force_orderings(masks):
@@ -180,3 +188,116 @@ def ref_conditional_independence_defect(table, target, history, present, min_pro
         defect = max(defect, ref_tv({t: v / ph for t, v in tab.items()},
                                     {t: v / pg for t, v in gtab.items()}))
     return defect, skipped, len(hist)
+
+
+def _chain_distribution(mats, x_idx, tol=1e-16):
+    """All state tuples of a matrix chain started at x_idx, with weights;
+    paths whose weight magnitude falls below ``tol`` are dropped."""
+    paths = [(1.0, (x_idx,))]
+    for M in mats:
+        new = []
+        for p, ys in paths:
+            row = M[ys[-1]]
+            for j in np.nonzero(row)[0]:
+                w = p * float(row[j])
+                if abs(w) >= tol:
+                    new.append((w, ys + (int(j),)))
+        paths = new
+    return paths
+
+
+def ref_permutation_identity_check(spec, ord1, ord2, level, starts, nodes=32):
+    """(exact defect, generator residual) of the permutation identities by
+    path enumeration from the given start states, against the indicators of
+    all states plus the state function."""
+    pos2 = {s.mask: j for j, s in enumerate(ord2.sets)}
+    tilde = [pos2[s.mask] for s in ord1.sets]
+
+    def pi(i):
+        return tilde[i - 1] + 1
+
+    f_sys = system_along_flow(spec.kernel, flow_from_ordering(ord1))
+    g_sys = system_along_flow(spec.kernel, flow_from_ordering(ord2))
+
+    def Tg(i, j):
+        if i == j:
+            return np.eye(len(g_sys.states))
+        return g_sys.matrix(float(i - 1), float(j - 1))
+
+    states = np.asarray(f_sys.states)
+    dim = len(states)
+    eye = np.eye(dim)
+    h_basis = [eye[k] for k in range(dim)] + [states.astype(float)]
+
+    def gen_int(system, slot):
+        a, b = float(slot - 2), float(slot - 1)
+        xs, ws = gauss_segment(a, b, nodes)
+        acc = np.zeros((dim, dim))
+        for v, w in zip(xs, ws):
+            acc += w * (system.generator_matrix(v) @ system.matrix(v, b))
+        return acc
+
+    exact = 0.0
+    residual = 0.0
+    if level == 2:
+        a, b = pi(2) - 1, pi(2)
+        T_f = f_sys.matrix(0.0, 1.0)
+        Phi_f = gen_int(f_sys, 2)
+        R_g = gen_int(g_sys, b)
+        chain_T = [Tg(1, a), Tg(a, b)]
+        chain_R = [Tg(1, a), R_g]
+        for x in starts:
+            paths_T = _chain_distribution(chain_T, x)
+            paths_R = _chain_distribution(chain_R, x)
+            for h in h_basis:
+                lhs = float(T_f[x] @ h)
+                rhs = sum(p * h[x + ys[2] - ys[1]] for p, ys in paths_T)
+                exact = max(exact, abs(lhs - rhs))
+                lhs_g = float(Phi_f[x] @ h)
+                rhs_g = sum(p * h[x + ys[2] - ys[1]] for p, ys in paths_R)
+                residual = max(residual, abs(lhs_g - rhs_g))
+        return exact, residual
+
+    p2a, p2b = pi(2) - 1, pi(2)
+    p3a, p3b = pi(3) - 1, pi(3)
+    times = sorted(set([p2a, p2b, p3a, p3b]))
+    idx_of = {t: i + 1 for i, t in enumerate(times)}
+    chain = [Tg(1, times[0])] + [Tg(u, v) for u, v in zip(times, times[1:])]
+    arrive_step = idx_of[p3b] - 1
+    chain_R = list(chain)
+    chain_R[arrive_step] = gen_int(g_sys, p3b)
+    last_is_insertion = p3b == max(times)
+    T_f23 = f_sys.matrix(1.0, 2.0)
+    Phi_f3 = gen_int(f_sys, 3)
+    chain_2 = [Tg(1, p2a), Tg(p2a, p2b)]
+    pairs = [(h2, h3) for h2 in h_basis for h3 in h_basis]
+    for x in starts:
+        paths2 = _chain_distribution(chain_2, x)
+        paths4 = _chain_distribution(chain, x)
+        paths4R = _chain_distribution(chain_R, x)
+
+        def deltas(ys):
+            y = {1: x}
+            for t, i in idx_of.items():
+                y[t] = ys[i]
+            return y[p2b] - y[p2a], y[p3b] - y[p3a]
+
+        for h2, h3 in pairs:
+            lhs = sum(p * h2[ys[2] - ys[1]] * float(T_f23[x + ys[2] - ys[1]] @ h3)
+                      for p, ys in paths2)
+            rhs = 0.0
+            for p, ys in paths4:
+                d2, d3 = deltas(ys)
+                rhs += p * h2[d2] * h3[x + d2 + d3]
+            exact = max(exact, abs(lhs - rhs))
+            lhs_g = sum(p * h2[ys[2] - ys[1]] * float(Phi_f3[x + ys[2] - ys[1]] @ h3)
+                        for p, ys in paths2)
+            rhs_g = 0.0
+            for p, ys in paths4R:
+                d2, d3 = deltas(ys)
+                tail = h3[x + d2 + d3]
+                if not last_is_insertion:
+                    tail -= h3[x + d2]
+                rhs_g += p * h2[d2] * tail
+            residual = max(residual, abs(lhs_g - rhs_g))
+    return exact, residual

@@ -180,3 +180,43 @@ def test_mixture_config_fails_markov_checks(tmp_path):
     report = json.loads(out.read_text())
     failing = {c["name"] for c in report["checks"] if not c["pass"]}
     assert failing & {"set_markov", "flow_markov", "increment_independence"}
+
+
+STAIRCASE = {"grid": {"extents": [4, 4]},
+             "semilattice": {"rectangles": [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1],
+                                            [0, 2]]},
+             "process": {"kind": "empirical", "n": 2, "measure": {"uniform": True}}}
+
+
+def _instances(tmp_path, payload):
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) in (0, 1)
+    return {c["name"]: c["instance"] for c in json.loads(out.read_text())["checks"]}
+
+
+def test_ordering_cap_cut_is_reported(tmp_path):
+    payload = json.loads(json.dumps(STAIRCASE))
+    payload["experiment"] = {"ordering_cap": 4}
+    got = _instances(tmp_path, payload)
+    assert got["chapman_kolmogorov"].endswith(" prefix triples, 4 of 16 orderings")
+    assert got["ordering_invariance"] == "6 ordering pairs, 4 of 16 orderings"
+    for level in (2, 3):
+        for suffix in ("", "_generator"):
+            assert got[f"permutation_identity_{level}{suffix}"] == \
+                "first swapped pair, 3 start states, 4 of 16 orderings"
+
+
+def test_uncut_orderings_keep_their_text(tmp_path):
+    got = _instances(tmp_path, STAIRCASE)
+    assert got["chapman_kolmogorov"].endswith(" prefix triples, 16 orderings")
+    assert got["ordering_invariance"] == "120 ordering pairs"
+    assert got["permutation_identity_2"] == "first swapped pair, 3 start states"
+
+
+def test_ordering_cap_cut_is_reported_for_monte_carlo(tmp_path):
+    payload = json.loads(json.dumps(STAIRCASE))
+    payload["process"] = {"kind": "gaussian", "measure": {"uniform": True}}
+    payload["experiment"] = {"ordering_cap": 4, "mc_samples": 2000}
+    got = _instances(tmp_path, payload)
+    assert got["ordering_invariance"] == "6 ordering pairs, 4 of 16 orderings, MC sigmas"

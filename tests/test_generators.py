@@ -5,11 +5,13 @@ import pytest
 
 from setmarkov import (
     CellMeasure,
+    CompoundPoissonKernel,
     DirichletKernel,
     EmpiricalKernel,
     FddSpec,
     GaussianIncrementKernel,
     IndexedSet,
+    PoissonIncrementKernel,
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
@@ -29,6 +31,8 @@ from setmarkov.generators import (
     system_along_flow,
 )
 from setmarkov.lattice import DiscreteFlow
+
+from helpers import ref_permutation_identity_check
 
 
 @pytest.fixture
@@ -276,6 +280,107 @@ class TestPermutationIdentities:
     def test_level_validation(self, empirical_spec3, orderings3):
         with pytest.raises(ConfigError):
             permutation_identity_check(empirical_spec3, orderings3[0], orderings3[1], 4)
+
+    def test_corrupted_defects_pinned(self, lattice3, uniform2, orderings3):
+        # the values the path enumerator gave on the corrupted 3-set config
+        spec = FddSpec(lattice3, EmpiricalKernel(2, uniform2, corrupted=True))
+        got = [permutation_identity_check(spec, orderings3[0], orderings3[1], level)
+               for level in (2, 3)]
+        want = [(0.125, 0.109375), (0.076171875, 0.06534830729166666)]
+        for r, (exact, generator) in zip(got, want):
+            assert r.exact_defect == pytest.approx(exact, abs=1e-12)
+            assert r.generator_residual == pytest.approx(generator, abs=1e-12)
+            assert r.start_states == (0, 1, 2)
+
+
+def _jump_specs(lattice, grid, per_cell=0.1):
+    lam = CellMeasure(grid, [per_cell] * grid.cell_count, "intensity")
+    return [FddSpec(lattice, PoissonIncrementKernel(lam)),
+            FddSpec(lattice, CompoundPoissonKernel(lam, (1, 2), (0.5, 0.5)))]
+
+
+def _ordering_pairs(lattice, count):
+    """The first ordering pairs whose second or third sets differ; on the
+    other pairs both sides of levels 2 and 3 are the same matrix chain."""
+    orders = enumerate_consistent_orderings(lattice)
+    return [(o1, o2) for i, o1 in enumerate(orders) for o2 in orders[i + 1:]
+            if o1.sets[1:3] != o2.sets[1:3]][:count]
+
+
+class TestPermutationIdentitiesAgainstPathEnumeration:
+    """The matrix algebra against the path enumerator it replaced, from the
+    same start states and on the same full basis."""
+
+    @staticmethod
+    def _compare(spec, pairs, levels=(2, 3)):
+        for o1, o2 in pairs:
+            for level in levels:
+                r = permutation_identity_check(spec, o1, o2, level)
+                exact, generator = ref_permutation_identity_check(
+                    spec, o1, o2, level, r.start_states)
+                assert abs(r.exact_defect - exact) < 1e-12
+                assert abs(r.generator_residual - generator) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_empirical_three_set(self, lattice3, uniform2, n):
+        self._compare(FddSpec(lattice3, EmpiricalKernel(n, uniform2)),
+                      _ordering_pairs(lattice3, 3))
+
+    def test_empirical_staircase(self, lattice6, uniform4):
+        # one pair per slot map of the first three sets; the maps include
+        # unobserved legs before and between the two observed ones
+        pairs = {}
+        for o1, o2 in _ordering_pairs(lattice6, None):
+            pairs.setdefault(tuple(o2.sets.index(s) for s in o1.sets[:3]), (o1, o2))
+        assert len(pairs) == 8
+        self._compare(FddSpec(lattice6, EmpiricalKernel(2, uniform4)), pairs.values())
+
+    def test_corrupted(self, lattice3, uniform2):
+        self._compare(FddSpec(lattice3, EmpiricalKernel(2, uniform2, corrupted=True)),
+                      _ordering_pairs(lattice3, 3))
+
+    # the enumerator takes seconds per start state at level 3 on the 37
+    # states of compound poisson at 0.1 per cell, so level 3 runs from fewer
+    # or smaller start supports
+    @pytest.mark.parametrize("which, per_cell, initial, level", [
+        (0, 0.1, None, 2),
+        (0, 0.1, {0: 0.5, 1: 0.5}, 3),
+        (1, 0.1, None, 2),
+        (1, 0.001, None, 3),
+    ], ids=["poisson-2", "poisson-3", "compound-2", "compound-3"])
+    def test_jump_kinds_three_set(self, lattice3, grid2, which, per_cell, initial, level):
+        spec = _jump_specs(lattice3, grid2, per_cell)[which]
+        spec = FddSpec(lattice3, spec.kernel, initial=initial)
+        self._compare(spec, _ordering_pairs(lattice3, 1), levels=(level,))
+
+
+class TestPermutationIdentitiesJumpKinds:
+    @pytest.mark.parametrize("which", [0, 1], ids=["poisson", "compound"])
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_every_start_state_checked(self, lattice6, grid4, which, level):
+        spec = _jump_specs(lattice6, grid4)[which]
+        system = system_along_flow(spec.kernel, flow_from_ordering(spec.ordering))
+        support = sorted(int(k) for k, p in spec.initial_pmf().items() if p > 1e-15)
+        assert set(support) <= set(system.probe_states.tolist())
+        for o1, o2 in _ordering_pairs(lattice6, 6):
+            r = permutation_identity_check(spec, o1, o2, level)
+            assert list(r.start_states) == support
+            assert r.exact_defect < 1e-12
+            assert r.generator_residual < 1e-12
+
+    def test_start_cap_is_largest_initial_state(self, lattice3, grid2):
+        for spec in _jump_specs(lattice3, grid2):
+            flow = flow_from_ordering(spec.ordering)
+            system = system_along_flow(spec.kernel, flow)
+            top = int(max(spec.kernel.initial_pmf_for(flow.stages[0])))
+            assert system.probe_states[-1] == top
+
+    def test_override_outside_probe_states_is_not_checked(self, lattice3, grid2,
+                                                          orderings3):
+        spec = _jump_specs(lattice3, grid2)[0]
+        spec = FddSpec(spec.lattice, spec.kernel, initial={0: 0.5, 500: 0.5})
+        r = permutation_identity_check(spec, orderings3[0], orderings3[1], 2)
+        assert r.start_states == (0,)
 
 
 class TestSemigroupProperty:
