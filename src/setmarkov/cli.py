@@ -26,6 +26,9 @@ from .suite import run_gencheck, run_validation_suite
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+# Rows per block of the CSV writer: enough to spread numpy's per-call cost,
+# few enough that a block's strings stay small next to the sample matrix.
+BLOCK_ROWS = 1024
 
 
 def _describe_initial(cfg) -> str:
@@ -69,6 +72,36 @@ def cmd_validate(args) -> int:
     return EXIT_PASS
 
 
+def format_rows(block: np.ndarray, distinct: bool) -> str:
+    """CSV lines of a 2-d float array: every value as its shortest
+    round-trip ``repr``, comma-separated, each line ended by CRLF -- the bytes
+    ``csv.writer`` writes for those strings.
+
+    With ``distinct`` each distinct bit pattern is formatted once and its
+    string gathered into every cell that holds it (-0.0 and 0.0 stay apart);
+    that pays when a block repeats few values, as finite-state kinds do.
+    """
+    if distinct:
+        bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).ravel()
+        values, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
+        cells = texts[inverse].tolist()
+    else:
+        cells = list(map(repr, block.ravel().tolist()))
+    width = block.shape[1]
+    return "".join([",".join(cells[i:i + width]) + "\r\n"
+                    for i in range(0, len(cells), width)])
+
+
+def _write_csv(path, header, blocks, distinct: bool) -> None:
+    """The header row through ``csv.writer`` (names are quoted as needed),
+    then each float block of the iterable through ``format_rows``."""
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerow(header)
+        for block in blocks:
+            f.write(format_rows(block, distinct))
+
+
 def _derived_columns(cfg):
     out = []
     members = cfg.lattice.members
@@ -105,21 +138,26 @@ def cmd_sample(args) -> int:
         return sample_increments(spec, cfg.seed, count, start=start)
 
     if workers == 1:
-        blocks = [produce(r) for r in ranges]
+        parts = [produce(r) for r in ranges]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(produce, ranges))
-    arr = np.vstack(blocks)
+            parts = list(pool.map(produce, ranges))
     kernel = spec.kernel
     groups = [decompose_over_lefts(lefts, mask) for _, mask in derived]
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"C{i}" for i in range(arr.shape[1])] + [n for n, _ in derived])
-        for row in arr:
-            vals = [repr(float(kernel.display(v))) for v in row]
-            for g in groups:
-                vals.append(repr(float(kernel.display(sum(row[i] for i in g)))))
-            w.writerow(vals)
+
+    def rows():
+        for part in parts:
+            for s in range(0, len(part), BLOCK_ROWS):
+                inc = part[s:s + BLOCK_ROWS]
+                block = np.zeros((len(inc), inc.shape[1] + len(groups)))
+                block[:, :inc.shape[1]] = inc
+                for j, g in enumerate(groups, inc.shape[1]):
+                    for i in g:  # from 0.0, term by term, as Python's sum adds
+                        block[:, j] += inc[:, i]
+                yield kernel.display(block)
+
+    header = [f"C{i}" for i in range(parts[0].shape[1])] + [n for n, _ in derived]
+    _write_csv(args.out, header, rows(), kernel.finite_state)
     return EXIT_PASS
 
 
@@ -132,12 +170,15 @@ def cmd_fdd(args) -> int:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_USAGE
     kernel = spec.kernel
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(list(law.labels) + ["probability"])
-        for key in sorted(law.table):
-            w.writerow([repr(float(kernel.display(v))) for v in key]
-                       + [repr(float(law.table[key]))])
+    # the keys are unique, so this is the order of sorted(law.table)
+    order = np.lexsort(law.keys.T[::-1])
+
+    def rows():
+        for s in range(0, len(order), BLOCK_ROWS):
+            part = order[s:s + BLOCK_ROWS]
+            yield np.column_stack([kernel.display(law.keys[part]), law.probs[part]])
+
+    _write_csv(args.out, list(law.labels) + ["probability"], rows(), kernel.finite_state)
     return EXIT_PASS
 
 

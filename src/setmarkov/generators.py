@@ -33,10 +33,16 @@ from .quadrature import HERMITE_ORDER, gauss_segment, hermite, jacobi01, jacobi0
 GAUSS_NODES = 32
 JACOBI_ORDER = 48
 GAUSS_STENCIL = 1.0 / 512.0
+# how many probe-state indicators the jump kinds' basis holds (``basis_states``)
+BASIS_INDICATORS = 6
 
 
 class MatrixSemigroup:
-    """Transition and generator matrices acting on state vectors."""
+    """Transition and generator matrices acting on state vectors.
+
+    ``basis`` holds the indicators of the ``basis_states`` (a prefix of the
+    ``probe_states``) plus one state function.
+    """
 
     finite_state = True
 
@@ -73,7 +79,7 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self.n = n
         self.trace = trace
         self.corrupted = corrupted
-        self.states = self.probe_states = np.arange(n + 1)
+        self.states = self.probe_states = self.basis_states = np.arange(n + 1)
         # entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
         k, j = np.nonzero(np.add.outer(self.states, self.states) <= n)
         self._rows, self._heads, self._tails = k, j, n - k - j
@@ -138,6 +144,7 @@ class JumpFlowSemigroup(MatrixSemigroup):
         self.cap = int(start_mass_cap + reach)
         self.states = np.arange(self.cap + 1)
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
+        self.basis_states = self.probe_states[:BASIS_INDICATORS]
 
     def _increment(self, lam: float) -> dict:
         d = compound_poisson_dict(lam, self.jump_values, self.jump_probs, tail=self.tail)
@@ -164,7 +171,7 @@ class JumpFlowSemigroup(MatrixSemigroup):
 
     def basis(self):
         eye = np.eye(self.cap + 1)
-        return list(eye[self.probe_states[:6]]) + [np.cos(self.states.astype(float))]
+        return list(eye[self.basis_states]) + [np.cos(self.states.astype(float))]
 
 
 def _fill_band(M: np.ndarray, offset: int, value: float) -> None:
@@ -435,6 +442,19 @@ def _by_arrival(law: np.ndarray) -> np.ndarray:
     return out
 
 
+def ordering_slots(ord1: ConsistentOrdering, ord2: ConsistentOrdering) -> list[int]:
+    """The 1-based slot of ordering 2 that holds each set of ordering 1.
+
+    ``permutation_identity_check`` at level k reads slots 2..k of this map;
+    where they are 2..k, both sides are the same matrix chain.
+    """
+    pos2 = {s.mask: j for j, s in enumerate(ord2.sets)}
+    try:
+        return [pos2[s.mask] + 1 for s in ord1.sets]
+    except KeyError:
+        raise ConfigError("orderings do not order the same lattice") from None
+
+
 def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentOrdering,
                                level: int, nodes: int = GAUSS_NODES,
                                support_tol: float = 1e-15) -> PermutationIdentityResult:
@@ -455,12 +475,7 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
         raise UnsupportedKernelError("permutation identities need a finite-state kernel")
     if level > len(ord1):
         raise ConfigError("lattice too small for this level")
-    pos2 = {s.mask: j for j, s in enumerate(ord2.sets)}
-    try:  # 1-based slot of ordering 2 holding each set of ordering 1
-        slots = [pos2[s.mask] + 1 for s in ord1.sets]
-    except KeyError:
-        raise ConfigError("orderings do not order the same lattice") from None
-
+    slots = ordering_slots(ord1, ord2)
     f_sys = system_along_flow(spec.kernel, flow_from_ordering(ord1))
     g_sys = system_along_flow(spec.kernel, flow_from_ordering(ord2))
     dim = len(f_sys.states)

@@ -108,7 +108,10 @@ class TransitionKernel:
         return float(x)
 
     def display(self, state):
-        """Display value (user units) of an internal state."""
+        """Display value (user units) of an internal state; elementwise on an
+        ndarray of states, which comes back as a float array."""
+        if isinstance(state, np.ndarray):
+            return state.astype(float, copy=False)
         return float(state)
 
     def probe_states(self) -> tuple:

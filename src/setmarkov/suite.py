@@ -25,6 +25,7 @@ from .generators import (
     finite_difference_generator_errors,
     generator_matching_defect,
     integral_identity_residual,
+    ordering_slots,
     permutation_identity_check,
     system_along_flow,
 )
@@ -181,7 +182,11 @@ def _finite_state_rows(cfg):
         return rows
     d = generator_matching_defect(kernel, coarse, (0, 1), flow,
                                   (0, len(flow.stages) - 1))
-    rows.append(_row("generator_matching", "one-step vs refined chain", d,
+    # the coarse system's basis: its probe states are the refined one's, as
+    # both flows start at the same set and span the same trace
+    kept, probes = len(system.basis_states), len(system.probe_states)
+    basis_cut = "" if kept == probes else f", {kept} of {probes} probe states"
+    rows.append(_row("generator_matching", f"one-step vs refined chain{basis_cut}", d,
                      tol["quadrature"]))
 
     h = system.basis()[0]
@@ -194,18 +199,25 @@ def _finite_state_rows(cfg):
                               kernel.kind))
 
     kernel_spec = spec.components[0] if mixture else spec
-    pair = next(((o1, o2) for i, o1 in enumerate(orders) for o2 in orders[i + 1:]
-                 if o1.positions != o2.positions), None)
-    if pair is not None:
-        for level in (2, 3):
-            if level > len(ordering):
-                continue
-            r = permutation_identity_check(kernel_spec, pair[0], pair[1], level)
-            instance = f"first swapped pair, {len(r.start_states)} start states{cut}"
-            rows.append(_row(f"permutation_identity_{level}", instance,
-                             r.exact_defect, tol["exact"]))
-            rows.append(_row(f"permutation_identity_{level}_generator", instance,
-                             r.generator_residual, tol["quadrature"]))
+    slot_maps = {(i, j): ordering_slots(orders[i], orders[j])
+                 for i in range(len(orders)) for j in range(i + 1, len(orders))}
+    for level in (2, 3):
+        if not slot_maps or level > len(ordering):
+            continue
+        # the first pair that moves a slot the level reads; where slots 2..level
+        # stay put, both sides are one matrix chain and the defect reads 0
+        unmoved = list(range(2, level + 1))
+        moving = [p for p, m in slot_maps.items() if m[1:level] != unmoved]
+        i, j = moving[0] if moving else next(iter(slot_maps))
+        r = permutation_identity_check(kernel_spec, orders[i], orders[j], level)
+        slots = " ".join(map(str, slot_maps[i, j]))
+        note = "" if moving else f", no pair moves slots 2-{level}"
+        instance = (f"orderings {i} and {j} (slots {slots}){note}, "
+                    f"{len(r.start_states)} start states{cut}")
+        rows.append(_row(f"permutation_identity_{level}", instance,
+                         r.exact_defect, tol["exact"]))
+        rows.append(_row(f"permutation_identity_{level}_generator", instance,
+                         r.generator_residual, tol["quadrature"]))
     return rows
 
 

@@ -8,12 +8,19 @@ exact-law operations with one dict entry per outcome, accumulated row by
 row: the reference for the array engine in ``construction`` and ``verify``.
 ``ref_permutation_identity_check`` enumerates matrix-chain paths one by one:
 the reference for the matrix algebra of ``generators.permutation_identity_check``.
+``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
+row by row through ``csv.writer``: the reference for the block writer of
+``cli``.
 """
 
+import csv
 import itertools
 
 import numpy as np
 
+from setmarkov.cli import _derived_columns
+from setmarkov.config import load_config
+from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
 from setmarkov.generators import system_along_flow
 from setmarkov.lattice import flow_from_ordering
 from setmarkov.quadrature import gauss_segment
@@ -301,3 +308,37 @@ def ref_permutation_identity_check(spec, ord1, ord2, level, starts, nodes=32):
                 rhs_g += p * h2[d2] * tail
             residual = max(residual, abs(lhs_g - rhs_g))
     return exact, residual
+
+
+def ref_sample_csv(config_path, n, seed, path):
+    """``setmarkov sample --workers 1``, one row at a time: every value goes
+    through ``kernel.display``, ``float`` and ``repr``, and a derived set's
+    value is Python's ``sum`` of its increments."""
+    cfg = load_config(config_path)
+    spec = cfg.spec
+    derived = _derived_columns(cfg)
+    arr = sample_increments(spec, seed, n)
+    kernel = spec.kernel
+    groups = [decompose_over_lefts(spec.lefts, mask) for _, mask in derived]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([f"C{i}" for i in range(arr.shape[1])] + [n for n, _ in derived])
+        for row in arr:
+            vals = [repr(float(kernel.display(v))) for v in row]
+            for g in groups:
+                vals.append(repr(float(kernel.display(sum(row[i] for i in g)))))
+            w.writerow(vals)
+
+
+def ref_fdd_csv(config_path, path):
+    """``setmarkov fdd`` from the sorted dict view of the law, one row at a time."""
+    spec = load_config(config_path).spec
+    law = exact_fdd(spec)
+    kernel = spec.kernel
+    table = law.table
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(list(law.labels) + ["probability"])
+        for key in sorted(table):
+            w.writerow([repr(float(kernel.display(v))) for v in key]
+                       + [repr(float(table[key]))])

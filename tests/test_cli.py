@@ -1,9 +1,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from setmarkov.cli import main
+from setmarkov.cli import BLOCK_ROWS, format_rows, main
+
+from helpers import ref_fdd_csv, ref_sample_csv
 
 BASE = {
     "grid": {"extents": [2, 2]},
@@ -201,17 +204,22 @@ def test_ordering_cap_cut_is_reported(tmp_path):
     got = _instances(tmp_path, payload)
     assert got["chapman_kolmogorov"].endswith(" prefix triples, 4 of 16 orderings")
     assert got["ordering_invariance"] == "6 ordering pairs, 4 of 16 orderings"
+    # orderings 0-3 agree on their first three sets: no kept pair has power
     for level in (2, 3):
         for suffix in ("", "_generator"):
-            assert got[f"permutation_identity_{level}{suffix}"] == \
-                "first swapped pair, 3 start states, 4 of 16 orderings"
+            assert got[f"permutation_identity_{level}{suffix}"] == (
+                "orderings 0 and 1 (slots 1 2 3 4 6 5), "
+                f"no pair moves slots 2-{level}, 3 start states, 4 of 16 orderings")
 
 
 def test_uncut_orderings_keep_their_text(tmp_path):
     got = _instances(tmp_path, STAIRCASE)
     assert got["chapman_kolmogorov"].endswith(" prefix triples, 16 orderings")
     assert got["ordering_invariance"] == "120 ordering pairs"
-    assert got["permutation_identity_2"] == "first swapped pair, 3 start states"
+    assert got["permutation_identity_2"] == \
+        "orderings 0 and 8 (slots 1 3 2 4 5 6), 3 start states"
+    assert got["permutation_identity_3"] == \
+        "orderings 0 and 6 (slots 1 2 4 3 5 6), 3 start states"
 
 
 def test_ordering_cap_cut_is_reported_for_monte_carlo(tmp_path):
@@ -220,3 +228,75 @@ def test_ordering_cap_cut_is_reported_for_monte_carlo(tmp_path):
     payload["experiment"] = {"ordering_cap": 4, "mc_samples": 2000}
     got = _instances(tmp_path, payload)
     assert got["ordering_invariance"] == "6 ordering pairs, 4 of 16 orderings, MC sigmas"
+
+
+def test_generator_matching_reports_the_basis_cut(tmp_path):
+    payload = dict(BASE, process={"kind": "compound_poisson", "measure": {"constant": 0.7},
+                                  "jumps": {"values": [1, 2], "probs": [0.6, 0.4]}})
+    got = _instances(tmp_path, payload)
+    assert got["generator_matching"] == "one-step vs refined chain, 6 of 27 probe states"
+    payload["process"] = {"kind": "poisson", "measure": {"constant": 0.01}}
+    assert _instances(tmp_path, payload)["generator_matching"] == \
+        "one-step vs refined chain"
+
+
+WRITER_VALUES = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 1e-5,
+                 9.999999999999999e-05, 1e16, 5e-324] + [k / 6 for k in range(7)]
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("shape", [(1, 16), (16, 1), (4, 4), (8, 4)])
+def test_format_rows_matches_repr(distinct, shape):
+    # (8, 4) repeats every value, so the distinct path gathers shared strings
+    flat = np.resize(np.array(WRITER_VALUES), shape[0] * shape[1])
+    block = flat.reshape(shape)
+    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block)
+    assert format_rows(block, distinct) == want
+
+
+def test_format_rows_keeps_signed_zero_and_nan_payloads_apart():
+    bits = np.array([0x8000000000000000, 0, 0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64)
+    block = np.tile(bits.view(np.float64), (3, 1))
+    assert format_rows(block, True) == "-0.0,0.0,nan,nan\r\n" * 3
+
+
+DERIVED = [{"name": "u12", "union": [1, 2]},
+           {"name": "d1", "union": [1], "minus": [0]},
+           {"name": "x,y", "union": [2], "minus": [1]}]
+WRITER_PROCESSES = {
+    "empirical": {"kind": "empirical", "n": 3, "measure": {"uniform": True}},
+    "gaussian": {"kind": "gaussian", "measure": {"weights": [0.5, 1.0, 1.5, 2.0]}},
+    "compound_poisson": {"kind": "compound_poisson", "measure": {"constant": 0.7},
+                         "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITER_PROCESSES))
+def test_sample_block_writer_matches_row_writer(tmp_path, kind):
+    payload = dict(BASE, process=WRITER_PROCESSES[kind],
+                   experiment={"derived_sets": DERIVED})
+    cfg = write_config(tmp_path, payload)
+    b = BLOCK_ROWS
+    for n in (1, b - 1, b, b + 1, 2 * b + 1):
+        ref = tmp_path / f"ref{n}.csv"
+        ref_sample_csv(cfg, n, 5, ref)
+        want = ref.read_bytes()
+        assert want.startswith(b'C0,C1,C2,u12,d1,"x,y"\r\n')
+        for workers in (1, 2, 3):
+            out = tmp_path / f"n{n}w{workers}.csv"
+            assert main(["sample", "--config", cfg, "--n", str(n), "--seed", "5",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+            assert out.read_bytes() == want, (n, workers)
+
+
+def test_fdd_block_writer_matches_row_writer(tmp_path):
+    # 3 members, n = 24: 2,925 table rows, three blocks
+    payload = json.loads(json.dumps(BASE))
+    payload["process"]["n"] = 24
+    cfg = write_config(tmp_path, payload)
+    ref, out = tmp_path / "ref.csv", tmp_path / "out.csv"
+    ref_fdd_csv(cfg, ref)
+    assert main(["fdd", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert len(ref.read_bytes().splitlines()) > 2 * BLOCK_ROWS

@@ -17,6 +17,7 @@ from setmarkov import (
 )
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.generators import (
+    BASIS_INDICATORS,
     DirichletFlowSemigroup,
     EmpiricalFlowSemigroup,
     GaussianFlowSemigroup,
@@ -26,6 +27,7 @@ from setmarkov.generators import (
     finite_difference_generator_errors,
     generator_matching_defect,
     integral_identity_residual,
+    ordering_slots,
     permutation_identity_check,
     semigroup_apply,
     system_along_flow,
@@ -239,6 +241,23 @@ class TestGeneratorMatching:
         fine = flow_from_ordering(orderings3[0], uniform2)
         assert generator_matching_defect(k, coarse, (0, 1), fine, (0, 2)) > 1e-3
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["poisson", "compound"])
+    def test_jump_basis_keeps_the_first_probe_states(self, lattice6, grid4, which):
+        # the suite reports the basis cut from the refined flow's system; the
+        # one-step flow's system, whose basis the check uses, has the same states
+        spec = _jump_specs(lattice6, grid4)[which]
+        fine = flow_from_ordering(spec.ordering)
+        coarse = DiscreteFlow((fine.times[0], fine.times[-1]),
+                              (fine.stages[0], fine.stages[-1]), fine.trace_measure)
+        sys_fine = system_along_flow(spec.kernel, fine)
+        sys_coarse = system_along_flow(spec.kernel, coarse)
+        assert sys_coarse.probe_states.tolist() == sys_fine.probe_states.tolist()
+        assert len(sys_fine.probe_states) > BASIS_INDICATORS
+        kept = sys_coarse.basis_states.tolist()
+        assert kept == sys_coarse.probe_states[:BASIS_INDICATORS].tolist()
+        indicators = sys_coarse.basis()[:-1]
+        assert [int(np.argmax(h)) for h in indicators] == kept
+
 
 class TestPermutationIdentities:
     def test_identity_permutation_gives_zero(self, empirical_spec3, orderings3):
@@ -255,17 +274,23 @@ class TestPermutationIdentities:
 
     @pytest.mark.parametrize("level", [2, 3])
     def test_staircase_picture_pair(self, lattice6, uniform4, level):
+        # a pair has power at a level exactly when its slot map moves one of
+        # slots 2..level: only then does the corrupted kernel show a defect
         orders = enumerate_consistent_orderings(lattice6)
         row_first = orders[0]
         spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4))
-        worst_exact = 0.0
-        worst_gen = 0.0
-        for o in orders[1:4]:
+        bad = FddSpec(lattice6, EmpiricalKernel(2, uniform4, corrupted=True))
+        moving = 0
+        for o in orders[1:]:
+            moves = ordering_slots(row_first, o)[1:level] != list(range(2, level + 1))
+            moving += moves
             r = permutation_identity_check(spec, row_first, o, level)
-            worst_exact = max(worst_exact, r.exact_defect)
-            worst_gen = max(worst_gen, r.generator_residual)
-        assert worst_exact < 1e-12
-        assert worst_gen < 1e-7
+            assert r.exact_defect < 1e-12
+            assert r.generator_residual < 1e-7
+            rb = permutation_identity_check(bad, row_first, o, level)
+            assert (rb.exact_defect > 1e-3) == moves
+            assert (rb.generator_residual > 1e-3) == moves
+        assert moving == {2: 8, 3: 10}[level]
 
     def test_corrupted_kernel_fails(self, lattice3, uniform2, orderings3):
         spec = FddSpec(lattice3, EmpiricalKernel(2, uniform2, corrupted=True))

@@ -81,6 +81,18 @@ class TestKernelProtocol:
             for x in k.probe_states():
                 assert k.display(k.to_state(x)) == x
 
+    def test_display_is_elementwise_on_arrays(self, grid2, uniform2):
+        counts = np.array([[0, 1], [2, 3]])
+        for k, _, _ in _all_kinds(grid2, uniform2):
+            for states in (counts, counts.astype(float), np.array([-0.0, 2.5])):
+                got = k.display(states)
+                assert isinstance(got, np.ndarray) and got.dtype == np.float64
+                want = [float(k.display(v)) for v in states.ravel().tolist()]
+                assert got.ravel().tobytes() == np.array(want).tobytes()
+            floats = counts.astype(float)
+            if k.kind != "empirical":
+                assert k.display(floats) is floats
+
     def test_ppfs_are_vectorised_and_monotone_in_u(self, grid2, uniform2, sets2):
         u = np.linspace(0.01, 0.99, 50)
         for k, _, _ in _all_kinds(grid2, uniform2):
