@@ -33,16 +33,10 @@ from .quadrature import HERMITE_ORDER, gauss_segment, hermite, jacobi01, jacobi0
 GAUSS_NODES = 32
 JACOBI_ORDER = 48
 GAUSS_STENCIL = 1.0 / 512.0
-# how many probe-state indicators the jump kinds' basis holds (``basis_states``)
-BASIS_INDICATORS = 6
 
 
 class MatrixSemigroup:
-    """Transition and generator matrices acting on state vectors.
-
-    ``basis`` holds the indicators of the ``basis_states`` (a prefix of the
-    ``probe_states``) plus one state function.
-    """
+    """Transition and generator matrices acting on state vectors."""
 
     finite_state = True
 
@@ -79,7 +73,7 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self.n = n
         self.trace = trace
         self.corrupted = corrupted
-        self.states = self.probe_states = self.basis_states = np.arange(n + 1)
+        self.states = self.probe_states = np.arange(n + 1)
         # entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
         k, j = np.nonzero(np.add.outer(self.states, self.states) <= n)
         self._rows, self._heads, self._tails = k, j, n - k - j
@@ -144,7 +138,6 @@ class JumpFlowSemigroup(MatrixSemigroup):
         self.cap = int(start_mass_cap + reach)
         self.states = np.arange(self.cap + 1)
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
-        self.basis_states = self.probe_states[:BASIS_INDICATORS]
 
     def _increment(self, lam: float) -> dict:
         d = compound_poisson_dict(lam, self.jump_values, self.jump_probs, tail=self.tail)
@@ -171,7 +164,7 @@ class JumpFlowSemigroup(MatrixSemigroup):
 
     def basis(self):
         eye = np.eye(self.cap + 1)
-        return list(eye[self.basis_states]) + [np.cos(self.states.astype(float))]
+        return list(eye[self.probe_states[:6]]) + [np.cos(self.states.astype(float))]
 
 
 def _fill_band(M: np.ndarray, offset: int, value: float) -> None:

@@ -182,9 +182,8 @@ def _finite_state_rows(cfg):
         return rows
     d = generator_matching_defect(kernel, coarse, (0, 1), flow,
                                   (0, len(flow.stages) - 1))
-    # the coarse system's basis: its probe states are the refined one's, as
-    # both flows start at the same set and span the same trace
-    kept, probes = len(system.basis_states), len(system.probe_states)
+    # the basis holds one indicator per kept probe state plus one state function
+    kept, probes = len(system.basis()) - 1, len(system.probe_states)
     basis_cut = "" if kept == probes else f", {kept} of {probes} probe states"
     rows.append(_row("generator_matching", f"one-step vs refined chain{basis_cut}", d,
                      tol["quadrature"]))

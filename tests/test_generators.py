@@ -17,7 +17,6 @@ from setmarkov import (
 )
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.generators import (
-    BASIS_INDICATORS,
     DirichletFlowSemigroup,
     EmpiricalFlowSemigroup,
     GaussianFlowSemigroup,
@@ -240,23 +239,6 @@ class TestGeneratorMatching:
                                IndexedSet.from_cells(grid2, [0, 1, 2])), uniform2)
         fine = flow_from_ordering(orderings3[0], uniform2)
         assert generator_matching_defect(k, coarse, (0, 1), fine, (0, 2)) > 1e-3
-
-    @pytest.mark.parametrize("which", [0, 1], ids=["poisson", "compound"])
-    def test_jump_basis_keeps_the_first_probe_states(self, lattice6, grid4, which):
-        # the suite reports the basis cut from the refined flow's system; the
-        # one-step flow's system, whose basis the check uses, has the same states
-        spec = _jump_specs(lattice6, grid4)[which]
-        fine = flow_from_ordering(spec.ordering)
-        coarse = DiscreteFlow((fine.times[0], fine.times[-1]),
-                              (fine.stages[0], fine.stages[-1]), fine.trace_measure)
-        sys_fine = system_along_flow(spec.kernel, fine)
-        sys_coarse = system_along_flow(spec.kernel, coarse)
-        assert sys_coarse.probe_states.tolist() == sys_fine.probe_states.tolist()
-        assert len(sys_fine.probe_states) > BASIS_INDICATORS
-        kept = sys_coarse.basis_states.tolist()
-        assert kept == sys_coarse.probe_states[:BASIS_INDICATORS].tolist()
-        indicators = sys_coarse.basis()[:-1]
-        assert [int(np.argmax(h)) for h in indicators] == kept
 
 
 class TestPermutationIdentities:
