@@ -68,10 +68,6 @@ class FinitePmf(Distribution):
         if abs(total - 1.0) > PMF_TOTAL_TOL:
             raise ConfigError(f"pmf sums to {total}, not 1")
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(list(d.keys()), list(d.values()))
-
     def as_dict(self):
         return dict(zip(self.values, self.probs))
 
@@ -278,12 +274,3 @@ def tv_distance(a: dict, b: dict) -> float:
     """Total variation distance between two dict pmfs (sup over events)."""
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
-
-
-def pmf_csv_rows(dist) -> list[tuple[float, float]]:
-    """(value, probability) rows for a finite law; raises otherwise."""
-    if isinstance(dist, PointMass):
-        return [(dist.value, 1.0)]
-    if isinstance(dist, FinitePmf):
-        return list(zip(dist.values, dist.probs))
-    raise ConfigError("only finite laws export as CSV")

@@ -74,9 +74,6 @@ class IndexedSet:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def _check(self, other: "IndexedSet"):
         if self.grid != other.grid:
             raise GridMismatchError("sets live on different grids")
@@ -141,12 +138,6 @@ class Semilattice:
     def _index_of(self) -> dict[int, int]:
         return {m.mask: i for i, m in enumerate(self.members)}
 
-    def member_index(self, s: IndexedSet) -> int:
-        try:
-            return self._index_of[s.mask]
-        except KeyError:
-            raise ConfigError("set is not a member of this semilattice") from None
-
     def __contains__(self, s: IndexedSet) -> bool:
         return s.mask in self._index_of
 
@@ -176,13 +167,6 @@ class Semilattice:
         if root != self.min_set.mask:
             raise ConfigError("members[0] is not the minimal set")
         return self
-
-    @classmethod
-    def from_members(cls, members) -> "Semilattice":
-        members = sorted(members, key=lambda m: (m.size, m.mask))
-        grid = members[0].grid
-        lat = cls(grid, tuple(members))
-        return lat.validate()
 
 
 def close_under_intersection(generators, cap: int = CLOSURE_CAP) -> Semilattice:

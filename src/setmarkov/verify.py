@@ -173,30 +173,36 @@ def probability_gap(p1: np.ndarray, p2: np.ndarray, count: int) -> McDefect:
     return McDefect(float(gaps[i]), float(se[i]), float(gaps[i] / se[i]))
 
 
-def ordering_invariance_defect(spec, ord1: ConsistentOrdering, ord2: ConsistentOrdering,
+def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
                                mc: tuple[int, int] | None = None):
     """Invariance of the increment joint law under the choice of consistent
-    ordering.  Exact TV distance for finite-state kernels; otherwise Monte
-    Carlo with mc=(seed, count), reporting the worst probe-event gap."""
-    if ord1.lattice is not ord2.lattice and ord1.lattice.members != ord2.lattice.members:
+    ordering, worst over every pair of ``orderings``.
+
+    Finite-state kernels give the largest exact TV distance.  Otherwise
+    Monte Carlo with mc=(seed, count): the probe events take their
+    thresholds from the first ordering's samples, and the result is the
+    ``McDefect`` of the pair with the most standard errors.
+    """
+    lattice = orderings[0].lattice
+    if any(o.lattice is not lattice and o.lattice.members != lattice.members
+           for o in orderings):
         raise ConfigError("orderings do not order the same lattice")
-    finite = spec.kernel.finite_state
-    if finite and mc is None:
-        law1 = exact_fdd(spec.with_ordering(ord1))
-        law2 = exact_fdd(spec.with_ordering(ord2))
-        perm = align_variables(left_neighbourhoods(ord1), left_neighbourhoods(ord2))
-        return law1.tv(law2.permuted(perm))
+    pairs = [(i, j) for i in range(len(orderings)) for j in range(i + 1, len(orderings))]
+    if spec.kernel.finite_state and mc is None:
+        laws = [exact_fdd(spec.with_ordering(o)) for o in orderings]
+        lefts = [left_neighbourhoods(o) for o in orderings]
+        return max((laws[i].tv(laws[j].permuted(align_variables(lefts[i], lefts[j])))
+                    for i, j in pairs), default=0.0)
     if mc is None:
         raise UnsupportedKernelError(
             f"{spec.kernel.kind} kernel needs mc=(seed, count) for this check"
         )
     seed, count = mc
-    a1 = aligned_increment_samples(spec, ord1, seed, count)
-    a2 = aligned_increment_samples(spec, ord2, seed, count)
-    medians, quartiles = mc_probe_thresholds(a1)
-    p1 = mc_event_probabilities(a1, medians, quartiles)
-    p2 = mc_event_probabilities(a2, medians, quartiles)
-    return probability_gap(p1, p2, count)
+    aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
+    medians, quartiles = mc_probe_thresholds(aligned[0])
+    probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
+    return max((probability_gap(probs[i], probs[j], count) for i, j in pairs),
+               key=lambda gap: gap.sigmas, default=McDefect(0.0, 0.0, 0.0))
 
 
 def _generators_of_prefix(spec, B) -> tuple[list[IndexedSet], int]:

@@ -8,6 +8,9 @@ exact-law operations with one dict entry per outcome, accumulated row by
 row: the reference for the array engine in ``construction`` and ``verify``.
 ``ref_permutation_identity_check`` enumerates matrix-chain paths one by one:
 the reference for the matrix algebra of ``generators.permutation_identity_check``.
+``ref_generator_matching_defect`` takes one state indicator per generator
+integral: the reference for the identity-basis call of
+``generators.generator_matching_defect``.
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
@@ -21,7 +24,7 @@ import numpy as np
 from setmarkov.cli import _derived_columns
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
-from setmarkov.generators import system_along_flow
+from setmarkov.generators import generator_integral, system_along_flow
 from setmarkov.lattice import flow_from_ordering
 from setmarkov.quadrature import gauss_segment
 
@@ -308,6 +311,24 @@ def ref_permutation_identity_check(spec, ord1, ord2, level, starts, nodes=32):
                 rhs_g += p * h2[d2] * tail
             residual = max(residual, abs(lhs_g - rhs_g))
     return exact, residual
+
+
+def ref_generator_matching_defect(kernel, flow1, span1, flow2, span2):
+    """``generator_matching_defect`` one state indicator at a time: the
+    worst gap between the two flows' generator integrals over the
+    indicators of every state, the probe states among them."""
+    sys1 = system_along_flow(kernel, flow1)
+    sys2 = system_along_flow(kernel, flow2)
+    worst = 0.0
+    for x in sys1.states:
+        h = np.zeros(len(sys1.states))
+        h[x] = 1.0
+        v1 = generator_integral(sys1, flow1.times[span1[0]], flow1.times[span1[1]], h,
+                                knot_compose=True)
+        v2 = generator_integral(sys2, flow2.times[span2[0]], flow2.times[span2[1]], h,
+                                knot_compose=True)
+        worst = max(worst, float(np.max(np.abs(v1 - v2))))
+    return worst
 
 
 def ref_sample_csv(config_path, n, seed, path):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from setmarkov.cli import BLOCK_ROWS, format_rows, main
+from setmarkov.config import load_config
+from setmarkov.generators import generator_matching_defect, system_along_flow
+from setmarkov.lattice import DiscreteFlow, flow_from_ordering
 
-from helpers import ref_fdd_csv, ref_sample_csv
+from helpers import ref_fdd_csv, ref_generator_matching_defect, ref_sample_csv
 
 BASE = {
     "grid": {"extents": [2, 2]},
@@ -230,14 +233,26 @@ def test_ordering_cap_cut_is_reported_for_monte_carlo(tmp_path):
     assert got["ordering_invariance"] == "6 ordering pairs, 4 of 16 orderings, MC sigmas"
 
 
-def test_generator_matching_reports_the_basis_cut(tmp_path):
+def test_generator_matching_reads_every_probe_state(tmp_path):
     payload = dict(BASE, process={"kind": "compound_poisson", "measure": {"constant": 0.7},
                                   "jumps": {"values": [1, 2], "probs": [0.6, 0.4]}})
-    got = _instances(tmp_path, payload)
-    assert got["generator_matching"] == "one-step vs refined chain, 6 of 27 probe states"
-    payload["process"] = {"kind": "poisson", "measure": {"constant": 0.01}}
-    assert _instances(tmp_path, payload)["generator_matching"] == \
-        "one-step vs refined chain"
+    path = write_config(tmp_path, payload)
+    cfg = load_config(path)
+    kernel = cfg.spec.kernel
+    flow = flow_from_ordering(cfg.spec.ordering, kernel.measure)
+    coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
+                          (flow.stages[0], flow.stages[-1]), flow.trace_measure)
+    spans = ((0, 1), (0, len(flow.stages) - 1))
+    assert len(system_along_flow(kernel, flow).probe_states) == 27
+    got = generator_matching_defect(kernel, coarse, spans[0], flow, spans[1])
+    want = ref_generator_matching_defect(kernel, coarse, spans[0], flow, spans[1])
+    assert abs(got - want) <= 1e-15
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", path, "--out", str(out)]) == 0
+    row = next(c for c in json.loads(out.read_text())["checks"]
+               if c["name"] == "generator_matching")
+    assert row["instance"] == "one-step vs refined chain"
+    assert row["defect"] == got
 
 
 # -0.0 and 0.0, and the two NaNs (default and non-default payload), are

@@ -12,7 +12,6 @@ from setmarkov.distributions import (
     TwoStage,
     binomial_pmf,
     compound_poisson_dict,
-    pmf_csv_rows,
     pmf_ppf,
     tv_distance,
 )
@@ -119,11 +118,3 @@ def test_tv_distance():
     assert tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
     assert tv_distance({0: 1.0}, {1: 1.0}) == pytest.approx(1.0)
     assert tv_distance({0: 0.6, 1: 0.4}, {0: 0.4, 1: 0.6}) == pytest.approx(0.2)
-
-
-def test_pmf_csv_rows():
-    assert pmf_csv_rows(PointMass(2.0)) == [(2.0, 1.0)]
-    rows = pmf_csv_rows(binomial_pmf(1, 0.25))
-    assert rows == [(0, 0.75), (1, 0.25)]
-    with pytest.raises(ConfigError):
-        pmf_csv_rows(NormalLaw(0.0, 1.0))
