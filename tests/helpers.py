@@ -17,6 +17,7 @@ row by row through ``csv.writer``: the reference for the block writer of
 """
 
 import csv
+import functools
 import itertools
 
 import numpy as np
@@ -316,9 +317,13 @@ def ref_permutation_identity_check(spec, ord1, ord2, level, starts, nodes=32):
 def ref_generator_matching_defect(kernel, flow1, span1, flow2, span2):
     """``generator_matching_defect`` one state indicator at a time: the
     worst gap between the two flows' generator integrals over the
-    indicators of every state, the probe states among them."""
+    indicators of every state, the probe states among them.  Each matrix is
+    built once and reused across the indicators."""
     sys1 = system_along_flow(kernel, flow1)
     sys2 = system_along_flow(kernel, flow2)
+    for system in (sys1, sys2):
+        system.matrix = functools.lru_cache(maxsize=None)(system.matrix)
+        system.generator_matrix = functools.lru_cache(maxsize=None)(system.generator_matrix)
     worst = 0.0
     for x in sys1.states:
         h = np.zeros(len(sys1.states))

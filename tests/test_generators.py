@@ -32,7 +32,7 @@ from setmarkov.generators import (
 )
 from setmarkov.lattice import DiscreteFlow
 
-from helpers import ref_permutation_identity_check
+from helpers import ref_generator_matching_defect, ref_permutation_identity_check
 
 
 @pytest.fixture
@@ -233,6 +233,23 @@ class TestGeneratorMatching:
                                IndexedSet.from_cells(grid2, [0, 1, 2])), uniform2)
         fine = flow_from_ordering(orderings3[0], uniform2)
         assert generator_matching_defect(k, coarse, (0, 1), fine, (0, 2)) > 1e-3
+
+    def test_corrupted_kernel_matches_indicator_loop(self, uniform2, orderings3, grid2):
+        # at n = 9 the worst indicator is state 4, not state 0
+        k = EmpiricalKernel(9, uniform2, corrupted=True)
+        coarse = DiscreteFlow((0.0, 1.0),
+                              (IndexedSet.from_cells(grid2, [0]),
+                               IndexedSet.from_cells(grid2, [0, 1, 2])), uniform2)
+        fine = flow_from_ordering(orderings3[0], uniform2)
+        d = generator_matching_defect(k, coarse, (0, 1), fine, (0, 2))
+        assert d > 1e-3
+        assert abs(d - ref_generator_matching_defect(k, coarse, (0, 1), fine, (0, 2))) <= 1e-15
+
+    def test_matrix_basis_is_the_identity(self, unit_trace):
+        for sg in (EmpiricalFlowSemigroup(9, unit_trace),
+                   JumpFlowSemigroup(unit_trace, (1, 2), (0.5, 0.5), start_mass_cap=3)):
+            assert len(sg.states) > 6
+            assert np.array_equal(sg.basis(), np.eye(len(sg.states)))
 
 
 class TestPermutationIdentities:

@@ -75,6 +75,14 @@ class TestOrderingInvariance:
         orders = enumerate_consistent_orderings(lattice6)
         assert ordering_invariance_defect(spec, orders) < 1e-12
 
+    def test_worst_pair_of_the_list(self, lattice6, uniform4):
+        spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4, corrupted=True))
+        orders = enumerate_consistent_orderings(lattice6)
+        pairwise = [ordering_invariance_defect(spec, [a, b])
+                    for i, a in enumerate(orders) for b in orders[i + 1:]]
+        assert max(pairwise) > 1e-3 and pairwise.index(max(pairwise)) > 0
+        assert ordering_invariance_defect(spec, orders) == max(pairwise)
+
 
 class TestSetMarkov:
     def test_covered_set_gives_zero(self, empirical_spec3, lattice3, grid2):
