@@ -21,7 +21,7 @@ from . import __version__
 from .config import load_config, merge_tolerance_overrides
 from .construction import MixtureSpec, decompose_over_lefts, exact_fdd, sample_increments
 from .errors import ConfigError, SetMarkovError, UnsupportedKernelError
-from .suite import run_gencheck, run_validation_suite
+from .suite import FD_EPS, run_gencheck, run_validation_suite
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -102,24 +102,6 @@ def _write_csv(path, header, blocks, distinct: bool) -> None:
             f.write(format_rows(block, distinct))
 
 
-def _derived_columns(cfg):
-    out = []
-    members = cfg.lattice.members
-    for i, d in enumerate(cfg.experiment.get("derived_sets", [])):
-        try:
-            name = d.get("name", f"D{i}")
-            plus = 0
-            for j in d.get("union", []):
-                plus |= members[j].mask
-            minus = 0
-            for j in d.get("minus", []):
-                minus |= members[j].mask
-            out.append((name, plus & ~minus))
-        except (IndexError, TypeError) as e:
-            raise ConfigError(f"/experiment/derived_sets/{i}: {e}") from None
-    return out
-
-
 def cmd_sample(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
@@ -128,7 +110,6 @@ def cmd_sample(args) -> int:
         raise ConfigError("--n must be >= 1")
     spec = cfg.spec
     lefts = spec.lefts
-    derived = _derived_columns(cfg)
     workers = max(1, args.workers)
     chunk = (args.n + workers - 1) // workers
     ranges = [(s, min(chunk, args.n - s)) for s in range(0, args.n, chunk)]
@@ -143,7 +124,7 @@ def cmd_sample(args) -> int:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(produce, ranges))
     kernel = spec.kernel
-    groups = [decompose_over_lefts(lefts, mask) for _, mask in derived]
+    groups = [decompose_over_lefts(lefts, mask) for _, mask in cfg.derived_sets]
 
     def rows():
         for part in parts:
@@ -156,7 +137,7 @@ def cmd_sample(args) -> int:
                         block[:, j] += inc[:, i]
                 yield kernel.display(block)
 
-    header = [f"C{i}" for i in range(parts[0].shape[1])] + [n for n, _ in derived]
+    header = [f"C{i}" for i in range(parts[0].shape[1])] + [n for n, _ in cfg.derived_sets]
     _write_csv(args.out, header, rows(), kernel.finite_state)
     return EXIT_PASS
 
@@ -186,7 +167,7 @@ def cmd_gencheck(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    eps = [float(e) for e in args.eps.split(",")] if args.eps else [1e-2, 5e-3, 2.5e-3]
+    eps = [float(e) for e in args.eps.split(",")] if args.eps else FD_EPS
     rows = run_gencheck(cfg, eps, args.tolerance, ordering_index=args.ordering)
     passed = all(r["pass"] for r in rows)
     payload = {

@@ -7,9 +7,12 @@ exit with a precise message.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +46,27 @@ MEASURE_KIND = {
 
 @dataclass
 class ExperimentConfig:
+    """A parsed config; the last three fields come from its ``experiment``
+    object (see the README's CLI section)."""
+
     raw: dict
     grid: GroundGrid
     lattice: Semilattice
     spec: FddSpec | MixtureSpec
     seed: int
     tolerances: dict
-    experiment: dict = field(default_factory=dict)
-
-    @property
-    def kernel(self):
-        return self.spec.kernel
+    ordering_cap: int
+    mc_samples: int
+    derived_sets: tuple[tuple[str, int], ...]
 
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _check(ok: bool, path: str, want: str) -> None:
+    if not ok:
+        raise ConfigError(f"{path}: must be {want}")
 
 
 def _need(obj: dict, key: str, path: str):
@@ -67,8 +76,7 @@ def _need(obj: dict, key: str, path: str):
 
 
 def _build_measure(node, grid: GroundGrid, kind: str, path: str) -> CellMeasure:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: measure must be an object")
+    _check(isinstance(node, dict), path, "an object")
     try:
         if node.get("uniform"):
             if kind == "probability":
@@ -83,8 +91,7 @@ def _build_measure(node, grid: GroundGrid, kind: str, path: str) -> CellMeasure:
 
 
 def _build_lattice(node, grid: GroundGrid, path: str) -> Semilattice:
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: must be an object")
+    _check(isinstance(node, dict), path, "an object")
     generators = []
     for i, corner in enumerate(node.get("rectangles", [])):
         try:
@@ -129,6 +136,41 @@ def _build_kernel(node, grid: GroundGrid, path: str):
         raise ConfigError(f"{path}: {e}") from None
 
 
+def _merge_tolerances(tolerances: dict, node, path: str) -> None:
+    """Merge an object of known tolerance names and non-negative numbers."""
+    _check(isinstance(node, dict), path, "an object of tolerances")
+    for k, v in node.items():
+        _check(k in DEFAULT_TOLERANCES, f"{path}/{k}", f"one of {sorted(DEFAULT_TOLERANCES)}")
+        _check(type(v) in (int, float) and 0 <= v < math.inf, f"{path}/{k}",
+               "a non-negative number")
+        tolerances[k] = float(v)
+
+
+def _count(exp: dict, key: str, default: int, least: int) -> int:
+    v = exp.get(key, default)
+    _check(type(v) is int and v >= least, f"/experiment/{key}", f"an integer >= {least}")
+    return v
+
+
+def _derived_sets(node, members) -> tuple:
+    """(name, mask) of each derived set: the union of the ``union`` members
+    (0-based indices) minus the union of the ``minus`` ones."""
+    path = "/experiment/derived_sets"
+    _check(isinstance(node, list) and all(isinstance(d, dict) for d in node), path,
+           "a list of objects")
+    out = []
+    for i, d in enumerate(node):
+        masks = []
+        for key in ("union", "minus"):
+            idx = d.get(key, [])
+            _check(isinstance(idx, list) and all(type(j) is int and 0 <= j < len(members)
+                                                 for j in idx),
+                   f"{path}/{i}/{key}", f"a list of member indices 0..{len(members) - 1}")
+            masks.append(functools.reduce(operator.or_, [members[j].mask for j in idx], 0))
+        out.append((d.get("name", f"D{i}"), masks[0] & ~masks[1]))
+    return tuple(out)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("/: config must be a JSON object")
@@ -152,12 +194,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"/process: {e}") from None
     seed = int(raw.get("seed", 0))
     tolerances = dict(DEFAULT_TOLERANCES)
-    for k, v in raw.get("tolerances", {}).items():
-        if k not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"/tolerances/{k}: unknown tolerance name")
-        tolerances[k] = float(v)
-    experiment = raw.get("experiment", {})
-    return ExperimentConfig(raw, grid, lattice, spec, seed, tolerances, experiment)
+    _merge_tolerances(tolerances, raw.get("tolerances", {}), "/tolerances")
+    exp = raw.get("experiment", {})
+    _check(isinstance(exp, dict) and set(exp) <= {"ordering_cap", "mc_samples", "derived_sets"},
+           "/experiment", "an object of ordering_cap, mc_samples and derived_sets")
+    return ExperimentConfig(raw, grid, lattice, spec, seed, tolerances,
+                            _count(exp, "ordering_cap", 24, 1),
+                            _count(exp, "mc_samples", 100_000, 2),
+                            _derived_sets(exp.get("derived_sets", []), lattice.members))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -179,7 +223,4 @@ def merge_tolerance_overrides(cfg: ExperimentConfig, path: str | None):
             overrides = json.load(f)
     except (FileNotFoundError, json.JSONDecodeError) as e:
         raise ConfigError(f"tolerance overrides: {e}") from None
-    for k, v in overrides.items():
-        if k not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerance overrides: unknown name {k!r}")
-        cfg.tolerances[k] = float(v)
+    _merge_tolerances(cfg.tolerances, overrides, f"tolerance overrides {path}#")

@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import compound_poisson_dict
 from .errors import ConfigError, UnsupportedKernelError
 from .lattice import ConsistentOrdering, DiscreteFlow, Trace, flow_from_ordering
-from .quadrature import HERMITE_ORDER, gauss_segment, hermite, jacobi01, jacobi01_raw
+from .quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
 
 GAUSS_NODES = 32
 JACOBI_ORDER = 48
@@ -60,17 +59,27 @@ class QuadratureSemigroup:
     finite_state = False
 
     def values(self, h):
-        if callable(h):
-            return np.asarray([h(x) for x in self.probes])
-        return np.asarray(h, dtype=float)
+        return np.asarray([h(x) for x in self.probes])
+
+
+def empirical_success(gain: float, covered: float, corrupted: bool) -> float:
+    """Chance that an empirical point outside mass ``covered`` lands in a
+    growth of mass ``gain``, for the kernel's steps and the flow semigroup
+    alike; ``corrupted`` is the broken rule that skips the denominator."""
+    gain = max(gain, 0.0)
+    if corrupted:
+        return min(gain, 1.0)
+    rest = 1.0 - covered
+    if rest <= 1e-15:  # the set holds all the mass: no point is left outside
+        return 0.0
+    return min(gain / rest, 1.0)
 
 
 class EmpiricalFlowSemigroup(MatrixSemigroup):
     """Binomial transition matrices along a flow of a size-n empirical process.
 
     The trace G(t) is the sampling probability of the flow stage; the success
-    probability between s and t is (G(t)-G(s))/(1-G(s)).  ``corrupted``
-    reproduces the broken kernel that skips the denominator.
+    probability between s and t is ``empirical_success(G(t)-G(s), G(s))``.
     """
 
     def __init__(self, n: int, trace: Trace, corrupted: bool = False):
@@ -83,18 +92,10 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self._rows, self._heads, self._tails = k, j, n - k - j
         self._comb = np.array([float(math.comb(n - a, b)) for a, b in zip(k, j)])
 
-    def success(self, s: float, t: float) -> float:
-        gs, gt = self.trace(s), self.trace(t)
-        if self.corrupted:
-            return min(max(gt - gs, 0.0), 1.0)
-        rest = 1.0 - gs
-        if rest <= 1e-14:
-            return 0.0
-        return min(max(gt - gs, 0.0) / rest, 1.0)
-
     def matrix(self, s: float, t: float) -> np.ndarray:
         n = self.n
-        p = self.success(s, t)
+        gs = self.trace(s)
+        p = empirical_success(self.trace(t) - gs, gs, self.corrupted)
         q = 1.0 - p
         # powers by Python's float pow, as distributions.binomial_pmf takes them
         p_pow = np.array([p**j for j in range(n + 1)])
@@ -107,50 +108,44 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
         n = self.n
         slope = self.trace.slope(s, side)
-        if self.corrupted:
-            rate = slope
-        else:
-            rest = 1.0 - self.trace(s)
-            rate = 0.0 if slope == 0.0 else slope / rest
+        rest = 1.0 if self.corrupted else 1.0 - self.trace(s)
+        rate = 0.0 if slope == 0.0 else slope / rest
         out = (n - self.states[:-1]) * rate
         return np.diag(np.append(-out, 0.0)) + np.diag(out, 1)
 
 
 class JumpFlowSemigroup(MatrixSemigroup):
     """Poisson / compound-poisson transition matrices along a flow, on the
-    integer states 0..cap.  Jumps must be positive integers; the matrices are
-    the exactly killed (sub-stochastic) restriction, so the generator/semigroup
-    identities hold to machine precision on states that cannot reach the cap.
+    integer states 0..cap.
+
+    ``step_law(mean)`` is the kernel's own law of the increment over trace
+    mass ``mean`` -- the function its exact tables use, cut at the same
+    tail -- so a row of ``matrix`` is the kernel's step pmf.  Jumps must be
+    positive integers; the matrices are the exactly killed (sub-stochastic)
+    restriction, so the generator/semigroup identities hold to machine
+    precision on states that cannot reach the cap.
     """
 
-    def __init__(self, trace: Trace, jump_values=(1,), jump_probs=(1.0,),
-                 start_mass_cap: int = 0, tail: float = 1e-14):
+    def __init__(self, trace: Trace, step_law, jump_values=(1,), jump_probs=(1.0,),
+                 start_mass_cap: int = 0):
         self.trace = trace
+        self.step_law = step_law
         jv = [int(v) for v in jump_values]
         if jv != list(jump_values) or any(v < 1 for v in jv):
             raise ConfigError("flow semigroup needs positive integer jumps")
         self.jump_values = tuple(jv)
         self.jump_probs = tuple(float(p) for p in jump_probs)
-        self.tail = tail
         span = float(trace.values[-1] - trace.values[0])
-        span_inc = self._increment(max(span, 1e-9))
-        reach = max(span_inc) if span_inc else 0
+        reach = int(round(max(step_law(max(span, 1e-9)))))
         self.cap = int(start_mass_cap + reach)
         self.states = np.arange(self.cap + 1)
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
 
-    def _increment(self, lam: float) -> dict:
-        d = compound_poisson_dict(lam, self.jump_values, self.jump_probs, tail=self.tail)
-        return {int(round(v)): p for v, p in d.items()}
-
     def matrix(self, s: float, t: float) -> np.ndarray:
-        lam = max(self.trace(t) - self.trace(s), 0.0)
         size = self.cap + 1
         M = np.zeros((size, size))
-        if lam == 0.0:
-            return np.eye(size)
-        for v, p in self._increment(lam).items():
-            _fill_band(M, v, p)
+        for v, p in self.step_law(max(self.trace(t) - self.trace(s), 0.0)).items():
+            _fill_band(M, int(round(v)), p)
         return M
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
@@ -175,22 +170,17 @@ class GaussianFlowSemigroup(QuadratureSemigroup):
     via Gauss-Hermite quadrature; the generator is half the trace slope times
     a centered second difference with a fixed fine stencil."""
 
-    def __init__(self, trace: Trace, stencil: float = GAUSS_STENCIL,
-                 gh_order: int = HERMITE_ORDER, probes=None):
+    def __init__(self, trace: Trace):
         self.trace = trace
-        self.stencil = stencil
-        self.gh_order = gh_order
-        if probes is None:
-            sd = math.sqrt(max(float(trace.values[-1]), 1e-9))
-            probes = np.linspace(-3.0 * sd, 3.0 * sd, 13)
-        self.probes = np.asarray(probes, dtype=float)
+        sd = math.sqrt(max(float(trace.values[-1]), 1e-9))
+        self.probes = np.linspace(-3.0 * sd, 3.0 * sd, 13)
 
     def apply(self, s, t, h):
         var = max(self.trace(t) - self.trace(s), 0.0)
         if var == 0.0:
             return h
         sd = math.sqrt(var)
-        z, w = hermite(self.gh_order)
+        z, w = hermite()
 
         def out(x):
             return float(np.dot(w, [h(x + sd * zz) for zz in z]))
@@ -199,7 +189,7 @@ class GaussianFlowSemigroup(QuadratureSemigroup):
 
     def apply_generator(self, s, h, side="+"):
         slope = self.trace.slope(s, side)
-        d = self.stencil
+        d = GAUSS_STENCIL
 
         def out(x):
             return 0.5 * slope * (h(x + d) - 2.0 * h(x) + h(x - d)) / (d * d)
@@ -220,18 +210,15 @@ class DirichletFlowSemigroup(QuadratureSemigroup):
     integrand is regular at u = 0 with limit (1-x) h'(x).
     """
 
-    def __init__(self, trace: Trace, alpha_total: float,
-                 order: int = JACOBI_ORDER, probes=None):
+    probes = np.linspace(0.0, 0.9, 10)
+
+    def __init__(self, trace: Trace, alpha_total: float):
         if alpha_total <= 0:
             raise ConfigError("total parameter mass must be positive")
         if float(trace.values[-1]) > alpha_total + 1e-12:
             raise ConfigError("trace exceeds the total parameter mass")
         self.trace = trace
         self.alpha_total = alpha_total
-        self.order = order
-        if probes is None:
-            probes = np.linspace(0.0, 0.9, 10)
-        self.probes = np.asarray(probes, dtype=float)
 
     def apply(self, s, t, h):
         a = max(self.trace(t) - self.trace(s), 0.0)
@@ -240,11 +227,9 @@ class DirichletFlowSemigroup(QuadratureSemigroup):
             return h
         if c <= 0.0:
             return lambda x: h(1.0)
-        y, w = jacobi01(self.order, a, c)
+        y, w = jacobi01(JACOBI_ORDER, a, c)
 
         def out(x):
-            if x >= 1.0:
-                return h(1.0)
             return float(np.dot(w, [h(x + (1.0 - x) * yy) for yy in y]))
 
         return out
@@ -254,20 +239,11 @@ class DirichletFlowSemigroup(QuadratureSemigroup):
         c = self.alpha_total - self.trace(s)
         if c <= 0.0:
             raise ConfigError("generator undefined once the trace exhausts the mass")
-        u, w = jacobi01_raw(self.order, c)
+        u, w = jacobi01_raw(JACOBI_ORDER, c)
 
         def out(x):
-            if x >= 1.0:
-                return 0.0
-            scale = 1.0 - x
-
-            def phi(uu):
-                if uu < 1e-8:
-                    du = 1e-6
-                    return (h(x + scale * du) - h(x)) / du
-                return (h(x + scale * uu) - h(x)) / uu
-
-            return rate * float(np.dot(w, [phi(uu) for uu in u]))
+            scale, hx = 1.0 - x, h(x)
+            return rate * float(np.dot(w, [(h(x + scale * uu) - hx) / uu for uu in u]))
 
         return out
 
@@ -294,11 +270,10 @@ def closed_form_generator(system, s: float, h, side: str | None = None):
     return system.apply_generator(s, h, side)
 
 
-def finite_difference_generator_errors(system, s: float, eps_list, h,
-                                       side: str = "+") -> list[float]:
+def finite_difference_generator_errors(system, s: float, eps_list, h) -> list[float]:
     """Sup-norm gaps between (T_{s,s+eps}h - h)/eps and the closed-form
     generator, one entry per eps (for convergence-order assertions)."""
-    g = system.values(system.apply_generator(s, h, side))
+    g = system.values(system.apply_generator(s, h))
     base = system.values(h)
     out = []
     for eps in eps_list:
@@ -317,8 +292,7 @@ def apply_through_knots(system, s: float, t: float, h):
     return out
 
 
-def generator_integral(system, s: float, t: float, h, nodes: int = GAUSS_NODES,
-                       knot_compose: bool = False):
+def generator_integral(system, s: float, t: float, h, knot_compose: bool = False):
     """integral_s^t G_v (T_{vt} h) dv as probe values, by composite Gauss
     quadrature split at the trace knots.  ``knot_compose`` makes the inner
     transition operator compose through the knots, which matters only for
@@ -326,7 +300,7 @@ def generator_integral(system, s: float, t: float, h, nodes: int = GAUSS_NODES,
     pts = system.trace.breakpoints(s, t)
     acc = np.zeros_like(system.values(h))
     for a, b in zip(pts, pts[1:]):
-        xs, ws = gauss_segment(a, b, nodes)
+        xs, ws = gauss_segment(a, b, GAUSS_NODES)
         for v, w in zip(xs, ws):
             inner = (apply_through_knots(system, v, t, h) if knot_compose
                      else system.apply(v, t, h))
@@ -334,20 +308,19 @@ def generator_integral(system, s: float, t: float, h, nodes: int = GAUSS_NODES,
     return acc
 
 
-def integral_identity_residual(system, s: float, t: float, h,
-                               nodes: int = GAUSS_NODES) -> float:
+def integral_identity_residual(system, s: float, t: float, h) -> float:
     """Sup-norm residual of  T_{st}h - h = integral_s^t G_v T_{vt} h dv."""
     if t < s:
         raise ConfigError("need s <= t")
     if t == s:
         return 0.0
     lhs = system.values(system.apply(s, t, h)) - system.values(h)
-    rhs = generator_integral(system, s, t, h, nodes)
+    rhs = generator_integral(system, s, t, h)
     return float(np.max(np.abs(lhs - rhs)))
 
 
 def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow,
-                              span2, nodes: int = GAUSS_NODES) -> float:
+                              span2) -> float:
     """Two flows through the same pair of sets must have equal generator
     integrals over the matching spans (finite-state kernels; spans are knot
     index pairs), read on the whole identity basis at once."""
@@ -361,10 +334,8 @@ def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: Discret
     if not (sys1.finite_state and sys2.finite_state):
         raise UnsupportedKernelError("generator matching check needs finite-state kernels")
     h = sys1.basis()
-    v1 = generator_integral(sys1, flow1.times[i1], flow1.times[j1], h, nodes,
-                            knot_compose=True)
-    v2 = generator_integral(sys2, flow2.times[i2], flow2.times[j2], h, nodes,
-                            knot_compose=True)
+    v1 = generator_integral(sys1, flow1.times[i1], flow1.times[j1], h, knot_compose=True)
+    v2 = generator_integral(sys2, flow2.times[i2], flow2.times[j2], h, knot_compose=True)
     return float(np.max(np.abs(v1 - v2)))
 
 
@@ -432,8 +403,7 @@ def ordering_slots(ord1: ConsistentOrdering, ord2: ConsistentOrdering) -> list[i
 
 
 def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentOrdering,
-                               level: int, nodes: int = GAUSS_NODES,
-                               support_tol: float = 1e-15) -> PermutationIdentityResult:
+                               level: int) -> PermutationIdentityResult:
     """Transport along ordering 1 versus chained transport along ordering 2.
 
     ``level`` 2 compares the law of the first post-minimal increment of
@@ -462,12 +432,12 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
     def gen_int(system, slot: int) -> np.ndarray:
         """Generator integral over the flow leg that ends at 1-based ``slot``."""
         a, b = float(slot - 2), float(slot - 1)
-        xs, ws = gauss_segment(a, b, nodes)
+        xs, ws = gauss_segment(a, b, GAUSS_NODES)
         return sum(w * (system.generator_matrix(v) @ system.matrix(v, b))
                    for v, w in zip(xs, ws))
 
     starts = tuple(int(k) for k, p in sorted(spec.initial_pmf().items())
-                   if p > support_tol and int(k) in f_sys.probe_states)
+                   if p > 1e-15 and int(k) in f_sys.probe_states)
     basis = np.vstack([np.eye(dim), f_sys.states.astype(float)])
 
     def worst(diff: np.ndarray) -> float:

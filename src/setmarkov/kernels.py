@@ -45,6 +45,7 @@ from .generators import (
     EmpiricalFlowSemigroup,
     GaussianFlowSemigroup,
     JumpFlowSemigroup,
+    empirical_success,
 )
 from .grid import CellMeasure, GroundGrid, measure_of
 from .lattice import IndexedSet, Trace
@@ -191,13 +192,8 @@ class EmpiricalKernel(TransitionKernel):
         return tuple(j / self.n for j in range(self.n + 1))
 
     def success_probability(self, B, B2) -> float:
-        inc = measure_of(self.F, B2 - B)
-        if self.corrupted:
-            return min(inc, 1.0)
-        rest = 1.0 - measure_of(self.F, B)
-        if rest <= 1e-15:
-            return 0.0
-        return min(inc / rest, 1.0)
+        return empirical_success(measure_of(self.F, B2 - B), measure_of(self.F, B),
+                                 self.corrupted)
 
     def increment_pmf(self, B, B2, state):
         _require_nested(B, B2)
@@ -325,7 +321,7 @@ class PoissonIncrementKernel(TransitionKernel):
         return stats.poisson.ppf(u, mean) if mean > 0 else np.zeros_like(u)
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow),
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), _poisson_pmf,
                                  start_mass_cap=_start_cap(self, flow))
 
     def describe_initial(self, min_set=None) -> str:
@@ -395,8 +391,9 @@ class CompoundPoissonKernel(TransitionKernel):
         return pmf_ppf(self.increment_pmf(prev, cur), u)
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self.jump_values,
-                                 self.jump_probs, start_mass_cap=_start_cap(self, flow))
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._pmf_of_mean,
+                                 self.jump_values, self.jump_probs,
+                                 start_mass_cap=_start_cap(self, flow))
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":

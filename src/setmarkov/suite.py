@@ -47,6 +47,7 @@ from .verify import (
 
 FD_EPS = (1e-2, 5e-3, 2.5e-3)
 ORDER_BRACKET = (1.5, 3.0)
+FD_ORDER_TOL = 1e-9
 
 
 def _row(name, instance, defect, tolerance):
@@ -60,27 +61,34 @@ def _row(name, instance, defect, tolerance):
 
 
 def _orderings(cfg):
-    """The first ``ordering_cap`` consistent orderings, and how many there are."""
-    cap = int(cfg.experiment.get("ordering_cap", 24))
+    """The first ``ordering_cap`` consistent orderings; their count, '16
+    orderings' or '4 of 16 orderings' when the cap cut some; and the
+    instance suffix that reports a cut (empty when nothing was cut)."""
     orders = enumerate_consistent_orderings(cfg.lattice)
-    return orders[:cap], len(orders)
+    if len(orders) <= cfg.ordering_cap:
+        return orders, f"{len(orders)} orderings", ""
+    counted = f"{cfg.ordering_cap} of {len(orders)} orderings"
+    return orders[:cfg.ordering_cap], counted, ", " + counted
 
 
-def _counted(orders, total) -> str:
-    """'16 orderings', or '4 of 16 orderings' when the cap cut some."""
-    if len(orders) == total:
-        return f"{total} orderings"
-    return f"{len(orders)} of {total} orderings"
+def fd_order(errs) -> tuple[list[float] | None, float]:
+    """Ratios of successive finite-difference residuals and how far the
+    worst lies outside ``ORDER_BRACKET``: (None, 0.0) when every residual is
+    below 1e-12 (exactly linear), a NaN defect when one is not finite."""
+    errs = np.asarray(errs, dtype=float)
+    if (errs < 1e-12).all():
+        return None, 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = errs[:-1] / errs[1:]
+    lo, hi = ORDER_BRACKET
+    gap = np.max([0.0, *(lo - ratios), *(ratios - hi)]) if np.isfinite(errs).all() else math.nan
+    return ratios.tolist(), float(gap)
 
 
 def _fd_order_row(system, h, name, instance):
-    errs = finite_difference_generator_errors(system, 0.25, FD_EPS, h)
-    if max(errs) < 1e-12:
-        return _row(name, instance + " (exactly linear)", 0.0, 1e-9)
-    ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
-    lo, hi = ORDER_BRACKET
-    defect = max(0.0, max(lo - min(ratios), max(ratios) - hi))
-    return _row(name, f"{instance} ratios={['%.3f' % r for r in ratios]}", defect, 1e-9)
+    ratios, defect = fd_order(finite_difference_generator_errors(system, 0.25, FD_EPS, h))
+    note = " (exactly linear)" if ratios is None else f" ratios={['%.3f' % r for r in ratios]}"
+    return _row(name, instance + note, defect, FD_ORDER_TOL)
 
 
 def _finite_state_rows(cfg):
@@ -89,9 +97,7 @@ def _finite_state_rows(cfg):
     mixture = isinstance(spec, MixtureSpec)
     kernel = spec.kernel
     tol = cfg.tolerances
-    orders, total = _orderings(cfg)
-    counted = _counted(orders, total)
-    cut = "" if len(orders) == total else ", " + counted
+    orders, counted, cut = _orderings(cfg)
     states = kernel.probe_states()
 
     # composition law on every prefix triple of every ordering
@@ -211,9 +217,8 @@ def _continuous_rows(cfg):
     kernel = spec.kernel
     tol = cfg.tolerances
     seed = cfg.seed
-    count = int(cfg.experiment.get("mc_samples", 100_000))
-    orders, total = _orderings(cfg)
-    cut = "" if len(orders) == total else ", " + _counted(orders, total)
+    count = cfg.mc_samples
+    orders, _, cut = _orderings(cfg)
     states = kernel.probe_states()
     ordering = spec.ordering
 
@@ -300,26 +305,21 @@ def run_gencheck(cfg, eps_list, tolerance: float | None,
                  ordering_index: int = 0) -> list[dict]:
     kernel = cfg.spec.kernel
     tol = cfg.tolerances
-    orders, total = _orderings(cfg)
+    orders, counted, _ = _orderings(cfg)
     if not 0 <= ordering_index < len(orders):
-        raise ConfigError(f"ordering index {ordering_index} out of range "
-                          f"(have {_counted(orders, total)})")
+        raise ConfigError(f"ordering index {ordering_index} out of range (have {counted})")
     flow = flow_from_ordering(orders[ordering_index], kernel.measure)
     system = system_along_flow(kernel, flow)
     itol = tolerance or tol["quadrature" if kernel.finite_state else "dirichlet_quadrature"]
     rows = []
     h = system.basis()
     errs = finite_difference_generator_errors(system, 0.25, tuple(eps_list), h)
-    if max(errs) < 1e-12:
-        order, passed = 0.0, True
-    elif len(errs) > 1:
-        ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+    ratios, defect = fd_order(errs)
+    order = 0.0 if ratios is None else math.nan
+    if ratios and math.isfinite(defect):
         order = float(np.mean([math.log(r, 2.0) for r in ratios]))
-        passed = all(ORDER_BRACKET[0] <= r <= ORDER_BRACKET[1] for r in ratios)
-    else:
-        order, passed = float("nan"), True
     rows.append({"check": "generator_fd", "residuals": [float(e) for e in errs],
-                 "order_estimate": order, "pass": bool(passed)})
+                 "order_estimate": order, "pass": bool(defect <= FD_ORDER_TOL)})
     resid = integral_identity_residual(system, 0.0, float(flow.times[-1]), h)
     rows.append({"check": "integral_identity", "residuals": [float(resid)],
                  "order_estimate": None, "pass": bool(resid <= itol)})

@@ -22,7 +22,6 @@ import itertools
 
 import numpy as np
 
-from setmarkov.cli import _derived_columns
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
 from setmarkov.generators import generator_integral, system_along_flow
@@ -342,7 +341,7 @@ def ref_sample_csv(config_path, n, seed, path):
     value is Python's ``sum`` of its increments."""
     cfg = load_config(config_path)
     spec = cfg.spec
-    derived = _derived_columns(cfg)
+    derived = cfg.derived_sets
     arr = sample_increments(spec, seed, n)
     kernel = spec.kernel
     groups = [decompose_over_lefts(spec.lefts, mask) for _, mask in derived]

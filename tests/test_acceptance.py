@@ -43,7 +43,7 @@ from setmarkov.generators import (
     permutation_identity_check,
 )
 from setmarkov.grid import measure_of
-from setmarkov.kernels import ck_defect
+from setmarkov.kernels import _poisson_pmf, ck_defect
 from setmarkov.lattice import left_neighbourhoods
 from setmarkov.verify import (
     aligned_increment_samples,
@@ -299,10 +299,10 @@ def test_criterion_7_generators():
     zero_ok = max(errs1) < 1e-12
     ratios_ok = True
     details = []
+    poisson = JumpFlowSemigroup(unit, _poisson_pmf)
     systems = [
         ("empirical n=2", EmpiricalFlowSemigroup(2, unit), np.array([1.0, 0.0, 0.0])),
-        ("poisson", JumpFlowSemigroup(unit),
-         np.cos(np.arange(JumpFlowSemigroup(unit).cap + 1).astype(float))),
+        ("poisson", poisson, np.cos(np.arange(poisson.cap + 1).astype(float))),
         ("gaussian", GaussianFlowSemigroup(unit), math.sin),
         ("dirichlet", DirichletFlowSemigroup(Trace([0.0, 1.0], [1.0, 3.0]), 4.0),
          lambda x: x * x),

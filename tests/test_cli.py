@@ -1,12 +1,14 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
+from setmarkov import suite
 from setmarkov.cli import BLOCK_ROWS, format_rows, main
 from setmarkov.config import load_config
-from setmarkov.generators import generator_matching_defect, system_along_flow
+from setmarkov.generators import Trace, generator_matching_defect, system_along_flow
 from setmarkov.lattice import DiscreteFlow, flow_from_ordering
 
 from helpers import ref_fdd_csv, ref_generator_matching_defect, ref_sample_csv
@@ -66,6 +68,84 @@ def test_bad_field_reports_pointer(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["validate", "--config", cfg]) == 2
     assert "/process/kind" in capsys.readouterr().err
+
+
+GAUSSIAN = dict(BASE, process={"kind": "gaussian", "measure": {"uniform": True}})
+
+
+@pytest.mark.parametrize("command, field, value, pointer", [
+    ("validate", "experiment", {"ordering_cap": 0}, "/experiment/ordering_cap"),
+    ("validate", "experiment", {"ordering_cap": "x"}, "/experiment/ordering_cap"),
+    ("validate", "experiment", {"ordering_cap": -1}, "/experiment/ordering_cap"),
+    ("validate", "experiment", {"mc_samples": 0}, "/experiment/mc_samples"),
+    ("validate", "experiment", {"mc_samples": 1}, "/experiment/mc_samples"),
+    ("validate", "experiment", {"samples": 10}, "/experiment"),
+    ("sample", "experiment", {"derived_sets": 5}, "/experiment/derived_sets"),
+    ("sample", "experiment", {"derived_sets": [{"union": [-1]}]},
+     "/experiment/derived_sets/0/union"),
+    ("validate", "tolerances", {"exact": "abc"}, "/tolerances/exact"),
+    ("validate", "tolerances", [1], "/tolerances"),
+    ("validate", "overrides", {"exact": "abc"}, "/exact"),
+    ("validate", "overrides", [1], "tolerance overrides"),
+])
+def test_malformed_field_exits_2(tmp_path, capsys, command, field, value, pointer):
+    payload = dict(GAUSSIAN)
+    extra = ["--n", "3"] if command == "sample" else []
+    if field == "overrides":
+        overrides = tmp_path / "overrides.json"
+        overrides.write_text(json.dumps(value))
+        extra = ["--tolerance-overrides", str(overrides)]
+    else:
+        payload[field] = value
+    assert main([command, "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "out"), *extra]) == 2
+    assert pointer in capsys.readouterr().err
+
+
+def test_gencheck_dirichlet_past_a_total_mass_of_1035(tmp_path):
+    # total mass 2,000: the Jacobi rules stay finite
+    payload = dict(BASE, process={"kind": "dirichlet", "measure": {"constant": 500}})
+    out = tmp_path / "gen.json"
+    assert main(["gencheck", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert all(math.isfinite(r) for c in checks for r in c["residuals"])
+
+
+class NanSystem:
+    """A flow semigroup whose every probe value is NaN."""
+
+    trace = Trace([0.0, 1.0], [0.0, 1.0])
+
+    def basis(self):
+        return np.eye(2)
+
+    def values(self, h):
+        return np.full(2, np.nan)
+
+    def apply(self, s, t, h):
+        return h
+
+    def apply_generator(self, s, h, side="+"):
+        return h
+
+
+def test_fd_order_rule():
+    assert suite.fd_order([1e-13, 1e-14]) == (None, 0.0)
+    assert suite.fd_order([4.0, 2.0, 1.0]) == ([2.0, 2.0], 0.0)
+    assert suite.fd_order([4.0, 1.0]) == ([4.0], 1.0)
+    for errs in ([math.nan], [4.0, math.nan, 1.0], [math.inf, 1.0]):
+        assert math.isnan(suite.fd_order(errs)[1])
+
+
+def test_nan_residuals_fail_validate_and_gencheck(tmp_path, monkeypatch):
+    monkeypatch.setattr(suite, "system_along_flow", lambda kernel, flow: NanSystem())
+    cfg = load_config(write_config(tmp_path, BASE))
+    rows = {r["name"]: r for r in suite.run_validation_suite(cfg)}
+    assert not rows["generator_fd_order"]["pass"]
+    assert not rows["integral_identity"]["pass"]
+    for row in suite.run_gencheck(cfg, suite.FD_EPS, None):
+        assert not row["pass"]
 
 
 def test_sample_deterministic_and_in_support(tmp_path):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +12,16 @@ from setmarkov import (
     EmpiricalKernel,
     FddSpec,
     GaussianIncrementKernel,
+    GroundGrid,
     IndexedSet,
     PoissonIncrementKernel,
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
+from setmarkov.config import load_config
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.generators import (
+    JACOBI_ORDER,
     DirichletFlowSemigroup,
     EmpiricalFlowSemigroup,
     GaussianFlowSemigroup,
@@ -30,7 +35,9 @@ from setmarkov.generators import (
     permutation_identity_check,
     system_along_flow,
 )
+from setmarkov.kernels import _poisson_pmf
 from setmarkov.lattice import DiscreteFlow
+from setmarkov.quadrature import jacobi01, jacobi01_raw
 
 from helpers import ref_generator_matching_defect, ref_permutation_identity_check
 
@@ -38,6 +45,14 @@ from helpers import ref_generator_matching_defect, ref_permutation_identity_chec
 @pytest.fixture
 def unit_trace():
     return Trace([0.0, 1.0], [0.0, 1.0])
+
+
+def compound_semigroup(trace, values, probs, start_mass_cap=0):
+    """The jump semigroup on ``trace`` with the step law of a compound
+    poisson kernel with these jumps."""
+    kernel = CompoundPoissonKernel(CellMeasure(GroundGrid((1, 1)), [1.0]), values, probs)
+    return JumpFlowSemigroup(trace, kernel._pmf_of_mean, values, probs,
+                             start_mass_cap=start_mass_cap)
 
 
 class TestTrace:
@@ -106,7 +121,7 @@ class TestFiniteDifferenceOrder:
             assert 1.5 <= a / b <= 3.0
 
     def test_poisson_first_order(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace)
+        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
         h = np.cos(np.arange(sg.cap + 1).astype(float))
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2, 5e-3, 2.5e-3], h)
         for a, b in zip(errs, errs[1:]):
@@ -127,7 +142,7 @@ class TestFiniteDifferenceOrder:
             assert 1.5 <= a / b <= 3.0
 
     def test_constant_function_vanishes(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace)
+        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
         h = np.ones(sg.cap + 1)
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2], h)
         assert errs[0] < 1e-12
@@ -135,7 +150,7 @@ class TestFiniteDifferenceOrder:
 
 class TestClosedFormGenerators:
     def test_poisson_constant_h_is_zero(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace)
+        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
         g = closed_form_generator(sg, 0.25, np.ones(sg.cap + 1))
         assert np.max(np.abs(sg.values(g))) == 0.0
 
@@ -153,7 +168,7 @@ class TestClosedFormGenerators:
         assert g(0.3) == pytest.approx(1.0, abs=1e-8)  # 0.5 * slope * h'' = 0.5*1*2
 
     def test_compound_poisson_difference_form(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, (1, 2), (0.25, 0.75))
+        sg = compound_semigroup(unit_trace, (1, 2), (0.25, 0.75))
         h = np.zeros(sg.cap + 1)
         h[2] = 1.0
         g = closed_form_generator(sg, 0.25, h)
@@ -171,7 +186,7 @@ class TestClosedFormGenerators:
         assert plus[0] != pytest.approx(minus[0])
 
     def test_jump_rows_substochastic(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, (1, 2), (0.5, 0.5))
+        sg = compound_semigroup(unit_trace, (1, 2), (0.5, 0.5))
         M = sg.matrix(0.0, 1.0)
         sums = M.sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-12)
@@ -247,7 +262,7 @@ class TestGeneratorMatching:
 
     def test_matrix_basis_is_the_identity(self, unit_trace):
         for sg in (EmpiricalFlowSemigroup(9, unit_trace),
-                   JumpFlowSemigroup(unit_trace, (1, 2), (0.5, 0.5), start_mass_cap=3)):
+                   compound_semigroup(unit_trace, (1, 2), (0.5, 0.5), start_mass_cap=3)):
             assert len(sg.states) > 6
             assert np.array_equal(sg.basis(), np.eye(len(sg.states)))
 
@@ -409,7 +424,7 @@ class TestSemigroupProperty:
         assert gap < 1e-9
 
     def test_poisson(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace)
+        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
         h = np.cos(np.arange(sg.cap + 1).astype(float))
         two_step = sg.apply(0.1, 0.4, sg.apply(0.4, 0.8, h))
         direct = sg.apply(0.1, 0.8, h)
@@ -476,3 +491,58 @@ class TestSystemAlongFlow:
         pmf = k.step_pmf(flow.stages[0], flow.stages[2], 0)
         for j, p in pmf.items():
             assert M[0, j] == pytest.approx(p, abs=1e-12)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+class TestFlowSemigroupsUseTheKernelLaw:
+    @pytest.mark.parametrize("name", ["poisson_lattice4", "compound_lattice3",
+                                      "compound_staircase", "empirical10_staircase",
+                                      "corrupted_lattice3"])
+    def test_knot_rows_are_the_step_pmf(self, name):
+        # the exact tables and the generator rows read one step law
+        spec = load_config(str(CONFIGS / f"{name}.json")).spec
+        kernel = spec.kernel
+        flow = flow_from_ordering(spec.ordering, kernel.measure)
+        system = system_along_flow(kernel, flow)
+        worst = 0.0
+        for i, j in itertools.combinations_with_replacement(range(len(flow.times)), 2):
+            M = system.matrix(flow.times[i], flow.times[j])
+            for x in system.probe_states:
+                want = np.zeros(len(system.states))
+                for y, p in kernel.step_pmf(flow.stages[i], flow.stages[j], int(x)).items():
+                    want[int(round(y))] += p
+                worst = max(worst, float(np.max(np.abs(M[x] - want))))
+        assert worst <= 1e-15
+
+
+class TestJacobiRules:
+    @pytest.mark.parametrize("c", [0.5, 3.0, 1100.0, 5000.0])
+    @pytest.mark.parametrize("a", [1.0, 2.5])
+    def test_beta_rule_moments(self, a, c):
+        y, w = jacobi01(JACOBI_ORDER, a, c)
+        want = [1.0, a / (a + c), a * (a + 1) / ((a + c) * (a + c + 1))]
+        for k, m in enumerate(want):
+            assert abs(w @ y**k / m - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("c", [0.5, 3.0, 1100.0, 5000.0])
+    def test_raw_rule_moments(self, c):
+        u, w = jacobi01_raw(JACOBI_ORDER, c)
+        want = [1 / c, 1 / (c * (c + 1)), 2 / (c * (c + 1) * (c + 2))]
+        for k, m in enumerate(want):
+            assert abs(w @ u**k / m - 1.0) < 1e-13
+
+    def test_semigroup_past_a_total_mass_of_1035(self):
+        sg = DirichletFlowSemigroup(Trace([0.0, 1.0], [50.0, 100.0]), 1100.0)
+        assert integral_identity_residual(sg, 0.0, 1.0, sg.basis()) < 1e-10
+
+
+class TestDirichletBoundaryState:
+    def test_operators_at_one(self):
+        sg = DirichletFlowSemigroup(Trace([0.0, 1.0], [1.0, 3.0]), 4.0)
+        for h in (lambda x: x * x, math.cos):
+            for s, t in ((0.0, 0.5), (0.25, 1.0), (0.0, 1.0)):
+                assert abs(sg.apply(s, t, h)(1.0) - h(1.0)) <= 1e-15
+            for s in (0.0, 0.5, 0.75):
+                assert sg.apply_generator(s, h)(1.0) == 0.0
