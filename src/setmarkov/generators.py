@@ -5,8 +5,9 @@ A flow turns the set-indexed kernel into a one-parameter family of
 transition operators driven entirely by the measure trace t -> m(f(t))
 (piecewise linear between knots, ``lattice.Trace``).  Finite-state kinds are
 represented by matrices; the gaussian and dirichlet kinds by quadrature
-applied to callables (the Gauss-Hermite, resp. Gauss-Jacobi rules of
-``quadrature``).  Each kernel builds its own semigroup (``flow_semigroup``).
+(the Gauss-Hermite, resp. Gauss-Jacobi rules of ``quadrature``) applied to
+test functions that are elementwise on float64 arrays, one array call per
+rule.  Each kernel builds its own semigroup (``flow_semigroup``).
 
 Checks provided:
 
@@ -54,12 +55,15 @@ class MatrixSemigroup:
 
 
 class QuadratureSemigroup:
-    """Operators acting on callables, read off at fixed probe points."""
+    """Operators acting on test functions that are elementwise on float64
+    arrays of any shape, like numpy ufuncs, read off at fixed probe points.
+    ``apply`` and ``apply_generator`` return such functions: they broadcast
+    the argument over a trailing node axis and contract it with the weights."""
 
     finite_state = False
 
     def values(self, h):
-        return np.asarray([h(x) for x in self.probes])
+        return h(self.probes)
 
 
 def empirical_success(gain: float, covered: float, corrupted: bool) -> float:
@@ -166,9 +170,9 @@ def _fill_band(M: np.ndarray, offset: int, value: float) -> None:
 
 class GaussianFlowSemigroup(QuadratureSemigroup):
     """Heat semigroup along a flow: convolution with a centered normal whose
-    variance is the trace increment.  Transition operators act on callables
-    via Gauss-Hermite quadrature; the generator is half the trace slope times
-    a centered second difference with a fixed fine stencil."""
+    variance is the trace increment.  Transition operators act on array test
+    functions via Gauss-Hermite quadrature; the generator is half the trace
+    slope times a centered second difference with a fixed fine stencil."""
 
     def __init__(self, trace: Trace):
         self.trace = trace
@@ -181,11 +185,7 @@ class GaussianFlowSemigroup(QuadratureSemigroup):
             return h
         sd = math.sqrt(var)
         z, w = hermite()
-
-        def out(x):
-            return float(np.dot(w, [h(x + sd * zz) for zz in z]))
-
-        return out
+        return lambda x: h(np.asarray(x, dtype=float)[..., None] + sd * z) @ w
 
     def apply_generator(self, s, h, side="+"):
         slope = self.trace.slope(s, side)
@@ -226,11 +226,12 @@ class DirichletFlowSemigroup(QuadratureSemigroup):
         if a == 0.0:
             return h
         if c <= 0.0:
-            return lambda x: h(1.0)
+            return lambda x: np.full(np.shape(x), h(1.0))
         y, w = jacobi01(JACOBI_ORDER, a, c)
 
         def out(x):
-            return float(np.dot(w, [h(x + (1.0 - x) * yy) for yy in y]))
+            x = np.asarray(x, dtype=float)[..., None]
+            return h(x + (1.0 - x) * y) @ w
 
         return out
 
@@ -242,8 +243,8 @@ class DirichletFlowSemigroup(QuadratureSemigroup):
         u, w = jacobi01_raw(JACOBI_ORDER, c)
 
         def out(x):
-            scale, hx = 1.0 - x, h(x)
-            return rate * float(np.dot(w, [(h(x + scale * uu) - hx) / uu for uu in u]))
+            x = np.asarray(x, dtype=float)[..., None]
+            return rate * (((h(x + (1.0 - x) * u) - h(x)) / u) @ w)
 
         return out
 

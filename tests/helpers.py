@@ -11,6 +11,10 @@ the reference for the matrix algebra of ``generators.permutation_identity_check`
 ``ref_generator_matching_defect`` takes one state indicator per generator
 integral: the reference for the identity-basis call of
 ``generators.generator_matching_defect``.
+``ref_gaussian_apply``, ``ref_dirichlet_apply`` and their ``_generator``
+partners evaluate the quadrature operators one point and one node at a
+time: the reference for the array path of the gaussian and dirichlet flow
+semigroups.
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
@@ -19,14 +23,20 @@ row by row through ``csv.writer``: the reference for the block writer of
 import csv
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
-from setmarkov.generators import generator_integral, system_along_flow
+from setmarkov.generators import (
+    GAUSS_STENCIL,
+    JACOBI_ORDER,
+    generator_integral,
+    system_along_flow,
+)
 from setmarkov.lattice import flow_from_ordering
-from setmarkov.quadrature import gauss_segment
+from setmarkov.quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
 
 
 def brute_force_orderings(masks):
@@ -333,6 +343,54 @@ def ref_generator_matching_defect(kernel, flow1, span1, flow2, span2):
                                 knot_compose=True)
         worst = max(worst, float(np.max(np.abs(v1 - v2))))
     return worst
+
+
+def ref_gaussian_apply(system, s, t, h):
+    """``GaussianFlowSemigroup.apply`` as a scalar function: one call of
+    ``h`` per Hermite node."""
+    var = max(system.trace(t) - system.trace(s), 0.0)
+    if var == 0.0:
+        return h
+    sd = math.sqrt(var)
+    z, w = hermite()
+    return lambda x: float(np.dot(w, [h(x + sd * zz) for zz in z]))
+
+
+def ref_gaussian_apply_generator(system, s, h, side="+"):
+    """``GaussianFlowSemigroup.apply_generator`` as a scalar function."""
+    slope = system.trace.slope(s, side)
+    d = GAUSS_STENCIL
+    return lambda x: 0.5 * slope * (h(x + d) - 2.0 * h(x) + h(x - d)) / (d * d)
+
+
+def ref_dirichlet_apply(system, s, t, h):
+    """``DirichletFlowSemigroup.apply`` as a scalar function: one call of
+    ``h`` per Jacobi node."""
+    a = max(system.trace(t) - system.trace(s), 0.0)
+    c = system.alpha_total - system.trace(t)
+    if a == 0.0:
+        return h
+    if c <= 0.0:
+        return lambda x: h(1.0)
+    y, w = jacobi01(JACOBI_ORDER, a, c)
+    return lambda x: float(np.dot(w, [h(x + (1.0 - x) * yy) for yy in y]))
+
+
+def ref_dirichlet_apply_generator(system, s, h, side="+"):
+    """``DirichletFlowSemigroup.apply_generator`` as a scalar function."""
+    rate = system.trace.slope(s, side)
+    u, w = jacobi01_raw(JACOBI_ORDER, system.alpha_total - system.trace(s))
+
+    def out(x):
+        scale, hx = 1.0 - x, h(x)
+        return rate * float(np.dot(w, [(h(x + scale * uu) - hx) / uu for uu in u]))
+
+    return out
+
+
+def pointwise(f, x):
+    """A scalar function evaluated at every entry of the array ``x``."""
+    return np.array([f(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
 
 
 def ref_sample_csv(config_path, n, seed, path):

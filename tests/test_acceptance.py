@@ -303,7 +303,7 @@ def test_criterion_7_generators():
     systems = [
         ("empirical n=2", EmpiricalFlowSemigroup(2, unit), np.array([1.0, 0.0, 0.0])),
         ("poisson", poisson, np.cos(np.arange(poisson.cap + 1).astype(float))),
-        ("gaussian", GaussianFlowSemigroup(unit), math.sin),
+        ("gaussian", GaussianFlowSemigroup(unit), np.sin),
         ("dirichlet", DirichletFlowSemigroup(Trace([0.0, 1.0], [1.0, 3.0]), 4.0),
          lambda x: x * x),
     ]

@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import setmarkov
 from setmarkov import suite
 from setmarkov.cli import BLOCK_ROWS, format_rows, main
 from setmarkov.config import load_config
@@ -25,6 +30,18 @@ def write_config(tmp_path, payload, name="config.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(setmarkov.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-m", "setmarkov", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: setmarkov")
+    for command in ("validate", "sample", "fdd", "gencheck"):
+        assert command in out.stdout
 
 
 def test_validate_passes_on_builtin(tmp_path, capsys):

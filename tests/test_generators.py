@@ -1,5 +1,4 @@
 import itertools
-import math
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +36,18 @@ from setmarkov.generators import (
 )
 from setmarkov.kernels import _poisson_pmf
 from setmarkov.lattice import DiscreteFlow
-from setmarkov.quadrature import jacobi01, jacobi01_raw
+from setmarkov.quadrature import hermite, jacobi01, jacobi01_raw
+from setmarkov.suite import run_validation_suite
 
-from helpers import ref_generator_matching_defect, ref_permutation_identity_check
+from helpers import (
+    pointwise,
+    ref_dirichlet_apply,
+    ref_dirichlet_apply_generator,
+    ref_gaussian_apply,
+    ref_gaussian_apply_generator,
+    ref_generator_matching_defect,
+    ref_permutation_identity_check,
+)
 
 
 @pytest.fixture
@@ -130,7 +138,7 @@ class TestFiniteDifferenceOrder:
     def test_gaussian_first_order(self, unit_trace):
         sg = GaussianFlowSemigroup(unit_trace)
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2, 5e-3, 2.5e-3],
-                                                  math.sin)
+                                                  np.sin)
         for a, b in zip(errs, errs[1:]):
             assert 1.5 <= a / b <= 3.0
 
@@ -196,8 +204,8 @@ class TestClosedFormGenerators:
         # legs with no trace growth transport states unchanged
         tr = Trace([0.0, 1.0, 2.0], [0.0, 0.5, 0.5])
         sg = GaussianFlowSemigroup(tr)
-        out = sg.apply(1.0, 2.0, math.sin)
-        assert out is math.sin or np.allclose(sg.values(out), sg.values(math.sin))
+        out = sg.apply(1.0, 2.0, np.sin)
+        assert out is np.sin or np.allclose(sg.values(out), sg.values(np.sin))
         se = EmpiricalFlowSemigroup(2, tr)
         assert np.allclose(se.matrix(1.0, 2.0), np.eye(3))
 
@@ -219,7 +227,7 @@ class TestIntegralIdentity:
 
     def test_gaussian(self, unit_trace):
         sg = GaussianFlowSemigroup(unit_trace)
-        assert integral_identity_residual(sg, 0.0, 1.0, math.sin) < 1e-5
+        assert integral_identity_residual(sg, 0.0, 1.0, np.sin) < 1e-5
 
     def test_multi_leg_empirical(self, lattice6, uniform4):
         spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4))
@@ -432,8 +440,8 @@ class TestSemigroupProperty:
 
     def test_gaussian(self, unit_trace):
         sg = GaussianFlowSemigroup(unit_trace)
-        two_step = sg.apply(0.1, 0.4, sg.apply(0.4, 0.8, math.sin))
-        direct = sg.apply(0.1, 0.8, math.sin)
+        two_step = sg.apply(0.1, 0.4, sg.apply(0.4, 0.8, np.sin))
+        direct = sg.apply(0.1, 0.8, np.sin)
         assert np.max(np.abs(sg.values(two_step) - sg.values(direct))) < 1e-9
 
     def test_dirichlet(self):
@@ -541,8 +549,132 @@ class TestJacobiRules:
 class TestDirichletBoundaryState:
     def test_operators_at_one(self):
         sg = DirichletFlowSemigroup(Trace([0.0, 1.0], [1.0, 3.0]), 4.0)
-        for h in (lambda x: x * x, math.cos):
+        for h in (lambda x: x * x, np.cos):
             for s, t in ((0.0, 0.5), (0.25, 1.0), (0.0, 1.0)):
                 assert abs(sg.apply(s, t, h)(1.0) - h(1.0)) <= 1e-15
             for s in (0.0, 0.5, 0.75):
                 assert sg.apply_generator(s, h)(1.0) == 0.0
+
+
+# a 2-D grid of points, so the array path must keep the shape of its argument
+GRID_X = np.linspace(0.0, 0.9, 12).reshape(3, 4)
+
+
+def _assert_matches_loop(array_fn, loop_fn, x=GRID_X):
+    out = array_fn(x)
+    assert np.shape(out) == np.shape(x)
+    assert np.max(np.abs(out - pointwise(loop_fn, x))) <= 1e-14
+
+
+class TestArrayQuadratureAgainstLoop:
+    """The broadcast operators of the quadrature semigroups against the
+    scalar loop over nodes, one point at a time."""
+
+    def test_gaussian(self):
+        sg = GaussianFlowSemigroup(Trace([0.0, 1.0, 2.0], [0.0, 0.5, 1.5]))
+        for s, t in ((0.0, 1.0), (0.25, 2.0), (1.5, 2.0)):
+            _assert_matches_loop(sg.apply(s, t, np.sin),
+                                 ref_gaussian_apply(sg, s, t, np.sin))
+        for v in (0.25, 1.0):
+            _assert_matches_loop(sg.apply_generator(v, np.cos),
+                                 ref_gaussian_apply_generator(sg, v, np.cos))
+        # nested operators broadcast over two node axes (the generator of a
+        # transported function is left out: its 1/512 stencil scales the
+        # last-bit gaps of the inner sum by 512**2)
+        _assert_matches_loop(
+            sg.apply(0.25, 0.5, sg.apply(0.5, 2.0, np.cos)),
+            ref_gaussian_apply(sg, 0.25, 0.5, ref_gaussian_apply(sg, 0.5, 2.0, np.cos)))
+
+    def test_gaussian_flat_leg(self):
+        # var == 0: the operator is the identity and returns h itself
+        sg = GaussianFlowSemigroup(Trace([0.0, 1.0, 2.0], [0.0, 0.5, 0.5]))
+        _assert_matches_loop(sg.apply(1.0, 2.0, np.sin),
+                             ref_gaussian_apply(sg, 1.0, 2.0, np.sin))
+
+    def test_dirichlet(self):
+        sg = DirichletFlowSemigroup(Trace([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), 4.0)
+        h = lambda x: x * x
+        for s, t in ((0.0, 1.0), (0.25, 2.0), (1.5, 2.0)):
+            _assert_matches_loop(sg.apply(s, t, h), ref_dirichlet_apply(sg, s, t, h))
+            _assert_matches_loop(sg.apply(s, t, np.cos),
+                                 ref_dirichlet_apply(sg, s, t, np.cos))
+        for v in (0.25, 1.0, 1.5):
+            _assert_matches_loop(sg.apply_generator(v, h),
+                                 ref_dirichlet_apply_generator(sg, v, h))
+        # nested operators broadcast over two node axes, as generator_integral
+        # nests them
+        _assert_matches_loop(
+            sg.apply(0.25, 0.5, sg.apply(0.5, 2.0, h)),
+            ref_dirichlet_apply(sg, 0.25, 0.5, ref_dirichlet_apply(sg, 0.5, 2.0, h)))
+        _assert_matches_loop(
+            sg.apply_generator(0.5, sg.apply(0.5, 2.0, h)),
+            ref_dirichlet_apply_generator(sg, 0.5, ref_dirichlet_apply(sg, 0.5, 2.0, h)))
+
+    def test_dirichlet_exhausted_complement(self):
+        # c <= 0: every state moves to 1, so h(1) broadcast to the shape of x
+        sg = DirichletFlowSemigroup(Trace([0.0, 1.0], [1.0, 4.0]), 4.0)
+        for h in (lambda x: x * x, np.cos):
+            out = sg.apply(0.0, 1.0, h)
+            _assert_matches_loop(out, ref_dirichlet_apply(sg, 0.0, 1.0, h))
+            assert np.all(out(GRID_X) == h(1.0))
+
+
+class WideGaussianFlowSemigroup(GaussianFlowSemigroup):
+    """Negative control: the step from s to t has variance lambda(B') instead
+    of lambda(B' minus B), i.e. trace(t) instead of trace(t) - trace(s)."""
+
+    def apply(self, s, t, h):
+        sd = np.sqrt(self.trace(t))
+        z, w = hermite()
+        return lambda x: h(np.asarray(x, dtype=float)[..., None] + sd * z) @ w
+
+
+class ShortComplementDirichletFlowSemigroup(DirichletFlowSemigroup):
+    """Negative control: the step from s to t draws Beta(alpha(B' minus B),
+    alpha(B complement)) instead of Beta(..., alpha(B' complement)), i.e. its
+    complement mass is total - trace(s) instead of total - trace(t)."""
+
+    def apply(self, s, t, h):
+        a = max(self.trace(t) - self.trace(s), 0.0)
+        if a == 0.0:
+            return h
+        y, w = jacobi01(JACOBI_ORDER, a, self.alpha_total - self.trace(s))
+
+        def out(x):
+            x = np.asarray(x, dtype=float)[..., None]
+            return h(x + (1.0 - x) * y) @ w
+
+        return out
+
+
+MUTANTS = {
+    "gaussian_staircase": lambda kernel, flow: WideGaussianFlowSemigroup(
+        Trace.along_flow(kernel.lam, flow)),
+    "dirichlet_staircase": lambda kernel, flow: ShortComplementDirichletFlowSemigroup(
+        Trace.along_flow(kernel.alpha, flow), kernel.alpha.total),
+}
+
+
+class TestContinuousNegativeControls:
+    """The continuous generator rows reject a semigroup with the wrong step
+    law; the true semigroup passes them."""
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_integral_identity_rejects_mutant(self, name):
+        cfg = load_config(str(CONFIGS / f"{name}.json"))
+        kernel = cfg.spec.kernel
+        flow = flow_from_ordering(cfg.spec.ordering, kernel.measure)
+        tol = cfg.tolerances["dirichlet_quadrature"]
+        t_end = float(flow.times[-1])
+        true_sys = kernel.flow_semigroup(flow)
+        mutant = MUTANTS[name](kernel, flow)
+        assert integral_identity_residual(true_sys, 0.0, t_end, true_sys.basis()) <= tol
+        assert integral_identity_residual(mutant, 0.0, t_end, mutant.basis()) > tol
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_validate_fails_on_mutant(self, name, monkeypatch):
+        cfg = load_config(str(CONFIGS / f"{name}.json"))
+        cfg.mc_samples = 2_000  # the Monte Carlo rows do not read the semigroup
+        monkeypatch.setattr(type(cfg.spec.kernel), "flow_semigroup", MUTANTS[name])
+        rows = {r["name"]: r for r in run_validation_suite(cfg)}
+        assert not rows["integral_identity"]["pass"]
