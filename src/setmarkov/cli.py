@@ -146,17 +146,15 @@ def cmd_fdd(args) -> int:
     cfg = load_config(args.config)
     spec = cfg.spec
     try:
-        law = exact_fdd(spec)
+        law = exact_fdd(spec).sorted()
     except UnsupportedKernelError as e:
         print(f"unsupported: {e}", file=sys.stderr)
         return EXIT_USAGE
     kernel = spec.kernel
-    # the keys are unique, so this is the order of sorted(law.table)
-    order = np.lexsort(law.keys.T[::-1])
 
     def rows():
-        for s in range(0, len(order), BLOCK_ROWS):
-            part = order[s:s + BLOCK_ROWS]
+        for s in range(0, len(law.probs), BLOCK_ROWS):
+            part = slice(s, s + BLOCK_ROWS)
             yield np.column_stack([kernel.display(law.keys[part]), law.probs[part]])
 
     _write_csv(args.out, list(law.labels) + ["probability"], rows(), kernel.finite_state)

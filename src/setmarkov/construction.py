@@ -219,11 +219,21 @@ class JointLaw:
         labels = labels or tuple(f"S{i}" for i in range(len(groups)))
         return self._merged(self.group_sums(groups), tuple(labels), sets)
 
+    def sorted(self) -> "JointLaw":
+        """The same law with its rows in lexicographic key order (first
+        column most significant): the order of ``sorted(self.table)``."""
+        order = np.lexsort(self.keys.T[::-1])
+        # gathered column by column, so the result is already in Fortran order
+        keys = self.keys.T.take(order, axis=1).T
+        return JointLaw(self.labels, self.sets, keys, self.probs[order])
+
     def tv(self, other: "JointLaw") -> float:
         """Total variation distance (sup over events) to a law of as many
-        variables."""
+        variables; equal key matrices (no row repeats) compare row by row."""
         if self.keys.shape[1] != other.keys.shape[1]:
             raise ConfigError("laws over different numbers of variables")
+        if np.array_equal(self.keys, other.keys):
+            return 0.5 * float(np.abs(self.probs - other.probs).sum())
         ids, _ = group_rows(np.concatenate([self.keys.T, other.keys.T], axis=1).T)
         diff = np.bincount(ids, weights=np.concatenate([self.probs, -other.probs]))
         return 0.5 * float(np.abs(diff).sum())

@@ -78,17 +78,14 @@ class FinitePmf(Distribution):
         return f"FinitePmf({dict(zip(self.values, self.probs))})"
 
 
-def binomial_pmf(trials: int, p: float, shift: int = 0) -> FinitePmf:
-    """Exact binomial pmf over shift..shift+trials."""
+def binomial_pmf(trials: int, p: float) -> FinitePmf:
+    """Exact binomial pmf over 0..trials."""
     if not 0.0 <= p <= 1.0 + 1e-12:
         raise ConfigError(f"binomial success probability {p} outside [0, 1]")
     p = min(p, 1.0)
     q = 1.0 - p
-    vals, probs = [], []
-    for j in range(trials + 1):
-        vals.append(shift + j)
-        probs.append(math.comb(trials, j) * p**j * q ** (trials - j))
-    return FinitePmf(vals, probs)
+    counts = range(trials + 1)
+    return FinitePmf(counts, [math.comb(trials, j) * p**j * q ** (trials - j) for j in counts])
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,9 @@ class TwoStage(Distribution):
     final value from ``second_of(y)``.  The cdf integrates the second-stage
     cdf against the first-stage law: Gauss-Hermite when both stages are
     normal and the second is not much narrower than the first, adaptive
-    quadrature (abs tol 1e-8) otherwise, point masses exactly."""
+    quadrature (abs tol 1e-8) otherwise, point masses exactly.  A normal
+    first stage has positive variance: ``compose_kernels`` returns early on a
+    leg of zero measure."""
 
     def __init__(self, first: Distribution, second_of):
         self.first = first
@@ -184,13 +183,7 @@ class TwoStage(Distribution):
         first = self.first
         if isinstance(first, PointMass):
             return self.second_of(first.value).cdf(z)
-        if isinstance(first, FinitePmf):
-            return float(
-                sum(p * self.second_of(v).cdf(z) for v, p in zip(first.values, first.probs))
-            )
         if isinstance(first, NormalLaw):
-            if first.var == 0:
-                return self.second_of(first.mean).cdf(z)
             second = self.second_of(first.mean)
             if isinstance(second, NormalLaw) and second.var >= HERMITE_MIN_VAR_SHARE * first.var:
                 nodes, weights = hermite()

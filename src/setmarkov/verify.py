@@ -104,21 +104,6 @@ def _joint_masses(a: np.ndarray, t: np.ndarray, nt: int, p: np.ndarray):
     return codes, np.bincount(inverse, weights=p)
 
 
-def align_variables(lefts_a, lefts_b) -> tuple[int, ...]:
-    """perm with lefts_b.sets[perm[i]] equal (as a set) to lefts_a.sets[i]."""
-    used = [False] * len(lefts_b.sets)
-    perm = []
-    for c in lefts_a.sets:
-        for j, d in enumerate(lefts_b.sets):
-            if not used[j] and d.mask == c.mask:
-                used[j] = True
-                perm.append(j)
-                break
-        else:
-            raise ConfigError("left neighbourhood multisets differ between orderings")
-    return tuple(perm)
-
-
 def canonical_variable_order(ordering: ConsistentOrdering) -> tuple[int, ...]:
     """Column permutation putting the ordering's left neighbourhoods into the
     ordering-independent (popcount, mask) order."""
@@ -178,10 +163,15 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     """Invariance of the increment joint law under the choice of consistent
     ordering, worst over every pair of ``orderings``.
 
-    Finite-state kernels give the largest exact TV distance.  Otherwise
-    Monte Carlo with mc=(seed, count): the probe events take their
-    thresholds from the first ordering's samples, and the result is the
-    ``McDefect`` of the pair with the most standard errors.
+    Both routes take the variables in ``canonical_variable_order``.  Left
+    neighbourhoods do not depend on the ordering
+    (``lattice.ordering_free_left_neighbourhood``), so once the orderings
+    share a lattice they share every variable.  Finite-state kernels give
+    the largest exact TV distance between laws brought to that order and to
+    sorted rows once each.  Otherwise Monte Carlo with mc=(seed, count): the
+    probe events take their thresholds from the first ordering's samples,
+    and the result is the ``McDefect`` of the pair with the most standard
+    errors.
     """
     lattice = orderings[0].lattice
     if any(o.lattice is not lattice and o.lattice.members != lattice.members
@@ -189,10 +179,9 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
         raise ConfigError("orderings do not order the same lattice")
     pairs = [(i, j) for i in range(len(orderings)) for j in range(i + 1, len(orderings))]
     if spec.kernel.finite_state and mc is None:
-        laws = [exact_fdd(spec.with_ordering(o)) for o in orderings]
-        lefts = [left_neighbourhoods(o) for o in orderings]
-        return max((laws[i].tv(laws[j].permuted(align_variables(lefts[i], lefts[j])))
-                    for i, j in pairs), default=0.0)
+        laws = [exact_fdd(spec.with_ordering(o)).permuted(canonical_variable_order(o)).sorted()
+                for o in orderings]
+        return max((laws[i].tv(laws[j]) for i, j in pairs), default=0.0)
     if mc is None:
         raise UnsupportedKernelError(
             f"{spec.kernel.kind} kernel needs mc=(seed, count) for this check"
@@ -221,8 +210,7 @@ def _sub_spec(spec, lattice):
     return FddSpec(lattice, spec.kernel, None, spec.initial)
 
 
-def set_markov_defect(spec, A: IndexedSet, B, partition,
-                      min_prob: float = MIN_CONDITION_PROB) -> ConditionalCheck:
+def set_markov_defect(spec, A: IndexedSet, B, partition) -> ConditionalCheck:
     """Conditional independence of the increment over A minus B from the
     history of B (observed through the given partition) given the value at B.
 
@@ -238,11 +226,10 @@ def set_markov_defect(spec, A: IndexedSet, B, partition,
     target_idx = decompose_over_lefts(lefts, A.mask & ~b_mask)
     part_idx = [decompose_over_lefts(lefts, p) for p in partition]
     b_idx = decompose_over_lefts(lefts, b_mask)
-    return conditional_independence_defect(law, [target_idx], part_idx, [b_idx], min_prob)
+    return conditional_independence_defect(law, [target_idx], part_idx, [b_idx])
 
 
-def increment_vector_independence_defect(spec, B, a_list,
-                                         min_prob: float = MIN_CONDITION_PROB) -> ConditionalCheck:
+def increment_vector_independence_defect(spec, B, a_list) -> ConditionalCheck:
     """Joint version: the vector of increments over A_i minus B is
     conditionally independent of all of B's increment history given the
     value at B."""
@@ -255,11 +242,10 @@ def increment_vector_independence_defect(spec, B, a_list,
     target_groups = [decompose_over_lefts(lefts, a.mask & ~b_mask) for a in a_list]
     hist_idx = [i for i, c in enumerate(lefts.sets) if c.mask and c.mask & ~b_mask == 0]
     return conditional_independence_defect(law, target_groups, [[i] for i in hist_idx],
-                                           [hist_idx], min_prob)
+                                           [hist_idx])
 
 
-def flow_markov_defect(spec, flow: DiscreteFlow,
-                       min_prob: float = MIN_CONDITION_PROB) -> ConditionalCheck:
+def flow_markov_defect(spec, flow: DiscreteFlow) -> ConditionalCheck:
     """Classical Markov property of the process transported along the flow:
     at every knot, the next stage value depends on the past stages only
     through the current one.  Maximized over all knot pairs s < t."""
@@ -269,8 +255,7 @@ def flow_markov_defect(spec, flow: DiscreteFlow,
     defect, skipped, events = 0.0, 0, 0
     for t in range(1, len(stage)):
         for s in range(t):
-            c = conditional_independence_defect(law, [stage[t]], stage[: s + 1],
-                                                [stage[s]], min_prob)
+            c = conditional_independence_defect(law, [stage[t]], stage[: s + 1], [stage[s]])
             defect = max(defect, c.defect)
             skipped += c.skipped
             events += c.events

@@ -6,6 +6,9 @@ to a fixed point on raw masks, and the chain-embedding oracle searches all
 consistent orderings exhaustively.  The ``ref_*`` functions compute the
 exact-law operations with one dict entry per outcome, accumulated row by
 row: the reference for the array engine in ``construction`` and ``verify``.
+``ref_align_variables`` matches the left neighbourhoods of two orderings
+by mask: the reference for the canonical variable order of
+``verify.ordering_invariance_defect``.
 ``ref_permutation_identity_check`` enumerates matrix-chain paths one by one:
 the reference for the matrix algebra of ``generators.permutation_identity_check``.
 ``ref_generator_matching_defect`` takes one state indicator per generator
@@ -182,6 +185,20 @@ def ref_pushforward_sums(table, groups) -> dict:
 def ref_tv(a, b) -> float:
     keys = set(a) | set(b)
     return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+
+
+def ref_align_variables(lefts_a, lefts_b) -> tuple:
+    """perm with lefts_b.sets[perm[i]] equal (as a set) to lefts_a.sets[i]:
+    each set of ``lefts_a`` is matched by mask to the first unused set of
+    ``lefts_b``.  The reference for the canonical variable order that
+    ``verify.ordering_invariance_defect`` puts every ordering's law in."""
+    used = [False] * len(lefts_b.sets)
+    perm = []
+    for c in lefts_a.sets:
+        j = next(j for j, d in enumerate(lefts_b.sets) if not used[j] and d.mask == c.mask)
+        used[j] = True
+        perm.append(j)
+    return tuple(perm)
 
 
 def ref_conditional_independence_defect(table, target, history, present, min_prob):

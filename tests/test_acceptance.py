@@ -47,7 +47,6 @@ from setmarkov.kernels import _poisson_pmf, ck_defect
 from setmarkov.lattice import left_neighbourhoods
 from setmarkov.verify import (
     aligned_increment_samples,
-    align_variables,
     flow_markov_defect,
     increment_vector_independence_defect,
     mc_event_probabilities,
@@ -56,7 +55,7 @@ from setmarkov.verify import (
     set_markov_defect,
 )
 
-from helpers import brute_force_orderings
+from helpers import brute_force_orderings, ref_align_variables
 
 SEED = 20_240_817
 MC_COUNT = 100_000
@@ -170,7 +169,7 @@ def test_criterion_3_ordering_invariance():
         lefts = [left_neighbourhoods(o) for o in orders]
         for i in range(len(orders)):
             for j in range(i + 1, len(orders)):
-                perm = align_variables(lefts[i], lefts[j])
+                perm = ref_align_variables(lefts[i], lefts[j])
                 worst_emp = max(worst_emp, laws[i].tv(laws[j].permuted(perm)))
         for kern in (DirichletKernel(CellMeasure(g, np.full(g.cell_count, 1.0),
                                                  "dirichlet")),
@@ -189,8 +188,8 @@ def test_criterion_3_ordering_invariance():
     bad = FddSpec(lat, EmpiricalKernel(2, CellMeasure.uniform_probability(g),
                                        corrupted=True))
     bad_laws = [exact_fdd(bad.with_ordering(o)) for o in orders]
-    perm = align_variables(left_neighbourhoods(orders[0]),
-                           left_neighbourhoods(orders[1]))
+    perm = ref_align_variables(left_neighbourhoods(orders[0]),
+                               left_neighbourhoods(orders[1]))
     corrupted = bad_laws[0].tv(bad_laws[1].permuted(perm))
     ok = worst_emp < 1e-12 and worst_sig < 3.0 and corrupted > 0.01
     report(3, ok, f"empirical {worst_emp:.2e} < 1e-12, MC {worst_sig:.2f} sigmas < 3, "

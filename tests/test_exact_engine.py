@@ -22,7 +22,7 @@ from setmarkov import (
     enumerate_consistent_orderings,
     exact_fdd,
 )
-from setmarkov import kernels
+from setmarkov import construction, kernels
 from setmarkov.cli import main
 from setmarkov.distributions import canonical_value, pmf_ppf, tv_distance
 from setmarkov.errors import ConfigError
@@ -109,6 +109,42 @@ def test_tv_matches_dict_reference(data):
     d = len(next(iter(a)))
     b = data.draw(st.one_of(st.just(a), tables(width=d, floats=floats)))
     assert abs(law_of(a).tv(law_of(b)) - ref_tv(a, b)) <= TOL
+
+
+def _refuse_grouping(columns):
+    raise AssertionError("rows were grouped")
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.data())
+def test_tv_of_equal_key_matrices_pairs_rows(data):
+    a = data.draw(tables())
+    weights = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(a), max_size=len(a)))
+    total = sum(weights)
+    b = {k: w / total for k, w in zip(a, weights)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(construction, "group_rows", _refuse_grouping)
+        got = law_of(a).tv(law_of(b))
+    assert abs(got - ref_tv(a, b)) <= TOL
+
+
+def test_tv_of_reordered_rows_groups_them(monkeypatch):
+    a = {(0, 1): 0.5, (1, 0): 0.3, (2, 2): 0.2}
+    b = {(2, 2): 0.1, (1, 0): 0.3, (0, 1): 0.6}  # the same rows in another order
+    calls = []
+    real = construction.group_rows
+    monkeypatch.setattr(construction, "group_rows", lambda c: calls.append(c) or real(c))
+    assert abs(law_of(a).tv(law_of(b)) - ref_tv(a, b)) <= TOL
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(tables())
+def test_sorted_puts_rows_in_lexicographic_order(table):
+    law = law_of(table)
+    got = law.sorted()
+    assert got.keys.tolist() == sorted(map(list, table))
+    assert got.table == law.table and got.labels == law.labels
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)

@@ -2,16 +2,19 @@ import pytest
 
 from setmarkov import (
     CellMeasure,
+    CompoundPoissonKernel,
     DirichletKernel,
     EmpiricalKernel,
     FddSpec,
     GaussianIncrementKernel,
     IndexedSet,
     MixtureSpec,
+    PoissonIncrementKernel,
     close_under_intersection,
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
+from setmarkov import construction
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.lattice import DiscreteFlow
 from setmarkov.verify import (
@@ -21,6 +24,8 @@ from setmarkov.verify import (
     ordering_invariance_defect,
     set_markov_defect,
 )
+
+from helpers import ref_align_variables, ref_exact_fdd, ref_permuted, ref_tv
 
 
 def cells(g, *idx):
@@ -36,6 +41,27 @@ def skewed2(grid2):
 def mixture3(lattice3, uniform2, skewed2):
     return MixtureSpec((FddSpec(lattice3, EmpiricalKernel(2, uniform2)),
                         FddSpec(lattice3, EmpiricalKernel(2, skewed2))), (0.5, 0.5))
+
+
+@pytest.fixture
+def invariance_cases(lattice3, grid2, uniform2, orderings3, lattice6, grid4, uniform4,
+                     mixture3):
+    """(spec, orderings) for the exact ordering-invariance check: finite-state
+    kinds, a mixture, float jump sizes and an ``initial`` override."""
+    orderings6 = enumerate_consistent_orderings(lattice6)
+    # uneven measures, so a column taken from the wrong cell changes the law
+    poisson = PoissonIncrementKernel(CellMeasure(grid4, [0.0002 * (1 + i) for i in range(16)]))
+    compound = CompoundPoissonKernel(CellMeasure(grid2, [0.2, 0.6, 0.3, 0.4]), (0.1, 0.2),
+                                     (0.5, 0.5))
+    return {
+        "empirical_staircase": (FddSpec(lattice6, EmpiricalKernel(2, uniform4)), orderings6),
+        "corrupted": (FddSpec(lattice3, EmpiricalKernel(2, uniform2, corrupted=True)),
+                      orderings3),
+        "mixture": (mixture3, orderings3),
+        "compound": (FddSpec(lattice3, compound), orderings3),
+        "poisson_initial": (FddSpec(lattice6, poisson, initial={2: 0.25, 5: 0.75}),
+                            orderings6),
+    }
 
 
 class TestOrderingInvariance:
@@ -82,6 +108,30 @@ class TestOrderingInvariance:
                     for i, a in enumerate(orders) for b in orders[i + 1:]]
         assert max(pairwise) > 1e-3 and pairwise.index(max(pairwise)) > 0
         assert ordering_invariance_defect(spec, orders) == max(pairwise)
+
+    @pytest.mark.parametrize("case", ["empirical_staircase", "corrupted", "mixture",
+                                      "compound", "poisson_initial"])
+    def test_canonical_laws_match_aligned_dict_tables(self, case, invariance_cases):
+        spec, orders = invariance_cases[case]
+        tables = [ref_exact_fdd(spec.with_ordering(o)) for o in orders]
+        lefts = [spec.with_ordering(o).lefts for o in orders]
+        want = max(ref_tv(tables[i], ref_permuted(tables[j],
+                                                  ref_align_variables(lefts[i], lefts[j])))
+                   for i in range(len(orders)) for j in range(i + 1, len(orders)))
+        got = ordering_invariance_defect(spec, orders)
+        assert abs(got - want) <= 1e-15
+        assert got > 0.01 if case == "corrupted" else got < 1e-12
+
+    def test_exact_pairs_compare_row_by_row(self, monkeypatch, invariance_cases):
+        # every ordering's canonical law has the same key matrix, so no pair
+        # groups rows
+        spec, orders = invariance_cases["poisson_initial"]
+
+        def refuse(columns):
+            raise AssertionError("a pair of canonical laws was regrouped")
+
+        monkeypatch.setattr(construction, "group_rows", refuse)
+        assert ordering_invariance_defect(spec, orders) < 1e-12
 
 
 class TestSetMarkov:
