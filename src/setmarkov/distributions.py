@@ -4,8 +4,11 @@ Finite pmfs are exact (dict-backed); the closed-form families carry a cdf.
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
-much narrower, adaptive quadrature otherwise).  Sampling lives in the
-kernels' vectorised inverse cdfs; ``pmf_ppf`` serves the pmf tables.
+much narrower, adaptive quadrature otherwise).  The cdfs of ``PointMass``,
+``NormalLaw``, ``BetaSegment`` and ``TwoStage`` are elementwise over a float
+array of probes, with the bits of the scalar call at every probe; a scalar
+probe gives a Python float.  Sampling lives in the kernels' vectorised
+inverse cdfs; ``pmf_ppf`` serves the pmf tables.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ def canonical_value(v: float) -> float:
 _key = canonical_value
 
 
+def _like(values, z):
+    """``values`` as a Python float for a scalar probe z, else as an array."""
+    return float(values) if np.ndim(z) == 0 else values
+
+
 class Distribution:
     """Minimal duck-typed interface: cdf(z)."""
 
@@ -49,7 +57,7 @@ class PointMass(Distribution):
     value: float
 
     def cdf(self, z):
-        return 1.0 if z >= self.value else 0.0
+        return _like(np.where(np.asarray(z) >= self.value, 1.0, 0.0), z)
 
     def as_dict(self):
         return {_key(self.value): 1.0}
@@ -99,9 +107,9 @@ class NormalLaw(Distribution):
 
     def cdf(self, z):
         if self.var == 0:
-            return 1.0 if z >= self.mean else 0.0
+            return PointMass(self.mean).cdf(z)
         # ndtr is what stats.norm.cdf evaluates, without its per-call overhead
-        return float(special.ndtr((z - self.mean) / math.sqrt(self.var)))
+        return _like(special.ndtr((z - self.mean) / math.sqrt(self.var)), z)
 
     def pdf(self, y):
         if self.var == 0:
@@ -155,8 +163,8 @@ class BetaSegment(Distribution):
         d = self._degenerate()
         if d is not None:
             return d.cdf(z)
-        y = (z - self.lo) / (1.0 - self.lo)
-        return float(stats.beta.cdf(y, self.a, self.b))
+        y = (np.asarray(z) - self.lo) / (1.0 - self.lo)
+        return _like(stats.beta.cdf(y, self.a, self.b), z)
 
     def pdf(self, z):
         d = self._degenerate()
@@ -173,7 +181,11 @@ class TwoStage(Distribution):
     normal and the second is not much narrower than the first, adaptive
     quadrature (abs tol 1e-8) otherwise, point masses exactly.  A normal
     first stage has positive variance: ``compose_kernels`` returns early on a
-    leg of zero measure."""
+    leg of zero measure.
+
+    Over an array of probes the Gauss-Hermite route builds its 64
+    second-stage laws once and sums each probe's row with ``np.dot``, as the
+    scalar call does; adaptive quadrature runs once per probe."""
 
     def __init__(self, first: Distribution, second_of):
         self.first = first
@@ -188,23 +200,29 @@ class TwoStage(Distribution):
             if isinstance(second, NormalLaw) and second.var >= HERMITE_MIN_VAR_SHARE * first.var:
                 nodes, weights = hermite()
                 ys = first.mean + math.sqrt(first.var) * nodes
-                return float(np.dot(weights, [self.second_of(y).cdf(z) for y in ys]))
-            val, _ = integrate.quad(
-                lambda y: self.second_of(y).cdf(z) * first.pdf(y),
-                -np.inf, np.inf, epsabs=COMPOSE_CDF_TOL, limit=200,
-            )
-            return float(val)
+                probes = np.ravel(z)
+                # one contiguous row per probe: np.dot sums it as the scalar call does
+                rows = np.empty((probes.size, ys.size))
+                for i, y in enumerate(ys):
+                    rows[:, i] = self.second_of(y).cdf(probes)
+                sums = [np.dot(weights, row) for row in rows]
+                return _like(np.reshape(sums, np.shape(z)), z)
+            return self._quad(z, -np.inf, np.inf)
         if isinstance(first, BetaSegment):
             d = first._degenerate()
             if d is not None:
                 return self.second_of(d.value).cdf(z)
-            val, _ = integrate.quad(
-                lambda y: self.second_of(y).cdf(z) * first.pdf(y),
-                first.lo, 1.0, epsabs=COMPOSE_CDF_TOL, limit=200,
-                points=[first.lo, 1.0],
-            )
-            return float(val)
+            return self._quad(z, first.lo, 1.0, points=[first.lo, 1.0])
         raise ConfigError(f"cannot integrate against {type(first).__name__}")
+
+    def _quad(self, z, lo, hi, **kw):
+        """Adaptive quadrature of the second-stage cdf against the first
+        stage's density, one integral per probe."""
+        pdf = self.first.pdf
+        vals = [integrate.quad(lambda y: self.second_of(y).cdf(zj) * pdf(y), lo, hi,
+                               epsabs=COMPOSE_CDF_TOL, limit=200, **kw)[0]
+                for zj in np.ravel(z)]
+        return _like(np.reshape(vals, np.shape(z)), z)
 
 
 def convolve_dicts(a: dict, b: dict) -> dict:

@@ -18,7 +18,10 @@ violates the composition law and is used to show the checks have power.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -511,12 +514,36 @@ def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):
     return kernel.law(B, B2, x)
 
 
+_QUANTILE_MEMO: ContextVar[dict | None] = ContextVar("quantile_memo", default=None)
+
+
+@contextmanager
+def shared_quantiles():
+    """Within the block, the current thread's Beta quantile columns are
+    computed once per distinct (a, b, uniform column) and then shared, read
+    only.  Orderings sampled from the same uniform streams meet the same
+    columns again; the memo is dropped on exit, raising or not."""
+    token = _QUANTILE_MEMO.set({})
+    try:
+        yield
+    finally:
+        _QUANTILE_MEMO.reset(token)
+
+
 def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
     if a == 0:
         return np.zeros_like(u)
     if b == 0:
         return np.ones_like(u)
-    return special.betaincinv(a, b, u)
+    memo = _QUANTILE_MEMO.get()
+    if memo is None:
+        return special.betaincinv(a, b, u)
+    key = (a, b, u.shape, hashlib.blake2b(u.tobytes()).digest())
+    col = memo.get(key)
+    if col is None:
+        col = memo[key] = special.betaincinv(a, b, u)
+        col.flags.writeable = False
+    return col
 
 
 def chain_pmf(kernel, stages, state) -> dict:
@@ -588,7 +615,7 @@ def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> C
         else:
             direct = kernel_eval(kernel, B, B2, x)
             composed = compose_kernels(kernel, B, B1, B2, x)
-            d = max(abs(composed.cdf(z) - direct.cdf(z))
-                    for z in kernel.cdf_probes(B, B2, x))
+            probes = kernel.cdf_probes(B, B2, x)
+            d = float(np.max(np.abs(composed.cdf(probes) - direct.cdf(probes))))
         worst = max(worst, d)
     return CkResult(worst)

@@ -24,7 +24,7 @@ from .construction import (
 )
 from .distributions import tv_distance
 from .errors import ConfigError, UnsupportedKernelError
-from .kernels import chain_pmf
+from .kernels import chain_pmf, shared_quantiles
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -171,7 +171,9 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     sorted rows once each.  Otherwise Monte Carlo with mc=(seed, count): the
     probe events take their thresholds from the first ordering's samples,
     and the result is the ``McDefect`` of the pair with the most standard
-    errors.
+    errors.  Every ordering reads one uniform stream per variable
+    (``aligned_increment_samples``), so each distinct quantile column is
+    computed once and shared across orderings (``kernels.shared_quantiles``).
     """
     lattice = orderings[0].lattice
     if any(o.lattice is not lattice and o.lattice.members != lattice.members
@@ -187,7 +189,8 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
             f"{spec.kernel.kind} kernel needs mc=(seed, count) for this check"
         )
     seed, count = mc
-    aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
+    with shared_quantiles():
+        aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
     medians, quartiles = mc_probe_thresholds(aligned[0])
     probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
     return max((probability_gap(probs[i], probs[j], count) for i, j in pairs),

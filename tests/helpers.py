@@ -18,6 +18,9 @@ integral: the reference for the identity-basis call of
 partners evaluate the quadrature operators one point and one node at a
 time: the reference for the array path of the gaussian and dirichlet flow
 semigroups.
+``ref_mc_ordering_invariance`` samples every ordering on its own, with no
+quantile column shared between orderings: the reference for the shared
+columns of the Monte Carlo ``verify.ordering_invariance_defect``.
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
@@ -39,6 +42,13 @@ from setmarkov.generators import (
     system_along_flow,
 )
 from setmarkov.lattice import flow_from_ordering
+from setmarkov.verify import (
+    McDefect,
+    aligned_increment_samples,
+    mc_event_probabilities,
+    mc_probe_thresholds,
+    probability_gap,
+)
 from setmarkov.quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
 
 
@@ -408,6 +418,22 @@ def ref_dirichlet_apply_generator(system, s, h, side="+"):
 def pointwise(f, x):
     """A scalar function evaluated at every entry of the array ``x``."""
     return np.array([f(float(v)) for v in np.ravel(x)]).reshape(np.shape(x))
+
+
+def ref_mc_ordering_invariance(spec, orderings, seed, count):
+    """The Monte Carlo ordering-invariance defect, one ordering at a time:
+    each is sampled outside any shared-quantile block, so it computes every
+    quantile column itself; then every pair is compared in turn."""
+    aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
+    medians, quartiles = mc_probe_thresholds(aligned[0])
+    probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
+    worst = None  # the first pair with the most sigmas
+    for i in range(len(orderings)):
+        for j in range(i + 1, len(orderings)):
+            gap = probability_gap(probs[i], probs[j], count)
+            if worst is None or gap.sigmas > worst.sigmas:
+                worst = gap
+    return worst or McDefect(0.0, 0.0, 0.0)
 
 
 def ref_sample_csv(config_path, n, seed, path):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import setmarkov
-from setmarkov import suite
+from setmarkov import suite, verify
 from setmarkov.cli import BLOCK_ROWS, format_rows, main
 from setmarkov.config import load_config
 from setmarkov.generators import Trace, generator_matching_defect, system_along_flow
@@ -408,3 +408,24 @@ def test_fdd_block_writer_matches_row_writer(tmp_path):
     assert main(["fdd", "--config", cfg, "--out", str(out)]) == 0
     assert out.read_bytes() == ref.read_bytes()
     assert len(ref.read_bytes().splitlines()) > 2 * BLOCK_ROWS
+
+
+def _ordering_row(tmp_path, payload):
+    out = tmp_path / "report.json"
+    main(["validate", "--config", write_config(tmp_path, payload), "--out", str(out)])
+    return next(c for c in json.loads(out.read_text())["checks"]
+                if c["name"] == "ordering_invariance")
+
+
+def test_exact_ordering_row_has_power_on_an_uneven_measure(tmp_path, monkeypatch):
+    # on a uniform measure the columns of the two orderings of {0, 01, 02} are
+    # exchangeable, so a wrong variable alignment reads 0; cells 1 and 2 of
+    # uneven weight tell the aligned and misaligned laws apart
+    payload = json.loads(json.dumps(BASE))
+    payload["process"]["measure"] = {"weights": [0.4, 0.3, 0.2, 0.1]}
+    row = _ordering_row(tmp_path, payload)
+    assert row["instance"] == "1 ordering pairs" and row["tolerance"] <= 1e-9
+    assert row["pass"] and row["defect"] <= 1e-15
+    monkeypatch.setattr(verify, "canonical_variable_order", lambda o: tuple(range(len(o))))
+    misaligned = _ordering_row(tmp_path, payload)
+    assert not misaligned["pass"] and misaligned["defect"] > 0.01

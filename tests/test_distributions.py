@@ -118,3 +118,36 @@ def test_tv_distance():
     assert tv_distance({0: 0.5, 1: 0.5}, {0: 0.5, 1: 0.5}) == 0.0
     assert tv_distance({0: 1.0}, {1: 1.0}) == pytest.approx(1.0)
     assert tv_distance({0: 0.6, 1: 0.4}, {0: 0.4, 1: 0.6}) == pytest.approx(0.2)
+
+
+# the four laws whose cdf is elementwise over an array of probes; each
+# TwoStage route: Gauss-Hermite, the narrow-second-leg quad fallback, a
+# BetaSegment first stage (quad on [lo, 1]) and a point-mass first stage
+ARRAY_CDF_LAWS = {
+    "point_mass": (PointMass(0.25), np.linspace(-1.0, 1.0, 9)),
+    "normal": (NormalLaw(0.5, 2.0), np.linspace(-4.0, 5.0, 37)),
+    "normal_zero_var": (NormalLaw(0.5, 0.0), np.array([0.0, 0.5, 0.5000001, 2.0])),
+    "beta": (BetaSegment(1.5, 2.5, 0.2), np.linspace(-0.1, 1.1, 25)),
+    "beta_degenerate": (BetaSegment(2.0, 0.0, 0.3), np.array([0.3, 0.999, 1.0])),
+    "two_stage_hermite": (TwoStage(NormalLaw(0.3, 1.0), lambda y: NormalLaw(y, 0.5)),
+                          np.linspace(-4.0, 4.0, 33)),
+    "two_stage_narrow_leg": (TwoStage(NormalLaw(0.0, 1.0), lambda y: NormalLaw(y, 0.01)),
+                             np.linspace(-3.0, 3.0, 7)),
+    "two_stage_beta_first": (TwoStage(BetaSegment(0.8, 1.7, 0.1),
+                                      lambda y: BetaSegment(0.6, 1.1, y)),
+                             np.array([0.2, 0.9])),
+    "two_stage_point_mass_first": (TwoStage(PointMass(0.5), lambda y: NormalLaw(y, 0.3)),
+                                   np.linspace(-1.0, 2.0, 13)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CDF_LAWS))
+def test_array_cdf_matches_scalar_loop_bit_for_bit(name):
+    law, probes = ARRAY_CDF_LAWS[name]
+    out = law.cdf(probes)
+    assert isinstance(out, np.ndarray) and out.shape == probes.shape
+    loop = [law.cdf(float(z)) for z in probes]
+    assert all(type(v) is float for v in loop)
+    assert out.tobytes() == np.array(loop).tobytes()
+    grid = probes.reshape(1, -1)  # any array shape comes back in that shape
+    assert law.cdf(grid).tobytes() == out.tobytes() and law.cdf(grid).shape == grid.shape

@@ -1,5 +1,8 @@
 """Golden outputs: SHA-256 digests of `sample` and `fdd` CSVs and of sampled
-increment arrays, recorded before the kernel classes shared one protocol.
+increment arrays, recorded before the kernel classes shared one protocol;
+and of the `validate` and `gencheck` reports of the continuous-kind bench
+configs, recorded before their checks shared quantile columns and evaluated
+composed cdfs over all probes at once.
 
 Any change to these bytes is a change of the sampler or of the exact-law
 export, not a refactor.  Re-record only for an intended change of output.
@@ -7,6 +10,7 @@ export, not a refactor.  Re-record only for an intended change of output.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,29 @@ INITIAL_OVERRIDE_SHA256 = {
 }
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+# (command, config stem, seed) -> SHA-256 of the JSON report
+REPORT_SHA256 = {
+    ("validate", "gaussian_staircase", 0):
+        "4a30c96a33c3ce7c5f269f95f1f751739f7c67d3f5f0217b28d21900435a2f39",
+    ("validate", "gaussian_staircase", 3):
+        "9df62b4659b6e8d0824a2ad2fe88191761b57b366f414b16e25b4b04123aec43",
+    ("validate", "dirichlet_staircase", 0):
+        "cfdc0bded673212540e3150b53b6f61313b5b0f6fc6388346a14d938c2639ca0",
+    ("validate", "dirichlet_staircase", 3):
+        "a2da06cb5abaf81f2bda478c7af9441e1d492b457f01dd264721d772c0f06b66",
+    ("gencheck", "gaussian_staircase", 0):
+        "69abaadb98ac1ce87595a55756b1d84730a6c60bf150834e069d60aebcff80c8",
+    ("gencheck", "gaussian_staircase", 3):
+        "2a69338ea7fcfa023d12f460d3e1255e815608530f4cc8dd4dc2e9265160ca11",
+    ("gencheck", "dirichlet_staircase", 0):
+        "81045c11aafd83b5a4d5c1422d4f309e3e6cfc9010376bea4dab81fd52d41745",
+    ("gencheck", "dirichlet_staircase", 3):
+        "63077a39ddc758467214d4fff75873397a89d7ed787e8b5ed63559f40a69449f",
+}
+
+
 def _config(tmp_path, name):
     cfg = {
         "grid": {"extents": [2, 2]},
@@ -134,3 +161,12 @@ def _override_spec(name):
 def test_initial_override_sample_digest(name):
     arr = sample_increments(_override_spec(name), SEED, ROWS)
     assert hashlib.sha256(arr.tobytes()).hexdigest() == INITIAL_OVERRIDE_SHA256[name]
+
+
+@pytest.mark.parametrize("command, stem, seed", sorted(REPORT_SHA256))
+def test_report_digest(tmp_path, command, stem, seed):
+    out = tmp_path / "report.json"
+    rc = main([command, "--config", str(CONFIGS / f"{stem}.json"), "--seed", str(seed),
+               "--out", str(out)])
+    assert rc == 0
+    assert _sha256(out) == REPORT_SHA256[command, stem, seed]

@@ -1,4 +1,8 @@
+import threading
+from pathlib import Path
+
 import pytest
+from scipy import special
 
 from setmarkov import (
     CellMeasure,
@@ -14,7 +18,9 @@ from setmarkov import (
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
-from setmarkov import construction
+from setmarkov import construction, kernels, verify
+from setmarkov.config import load_config
+from setmarkov.construction import sample_increments
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.lattice import DiscreteFlow
 from setmarkov.verify import (
@@ -25,7 +31,15 @@ from setmarkov.verify import (
     set_markov_defect,
 )
 
-from helpers import ref_align_variables, ref_exact_fdd, ref_permuted, ref_tv
+from helpers import (
+    ref_align_variables,
+    ref_exact_fdd,
+    ref_mc_ordering_invariance,
+    ref_permuted,
+    ref_tv,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def cells(g, *idx):
@@ -132,6 +146,74 @@ class TestOrderingInvariance:
 
         monkeypatch.setattr(construction, "group_rows", refuse)
         assert ordering_invariance_defect(spec, orders) < 1e-12
+
+
+class TestSharedQuantiles:
+    """The Monte Carlo ordering check computes each distinct Beta quantile
+    column once: the 16 staircase orderings read one uniform stream per
+    variable, and their 6 x 16 columns take 18 distinct (a, b, stream)."""
+
+    @pytest.fixture
+    def dirichlet_staircase(self):
+        spec = load_config(str(CONFIGS / "dirichlet_staircase.json")).spec
+        return spec, enumerate_consistent_orderings(spec.lattice)
+
+    @staticmethod
+    def count_betaincinv(monkeypatch):
+        calls = []
+        real = special.betaincinv
+
+        def counted(a, b, u):
+            calls.append((a, b))
+            return real(a, b, u)
+
+        monkeypatch.setattr(special, "betaincinv", counted)
+        return calls
+
+    def test_each_distinct_column_once(self, monkeypatch, dirichlet_staircase):
+        spec, orders = dirichlet_staircase
+        calls = self.count_betaincinv(monkeypatch)
+        got = ordering_invariance_defect(spec, orders, mc=(0, 2000))
+        assert len(orders) == 16 and len(calls) == 18
+        assert kernels._QUANTILE_MEMO.get() is None
+        calls.clear()
+        want = ref_mc_ordering_invariance(spec, orders, 0, 2000)
+        assert len(calls) == 96  # no sharing outside the check
+        assert got == want and got.sigmas > 0
+
+    def test_sample_shares_nothing(self, monkeypatch, dirichlet_staircase):
+        spec, _ = dirichlet_staircase
+        calls = self.count_betaincinv(monkeypatch)
+        first = sample_increments(spec, 4, 500)
+        second = sample_increments(spec, 4, 500)
+        assert len(calls) == 12 and first.tobytes() == second.tobytes()
+
+    def test_memo_dropped_when_the_check_raises(self, monkeypatch, dirichlet_staircase):
+        spec, orders = dirichlet_staircase
+        real = verify.aligned_increment_samples
+        seen = []
+
+        def failing(spec, ordering, seed, count):
+            if len(seen) == 2:
+                raise RuntimeError("sampler failed")
+            seen.append(len(kernels._QUANTILE_MEMO.get()))
+            return real(spec, ordering, seed, count)
+
+        monkeypatch.setattr(verify, "aligned_increment_samples", failing)
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            ordering_invariance_defect(spec, orders, mc=(0, 200))
+        assert seen[0] == 0 and seen[1] > 0  # the memo was live during the check
+        assert kernels._QUANTILE_MEMO.get() is None
+
+    def test_memo_is_thread_local(self):
+        seen = []
+        with kernels.shared_quantiles():
+            worker = threading.Thread(target=lambda: seen.append(kernels._QUANTILE_MEMO.get()))
+            worker.start()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert kernels._QUANTILE_MEMO.get() == {}
+        assert seen == [None]
 
 
 class TestSetMarkov:
