@@ -248,23 +248,31 @@ def poisson_tail_count(mean: float, tail: float) -> int:
 
 
 def compound_poisson_dict(lam: float, jump_values, jump_probs,
-                          tail: float = 1e-13) -> dict:
+                          tail: float = 1e-13, powers: dict | None = None) -> dict:
     """Law of a Poisson(lam) number of iid jumps, as a dict pmf.
 
     The jump count is truncated where the Poisson tail drops below ``tail``;
-    the returned weights are left sub-stochastic by that amount.
+    the returned weights are left sub-stochastic by that amount.  ``powers``
+    caches the law of k jumps under key k.  It does not depend on ``lam``,
+    so a caller that keeps one such dict per jump law convolves each power
+    once; the pmf is the same, in values and key order, with or without it.
     """
     if lam < 0:
         raise ConfigError("compound poisson intensity must be nonnegative")
     base = {_key(v): float(p) for v, p in zip(jump_values, jump_probs)}
     if abs(sum(base.values()) - 1.0) > PMF_TOTAL_TOL:
         raise ConfigError("jump pmf must sum to 1")
+    if powers is None:
+        powers = {}
     kmax = poisson_tail_count(lam, tail)
     out = {0.0: math.exp(-lam)}
     power = {0.0: 1.0}
     weight = math.exp(-lam)
     for k in range(1, kmax + 1):
-        power = convolve_dicts(power, base)
+        if k not in powers:
+            # setdefault: a sampler thread that lost a race keeps the stored power
+            powers.setdefault(k, convolve_dicts(power, base))
+        power = powers[k]
         weight = weight * lam / k
         for v, p in power.items():
             out[v] = out.get(v, 0.0) + weight * p

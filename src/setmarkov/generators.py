@@ -36,9 +36,14 @@ GAUSS_STENCIL = 1.0 / 512.0
 
 
 class MatrixSemigroup:
-    """Transition and generator matrices acting on state vectors."""
+    """Transition and generator matrices acting on state vectors.
+
+    ``tail_cut`` is None when the transition matrices hold their step laws
+    whole; a semigroup whose step laws are cut at a tail sets it to the
+    largest mass any of its ``matrix`` calls so far dropped."""
 
     finite_state = True
+    tail_cut: float | None = None
 
     def apply(self, s, t, h):
         return self.matrix(s, t) @ np.asarray(h, dtype=float)
@@ -127,7 +132,10 @@ class JumpFlowSemigroup(MatrixSemigroup):
     tail -- so a row of ``matrix`` is the kernel's step pmf.  Jumps must be
     positive integers; the matrices are the exactly killed (sub-stochastic)
     restriction, so the generator/semigroup identities hold to machine
-    precision on states that cannot reach the cap.
+    precision on states that cannot reach the cap.  ``matrix`` writes the
+    step law as one dense vector by jump size and scatters it into the band
+    through index arrays built once; ``tail_cut`` records the mass the tail
+    cut left out of that vector (1 minus its sum), the largest so far.
     """
 
     def __init__(self, trace: Trace, step_law, jump_values=(1,), jump_probs=(1.0,),
@@ -144,28 +152,32 @@ class JumpFlowSemigroup(MatrixSemigroup):
         self.cap = int(start_mass_cap + reach)
         self.states = np.arange(self.cap + 1)
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
+        # entry (row, row + jump) of a transition matrix, for every jump that fits
+        rows, jumps = np.nonzero(np.add.outer(self.states, self.states) <= self.cap)
+        self._band = (rows, rows + jumps, jumps)
+        self.tail_cut = 0.0
+
+    def _spread(self, jumps, values) -> tuple[np.ndarray, np.ndarray]:
+        """The matrix with ``values[i]`` at every entry (r, r + jumps[i]) that
+        fits, and the dense vector by jump size it was read from."""
+        jumps = np.rint(np.asarray(jumps, dtype=float)).astype(np.intp)
+        law = np.zeros(max(self.cap, int(jumps.max())) + 1)
+        law[jumps] = values
+        rows, cols, jump = self._band
+        M = np.zeros((self.cap + 1, self.cap + 1))
+        M[rows, cols] = law[jump]
+        return M, law
 
     def matrix(self, s: float, t: float) -> np.ndarray:
-        size = self.cap + 1
-        M = np.zeros((size, size))
-        for v, p in self.step_law(max(self.trace(t) - self.trace(s), 0.0)).items():
-            _fill_band(M, int(round(v)), p)
+        pmf = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
+        M, law = self._spread(list(pmf), list(pmf.values()))
+        self.tail_cut = max(self.tail_cut, 1.0 - float(law.sum()))
         return M
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
         rate = self.trace.slope(s, side)
-        size = self.cap + 1
-        G = np.zeros((size, size))
-        _fill_band(G, 0, -rate)
-        for v, p in zip(self.jump_values, self.jump_probs):
-            _fill_band(G, v, rate * p)
-        return G
-
-
-def _fill_band(M: np.ndarray, offset: int, value: float) -> None:
-    """Set M[i, i + offset] = value wherever that entry exists (offset >= 0)."""
-    rows = np.arange(max(M.shape[0] - offset, 0))
-    M[rows, rows + offset] = value
+        return self._spread((0,) + self.jump_values,
+                            [-rate] + [rate * p for p in self.jump_probs])[0]
 
 
 class GaussianFlowSemigroup(QuadratureSemigroup):
@@ -343,11 +355,14 @@ def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: Discret
 @dataclass
 class PermutationIdentityResult:
     """Exact transition-operator defect and generator-form quadrature
-    residual, each the worst over the start states checked."""
+    residual, each the worst over the start states checked; ``tail_cut`` is
+    the largest mass a step law's tail cut dropped from a transition matrix
+    of either side (None when the step laws are whole)."""
 
     exact_defect: float
     generator_residual: float
     start_states: tuple[int, ...]
+    tail_cut: float | None
 
     @property
     def defect(self) -> float:
@@ -448,13 +463,16 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
             out = basis @ out
         return float(np.max(np.abs(out), initial=0.0))
 
+    def result(exact: float, generator: float) -> PermutationIdentityResult:
+        cut = None if f_sys.tail_cut is None else max(f_sys.tail_cut, g_sys.tail_cut)
+        return PermutationIdentityResult(exact, generator, starts, cut)
+
     p2 = slots[1]
     first = _increment_law([Tg(1, p2 - 1), Tg(p2 - 1, p2)], {1})
     if level == 2:
         first_R = _increment_law([Tg(1, p2 - 1), gen_int(g_sys, p2)], {1})
-        return PermutationIdentityResult(
-            worst(f_sys.matrix(0.0, 1.0) - _by_arrival(first)),
-            worst(gen_int(f_sys, 2) - _by_arrival(first_R)), starts)
+        return result(worst(f_sys.matrix(0.0, 1.0) - _by_arrival(first)),
+                      worst(gen_int(f_sys, 2) - _by_arrival(first_R)))
 
     def then(M: np.ndarray) -> np.ndarray:
         """Ordering 2's first rise a from x, then M from x + a (the index is
@@ -478,6 +496,5 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
         # leaves, so compare h3(x + d2 + d3) - h3(x + d2): the generator's
         # identity part then drops out exactly
         law_R[:, :, 0] -= law_R.sum(axis=2)
-    return PermutationIdentityResult(
-        worst(then(f_sys.matrix(1.0, 2.0)) - _by_arrival(law)),
-        worst(then(gen_int(f_sys, 3)) - _by_arrival(law_R)), starts)
+    return result(worst(then(f_sys.matrix(1.0, 2.0)) - _by_arrival(law)),
+                  worst(then(gen_int(f_sys, 3)) - _by_arrival(law_R)))

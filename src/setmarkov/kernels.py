@@ -40,7 +40,6 @@ from .distributions import (
     compound_poisson_dict,
     pmf_ppf,
     poisson_tail_count,
-    tv_distance,
 )
 from .errors import ConfigError, UnsupportedKernelError
 from .generators import (
@@ -82,7 +81,10 @@ class TransitionKernel:
     ``probe_states`` suit real-valued states.
 
     Finite-state kinds memoise their pmfs on the instance (``_pmfs``) and
-    return them as read-only mappings shared by every caller.
+    return them as read-only mappings shared by every caller: the increment
+    and initial pmfs, the step pmf from each state, and for compound poisson
+    the convolution powers of the jump law.  Nothing is cached beyond the
+    instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -141,7 +143,20 @@ class TransitionKernel:
 
     def step_pmf(self, B, B2, state) -> dict:
         """Law of the value at B2 given the value ``state`` at B."""
-        return {state + j: p for j, p in self.increment_pmf(B, B2, state).items()}
+        return self._memo(("step", B.mask, B2.mask, state), lambda: {
+            state + j: p for j, p in self.increment_pmf(B, B2, state).items()})
+
+    def step_rows(self, B, B2, states: tuple) -> tuple[tuple, np.ndarray]:
+        """The step pmfs from B to B2 of the internal ``states`` as dense
+        rows over the sorted union of their supports: (support, rows), the
+        array read only, memoised like the pmfs."""
+        key = ("rows", B.mask, B2.mask, states)
+        got = self._pmfs.get(key)
+        if got is None:
+            support, rows = _dense([self.step_pmf(B, B2, y) for y in states])
+            rows.flags.writeable = False
+            got = self._pmfs.setdefault(key, (support, rows))
+        return got
 
     def increment_pmf(self, B, B2, state) -> dict:
         """Law of (value at B2) - (value at B) given the value at B."""
@@ -359,10 +374,10 @@ class CompoundPoissonKernel(TransitionKernel):
         return self.lam
 
     def step_pmf(self, B, B2, state) -> dict:
-        _require_nested(B, B2)
         # canonical float keys so composed sums merge with direct ones
-        return {canonical_value(state + v): p
-                for v, p in self.increment_pmf(B, B2, state).items()}
+        return self._memo(("step", B.mask, B2.mask, state), lambda: {
+            canonical_value(state + v): p
+            for v, p in self.increment_pmf(B, B2, state).items()})
 
     def increment_pmf(self, B, B2, state=0.0):
         _require_nested(B, B2)
@@ -372,8 +387,10 @@ class CompoundPoissonKernel(TransitionKernel):
     def _pmf_of_mean(self, mean: float) -> dict:
         if mean == 0:
             return {0.0: 1.0}
+        # the jump-law powers do not depend on the mean: one dict per kernel
         return compound_poisson_dict(mean, self.jump_values, self.jump_probs,
-                                     tail=PMF_TAIL)
+                                     tail=PMF_TAIL,
+                                     powers=self._pmfs.setdefault("jump_powers", {}))
 
     def initial_pmf_for(self, min_set):
         if self.initial == "zero":
@@ -501,9 +518,10 @@ class DirichletKernel(TransitionKernel):
 def _poisson_pmf(mean: float) -> dict:
     if mean == 0:
         return {0: 1.0}
-    kmax = poisson_tail_count(mean, PMF_TAIL)
-    probs = stats.poisson.pmf(np.arange(kmax + 1), mean)
-    return {j: float(probs[j]) for j in range(kmax + 1)}
+    k = np.arange(poisson_tail_count(mean, PMF_TAIL) + 1)
+    # the expression stats.poisson.pmf evaluates, without its argument checks
+    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    return dict(enumerate(probs.tolist()))
 
 
 def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):
@@ -546,19 +564,43 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return col
 
 
-def chain_pmf(kernel, stages, state) -> dict:
-    """Exact pmf of the internal state at stages[-1] after chaining the
-    kernel through the consecutive stages, from ``state`` at stages[0]."""
-    pmf = {state: 1.0}
+def _dense(pmfs) -> tuple[tuple, np.ndarray]:
+    """(support, rows): the dict pmfs as the rows of one array over the
+    sorted union of their supports."""
+    support = tuple(sorted(set().union(*pmfs)))
+    col = {z: j for j, z in enumerate(support)}
+    rows = np.zeros((len(pmfs), len(support)))
+    for i, pmf in enumerate(pmfs):
+        rows[i, [col[z] for z in pmf]] = list(pmf.values())
+    return support, rows
+
+
+def chain_rows(kernel, stages, states) -> tuple[tuple, np.ndarray]:
+    """Exact laws of the internal state at stages[-1] after chaining the
+    kernel through the consecutive stages, one row per internal state of
+    ``states`` at stages[0]: (support, rows), ``rows[i, j]`` the probability
+    of ``support[j]``.  Each leg is the kernel's ``step_rows`` from every
+    state the chain has reached, and the legs are multiplied; the start is
+    one-hot rows, so a single leg gives its step pmfs bit for bit."""
+    support, rows = _dense([{x: 1.0} for x in states])
     for a, b in zip(stages, stages[1:]):
-        if a.mask == b.mask:
-            continue
-        out: dict = {}
-        for y, p in pmf.items():
-            for z, q in kernel.step_pmf(a, b, y).items():
-                out[z] = out.get(z, 0.0) + p * q
-        pmf = out
-    return pmf
+        if a.mask != b.mask:
+            support, leg = kernel.step_rows(a, b, support)
+            rows = rows @ leg
+    return support, rows
+
+
+def rows_tv(a: tuple[tuple, np.ndarray], b: tuple[tuple, np.ndarray]) -> np.ndarray:
+    """Total variation distance between matching rows of two
+    (support, rows) laws, over the union of their supports."""
+    if a[0] == b[0]:
+        return 0.5 * np.abs(a[1] - b[1]).sum(axis=1)
+    support = sorted(set(a[0]) | set(b[0]))
+    col = {z: j for j, z in enumerate(support)}
+    gap = np.zeros((len(a[1]), len(support)))
+    gap[:, [col[z] for z in a[0]]] = a[1]
+    gap[:, [col[z] for z in b[0]]] -= b[1]
+    return 0.5 * np.abs(gap).sum(axis=1)
 
 
 def compose_kernels(kernel, B, B1, B2, x):
@@ -571,9 +613,8 @@ def compose_kernels(kernel, B, B1, B2, x):
     _require_nested(B, B1)
     _require_nested(B1, B2)
     if kernel.finite_state:
-        out = chain_pmf(kernel, (B, B1, B2), kernel.to_state(x))
-        total = sum(out.values())
-        return FinitePmf([kernel.display(v) for v in out], [p / total for p in out.values()])
+        support, rows = chain_rows(kernel, (B, B1, B2), [kernel.to_state(x)])
+        return FinitePmf([kernel.display(v) for v in support], rows[0] / rows[0].sum())
     if measure_of(kernel.measure, B2 - B1) == 0:
         return kernel_eval(kernel, B, B1, x)
     if measure_of(kernel.measure, B1 - B) == 0:
@@ -606,16 +647,14 @@ def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> C
     """
     if mc is not None:
         return kernel.ck_monte_carlo(B, B1, B2, states, *mc)
+    if kernel.finite_state:
+        xs = [kernel.to_state(x) for x in states]
+        gaps = rows_tv(chain_rows(kernel, (B, B1, B2), xs), chain_rows(kernel, (B, B2), xs))
+        return CkResult(float(gaps.max(initial=0.0)))
     worst = 0.0
     for x in states:
-        if kernel.finite_state:
-            state = kernel.to_state(x)
-            d = tv_distance(chain_pmf(kernel, (B, B1, B2), state),
-                            kernel.step_pmf(B, B2, state))
-        else:
-            direct = kernel_eval(kernel, B, B2, x)
-            composed = compose_kernels(kernel, B, B1, B2, x)
-            probes = kernel.cdf_probes(B, B2, x)
-            d = float(np.max(np.abs(composed.cdf(probes) - direct.cdf(probes))))
-        worst = max(worst, d)
+        direct = kernel_eval(kernel, B, B2, x)
+        composed = compose_kernels(kernel, B, B1, B2, x)
+        probes = kernel.cdf_probes(B, B2, x)
+        worst = max(worst, float(np.max(np.abs(composed.cdf(probes) - direct.cdf(probes)))))
     return CkResult(worst)

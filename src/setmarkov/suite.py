@@ -202,6 +202,10 @@ def _finite_state_rows(cfg):
         r = permutation_identity_check(kernel_spec, orders[i], orders[j], level)
         slots = " ".join(map(str, slot_maps[i, j]))
         note = "" if moving else f", no pair moves slots 2-{level}"
+        # the jump kinds' step laws are cut at a tail: where the identity
+        # holds, the defect reads that cut, so the text states it
+        if r.tail_cut is not None:
+            note += f", largest tail mass cut from a step law {r.tail_cut:.1e}"
         instance = (f"orderings {i} and {j} (slots {slots}){note}, "
                     f"{len(r.start_states)} start states{cut}")
         rows.append(_row(f"permutation_identity_{level}", instance,

@@ -22,9 +22,8 @@ from .construction import (
     group_rows,
     sample_increments,
 )
-from .distributions import tv_distance
 from .errors import ConfigError, UnsupportedKernelError
-from .kernels import chain_pmf, shared_quantiles
+from .kernels import chain_rows, rows_tv, shared_quantiles
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -269,7 +268,8 @@ def flow_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow
                          states) -> float:
     """Two flows passing through the same pair of sets must transport a state
     identically: TV distance between the two knot-chain compositions,
-    maximized over the probe states.  Finite-state kernels."""
+    maximized over the probe states (internal states).  Finite-state
+    kernels; each chain is built once for all states (``kernels.chain_rows``)."""
     i1, j1 = span1
     i2, j2 = span2
     if flow1.stages[i1].mask != flow2.stages[i2].mask or \
@@ -277,9 +277,6 @@ def flow_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow
         raise ConfigError("flow spans do not share endpoint sets")
     if not kernel.finite_state:
         raise UnsupportedKernelError("flow matching check needs a finite-state kernel")
-    worst = 0.0
-    for x in states:
-        p1 = chain_pmf(kernel, flow1.stages[i1: j1 + 1], x)
-        p2 = chain_pmf(kernel, flow2.stages[i2: j2 + 1], x)
-        worst = max(worst, tv_distance(p1, p2))
-    return worst
+    gaps = rows_tv(chain_rows(kernel, flow1.stages[i1: j1 + 1], states),
+                   chain_rows(kernel, flow2.stages[i2: j2 + 1], states))
+    return float(gaps.max(initial=0.0))

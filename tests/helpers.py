@@ -21,6 +21,15 @@ semigroups.
 ``ref_mc_ordering_invariance`` samples every ordering on its own, with no
 quantile column shared between orderings: the reference for the shared
 columns of the Monte Carlo ``verify.ordering_invariance_defect``.
+``ref_chain_pmf`` chains the kernel's step pmfs one state at a time through
+dicts, and ``ref_ck_defect`` and ``ref_flow_matching_defect`` compare such
+chains state by state: the reference for the dense rows of
+``kernels.chain_rows``.  ``ref_compound_poisson_dict`` convolves the jump law
+afresh on every call: the reference for the cached powers of
+``distributions.compound_poisson_dict``.  ``ref_jump_matrix`` and
+``ref_jump_generator_matrix`` fill a jump semigroup matrix one atom at a
+time: the reference for the scattered band of
+``generators.JumpFlowSemigroup``.
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
@@ -35,6 +44,8 @@ import numpy as np
 
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
+from setmarkov.distributions import PMF_TOTAL_TOL, canonical_value, convolve_dicts, \
+    poisson_tail_count
 from setmarkov.generators import (
     GAUSS_STENCIL,
     JACOBI_ORDER,
@@ -468,3 +479,78 @@ def ref_fdd_csv(config_path, path):
         for key in sorted(table):
             w.writerow([repr(float(kernel.display(v))) for v in key]
                        + [repr(float(table[key]))])
+
+
+def ref_chain_pmf(kernel, stages, state) -> dict:
+    """Exact pmf of the internal state at stages[-1] after chaining the
+    kernel through the consecutive stages from ``state``, one dict entry per
+    reached state, accumulated in the order the step pmfs list them."""
+    pmf = {state: 1.0}
+    for a, b in zip(stages, stages[1:]):
+        if a.mask == b.mask:
+            continue
+        out = {}
+        for y, p in pmf.items():
+            for z, q in kernel.step_pmf(a, b, y).items():
+                out[z] = out.get(z, 0.0) + p * q
+        pmf = out
+    return pmf
+
+
+def ref_ck_defect(kernel, B, B1, B2, states) -> float:
+    """Worst TV distance, state by state, between the dict chain B -> B1 -> B2
+    and the direct step pmf (finite-state kinds, display states)."""
+    worst = 0.0
+    for x in states:
+        y = kernel.to_state(x)
+        worst = max(worst, ref_tv(ref_chain_pmf(kernel, (B, B1, B2), y),
+                                  kernel.step_pmf(B, B2, y)))
+    return worst
+
+
+def ref_flow_matching_defect(kernel, stages1, stages2, states) -> float:
+    """Worst TV distance, state by state, between two dict chains."""
+    return max((ref_tv(ref_chain_pmf(kernel, stages1, x), ref_chain_pmf(kernel, stages2, x))
+                for x in states), default=0.0)
+
+
+def ref_compound_poisson_dict(lam, jump_values, jump_probs, tail=1e-13) -> dict:
+    """Compound poisson pmf with every convolution power computed afresh."""
+    base = {canonical_value(v): float(p) for v, p in zip(jump_values, jump_probs)}
+    assert abs(sum(base.values()) - 1.0) <= PMF_TOTAL_TOL
+    out = {0.0: math.exp(-lam)}
+    power = {0.0: 1.0}
+    weight = math.exp(-lam)
+    for k in range(1, poisson_tail_count(lam, tail) + 1):
+        power = convolve_dicts(power, base)
+        weight = weight * lam / k
+        for v, p in power.items():
+            out[v] = out.get(v, 0.0) + weight * p
+    return out
+
+
+def _fill_band(M, offset, value):
+    """Set M[i, i + offset] = value wherever that entry exists (offset >= 0)."""
+    rows = np.arange(max(M.shape[0] - offset, 0))
+    M[rows, rows + offset] = value
+
+
+def ref_jump_matrix(system, s, t) -> np.ndarray:
+    """A jump semigroup's transition matrix filled one step-law atom at a
+    time, each atom along its whole band."""
+    size = system.cap + 1
+    M = np.zeros((size, size))
+    for v, p in system.step_law(max(system.trace(t) - system.trace(s), 0.0)).items():
+        _fill_band(M, int(round(v)), p)
+    return M
+
+
+def ref_jump_generator_matrix(system, s, side="+") -> np.ndarray:
+    """A jump semigroup's generator matrix filled one jump at a time."""
+    rate = system.trace.slope(s, side)
+    size = system.cap + 1
+    G = np.zeros((size, size))
+    _fill_band(G, 0, -rate)
+    for v, p in zip(system.jump_values, system.jump_probs):
+        _fill_band(G, v, rate * p)
+    return G

@@ -26,7 +26,7 @@ from setmarkov import construction, kernels
 from setmarkov.cli import main
 from setmarkov.distributions import canonical_value, pmf_ppf, tv_distance
 from setmarkov.errors import ConfigError
-from setmarkov.kernels import chain_pmf
+from setmarkov.kernels import chain_rows
 from setmarkov.verify import (
     MIN_CONDITION_PROB,
     conditional_independence_defect,
@@ -205,7 +205,8 @@ def test_memoised_pmfs_are_read_only_and_accepted_everywhere(lattice3, grid2):
         assert pmf_ppf(pmf, np.array([0.0, 0.5, 1.0])).shape == (3,)
         assert pmf_ppf(initial, np.array([0.5])).shape == (1,)
         assert tv_distance(pmf, dict(pmf)) == 0.0
-        assert chain_pmf(kernel, (B, B2), 0) == kernel.step_pmf(B, B2, 0)
+        support, rows = chain_rows(kernel, (B, B2), [0])
+        assert dict(zip(support, rows[0].tolist())) == kernel.step_pmf(B, B2, 0)
         # the memo is per instance and takes no part in equality
         twin = type(kernel)(**{f: getattr(kernel, f) for f in kernel.__dataclass_fields__
                                if f != "_pmfs"})

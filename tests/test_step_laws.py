@@ -1,0 +1,329 @@
+"""Finite-state step laws: each computed once per kernel instance, chained as
+dense rows, and equal to the dict-by-dict references of ``helpers``."""
+
+import itertools
+import json
+import math
+import re
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from setmarkov import (
+    CellMeasure,
+    CompoundPoissonKernel,
+    EmpiricalKernel,
+    FddSpec,
+    IndexedSet,
+    PoissonIncrementKernel,
+    ck_defect,
+    compose_kernels,
+    enumerate_consistent_orderings,
+)
+from setmarkov import distributions
+from setmarkov.cli import main
+from setmarkov.config import load_config
+from setmarkov.construction import MixtureSpec
+from setmarkov.distributions import compound_poisson_dict
+from setmarkov.generators import (
+    JumpFlowSemigroup,
+    permutation_identity_check,
+    system_along_flow,
+)
+from setmarkov.kernels import PMF_TAIL, _poisson_pmf, chain_rows, rows_tv
+from setmarkov.lattice import DiscreteFlow, Trace, flow_from_ordering
+from setmarkov.quadrature import gauss_segment
+from setmarkov.verify import flow_matching_defect
+
+from helpers import (
+    ref_chain_pmf,
+    ref_ck_defect,
+    ref_compound_poisson_dict,
+    ref_flow_matching_defect,
+    ref_jump_generator_matrix,
+    ref_jump_matrix,
+)
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+JUMPS = {"integer": ((1, 2), (0.6, 0.4)), "half": ((1, 2.5), (0.6, 0.4))}
+
+
+def _specs(lattice3, grid2):
+    skewed = CellMeasure(grid2, [0.4, 0.3, 0.2, 0.1], "probability")
+    uniform = CellMeasure.uniform_probability(grid2)
+    lam = CellMeasure(grid2, [0.5, 1.0, 1.5, 2.0])
+    return {
+        "empirical": FddSpec(lattice3, EmpiricalKernel(3, skewed)),
+        "corrupted": FddSpec(lattice3, EmpiricalKernel(2, uniform, corrupted=True)),
+        "poisson": FddSpec(lattice3, PoissonIncrementKernel(lam)),
+        "compound_integer": FddSpec(lattice3, CompoundPoissonKernel(lam, *JUMPS["integer"])),
+        "compound_half": FddSpec(lattice3, CompoundPoissonKernel(lam, *JUMPS["half"])),
+        "mixture": MixtureSpec((FddSpec(lattice3, EmpiricalKernel(2, uniform)),
+                                FddSpec(lattice3, EmpiricalKernel(2, skewed))), (0.4, 0.6)),
+    }
+
+
+def _kernels(spec):
+    return [c.kernel for c in spec.components] if isinstance(spec, MixtureSpec) \
+        else [spec.kernel]
+
+
+def _prefix_triples(lattice):
+    seen = set()
+    for o in enumerate_consistent_orderings(lattice):
+        n = len(o)
+        for i, j, k in itertools.combinations_with_replacement(range(n), 3):
+            key = (o.prefix_masks[i], o.prefix_masks[j], o.prefix_masks[k])
+            if key not in seen:
+                seen.add(key)
+                yield o.prefix_set(i), o.prefix_set(j), o.prefix_set(k)
+
+
+def test_poisson_pmf_is_stats_poisson_pmf_bit_for_bit():
+    for mean in np.geomspace(1e-6, 50.0, 400).tolist() + [0.1, 0.5, 1.0, 7.25]:
+        pmf = _poisson_pmf(mean)
+        assert list(pmf) == list(range(len(pmf)))
+        want = stats.poisson.pmf(np.arange(len(pmf)), mean).tolist()
+        assert list(pmf.values()) == want
+
+
+@pytest.mark.parametrize("jumps", sorted(JUMPS))
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_cached_powers_match_the_uncached_loop(monkeypatch, jumps, order):
+    values, probs = JUMPS[jumps]
+    means = np.geomspace(1e-3, 6.0, 25).tolist()
+    if order == "falling":
+        means = means[::-1]
+    convolutions = []
+    real = distributions.convolve_dicts
+    monkeypatch.setattr(distributions, "convolve_dicts",
+                        lambda a, b: convolutions.append(1) or real(a, b))
+    powers = {}
+    for mean in means:
+        got = compound_poisson_dict(mean, values, probs, tail=PMF_TAIL, powers=powers)
+        want = ref_compound_poisson_dict(mean, values, probs, tail=PMF_TAIL)
+        assert got == want
+        assert list(got) == list(want)
+        assert list(got.values()) == list(want.values())
+    # each power of the jump law was convolved once, across all the means
+    assert len(convolutions) == max(powers)
+    assert sorted(powers) == list(range(1, max(powers) + 1))
+
+
+def test_compound_kernel_pmf_of_mean_is_the_reference(grid2):
+    lam = CellMeasure(grid2, [0.4] * 4)
+    for values, probs in JUMPS.values():
+        k = CompoundPoissonKernel(lam, values, probs)
+        for mean in (2.0, 0.3, 5.5, 0.3):
+            got = k._pmf_of_mean(mean)
+            want = ref_compound_poisson_dict(mean, values, probs, tail=PMF_TAIL)
+            assert list(got.items()) == list(want.items())
+
+
+def _jump_systems():
+    unit = Trace([0.0, 1.0, 2.0], [0.0, 0.75, 2.0])
+    yield JumpFlowSemigroup(unit, _poisson_pmf, start_mass_cap=3)
+    for name in ("poisson_lattice4", "compound_lattice3", "compound_staircase"):
+        spec = load_config(str(CONFIGS / f"{name}.json")).spec
+        yield system_along_flow(spec.kernel, flow_from_ordering(spec.ordering,
+                                                                spec.kernel.measure))
+
+
+def test_scattered_jump_matrices_equal_the_per_atom_fill():
+    for system in _jump_systems():
+        times = list(system.trace.times)
+        nodes, _ = gauss_segment(times[0], times[-1], 7)
+        points = times + nodes.tolist()
+        cuts = [0.0]
+        for s, t in itertools.combinations_with_replacement(sorted(points), 2):
+            assert np.array_equal(system.matrix(s, t), ref_jump_matrix(system, s, t))
+            for side in "+-":
+                assert np.array_equal(system.generator_matrix(s, side),
+                                      ref_jump_generator_matrix(system, s, side))
+            law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
+            cuts.append(1.0 - math.fsum(law.values()))
+        # 1 minus a float sum: within a few units of 1.0's last place
+        assert system.tail_cut == pytest.approx(max(cuts), abs=5e-16)
+        assert 0.0 < system.tail_cut <= PMF_TAIL
+
+
+@pytest.mark.parametrize("name", ["empirical", "corrupted", "poisson", "compound_integer",
+                                  "compound_half", "mixture"])
+def test_dense_ck_defect_matches_the_dict_chain(lattice3, grid2, name):
+    spec = _specs(lattice3, grid2)[name]
+    for kernel in _kernels(spec):
+        states = kernel.probe_states()
+        for B, B1, B2 in _prefix_triples(lattice3):
+            got = ck_defect(kernel, B, B1, B2, states).defect
+            want = ref_ck_defect(kernel, B, B1, B2, states)
+            if name == "corrupted":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, abs=1e-15)
+                assert got <= 1e-12
+
+
+def test_corrupted_kernel_keeps_its_defect(grid2):
+    k = EmpiricalKernel(2, CellMeasure.uniform_probability(grid2), corrupted=True)
+    B, B1, B2 = (IndexedSet.from_cells(grid2, c) for c in ([0], [0, 1], [0, 1, 2]))
+    states = [0.0, 0.5, 1.0]
+    got = ck_defect(k, B, B1, B2, states).defect
+    assert got == ref_ck_defect(k, B, B1, B2, states)
+    assert got > 0.01
+
+
+@pytest.mark.parametrize("name", ["empirical", "poisson", "compound_integer",
+                                  "compound_half"])
+def test_chain_rows_and_flow_matching_match_the_dict_chain(lattice3, grid2, name):
+    spec = _specs(lattice3, grid2)[name]
+    kernel = spec.kernel
+    flow = flow_from_ordering(spec.ordering, kernel.measure)
+    coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
+                          (flow.stages[0], flow.stages[-1]), flow.trace_measure)
+    states = [kernel.to_state(x) for x in kernel.probe_states()]
+    support, rows = chain_rows(kernel, flow.stages, states)
+    assert rows.shape == (len(states), len(support))
+    for x, row in zip(states, rows):
+        want = ref_chain_pmf(kernel, flow.stages, x)
+        got = dict(zip(support, row.tolist()))
+        assert set(want) <= set(got)
+        assert max(abs(got[z] - want.get(z, 0.0)) for z in got) <= 1e-15
+    got = flow_matching_defect(kernel, coarse, (0, 1), flow, (0, len(flow.stages) - 1),
+                               states)
+    want = ref_flow_matching_defect(kernel, coarse.stages, flow.stages, states)
+    assert got == pytest.approx(want, abs=1e-15)
+    # compose_kernels normalises the same dense row
+    B, B1, B2 = flow.stages[0], flow.stages[1], flow.stages[-1]
+    law = compose_kernels(kernel, B, B1, B2, kernel.probe_states()[1])
+    want = ref_chain_pmf(kernel, (B, B1, B2), states[1])
+    total = sum(want.values())
+    assert law.values == tuple(sorted(kernel.display(v) for v in want))
+    assert max(abs(p - want[z] / total) for z, p in zip(sorted(want), law.probs)) <= 1e-15
+
+
+def test_no_leg_moves_gives_one_hot_rows(grid2):
+    k = EmpiricalKernel(2, CellMeasure.uniform_probability(grid2))
+    B = IndexedSet.from_cells(grid2, [0])
+    support, rows = chain_rows(k, (B, B), [1, 0, 1])
+    assert support == (0, 1)
+    assert rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_rows_tv_aligns_supports_by_value():
+    a = ((0, 1), np.array([[0.5, 0.5], [1.0, 0.0]]))
+    b = ((1, 2), np.array([[0.5, 0.5], [0.0, 1.0]]))
+    assert rows_tv(a, b).tolist() == [0.5, 1.0]
+    assert rows_tv(a, a).tolist() == [0.0, 0.0]
+    # int and float states that are equal merge, as dict keys do
+    c = ((0.0, 1.0, 2.0), np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    assert rows_tv(a, c).tolist() == [0.0, 0.0]
+
+
+def _twin(kernel):
+    return type(kernel)(**{f: getattr(kernel, f) for f in kernel.__dataclass_fields__
+                           if f != "_pmfs"})
+
+
+@pytest.mark.parametrize("name", ["empirical", "poisson", "compound_integer",
+                                  "compound_half"])
+def test_a_fresh_kernel_and_a_warmed_one_give_identical_laws(lattice3, grid2, name):
+    warm = _specs(lattice3, grid2)[name].kernel
+    states = [warm.to_state(x) for x in warm.probe_states()]
+    triples = list(_prefix_triples(lattice3))
+    for B, B1, B2 in triples:
+        ck_defect(warm, B, B1, B2, warm.probe_states())
+    assert warm._pmfs
+    for B, _, B2 in triples:
+        fresh = _twin(warm)
+        assert not fresh._pmfs
+        for x in states:
+            got, want = fresh.step_pmf(B, B2, x), warm.step_pmf(B, B2, x)
+            assert list(got.items()) == list(want.items())
+            assert list(fresh.increment_pmf(B, B2, x).items()) == \
+                list(warm.increment_pmf(B, B2, x).items())
+        # each tuple of start states has its own rows, in its own order
+        for probe in (tuple(states), tuple(reversed(states))):
+            (s1, r1), (s2, r2) = fresh.step_rows(B, B2, probe), warm.step_rows(B, B2, probe)
+            assert s1 == s2 and np.array_equal(r1, r2)
+            assert not r2.flags.writeable
+            for y, row in zip(probe, r2.tolist()):
+                want = fresh.step_pmf(B, B2, y)
+                assert {z: p for z, p in zip(s2, row) if z in want} == dict(want)
+                assert not any(p for z, p in zip(s2, row) if z not in want)
+
+
+def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
+    lam = CellMeasure(grid2, [0.4] * 4)
+    k1 = CompoundPoissonKernel(lam, *JUMPS["integer"])
+    k2 = CompoundPoissonKernel(lam, *JUMPS["half"])
+    B, B2 = IndexedSet.from_cells(grid2, [0]), IndexedSet.from_cells(grid2, [0, 1, 2])
+    for k in (k1, k2, k1):
+        k.step_rows(B, B2, (0.0, 1.0))
+        k._pmf_of_mean(1.5)
+    assert set(k1._pmfs) == set(k2._pmfs)
+    for key in k1._pmfs:
+        assert k1._pmfs[key] is not k2._pmfs[key]
+    assert 3.5 in k2._pmfs["jump_powers"][2] and 3.5 not in k1._pmfs["jump_powers"][2]
+    for k, (values, probs) in ((k1, JUMPS["integer"]), (k2, JUMPS["half"])):
+        assert list(k._pmf_of_mean(1.5).items()) == \
+            list(ref_compound_poisson_dict(1.5, values, probs, tail=PMF_TAIL).items())
+
+
+def test_threads_share_one_kernel_s_jump_powers_safely(grid2):
+    # sample --workers runs one kernel's pmfs in several threads: a power
+    # convolved twice in a race must still leave one power per count
+    values, probs = JUMPS["half"]
+    k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
+    means = np.geomspace(0.05, 6.0, 12).tolist()
+    want = {m: list(ref_compound_poisson_dict(m, values, probs, tail=PMF_TAIL).items())
+            for m in means}
+    bad = []
+
+    def work(order):
+        for m in order:
+            if list(k._pmf_of_mean(m).items()) != want[m]:
+                bad.append(m)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(means[i % 2::2] + means[::-1],))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+    powers = k._pmfs["jump_powers"]
+    assert sorted(powers) == list(range(1, max(powers) + 1))
+
+
+@pytest.mark.parametrize("name", ["poisson_lattice4", "compound_lattice3"])
+def test_permutation_rows_state_the_tail_cut(tmp_path, name):
+    config = str(CONFIGS / f"{name}.json")
+    spec = load_config(config).spec
+    orders = enumerate_consistent_orderings(spec.lattice)
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", config, "--out", str(out)]) == 0
+    rows = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for level in (2, 3):
+        for suffix in ("", "_generator"):
+            row = rows[f"permutation_identity_{level}{suffix}"]
+            i, j = map(int, re.match(r"orderings (\d+) and (\d+)", row["instance"]).groups())
+            r = permutation_identity_check(spec, orders[i], orders[j], level)
+            assert 0.0 < r.tail_cut <= PMF_TAIL
+            assert f", largest tail mass cut from a step law {r.tail_cut:.1e}, " \
+                in row["instance"]
+            assert row["pass"]
+
+
+def test_empirical_permutation_rows_have_no_tail_cut(empirical_spec3, orderings3):
+    r = permutation_identity_check(empirical_spec3, orderings3[0], orderings3[1], 2)
+    assert r.tail_cut is None
