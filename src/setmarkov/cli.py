@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from . import __version__
 from .config import load_config, merge_tolerance_overrides
 from .construction import MixtureSpec, decompose_over_lefts, exact_fdd, sample_increments
 from .errors import ConfigError, SetMarkovError, UnsupportedKernelError
+from .floatfmt import WIDTH, format_floats
 from .suite import FD_EPS, run_gencheck, run_validation_suite
 
 EXIT_PASS = 0
@@ -29,6 +33,8 @@ EXIT_USAGE = 2
 # Rows per block of the CSV writer: enough to spread numpy's per-call cost,
 # few enough that a block's strings stay small next to the sample matrix.
 BLOCK_ROWS = 1024
+# Bytes of a cell's slot in ``format_rows``: its repr, then a separator.
+SLOT = WIDTH + 2
 
 
 def _describe_initial(cfg) -> str:
@@ -72,45 +78,70 @@ def cmd_validate(args) -> int:
     return EXIT_PASS
 
 
-def format_rows(block: np.ndarray, distinct: bool) -> str:
+@lru_cache(maxsize=8)
+def _slots(values: bytes) -> np.ndarray:
+    """The slot of each float64 in ``values``: its repr, zero bytes, then a
+    comma in the next-to-last byte.  Kept for the next blocks with the same
+    distinct values, as the blocks of a finite-state kind mostly are."""
+    texts = np.zeros((len(values) // 8, SLOT), dtype=np.uint8)
+    texts[:, :WIDTH] = format_floats(np.frombuffer(values, dtype=np.float64))
+    texts[:, WIDTH] = ord(",")
+    texts.flags.writeable = False
+    return texts
+
+
+def format_rows(block: np.ndarray) -> str:
     """CSV lines of a 2-d float array: every value as its shortest
     round-trip ``repr``, comma-separated, each line ended by CRLF -- the bytes
     ``csv.writer`` writes for those strings.
 
-    With ``distinct`` each distinct bit pattern is formatted once and its
-    string gathered into every cell that holds it (-0.0 and 0.0 stay apart);
-    that pays when a block repeats few values, as finite-state kinds do.
+    Each distinct bit pattern of the block (-0.0 and 0.0 stay apart) is
+    formatted once by ``floatfmt.format_floats`` into a zero-padded slot;
+    the slots are gathered back into the cells, the last cell of each row
+    ends in CRLF instead of a comma, and dropping the zero bytes leaves the
+    lines.
     """
-    if distinct:
-        bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).ravel()
-        values, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([repr(v) for v in values.view(np.float64).tolist()], dtype=object)
-        cells = texts[inverse].tolist()
-    else:
-        cells = list(map(repr, block.ravel().tolist()))
-    width = block.shape[1]
-    return "".join([",".join(cells[i:i + width]) + "\r\n"
-                    for i in range(0, len(cells), width)])
+    rows, cols = block.shape
+    bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).ravel()
+    values, inverse = np.unique(bits, return_inverse=True)
+    texts = _slots(values.tobytes())
+    cells = np.take(texts, inverse, axis=0).reshape(rows, cols, SLOT)
+    cells[:, -1, WIDTH:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    flat = cells.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
-def _write_csv(path, header, blocks, distinct: bool) -> None:
+def _write_csv(path, header, blocks) -> tuple[int, int]:
     """The header row through ``csv.writer`` (names are quoted as needed),
-    then each float block of the iterable through ``format_rows``."""
+    then each float block of the iterable through ``format_rows``.  Returns
+    the data rows and the bytes written."""
+    rows = 0
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(header)
         for block in blocks:
-            f.write(format_rows(block, distinct))
+            f.write(format_rows(block))
+            rows += len(block)
+    return rows, os.path.getsize(path)
+
+
+def _report_written(command, rows, size, start) -> None:
+    seconds = max(time.perf_counter() - start, 1e-9)
+    print(f"{command}: {rows} rows, {size} bytes in {seconds:.3f} s "
+          f"({rows / seconds:.0f} rows/s)", file=sys.stderr)
 
 
 def cmd_sample(args) -> int:
+    start = time.perf_counter()
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
     if args.n < 1:
         raise ConfigError("--n must be >= 1")
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
     spec = cfg.spec
     lefts = spec.lefts
-    workers = max(1, args.workers)
+    workers = args.workers
     chunk = (args.n + workers - 1) // workers
     ranges = [(s, min(chunk, args.n - s)) for s in range(0, args.n, chunk)]
 
@@ -138,11 +169,12 @@ def cmd_sample(args) -> int:
                 yield kernel.display(block)
 
     header = [f"C{i}" for i in range(parts[0].shape[1])] + [n for n, _ in cfg.derived_sets]
-    _write_csv(args.out, header, rows(), kernel.finite_state)
+    _report_written("sample", *_write_csv(args.out, header, rows()), start)
     return EXIT_PASS
 
 
 def cmd_fdd(args) -> int:
+    start = time.perf_counter()
     cfg = load_config(args.config)
     spec = cfg.spec
     try:
@@ -157,7 +189,8 @@ def cmd_fdd(args) -> int:
             part = slice(s, s + BLOCK_ROWS)
             yield np.column_stack([kernel.display(law.keys[part]), law.probs[part]])
 
-    _write_csv(args.out, list(law.labels) + ["probability"], rows(), kernel.finite_state)
+    header = list(law.labels) + ["probability"]
+    _report_written("fdd", *_write_csv(args.out, header, rows()), start)
     return EXIT_PASS
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import setmarkov
 from setmarkov import suite, verify
-from setmarkov.cli import BLOCK_ROWS, format_rows, main
+from setmarkov.cli import BLOCK_ROWS, _slots, format_rows, main
 from setmarkov.config import load_config
 from setmarkov.generators import Trace, generator_matching_defect, system_along_flow
 from setmarkov.lattice import DiscreteFlow, flow_from_ordering
@@ -191,6 +192,39 @@ def test_sample_workers_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sample_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    assert main(["sample", "--config", write_config(tmp_path, BASE), "--n", "3",
+                 "--workers", workers, "--out", str(out)]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+SUMMARY = re.compile(r"(sample|fdd): (\d+) rows, (\d+) bytes in (\d+\.\d{3}) s \((\d+) rows/s\)")
+
+
+@pytest.mark.parametrize("command", ["sample", "fdd"])
+def test_writers_print_one_summary_line(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "x.csv"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "sample":
+        argv += ["--n", "7", "--workers", "2"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    match = SUMMARY.fullmatch(lines[0])
+    assert match and match[1] == command
+    data_rows = len(out.read_bytes().splitlines()) - 1
+    assert int(match[2]) == data_rows == (7 if command == "sample" else 10)
+    assert int(match[3]) == out.stat().st_size
+    assert float(match[4]) > 0 and int(match[5]) > 0
+
+
 def test_fdd_table(tmp_path):
     payload = json.loads(json.dumps(BASE))
     payload["process"]["n"] = 1
@@ -359,14 +393,20 @@ WRITER_VALUES = [-0.0, 0.0, float("nan"), np.uint64(0x7FF8000000000001).view(np.
                  5e-324] + [k / 6 for k in range(1, 7)]
 
 
-@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("shape", [(1, 16), (16, 1), (4, 4), (8, 4)])
-def test_format_rows_matches_repr(distinct, shape):
-    # (8, 4) repeats every value, so the distinct path gathers shared strings
+def test_format_rows_matches_repr(cached, shape):
+    # (8, 4) repeats every value, so each distinct string is gathered twice;
+    # with ``cached`` the slots come from an earlier block of the same values
     flat = np.resize(np.array(WRITER_VALUES), shape[0] * shape[1])
     block = flat.reshape(shape)
     want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block)
-    assert format_rows(block, distinct) == want
+    _slots.cache_clear()
+    if cached:
+        format_rows(block[::-1].copy())
+        assert _slots.cache_info().currsize == 1
+    assert format_rows(block) == want
+    assert _slots.cache_info().hits == int(cached)
 
 
 DERIVED = [{"name": "u12", "union": [1, 2]},
