@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedKernelError,
 )
 from .grid import mask_cells, measure_of  # noqa: F401  (perfbench traces it here)
-from .kernels import TransitionKernel
+from .kernels import TransitionKernel, shared_column
 from .lattice import (
     ConsistentOrdering,
     IndexedSet,
@@ -297,8 +297,12 @@ def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
     return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs)
 
 
-def _clip_u(u: np.ndarray) -> np.ndarray:
-    return np.clip(u, _TINY, 1.0 - 1e-16)
+def _stream(seed: int, key: int, start: int, count: int) -> np.ndarray:
+    """The uniforms of one stream, clipped into (0, 1), shared inside
+    ``kernels.shared_columns`` under (seed, key, start, count)."""
+    return shared_column(("uniform", seed, key, start, count),
+                         lambda: np.clip(step_uniforms(seed, key, start, count),
+                                         _TINY, 1.0 - 1e-16))
 
 
 def sample_increments(spec, seed: int, count: int, start: int = 0,
@@ -309,11 +313,12 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     ``step_keys`` optionally renames the per-column stream keys (default:
     the column index).  The verify module keys columns by the left
     neighbourhood they create, which couples the draws of two orderings of
-    the same lattice variable-by-variable.
+    the same lattice variable-by-variable.  Inside ``kernels.shared_columns``
+    each stream, and each quantile column drawn from it, is computed once.
     """
     if isinstance(spec, MixtureSpec):
         n_steps = len(spec.ordering)
-        pick = _clip_u(step_uniforms(seed, n_steps, start, count))
+        pick = _stream(seed, n_steps, start, count)
         cum = np.cumsum(spec.weights)
         component = np.searchsorted(cum, pick, side="right")
         component = np.minimum(component, len(spec.components) - 1)
@@ -331,14 +336,14 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     if len(keys) != n_steps:
         raise ConfigError("step_keys must name every column")
     out = np.empty((count, n_steps))
-    u = _clip_u(step_uniforms(seed, keys[0], start, count))
+    u = _stream(seed, keys[0], start, count)
     if spec.initial is not None:
         out[:, 0] = pmf_ppf(spec.initial, u)
     else:
         out[:, 0] = kernel.initial_ppf(spec.min_set, u)
     x = out[:, 0].copy()
     for i in range(1, n_steps):
-        u = _clip_u(step_uniforms(seed, keys[i], start, count))
+        u = _stream(seed, keys[i], start, count)
         out[:, i] = kernel.increment_ppf(ordering.prefix_set(i - 1),
                                          ordering.prefix_set(i), x, u)
         x = x + out[:, i]

@@ -36,14 +36,33 @@ GAUSS_STENCIL = 1.0 / 512.0
 
 
 class MatrixSemigroup:
-    """Transition and generator matrices acting on state vectors.
+    """Transition and generator matrices acting on state vectors, along the
+    measure trace of a flow.
 
-    ``tail_cut`` is None when the transition matrices hold their step laws
-    whole; a semigroup whose step laws are cut at a tail sets it to the
-    largest mass any of its ``matrix`` calls so far dropped."""
+    ``matrix(s, t)`` is a subclass's ``_transition``.  Between two trace
+    knots it is built once per instance and returned read only: the
+    generator integrals compose through the same knot-to-knot legs at every
+    Gauss node, and no other leg is asked for twice.  ``tail_cut`` is None
+    when the transition matrices hold their step laws whole; a semigroup
+    whose step laws are cut at a tail sets it to the largest mass any
+    matrix it built so far dropped."""
 
     finite_state = True
     tail_cut: float | None = None
+
+    def __init__(self, trace: Trace):
+        self.trace = trace
+        self._knots = frozenset(trace.times.tolist())
+        self._legs: dict[tuple[float, float], np.ndarray] = {}
+
+    def matrix(self, s: float, t: float) -> np.ndarray:
+        if s not in self._knots or t not in self._knots:
+            return self._transition(s, t)
+        M = self._legs.get((s, t))
+        if M is None:
+            M = self._legs[s, t] = self._transition(s, t)
+            M.flags.writeable = False
+        return M
 
     def apply(self, s, t, h):
         return self.matrix(s, t) @ np.asarray(h, dtype=float)
@@ -92,8 +111,8 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
     """
 
     def __init__(self, n: int, trace: Trace, corrupted: bool = False):
+        super().__init__(trace)
         self.n = n
-        self.trace = trace
         self.corrupted = corrupted
         self.states = self.probe_states = np.arange(n + 1)
         # entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
@@ -101,7 +120,7 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self._rows, self._heads, self._tails = k, j, n - k - j
         self._comb = np.array([float(math.comb(n - a, b)) for a, b in zip(k, j)])
 
-    def matrix(self, s: float, t: float) -> np.ndarray:
+    def _transition(self, s: float, t: float) -> np.ndarray:
         n = self.n
         gs = self.trace(s)
         p = empirical_success(self.trace(t) - gs, gs, self.corrupted)
@@ -135,12 +154,13 @@ class JumpFlowSemigroup(MatrixSemigroup):
     precision on states that cannot reach the cap.  ``matrix`` writes the
     step law as one dense vector by jump size and scatters it into the band
     through index arrays built once; ``tail_cut`` records the mass the tail
-    cut left out of that vector (1 minus its sum), the largest so far.
+    cut left out of that vector (1 minus its sum), the largest over the
+    matrices built so far.
     """
 
     def __init__(self, trace: Trace, step_law, jump_values=(1,), jump_probs=(1.0,),
                  start_mass_cap: int = 0):
-        self.trace = trace
+        super().__init__(trace)
         self.step_law = step_law
         jv = [int(v) for v in jump_values]
         if jv != list(jump_values) or any(v < 1 for v in jv):
@@ -168,7 +188,7 @@ class JumpFlowSemigroup(MatrixSemigroup):
         M[rows, cols] = law[jump]
         return M, law
 
-    def matrix(self, s: float, t: float) -> np.ndarray:
+    def _transition(self, s: float, t: float) -> np.ndarray:
         pmf = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
         M, law = self._spread(list(pmf), list(pmf.values()))
         self.tail_cut = max(self.tail_cut, 1.0 - float(law.sum()))

@@ -18,7 +18,6 @@ violates the composition law and is used to show the checks have power.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -280,10 +279,10 @@ class GaussianIncrementKernel(TransitionKernel):
     def initial_ppf(self, min_set, u):
         if self.initial == "zero":
             return np.zeros_like(u)
-        return special.ndtri(u) * np.sqrt(measure_of(self.lam, min_set))
+        return _normal_ppf(u) * np.sqrt(measure_of(self.lam, min_set))
 
     def increment_ppf(self, prev, cur, x, u):
-        return special.ndtri(u) * np.sqrt(measure_of(self.lam, cur - prev))
+        return _normal_ppf(u) * np.sqrt(measure_of(self.lam, cur - prev))
 
     def flow_semigroup(self, flow):
         return GaussianFlowSemigroup(Trace.along_flow(self.lam, flow))
@@ -532,20 +531,65 @@ def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):
     return kernel.law(B, B2, x)
 
 
-_QUANTILE_MEMO: ContextVar[dict | None] = ContextVar("quantile_memo", default=None)
+class _Columns(dict):
+    """Read-only columns by key; ``key_of`` maps the id of each column held
+    back to its key.  The memo keeps every column it holds alive, so an id
+    it finds there is never that of an array it does not own."""
+
+    def __init__(self):
+        super().__init__()
+        self.key_of: dict[int, tuple] = {}
+
+
+_COLUMN_MEMO: ContextVar[_Columns | None] = ContextVar("column_memo", default=None)
 
 
 @contextmanager
-def shared_quantiles():
-    """Within the block, the current thread's Beta quantile columns are
-    computed once per distinct (a, b, uniform column) and then shared, read
-    only.  Orderings sampled from the same uniform streams meet the same
-    columns again; the memo is dropped on exit, raising or not."""
-    token = _QUANTILE_MEMO.set({})
+def shared_columns():
+    """Within the block, the current thread computes each sampled column
+    once and then shares it, read only: the clipped uniform column of each
+    stream, keyed by (seed, stream key, start, count), and each quantile
+    column derived from one, keyed by its parameters and that stream's key.
+    Orderings sampled from the same streams meet the same columns again.  A
+    nested block reuses the memo already open; the outermost block drops it
+    on exit, raising or not.  Outside any block nothing is memoised."""
+    if _COLUMN_MEMO.get() is not None:
+        yield
+        return
+    token = _COLUMN_MEMO.set(_Columns())
     try:
         yield
     finally:
-        _QUANTILE_MEMO.reset(token)
+        _COLUMN_MEMO.reset(token)
+
+
+def shared_column(key: tuple, compute) -> np.ndarray:
+    """``compute()``, a fresh array; inside ``shared_columns`` the column
+    stored under ``key``, computed on first use and then read only."""
+    memo = _COLUMN_MEMO.get()
+    if memo is None:
+        return compute()
+    col = memo.get(key)
+    if col is None:
+        col = memo[key] = compute()
+        col.flags.writeable = False
+        memo.key_of[id(col)] = key
+    return col
+
+
+def _quantile_column(law: tuple, u: np.ndarray, compute) -> np.ndarray:
+    """``compute()``, the quantiles of ``law`` at the uniforms u: shared
+    under (*law, key of u) when u is a column of the open memo, and computed
+    afresh otherwise."""
+    memo = _COLUMN_MEMO.get()
+    stream = None if memo is None else memo.key_of.get(id(u))
+    if stream is None:
+        return compute()
+    return shared_column((*law, stream), compute)
+
+
+def _normal_ppf(u: np.ndarray) -> np.ndarray:
+    return _quantile_column(("normal",), u, lambda: special.ndtri(u))
 
 
 def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -553,15 +597,7 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
         return np.zeros_like(u)
     if b == 0:
         return np.ones_like(u)
-    memo = _QUANTILE_MEMO.get()
-    if memo is None:
-        return special.betaincinv(a, b, u)
-    key = (a, b, u.shape, hashlib.blake2b(u.tobytes()).digest())
-    col = memo.get(key)
-    if col is None:
-        col = memo[key] = special.betaincinv(a, b, u)
-        col.flags.writeable = False
-    return col
+    return _quantile_column(("beta", a, b), u, lambda: special.betaincinv(a, b, u))
 
 
 def _dense(pmfs) -> tuple[tuple, np.ndarray]:

@@ -30,7 +30,7 @@ from .generators import (
     system_along_flow,
 )
 from .grid import measure_of
-from .kernels import ck_defect
+from .kernels import ck_defect, shared_columns
 from .lattice import (
     DiscreteFlow,
     enumerate_consistent_orderings,
@@ -302,7 +302,10 @@ def run_validation_suite(cfg) -> list[dict]:
     kernel = cfg.spec.kernel
     if kernel.finite_state:
         return _finite_state_rows(cfg)
-    return _continuous_rows(cfg)
+    # the ordering check and the marginal laws read the same uniform streams:
+    # one column memo for the whole run computes each stream and quantile once
+    with shared_columns():
+        return _continuous_rows(cfg)
 
 
 def run_gencheck(cfg, eps_list, tolerance: float | None,

@@ -23,7 +23,7 @@ from .construction import (
     sample_increments,
 )
 from .errors import ConfigError, UnsupportedKernelError
-from .kernels import chain_rows, rows_tv, shared_quantiles
+from .kernels import chain_rows, rows_tv, shared_columns
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -130,17 +130,23 @@ def aligned_increment_samples(spec, ordering, seed: int, count: int) -> np.ndarr
 def mc_event_probabilities(aligned: np.ndarray, medians: np.ndarray,
                            quartiles: np.ndarray) -> np.ndarray:
     """Probabilities of the probe events: every nonempty AND-combination of
-    per-variable median half-lines, plus per-variable quartile half-lines."""
+    per-variable median half-lines, in the order of its bit mask (bit j for
+    variable j), plus per-variable quartile half-lines.
+
+    Each row gets one code, bit j set when variable j is at or below its
+    median; one ``bincount`` over the 2^d codes and a sum over supersets
+    give the count of every AND-combination.  Each probability is count /
+    n, the value a boolean ``mean`` gives, bit for bit."""
     count, d = aligned.shape
-    below = aligned <= medians  # (count, d)
-    probs = []
-    for mask in range(1, 1 << d):
-        sel = [j for j in range(d) if (mask >> j) & 1]
-        probs.append(float(below[:, sel].all(axis=1).mean()))
+    code = (aligned <= medians) @ (1 << np.arange(d))
+    hits = np.bincount(code, minlength=1 << d)
     for j in range(d):
-        for q in quartiles[:, j]:
-            probs.append(float((aligned[:, j] <= q).mean()))
-    return np.asarray(probs)
+        # every code without bit j also counts the rows of the code with it
+        pairs = hits.reshape(-1, 2, 1 << j)
+        pairs[:, 0] += pairs[:, 1]
+    quartile_hits = [np.count_nonzero(aligned[:, j] <= q)
+                     for j in range(d) for q in quartiles[:, j]]
+    return np.concatenate([hits[1:], quartile_hits]) / count
 
 
 def mc_probe_thresholds(aligned: np.ndarray):
@@ -171,8 +177,9 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     probe events take their thresholds from the first ordering's samples,
     and the result is the ``McDefect`` of the pair with the most standard
     errors.  Every ordering reads one uniform stream per variable
-    (``aligned_increment_samples``), so each distinct quantile column is
-    computed once and shared across orderings (``kernels.shared_quantiles``).
+    (``aligned_increment_samples``), so each stream and each distinct
+    quantile column is computed once and shared across orderings
+    (``kernels.shared_columns``, or the scope a caller already opened).
     """
     lattice = orderings[0].lattice
     if any(o.lattice is not lattice and o.lattice.members != lattice.members
@@ -188,7 +195,7 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
             f"{spec.kernel.kind} kernel needs mc=(seed, count) for this check"
         )
     seed, count = mc
-    with shared_quantiles():
+    with shared_columns():
         aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
     medians, quartiles = mc_probe_thresholds(aligned[0])
     probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]

@@ -21,6 +21,9 @@ semigroups.
 ``ref_mc_ordering_invariance`` samples every ordering on its own, with no
 quantile column shared between orderings: the reference for the shared
 columns of the Monte Carlo ``verify.ordering_invariance_defect``.
+``ref_mc_event_probabilities`` takes one boolean ``mean`` per probe event:
+the reference for the ``bincount`` and superset sums of
+``verify.mc_event_probabilities``.
 ``ref_chain_pmf`` chains the kernel's step pmfs one state at a time through
 dicts, and ``ref_ck_defect`` and ``ref_flow_matching_defect`` compare such
 chains state by state: the reference for the dense rows of
@@ -445,6 +448,22 @@ def ref_mc_ordering_invariance(spec, orderings, seed, count):
             if worst is None or gap.sigmas > worst.sigmas:
                 worst = gap
     return worst or McDefect(0.0, 0.0, 0.0)
+
+
+def ref_mc_event_probabilities(aligned, medians, quartiles):
+    """The probe-event probabilities one event at a time: each
+    AND-combination of median half-lines by bit mask, then each quartile
+    half-line, as the mean of a boolean column."""
+    count, d = aligned.shape
+    below = aligned <= medians
+    probs = []
+    for mask in range(1, 1 << d):
+        sel = [j for j in range(d) if (mask >> j) & 1]
+        probs.append(float(below[:, sel].all(axis=1).mean()))
+    for j in range(d):
+        for q in quartiles[:, j]:
+            probs.append(float((aligned[:, j] <= q).mean()))
+    return np.asarray(probs)
 
 
 def ref_sample_csv(config_path, n, seed, path):

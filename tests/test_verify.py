@@ -1,7 +1,10 @@
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from setmarkov import (
@@ -18,7 +21,7 @@ from setmarkov import (
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
-from setmarkov import construction, kernels, verify
+from setmarkov import construction, kernels, suite, verify
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
 from setmarkov.errors import ConfigError, UnsupportedKernelError
@@ -27,6 +30,8 @@ from setmarkov.verify import (
     flow_markov_defect,
     flow_matching_defect,
     increment_vector_independence_defect,
+    mc_event_probabilities,
+    mc_probe_thresholds,
     ordering_invariance_defect,
     set_markov_defect,
 )
@@ -34,6 +39,7 @@ from setmarkov.verify import (
 from helpers import (
     ref_align_variables,
     ref_exact_fdd,
+    ref_mc_event_probabilities,
     ref_mc_ordering_invariance,
     ref_permuted,
     ref_tv,
@@ -151,7 +157,8 @@ class TestOrderingInvariance:
 class TestSharedQuantiles:
     """The Monte Carlo ordering check computes each distinct Beta quantile
     column once: the 16 staircase orderings read one uniform stream per
-    variable, and their 6 x 16 columns take 18 distinct (a, b, stream)."""
+    variable, and their 6 x 16 columns take 18 distinct (a, b, stream).
+    The check opens ``kernels.shared_columns`` itself when no caller has."""
 
     @pytest.fixture
     def dirichlet_staircase(self):
@@ -175,7 +182,7 @@ class TestSharedQuantiles:
         calls = self.count_betaincinv(monkeypatch)
         got = ordering_invariance_defect(spec, orders, mc=(0, 2000))
         assert len(orders) == 16 and len(calls) == 18
-        assert kernels._QUANTILE_MEMO.get() is None
+        assert kernels._COLUMN_MEMO.get() is None
         calls.clear()
         want = ref_mc_ordering_invariance(spec, orders, 0, 2000)
         assert len(calls) == 96  # no sharing outside the check
@@ -196,24 +203,130 @@ class TestSharedQuantiles:
         def failing(spec, ordering, seed, count):
             if len(seen) == 2:
                 raise RuntimeError("sampler failed")
-            seen.append(len(kernels._QUANTILE_MEMO.get()))
+            seen.append(len(kernels._COLUMN_MEMO.get()))
             return real(spec, ordering, seed, count)
 
         monkeypatch.setattr(verify, "aligned_increment_samples", failing)
         with pytest.raises(RuntimeError, match="sampler failed"):
             ordering_invariance_defect(spec, orders, mc=(0, 200))
         assert seen[0] == 0 and seen[1] > 0  # the memo was live during the check
-        assert kernels._QUANTILE_MEMO.get() is None
+        assert kernels._COLUMN_MEMO.get() is None
 
     def test_memo_is_thread_local(self):
         seen = []
-        with kernels.shared_quantiles():
-            worker = threading.Thread(target=lambda: seen.append(kernels._QUANTILE_MEMO.get()))
+        with kernels.shared_columns():
+            worker = threading.Thread(target=lambda: seen.append(kernels._COLUMN_MEMO.get()))
             worker.start()
             worker.join(timeout=10)
             assert not worker.is_alive()
-            assert kernels._QUANTILE_MEMO.get() == {}
+            assert kernels._COLUMN_MEMO.get() == {}
         assert seen == [None]
+
+
+class TestColumnScope:
+    """``suite.run_validation_suite`` opens one column memo around a whole
+    continuous run, so the ordering check and the marginal laws share every
+    uniform stream and quantile column."""
+
+    @staticmethod
+    def count(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(args[:-1])
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("stem, quantile, columns", [
+        ("gaussian_staircase", "ndtri", 6),
+        ("dirichlet_staircase", "betaincinv", 18),
+    ])
+    def test_validate_draws_each_column_once(self, monkeypatch, stem, quantile, columns):
+        cfg = load_config(str(CONFIGS / f"{stem}.json"))
+        streams = self.count(monkeypatch, construction, "step_uniforms")
+        quantiles = self.count(monkeypatch, special, quantile)
+        rows = suite.run_validation_suite(cfg)
+        assert {r["name"] for r in rows} >= {"ordering_invariance", "marginal_law"}
+        assert len(streams) == len(set(streams)) == 6
+        assert len(quantiles) == columns
+        assert kernels._COLUMN_MEMO.get() is None
+
+    def test_memo_dropped_when_validate_raises(self, monkeypatch):
+        cfg = load_config(str(CONFIGS / "gaussian_staircase.json"))
+        held = []
+
+        def failing(kernel, flow):
+            held.append(len(kernels._COLUMN_MEMO.get()))
+            raise RuntimeError("semigroup failed")
+
+        monkeypatch.setattr(suite, "system_along_flow", failing)
+        with pytest.raises(RuntimeError, match="semigroup failed"):
+            suite.run_validation_suite(cfg)
+        assert held == [12]  # 6 uniform and 6 normal quantile columns
+        assert kernels._COLUMN_MEMO.get() is None
+
+    def test_nested_scope_reuses_the_outer_memo(self, monkeypatch):
+        spec = load_config(str(CONFIGS / "dirichlet_staircase.json")).spec
+        orders = enumerate_consistent_orderings(spec.lattice)
+        with kernels.shared_columns():
+            memo = kernels._COLUMN_MEMO.get()
+            got = ordering_invariance_defect(spec, orders, mc=(0, 2000))
+            assert kernels._COLUMN_MEMO.get() is memo and len(memo) == 6 + 18
+            streams = self.count(monkeypatch, construction, "step_uniforms")
+            quantiles = self.count(monkeypatch, special, "betaincinv")
+            with kernels.shared_columns():
+                assert kernels._COLUMN_MEMO.get() is memo
+                again = ordering_invariance_defect(spec, orders, mc=(0, 2000))
+                arr = sample_increments(spec, 0, 2000)
+            assert kernels._COLUMN_MEMO.get() is memo
+        assert streams == [] and quantiles == [] and again == got
+        assert kernels._COLUMN_MEMO.get() is None
+        assert arr.tobytes() == sample_increments(spec, 0, 2000).tobytes()
+
+    def test_memo_columns_are_read_only(self):
+        spec = load_config(str(CONFIGS / "dirichlet_staircase.json")).spec
+        with kernels.shared_columns():
+            sample_increments(spec, 2, 100)
+            memo = kernels._COLUMN_MEMO.get()
+            assert len(memo) == 6 + 6
+            for col in memo.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    col[0] = 0.5
+
+    def test_arrays_the_memo_does_not_own_are_not_shared(self, monkeypatch):
+        u = np.linspace(0.1, 0.9, 9)
+        quantiles = self.count(monkeypatch, special, "betaincinv")
+        with kernels.shared_columns():
+            first = kernels._beta_ppf(u, 0.5, 1.5)
+            second = kernels._beta_ppf(u.copy(), 0.5, 1.5)
+            assert kernels._COLUMN_MEMO.get() == {}
+        assert len(quantiles) == 2 and first.flags.writeable
+        assert first.tobytes() == second.tobytes()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_event_probabilities_match_the_mean_per_event(data):
+    d = data.draw(st.integers(1, 6))
+    count = data.draw(st.integers(1, 500))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()):
+        # few distinct values: many rows tie with the medians and quartiles
+        aligned = rng.integers(0, data.draw(st.integers(1, 4)), (count, d)).astype(float)
+    else:
+        aligned = rng.standard_normal((count, d))
+    medians, quartiles = mc_probe_thresholds(aligned)
+    if data.draw(st.booleans()):
+        # thresholds read off sampled values, so rows sit exactly on them
+        rows = rng.integers(0, count, (3, d))
+        medians, quartiles = aligned[rows[0], range(d)], aligned[rows[1:], range(d)]
+    got = mc_event_probabilities(aligned, medians, quartiles)
+    want = ref_mc_event_probabilities(aligned, medians, quartiles)
+    assert got.shape == ((1 << d) - 1 + 2 * d,)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSetMarkov:
