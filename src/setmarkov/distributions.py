@@ -23,6 +23,10 @@ from .errors import ConfigError
 from .quadrature import hermite
 
 PMF_TOTAL_TOL = 1e-12
+# binomial_pmf takes comb(trials, j) p^j q^(trials - j) in floats up to this
+# many trials; from 1030 on, comb(trials, trials // 2) overflows a float, so
+# larger counts take stats.binom.pmf
+DIRECT_BINOMIAL_TRIALS = 1000
 COMPOSE_CDF_TOL = 1e-8
 # The Gauss-Hermite rule resolves a normal second stage whose variance is at
 # least this share of the first stage's: its error is about 2e-13 at a
@@ -87,13 +91,23 @@ class FinitePmf(Distribution):
 
 
 def binomial_pmf(trials: int, p: float) -> FinitePmf:
-    """Exact binomial pmf over 0..trials."""
+    """Exact binomial pmf over the counts within 12 standard deviations + 70
+    of the mean: all of 0..trials up to 70 trials.  By Bernstein's
+    inequality each tail left out has mass below exp(-72) < 1e-31, and a
+    table keeps O(sqrt(trials)) atoms."""
     if not 0.0 <= p <= 1.0 + 1e-12:
         raise ConfigError(f"binomial success probability {p} outside [0, 1]")
     p = min(p, 1.0)
     q = 1.0 - p
-    counts = range(trials + 1)
-    return FinitePmf(counts, [math.comb(trials, j) * p**j * q ** (trials - j) for j in counts])
+    mean, reach = trials * p, 12.0 * math.sqrt(trials * p * q) + 70
+    counts = range(max(int(mean - reach), 0), min(int(mean + reach), trials) + 1)
+    if trials > DIRECT_BINOMIAL_TRIALS:
+        return FinitePmf(counts, stats.binom.pmf(np.array(counts), trials, p).tolist())
+    probs, comb = [], math.comb(trials, counts.start)
+    for j in counts:
+        probs.append(comb * p**j * q ** (trials - j))
+        comb = comb * (trials - j) // (j + 1)  # exact: comb(trials, j + 1)
+    return FinitePmf(counts, probs)
 
 
 @dataclass(frozen=True)
@@ -238,12 +252,16 @@ def poisson_tail_count(mean: float, tail: float) -> int:
     """Smallest k >= 0 with P(Poisson(mean) > k) <= tail: where the exact
     pmfs truncate the count.  One vectorised sf over a range of counts that
     is doubled until the tail drops below ``tail``; ``special.pdtrc`` is the
-    function ``stats.poisson.sf`` evaluates, without its argument checks."""
+    function ``stats.poisson.sf`` evaluates, without its argument checks.
+    The search starts at floor(mean), which is at most the median, so for
+    ``tail`` < 1/2 no count below it qualifies and a large mean costs
+    O(sqrt(mean)) evaluations."""
+    lo = int(mean)
     hi = int(mean + 12.0 * math.sqrt(mean)) + 32
     while True:
-        below = np.flatnonzero(special.pdtrc(np.arange(hi), mean) <= tail)
+        below = np.flatnonzero(special.pdtrc(np.arange(lo, hi), mean) <= tail)
         if below.size:
-            return int(below[0])
+            return lo + int(below[0])
         hi *= 2
 
 
@@ -282,9 +300,10 @@ def compound_poisson_dict(lam: float, jump_values, jump_probs,
 def pmf_ppf(pmf: dict, u: np.ndarray) -> np.ndarray:
     """Inverse cdf of a dict pmf at each uniform in ``u``; mass lost to a
     tail truncation goes to the largest atom."""
-    items = sorted(pmf.items())
-    vals = np.array([v for v, _ in items], dtype=float)
-    cum = np.cumsum(np.array([p for _, p in items], dtype=float))
+    vals = np.fromiter(pmf.keys(), float, len(pmf))
+    order = np.argsort(vals, kind="stable")  # the keys are distinct
+    vals = vals[order]
+    cum = np.cumsum(np.fromiter(pmf.values(), float, len(pmf))[order])
     cum[-1] = max(cum[-1], 1.0)
     return vals[np.searchsorted(cum, u, side="right").clip(max=len(vals) - 1)]
 

@@ -28,6 +28,7 @@ import numpy as np
 from scipy import special, stats
 
 from .distributions import (
+    DIRECT_BINOMIAL_TRIALS,
     BetaSegment,
     FinitePmf,
     NormalLaw,
@@ -54,8 +55,9 @@ from .lattice import IndexedSet, Trace
 PROBE_POINTS = 101
 # the poisson count is truncated where its tail drops below this
 PMF_TAIL = 1e-13
+# and, from a mean of 144 on, below mean - 12 sqrt(mean), which holds less
+# than exp(-72) of it (Chernoff): a table keeps O(sqrt(mean)) atoms
 _NO_MOVE = MappingProxyType({0: 1.0})
-_NO_MOVE_REAL = MappingProxyType({0.0: 1.0})
 
 
 def _require_nested(B: IndexedSet, B2: IndexedSet):
@@ -74,12 +76,17 @@ class TransitionKernel:
 
     Internal machinery works on *internal states* (integer counts for the
     empirical kernel, reals otherwise).  A kind implements ``measure``,
-    ``law``, ``initial_ppf``, ``increment_ppf``, ``flow_semigroup`` and
-    ``describe_initial``; finite-state kinds add the exact pmfs, continuous
-    kinds add ``cdf_probes``.  The defaults of ``to_state``, ``display`` and
-    ``probe_states`` suit real-valued states.
+    ``law``, ``flow_semigroup`` and ``describe_initial``; finite-state kinds
+    add the exact pmfs, which the default ``initial_ppf`` and
+    ``increment_ppf`` invert with ``pmf_ppf`` (a uniform equal to the cdf
+    at an atom draws the next atom; one above the total of a table cut at
+    ``PMF_TAIL`` draws the largest atom), and continuous kinds add
+    ``cdf_probes`` and their own ppfs.  The defaults of ``to_state``,
+    ``display`` and ``probe_states`` suit real-valued states.
 
-    Finite-state kinds memoise their pmfs on the instance (``_pmfs``) and
+    Finite-state kinds memoise their pmfs on the instance (``_pmfs``; the
+    empirical kind keeps no step of more than ``DIRECT_BINOMIAL_TRIALS``
+    points left) and
     return them as read-only mappings shared by every caller: the increment
     and initial pmfs, the step pmf from each state, and for compound poisson
     the convolution powers of the jump law.  Nothing is cached beyond the
@@ -128,13 +135,21 @@ class TransitionKernel:
         raise NotImplementedError
 
     def initial_ppf(self, min_set, u: np.ndarray) -> np.ndarray:
-        """Inverse cdf of the initial value (internal units) at uniforms u."""
-        raise NotImplementedError
+        """Inverse cdf of the initial value (internal units) at uniforms u:
+        by default ``pmf_ppf`` of the initial pmf."""
+        return pmf_ppf(self.initial_pmf_for(min_set), u)
 
     def increment_ppf(self, prev, cur, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse cdf of (value at cur) - (value at prev) given internal
-        states x at prev, one uniform of u per state."""
-        raise NotImplementedError
+        states x at prev, one uniform of u per state: by default ``pmf_ppf``
+        of the increment pmf of each distinct state, on that state's rows."""
+        # one stable sort groups the rows by state, so each row is read once
+        order = np.argsort(x, kind="stable")
+        states, starts = np.unique(x[order], return_index=True)
+        out = np.empty_like(u)
+        for state, rows in zip(states.tolist(), np.split(order, starts[1:])):
+            out[rows] = pmf_ppf(self.increment_pmf(prev, cur, state), u[rows])
+        return out
 
     def flow_semigroup(self, flow):
         """The one-parameter semigroup of this kernel transported by a flow."""
@@ -217,19 +232,18 @@ class EmpiricalKernel(TransitionKernel):
         if B.mask == B2.mask:
             return _NO_MOVE
         rest = self.n - int(state)
-        return self._memo((B.mask, B2.mask, rest), lambda: binomial_pmf(
-            rest, self.success_probability(B, B2)).as_dict())
+
+        def build():
+            return binomial_pmf(rest, self.success_probability(B, B2)).as_dict()
+
+        if rest > DIRECT_BINOMIAL_TRIALS:
+            # a step meets O(sqrt(n)) such tables of O(sqrt(n)) atoms: not kept
+            return MappingProxyType(build())
+        return self._memo((B.mask, B2.mask, rest), build)
 
     def initial_pmf_for(self, min_set: IndexedSet):
         return self._memo(("initial", min_set.mask), lambda: binomial_pmf(
             self.n, measure_of(self.F, min_set)).as_dict())
-
-    def initial_ppf(self, min_set, u):
-        return stats.binom.ppf(u, self.n, measure_of(self.F, min_set))
-
-    def increment_ppf(self, prev, cur, x, u):
-        p = self.success_probability(prev, cur) if prev.mask != cur.mask else 0.0
-        return stats.binom.ppf(u, self.n - x, p)
 
     def flow_semigroup(self, flow):
         return EmpiricalFlowSemigroup(self.n, Trace.along_flow(self.F, flow),
@@ -294,117 +308,38 @@ class GaussianIncrementKernel(TransitionKernel):
 
 
 @dataclass(frozen=True)
-class PoissonIncrementKernel(TransitionKernel):
-    """Independent poisson increments with mean measure ``lam``."""
+class _JumpKernel(TransitionKernel):
+    """Independent increments with intensity measure ``lam``: a poisson
+    number of iid jumps from the law (``jump_values``, ``jump_probs``).  A
+    subclass gives ``_pmf_of_mean``, the pmf of the increment over intensity
+    ``mean`` cut at ``PMF_TAIL``, its ``law``, its ``initial`` field, the
+    name of its law in texts (``_law_name``) and that of its non-zero
+    initial law (``_initial_name``)."""
 
     lam: CellMeasure
-    initial: str = "poisson"  # or "zero"
 
-    kind = "poisson"
-    finite_state = True  # integer states; exact tables use a tail truncation
+    finite_state = True  # exact tables use a tail truncation
+    _law_name = "abstract"
+    _initial_name = "abstract"
 
     def __post_init__(self):
-        if self.initial not in ("poisson", "zero"):
-            raise ConfigError("poisson initial law must be 'poisson' or 'zero'")
+        if self.initial not in (self._initial_name, "zero"):
+            raise ConfigError(f"{self._law_name} initial law must be "
+                              f"'{self._initial_name}' or 'zero'")
 
     @property
     def measure(self):
         return self.lam
-
-    def law(self, B, B2, x):
-        _require_nested(B, B2)
-        mean = measure_of(self.lam, B2 - B)
-        if mean == 0:
-            return PointMass(float(x))
-        return ShiftedPoisson(float(x), mean)
 
     def increment_pmf(self, B, B2, state=0):
         _require_nested(B, B2)
         return self._memo((B.mask, B2.mask),
-                          lambda: _poisson_pmf(measure_of(self.lam, B2 - B)))
-
-    def initial_pmf_for(self, min_set):
-        if self.initial == "zero" or measure_of(self.lam, min_set) == 0:
-            return _NO_MOVE
-        return self.increment_pmf(IndexedSet(self.grid, 0), min_set, 0)
-
-    def initial_ppf(self, min_set, u):
-        if self.initial == "zero":
-            return np.zeros_like(u)
-        return stats.poisson.ppf(u, measure_of(self.lam, min_set))
-
-    def increment_ppf(self, prev, cur, x, u):
-        mean = measure_of(self.lam, cur - prev)
-        return stats.poisson.ppf(u, mean) if mean > 0 else np.zeros_like(u)
-
-    def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), _poisson_pmf,
-                                 start_mass_cap=_start_cap(self, flow))
-
-    def describe_initial(self, min_set=None) -> str:
-        if self.initial == "zero":
-            return "point mass at 0"
-        return "poisson(intensity(min))"
-
-
-@dataclass(frozen=True)
-class CompoundPoissonKernel(TransitionKernel):
-    """Independent compound-poisson increments: a poisson number of iid jumps
-    from a finite jump pmf, intensity measure ``lam``."""
-
-    lam: CellMeasure
-    jump_values: tuple[float, ...]
-    jump_probs: tuple[float, ...]
-    initial: str = "compound"  # or "zero"
-
-    kind = "compound_poisson"
-    finite_state = True
-
-    def __post_init__(self):
-        if len(self.jump_values) != len(self.jump_probs) or not self.jump_values:
-            raise ConfigError("jump pmf needs matching nonempty values and probs")
-        if abs(sum(self.jump_probs) - 1.0) > 1e-12:
-            raise ConfigError("jump pmf must sum to 1")
-        if self.initial not in ("compound", "zero"):
-            raise ConfigError("compound poisson initial law must be 'compound' or 'zero'")
-
-    @property
-    def measure(self):
-        return self.lam
-
-    def step_pmf(self, B, B2, state) -> dict:
-        # canonical float keys so composed sums merge with direct ones
-        return self._memo(("step", B.mask, B2.mask, state), lambda: {
-            canonical_value(state + v): p
-            for v, p in self.increment_pmf(B, B2, state).items()})
-
-    def increment_pmf(self, B, B2, state=0.0):
-        _require_nested(B, B2)
-        return self._memo((B.mask, B2.mask),
                           lambda: self._pmf_of_mean(measure_of(self.lam, B2 - B)))
 
-    def _pmf_of_mean(self, mean: float) -> dict:
-        if mean == 0:
-            return {0.0: 1.0}
-        # the jump-law powers do not depend on the mean: one dict per kernel
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs,
-                                     tail=PMF_TAIL,
-                                     powers=self._pmfs.setdefault("jump_powers", {}))
-
     def initial_pmf_for(self, min_set):
-        if self.initial == "zero":
-            return _NO_MOVE_REAL
-        return self.increment_pmf(IndexedSet(self.grid, 0), min_set)
-
-    def law(self, B, B2, x):
-        pmf = self.step_pmf(B, B2, float(x))
-        vals = list(pmf.keys())
-        probs = np.array(list(pmf.values()))
-        probs = probs / probs.sum()  # renormalize truncation for the public law
-        return FinitePmf(vals, probs)
-
-    def initial_ppf(self, min_set, u):
-        return pmf_ppf(self.initial_pmf_for(min_set), u)
+        # the zero initial law is the increment over no cells
+        empty = IndexedSet(self.grid, 0)
+        return self.increment_pmf(empty, empty if self.initial == "zero" else min_set)
 
     def increment_ppf(self, prev, cur, x, u):
         return pmf_ppf(self.increment_pmf(prev, cur), u)
@@ -417,7 +352,79 @@ class CompoundPoissonKernel(TransitionKernel):
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
             return "point mass at 0"
-        return "compound poisson(intensity(min))"
+        return f"{self._law_name}(intensity(min))"
+
+
+def _poisson_pmf(mean: float) -> dict:
+    if mean == 0:
+        return {0: 1.0}
+    k = np.arange(max(int(mean - 12.0 * math.sqrt(mean)), 0),
+                  poisson_tail_count(mean, PMF_TAIL) + 1)
+    # the expression stats.poisson.pmf evaluates, without its argument checks
+    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    return dict(zip(k.tolist(), probs.tolist()))
+
+
+@dataclass(frozen=True)
+class PoissonIncrementKernel(_JumpKernel):
+    """Independent poisson increments with mean measure ``lam``: unit jumps."""
+
+    initial: str = "poisson"  # or "zero"
+
+    kind = "poisson"
+    _law_name = _initial_name = "poisson"
+    jump_values = (1,)
+    jump_probs = (1.0,)
+    _pmf_of_mean = staticmethod(_poisson_pmf)
+
+    def law(self, B, B2, x):
+        _require_nested(B, B2)
+        mean = measure_of(self.lam, B2 - B)
+        if mean == 0:
+            return PointMass(float(x))
+        return ShiftedPoisson(float(x), mean)
+
+
+@dataclass(frozen=True)
+class CompoundPoissonKernel(_JumpKernel):
+    """Independent compound-poisson increments: a poisson number of iid jumps
+    from a finite jump pmf, intensity measure ``lam``."""
+
+    jump_values: tuple[float, ...]
+    jump_probs: tuple[float, ...]
+    initial: str = "compound"  # or "zero"
+
+    kind = "compound_poisson"
+    _law_name = "compound poisson"
+    _initial_name = "compound"
+
+    def __post_init__(self):
+        if len(self.jump_values) != len(self.jump_probs) or not self.jump_values:
+            raise ConfigError("jump pmf needs matching nonempty values and probs")
+        if abs(sum(self.jump_probs) - 1.0) > 1e-12:
+            raise ConfigError("jump pmf must sum to 1")
+        super().__post_init__()
+
+    def step_pmf(self, B, B2, state) -> dict:
+        # canonical float keys so composed sums merge with direct ones
+        return self._memo(("step", B.mask, B2.mask, state), lambda: {
+            canonical_value(state + v): p
+            for v, p in self.increment_pmf(B, B2, state).items()})
+
+    def _pmf_of_mean(self, mean: float) -> dict:
+        if mean == 0:
+            return {0.0: 1.0}
+        # the jump-law powers do not depend on the mean: one dict per kernel
+        return compound_poisson_dict(mean, self.jump_values, self.jump_probs,
+                                     tail=PMF_TAIL,
+                                     powers=self._pmfs.setdefault("jump_powers", {}))
+
+    def law(self, B, B2, x):
+        pmf = self.step_pmf(B, B2, float(x))
+        vals = list(pmf.keys())
+        probs = np.array(list(pmf.values()))
+        probs = probs / probs.sum()  # renormalize truncation for the public law
+        return FinitePmf(vals, probs)
 
 
 @dataclass(frozen=True)
@@ -512,15 +519,6 @@ class DirichletKernel(TransitionKernel):
 
     def describe_initial(self, min_set=None) -> str:
         return "beta(alpha(min), alpha(min complement))"
-
-
-def _poisson_pmf(mean: float) -> dict:
-    if mean == 0:
-        return {0: 1.0}
-    k = np.arange(poisson_tail_count(mean, PMF_TAIL) + 1)
-    # the expression stats.poisson.pmf evaluates, without its argument checks
-    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
-    return dict(enumerate(probs.tolist()))
 
 
 def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):

@@ -36,6 +36,10 @@ time: the reference for the scattered band of
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
+``ref_binom_ppf`` and ``ref_poisson_ppf`` are scipy's quantile functions,
+the samplers the empirical and poisson kernels used before they inverted
+their own pmf tables: the reference for ``kernels.TransitionKernel``'s
+default ``initial_ppf`` and ``increment_ppf``.
 """
 
 import csv
@@ -44,6 +48,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import stats
 
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
@@ -573,3 +578,13 @@ def ref_jump_generator_matrix(system, s, side="+") -> np.ndarray:
     for v, p in zip(system.jump_values, system.jump_probs):
         _fill_band(G, v, rate * p)
     return G
+
+
+def ref_binom_ppf(u, n, p):
+    """scipy's binomial quantile at uniforms u; n may be an array."""
+    return stats.binom.ppf(u, n, p)
+
+
+def ref_poisson_ppf(u, mean):
+    """scipy's poisson quantile at uniforms u; a zero mean draws 0."""
+    return stats.poisson.ppf(u, mean) if mean > 0 else np.zeros_like(u)

@@ -14,6 +14,7 @@ import setmarkov
 from setmarkov import suite, verify
 from setmarkov.cli import BLOCK_ROWS, _slots, format_rows, main
 from setmarkov.config import load_config
+from setmarkov.construction import sample_increments
 from setmarkov.generators import Trace, generator_matching_defect, system_along_flow
 from setmarkov.lattice import DiscreteFlow, flow_from_ordering
 
@@ -183,13 +184,36 @@ def test_sample_deterministic_and_in_support(tmp_path):
 
 
 def test_sample_workers_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, BASE)
-    out1, out2 = tmp_path / "w1.csv", tmp_path / "w3.csv"
-    assert main(["sample", "--config", cfg, "--n", "17", "--out", str(out1),
-                 "--workers", "1"]) == 0
-    assert main(["sample", "--config", cfg, "--n", "17", "--out", str(out2),
-                 "--workers", "3"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # the empirical sampler inverts one pmf per distinct state of each worker's
+    # slice, the poisson one a single pmf per step
+    poisson = dict(BASE, process={"kind": "poisson", "measure": {"constant": 0.7}})
+    for name, payload, n in (("empirical", BASE, "17"), ("empirical", BASE, "2500"),
+                             ("poisson", poisson, "2500")):
+        cfg = write_config(tmp_path, payload, f"{name}.json")
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w3.csv"
+        assert main(["sample", "--config", cfg, "--n", n, "--out", str(out1),
+                     "--workers", "1"]) == 0
+        assert main(["sample", "--config", cfg, "--n", n, "--out", str(out2),
+                     "--workers", "3"]) == 0
+        assert out1.read_bytes() == out2.read_bytes(), (name, n)
+
+
+def test_sample_large_counts(tmp_path):
+    # comb(2000, 1000) overflows a float, and a poisson count of mean 1e6
+    # would tabulate a million atoms from 0: each table keeps O(sqrt) atoms
+    empirical = {"kind": "empirical", "n": 2000, "measure": {"uniform": True}}
+    poisson = {"kind": "poisson", "measure": {"constant": 1e6}}
+    for process, atoms in ((empirical, 24 * math.sqrt(2000 / 4) + 142),
+                           (poisson, 20 * math.sqrt(4e6) + 40)):
+        cfg = write_config(tmp_path, dict(BASE, process=process), "large.json")
+        outs = (tmp_path / "w1.csv", tmp_path / "w2.csv")
+        for out, workers in zip(outs, ("1", "2")):
+            assert main(["sample", "--config", cfg, "--n", "3000", "--out", str(out),
+                         "--workers", workers]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        spec = load_config(cfg).spec
+        sample_increments(spec, 42, 3000)
+        assert max(len(t) for t in spec.kernel._pmfs.values()) <= atoms, process["kind"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

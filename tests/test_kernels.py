@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from setmarkov import (
     CompoundPoissonKernel,
     DirichletKernel,
     EmpiricalKernel,
+    FddSpec,
     GaussianIncrementKernel,
     IndexedSet,
     PoissonIncrementKernel,
     ck_defect,
     compose_kernels,
     kernel_eval,
+    suite,
 )
-from setmarkov.distributions import BetaSegment, NormalLaw, PointMass, tv_distance
+from setmarkov.config import load_config
+from setmarkov.construction import _stream, sample_increments
+from setmarkov.distributions import BetaSegment, NormalLaw, PointMass, pmf_ppf, tv_distance
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.generators import (
     DirichletFlowSemigroup,
@@ -24,7 +29,12 @@ from setmarkov.generators import (
     GaussianFlowSemigroup,
     JumpFlowSemigroup,
 )
+from setmarkov.grid import measure_of
 from setmarkov.lattice import DiscreteFlow
+
+from helpers import ref_binom_ppf, ref_poisson_ppf
+
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def cells(g, *idx):
@@ -100,6 +110,13 @@ class TestKernelProtocol:
             inc = k.increment_ppf(sets2["s0"], sets2["s01"], np.zeros_like(u), u)
             assert x.shape == inc.shape == u.shape
             assert np.all(np.diff(x) >= 0) and np.all(np.diff(inc) >= 0)
+            # every probe state in one call: monotone in u state by state
+            states = np.array([k.to_state(z) for z in k.probe_states()], dtype=float)
+            xs, us = np.tile(states, len(u)), np.repeat(u, len(states))
+            mixed = k.increment_ppf(sets2["s0"], sets2["s01"], xs, us)
+            assert mixed.shape == us.shape
+            for state in states:
+                assert np.all(np.diff(mixed[xs == state]) >= 0)
 
     def test_flow_semigroup_per_kind(self, grid2, uniform2, sets2):
         flow = DiscreteFlow((0.0, 1.0, 2.0), (sets2["s0"], sets2["s01"], sets2["s012"]))
@@ -112,6 +129,108 @@ class TestKernelProtocol:
         for k, _, _ in _all_kinds(grid2, uniform2)[:4]:
             with pytest.raises(UnsupportedKernelError):
                 ck_defect(k, sets2["s0"], sets2["s01"], sets2["s012"], [0.0], mc=(1, 100))
+
+
+def _uniforms(count=100_000, key=0):
+    """Clipped Philox uniforms: the column ``sample_increments`` reads."""
+    return _stream(11, key, 0, count)
+
+
+class TestFiniteStateSampler:
+    """The finite-state kinds sample by inverting their memoised pmfs."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 1 / 6, 0.5, 0.9, 1.0])
+    def test_empirical_draws_equal_scipy_binomial(self, grid2, p):
+        F = CellMeasure(grid2, [p, 1.0 - p, 0.0, 0.0], "probability")
+        u = _uniforms()
+        for n in range(1, 11):
+            got = EmpiricalKernel(n, F).initial_ppf(cells(grid2, 0), u)
+            assert got.tobytes() == ref_binom_ppf(u, n, p).tobytes(), n
+
+    @pytest.mark.parametrize("mean", [0.0, 0.05, 0.7, 2.0, 5.0])
+    def test_poisson_draws_equal_scipy_poisson(self, grid2, sets2, mean):
+        k = PoissonIncrementKernel(CellMeasure(grid2, [mean, mean, 0.0, 0.0]))
+        u = _uniforms()
+        want = ref_poisson_ppf(u, mean).tobytes()
+        assert k.initial_ppf(sets2["s0"], u).tobytes() == want
+        assert k.increment_ppf(sets2["s0"], sets2["s01"], np.zeros_like(u), u).tobytes() == want
+
+    def test_empirical_states_drawn_together_equal_row_by_row(self, grid2, uniform2, sets2):
+        n = 4
+        k = EmpiricalKernel(n, uniform2)
+        x = np.arange(3000) % (n + 1.0)  # every state, n (no point left) included
+        u = _uniforms(3000, key=5)
+        for prev, cur in ((sets2["s0"], sets2["s012"]), (sets2["s01"], sets2["s01"])):
+            got = k.increment_ppf(prev, cur, x, u)
+            rows = [pmf_ppf(k.increment_pmf(prev, cur, s), u[i:i + 1])[0]
+                    for i, s in enumerate(x)]
+            assert got.tobytes() == np.array(rows).tobytes()
+        p = k.success_probability(sets2["s0"], sets2["s012"])
+        got = k.increment_ppf(sets2["s0"], sets2["s012"], x, u)
+        assert got.tobytes() == ref_binom_ppf(u, n - x, p).tobytes()
+        assert not got[x == n].any()
+        assert not k.increment_ppf(sets2["s01"], sets2["s01"], x, u).any()
+
+    @pytest.mark.parametrize("n, p", [(1001, 0.5), (2000, 0.05), (2000, 1.0), (20000, 0.3)])
+    def test_large_empirical_tables_are_short_and_equal_scipy(self, grid2, n, p):
+        # past DIRECT_BINOMIAL_TRIALS comb(n, n // 2) may overflow a float;
+        # a table holds the counts within 12 sd + 70 of the mean
+        F = CellMeasure(grid2, [p, (1.0 - p) / 2, (1.0 - p) / 2, 0.0], "probability")
+        k, B, B2 = EmpiricalKernel(n, F), cells(grid2, 0), cells(grid2, 0, 1)
+        u = _uniforms(20_000)
+        x = k.initial_ppf(B, u)
+        assert x.tobytes() == ref_binom_ppf(u, n, p).tobytes()
+        assert len(k.initial_pmf_for(B)) <= 24 * math.sqrt(n * p * (1 - p)) + 142
+        v = _uniforms(20_000, key=1)
+        got = k.increment_ppf(B, B2, x, v)
+        want = ref_binom_ppf(v, n - x, k.success_probability(B, B2))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mean", [144.0, 1e3, 1e5])
+    def test_large_poisson_tables_are_short_and_equal_scipy(self, grid2, sets2, mean):
+        # from a mean of 144 the counts below mean - 12 sqrt(mean) are cut
+        k = PoissonIncrementKernel(CellMeasure(grid2, [mean, 0.0, 0.0, 0.0]))
+        u = _uniforms(20_000)
+        assert k.initial_ppf(sets2["s0"], u).tobytes() == ref_poisson_ppf(u, mean).tobytes()
+        assert len(k.initial_pmf_for(sets2["s0"])) <= 20 * math.sqrt(mean) + 40
+
+    def test_ties_draw_the_next_atom_and_the_cut_tail_the_largest(self, grid2, uniform2,
+                                                                   sets2):
+        lam = CellMeasure(grid2, [0.5, 1.0, 1.5, 2.0])
+        for k in (EmpiricalKernel(3, uniform2), PoissonIncrementKernel(lam),
+                  CompoundPoissonKernel(lam, (1, 2), (0.5, 0.5))):
+            B, B2 = sets2["s0"], sets2["s01"]
+            vals, probs = zip(*sorted(k.increment_pmf(B, B2, 0).items()))
+            cum = np.cumsum(probs)
+            ties = k.increment_ppf(B, B2, np.zeros(len(cum) - 1), cum[:-1])
+            assert ties.tolist() == list(vals[1:]), k.kind
+            if k.kind != "empirical":
+                assert cum[-1] < 1.0 - 1e-16  # the table is cut: a tail is left
+            tail = np.array([np.nextafter(cum[-1], 2.0), 1.0 - 1e-16])
+            assert k.increment_ppf(B, B2, np.zeros(2), tail).tolist() == [vals[-1]] * 2
+
+
+class _WholeSetPoisson(PoissonIncrementKernel):
+    """Mutant: the step from B to B' adds a poisson count of mean lam(B'),
+    not lam(B' minus B).  The exact tables and the sampler both read
+    ``increment_pmf``, so this one override breaks both."""
+
+    def increment_pmf(self, B, B2, state=0):
+        return self._memo((B.mask, B2.mask),
+                          lambda: self._pmf_of_mean(measure_of(self.lam, B2)))
+
+
+def test_poisson_mutant_breaks_samples_and_validate():
+    cfg = load_config(str(CONFIGS / "poisson_lattice4.json"))
+    real = cfg.spec
+    cfg.spec = FddSpec(real.lattice, _WholeSetPoisson(real.kernel.lam), real.ordering)
+    assert not np.array_equal(sample_increments(real, 0, 2000),
+                              sample_increments(cfg.spec, 0, 2000))
+    rows = {r["name"]: r["pass"] for r in suite.run_validation_suite(cfg)}
+    # the generator rows read the semigroup's own pmf of the mean, and the
+    # mutant is still a process with independent increments
+    assert {name for name, ok in rows.items() if not ok} == {
+        "chapman_kolmogorov", "ordering_invariance", "flow_matching"}
 
 
 class TestEmpiricalKernel:
