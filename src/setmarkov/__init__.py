@@ -24,7 +24,6 @@ from .distributions import (
     FinitePmf,
     NormalLaw,
     PointMass,
-    ShiftedPoisson,
     binomial_pmf,
     tv_distance,
 )

@@ -1,6 +1,8 @@
 """One-dimensional laws used by the transition kernels.
 
 Finite pmfs are exact (dict-backed); the closed-form families carry a cdf.
+The cut count tables live here, each with its cut policy: ``binomial_pmf``
+and ``poisson_pmf``, which both jump kinds read (``compound_poisson_dict``).
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
@@ -23,6 +25,8 @@ from .errors import ConfigError
 from .quadrature import hermite
 
 PMF_TOTAL_TOL = 1e-12
+# the poisson count tables are cut where their right tail drops below this
+PMF_TAIL = 1e-13
 # binomial_pmf takes comb(trials, j) p^j q^(trials - j) in floats up to this
 # many trials; from 1030 on, comb(trials, trials // 2) overflows a float, so
 # larger counts take stats.binom.pmf
@@ -131,21 +135,6 @@ class NormalLaw(Distribution):
         sd = math.sqrt(self.var)
         t = (y - self.mean) / sd
         return math.exp(-0.5 * t * t) / (sd * math.sqrt(2.0 * math.pi))
-
-
-@dataclass(frozen=True)
-class ShiftedPoisson(Distribution):
-    """shift + Poisson(lam), support {shift, shift+1, ...}."""
-
-    shift: float
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("poisson mean must be nonnegative")
-
-    def cdf(self, z):
-        return float(stats.poisson.cdf(math.floor(z - self.shift + 1e-12), self.lam))
 
 
 @dataclass(frozen=True)
@@ -265,15 +254,32 @@ def poisson_tail_count(mean: float, tail: float) -> int:
         hi *= 2
 
 
+def poisson_pmf(mean: float) -> dict:
+    """The Poisson(mean) count law as a dict pmf over increasing counts, the
+    one table both jump kinds read.  Cut on the right where the tail drops
+    below ``PMF_TAIL`` (``poisson_tail_count``) and, from a mean of 144 on, on
+    the left below mean - 12 sqrt(mean), which holds less than exp(-72) of the
+    mass (Chernoff): a table keeps O(sqrt(mean)) atoms.  The weights are taken
+    in log space, so none underflows at a large mean."""
+    if mean == 0:
+        return {0: 1.0}
+    k = np.arange(max(int(mean - 12.0 * math.sqrt(mean)), 0),
+                  poisson_tail_count(mean, PMF_TAIL) + 1)
+    # the expression stats.poisson.pmf evaluates, without its argument checks
+    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    return dict(zip(k.tolist(), probs.tolist()))
+
+
 def compound_poisson_dict(lam: float, jump_values, jump_probs,
-                          tail: float = 1e-13, powers: dict | None = None) -> dict:
+                          powers: dict | None = None) -> dict:
     """Law of a Poisson(lam) number of iid jumps, as a dict pmf.
 
-    The jump count is truncated where the Poisson tail drops below ``tail``;
-    the returned weights are left sub-stochastic by that amount.  ``powers``
-    caches the law of k jumps under key k.  It does not depend on ``lam``,
-    so a caller that keeps one such dict per jump law convolves each power
-    once; the pmf is the same, in values and key order, with or without it.
+    The law of k jumps is weighed by ``poisson_pmf(lam)[k]``, so the weights
+    are left sub-stochastic by that table's cut, and a unit jump gives the
+    poisson table value for value.  ``powers`` caches the law of k jumps under
+    key k.  It does not depend on ``lam``, so a caller that keeps one such
+    dict per jump law convolves each power once; the pmf is the same, in
+    values and key order, with or without it.
     """
     if lam < 0:
         raise ConfigError("compound poisson intensity must be nonnegative")
@@ -282,18 +288,19 @@ def compound_poisson_dict(lam: float, jump_values, jump_probs,
         raise ConfigError("jump pmf must sum to 1")
     if powers is None:
         powers = {}
-    kmax = poisson_tail_count(lam, tail)
-    out = {0.0: math.exp(-lam)}
+    counts = poisson_pmf(lam)
+    out: dict[float, float] = {}
     power = {0.0: 1.0}
-    weight = math.exp(-lam)
-    for k in range(1, kmax + 1):
-        if k not in powers:
-            # setdefault: a sampler thread that lost a race keeps the stored power
-            powers.setdefault(k, convolve_dicts(power, base))
-        power = powers[k]
-        weight = weight * lam / k
-        for v, p in power.items():
-            out[v] = out.get(v, 0.0) + weight * p
+    for k in range(max(counts) + 1):
+        if k > 0:
+            if k not in powers:
+                # setdefault: a sampler thread that lost a race keeps the stored power
+                powers.setdefault(k, convolve_dicts(power, base))
+            power = powers[k]
+        weight = counts.get(k)
+        if weight is not None:
+            for v, p in power.items():
+                out[v] = out.get(v, 0.0) + weight * p
     return out
 
 

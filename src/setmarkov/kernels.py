@@ -29,17 +29,17 @@ from scipy import special, stats
 
 from .distributions import (
     DIRECT_BINOMIAL_TRIALS,
+    PMF_TAIL,  # noqa: F401  (importable from here too)
     BetaSegment,
     FinitePmf,
     NormalLaw,
     PointMass,
-    ShiftedPoisson,
     TwoStage,
     binomial_pmf,
     canonical_value,
     compound_poisson_dict,
     pmf_ppf,
-    poisson_tail_count,
+    poisson_pmf,
 )
 from .errors import ConfigError, UnsupportedKernelError
 from .generators import (
@@ -53,10 +53,6 @@ from .grid import CellMeasure, GroundGrid, measure_of
 from .lattice import IndexedSet, Trace
 
 PROBE_POINTS = 101
-# the poisson count is truncated where its tail drops below this
-PMF_TAIL = 1e-13
-# and, from a mean of 144 on, below mean - 12 sqrt(mean), which holds less
-# than exp(-72) of it (Chernoff): a table keeps O(sqrt(mean)) atoms
 _NO_MOVE = MappingProxyType({0: 1.0})
 
 
@@ -76,21 +72,22 @@ class TransitionKernel:
 
     Internal machinery works on *internal states* (integer counts for the
     empirical kernel, reals otherwise).  A kind implements ``measure``,
-    ``law``, ``flow_semigroup`` and ``describe_initial``; finite-state kinds
-    add the exact pmfs, which the default ``initial_ppf`` and
-    ``increment_ppf`` invert with ``pmf_ppf`` (a uniform equal to the cdf
-    at an atom draws the next atom; one above the total of a table cut at
-    ``PMF_TAIL`` draws the largest atom), and continuous kinds add
-    ``cdf_probes`` and their own ppfs.  The defaults of ``to_state``,
-    ``display`` and ``probe_states`` suit real-valued states.
+    ``flow_semigroup`` and ``describe_initial``; finite-state kinds add the
+    exact pmfs, which the default ``law`` renormalises and the default
+    ``initial_ppf`` and ``increment_ppf`` invert with ``pmf_ppf`` (a
+    uniform equal to the cdf at an atom draws the next atom; one above the
+    total of a table cut at ``PMF_TAIL`` draws the largest atom), and
+    continuous kinds add ``law``, ``cdf_probes`` and their own ppfs.  The
+    defaults of ``to_state``, ``display`` and ``probe_states`` suit
+    real-valued states.
 
     Finite-state kinds memoise their pmfs on the instance (``_pmfs``; the
     empirical kind keeps no step of more than ``DIRECT_BINOMIAL_TRIALS``
     points left) and
     return them as read-only mappings shared by every caller: the increment
-    and initial pmfs, the step pmf from each state, and for compound poisson
-    the convolution powers of the jump law.  Nothing is cached beyond the
-    instance.
+    and initial pmfs, the step pmf from each state, for the jump kinds the
+    pmf of each intensity, and for compound poisson the convolution powers
+    of the jump law.  Nothing is cached beyond the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -184,7 +181,12 @@ class TransitionKernel:
             f"{self.kind} kernel has no Monte Carlo composition check")
 
     def law(self, B, B2, x):
-        raise NotImplementedError
+        """Law of the value at B2 given the display value x at B, in display
+        units: for a finite-state kind the step pmf from ``to_state(x)``,
+        renormalised over the atoms a tail cut kept."""
+        pmf = self.step_pmf(B, B2, self.to_state(x))
+        probs = np.fromiter(pmf.values(), float, len(pmf))
+        return FinitePmf([self.display(v) for v in pmf], probs / probs.sum())
 
     def describe_initial(self, min_set=None) -> str:
         raise NotImplementedError
@@ -246,12 +248,13 @@ class EmpiricalKernel(TransitionKernel):
             self.n, measure_of(self.F, min_set)).as_dict())
 
     def flow_semigroup(self, flow):
+        if self.n > DIRECT_BINOMIAL_TRIALS:
+            # its matrices take comb(n - k, j) p^j q^(n-k-j) in floats
+            raise ConfigError(f"the empirical flow semigroup needs n <= "
+                              f"{DIRECT_BINOMIAL_TRIALS}, where comb(n, k) fits a "
+                              f"float; n is {self.n}")
         return EmpiricalFlowSemigroup(self.n, Trace.along_flow(self.F, flow),
                                       corrupted=self.corrupted)
-
-    def law(self, B, B2, x):
-        pmf = self.step_pmf(B, B2, self.to_state(x))
-        return FinitePmf([self.display(v) for v in pmf], list(pmf.values()))
 
     def describe_initial(self, min_set=None) -> str:
         p = "F(min)" if min_set is None else f"{measure_of(self.F, min_set):.6g}"
@@ -312,9 +315,11 @@ class _JumpKernel(TransitionKernel):
     """Independent increments with intensity measure ``lam``: a poisson
     number of iid jumps from the law (``jump_values``, ``jump_probs``).  A
     subclass gives ``_pmf_of_mean``, the pmf of the increment over intensity
-    ``mean`` cut at ``PMF_TAIL``, its ``law``, its ``initial`` field, the
-    name of its law in texts (``_law_name``) and that of its non-zero
-    initial law (``_initial_name``)."""
+    ``mean`` read from the poisson count table ``poisson_pmf`` (cut at
+    ``PMF_TAIL``), its ``initial`` field, the name of its law in texts
+    (``_law_name``) and that of its non-zero initial law (``_initial_name``).
+    The kernel memoises that pmf per mean (``_mean_pmf``); its tables and its
+    flow semigroup both read the memo."""
 
     lam: CellMeasure
 
@@ -331,10 +336,18 @@ class _JumpKernel(TransitionKernel):
     def measure(self):
         return self.lam
 
+    def _mean_pmf(self, mean: float) -> MappingProxyType:
+        """``_pmf_of_mean(mean)``, memoised per mean: steps over cells of
+        equal intensity share one table."""
+        return self._memo(("mean", mean), lambda: self._pmf_of_mean(mean))
+
     def increment_pmf(self, B, B2, state=0):
         _require_nested(B, B2)
-        return self._memo((B.mask, B2.mask),
-                          lambda: self._pmf_of_mean(measure_of(self.lam, B2 - B)))
+        key = (B.mask, B2.mask)
+        pmf = self._pmfs.get(key)
+        if pmf is None:
+            pmf = self._pmfs.setdefault(key, self._mean_pmf(measure_of(self.lam, B2 - B)))
+        return pmf
 
     def initial_pmf_for(self, min_set):
         # the zero initial law is the increment over no cells
@@ -345,7 +358,7 @@ class _JumpKernel(TransitionKernel):
         return pmf_ppf(self.increment_pmf(prev, cur), u)
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._pmf_of_mean,
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._mean_pmf,
                                  self.jump_values, self.jump_probs,
                                  start_mass_cap=_start_cap(self, flow))
 
@@ -353,16 +366,6 @@ class _JumpKernel(TransitionKernel):
         if self.initial == "zero":
             return "point mass at 0"
         return f"{self._law_name}(intensity(min))"
-
-
-def _poisson_pmf(mean: float) -> dict:
-    if mean == 0:
-        return {0: 1.0}
-    k = np.arange(max(int(mean - 12.0 * math.sqrt(mean)), 0),
-                  poisson_tail_count(mean, PMF_TAIL) + 1)
-    # the expression stats.poisson.pmf evaluates, without its argument checks
-    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
-    return dict(zip(k.tolist(), probs.tolist()))
 
 
 @dataclass(frozen=True)
@@ -375,14 +378,7 @@ class PoissonIncrementKernel(_JumpKernel):
     _law_name = _initial_name = "poisson"
     jump_values = (1,)
     jump_probs = (1.0,)
-    _pmf_of_mean = staticmethod(_poisson_pmf)
-
-    def law(self, B, B2, x):
-        _require_nested(B, B2)
-        mean = measure_of(self.lam, B2 - B)
-        if mean == 0:
-            return PointMass(float(x))
-        return ShiftedPoisson(float(x), mean)
+    _pmf_of_mean = staticmethod(poisson_pmf)
 
 
 @dataclass(frozen=True)
@@ -412,19 +408,9 @@ class CompoundPoissonKernel(_JumpKernel):
             for v, p in self.increment_pmf(B, B2, state).items()})
 
     def _pmf_of_mean(self, mean: float) -> dict:
-        if mean == 0:
-            return {0.0: 1.0}
         # the jump-law powers do not depend on the mean: one dict per kernel
         return compound_poisson_dict(mean, self.jump_values, self.jump_probs,
-                                     tail=PMF_TAIL,
                                      powers=self._pmfs.setdefault("jump_powers", {}))
-
-    def law(self, B, B2, x):
-        pmf = self.step_pmf(B, B2, float(x))
-        vals = list(pmf.keys())
-        probs = np.array(list(pmf.values()))
-        probs = probs / probs.sum()  # renormalize truncation for the public law
-        return FinitePmf(vals, probs)
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,11 @@ the reference for the ``bincount`` and superset sums of
 dicts, and ``ref_ck_defect`` and ``ref_flow_matching_defect`` compare such
 chains state by state: the reference for the dense rows of
 ``kernels.chain_rows``.  ``ref_compound_poisson_dict`` convolves the jump law
-afresh on every call: the reference for the cached powers of
-``distributions.compound_poisson_dict``.  ``ref_jump_matrix`` and
-``ref_jump_generator_matrix`` fill a jump semigroup matrix one atom at a
-time: the reference for the scattered band of
+afresh on every call and weighs the law of k jumps by ``stats.poisson.pmf``
+over the counts the kernel tables keep: the reference for the cached powers
+and the shared count table of ``distributions.compound_poisson_dict``.
+``ref_jump_matrix`` and ``ref_jump_generator_matrix`` fill a jump semigroup
+matrix one atom at a time: the reference for the scattered band of
 ``generators.JumpFlowSemigroup``.
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
@@ -52,8 +53,8 @@ from scipy import stats
 
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
-from setmarkov.distributions import PMF_TOTAL_TOL, canonical_value, convolve_dicts, \
-    poisson_tail_count
+from setmarkov.distributions import PMF_TAIL, PMF_TOTAL_TOL, canonical_value, \
+    convolve_dicts, poisson_tail_count
 from setmarkov.generators import (
     GAUSS_STENCIL,
     JACOBI_ORDER,
@@ -538,18 +539,23 @@ def ref_flow_matching_defect(kernel, stages1, stages2, states) -> float:
                 for x in states), default=0.0)
 
 
-def ref_compound_poisson_dict(lam, jump_values, jump_probs, tail=1e-13) -> dict:
-    """Compound poisson pmf with every convolution power computed afresh."""
+def ref_compound_poisson_dict(lam, jump_values, jump_probs) -> dict:
+    """Compound poisson pmf with every convolution power computed afresh, the
+    law of k jumps weighed by ``stats.poisson.pmf`` at each count from
+    lam - 12 sqrt(lam) to the ``PMF_TAIL`` cut."""
     base = {canonical_value(v): float(p) for v, p in zip(jump_values, jump_probs)}
     assert abs(sum(base.values()) - 1.0) <= PMF_TOTAL_TOL
-    out = {0.0: math.exp(-lam)}
+    counts = np.arange(poisson_tail_count(lam, PMF_TAIL) + 1)
+    weights = stats.poisson.pmf(counts, lam).tolist()
+    lo = max(int(lam - 12.0 * math.sqrt(lam)), 0)
+    out = {}
     power = {0.0: 1.0}
-    weight = math.exp(-lam)
-    for k in range(1, poisson_tail_count(lam, tail) + 1):
-        power = convolve_dicts(power, base)
-        weight = weight * lam / k
-        for v, p in power.items():
-            out[v] = out.get(v, 0.0) + weight * p
+    for k in counts.tolist():
+        if k > 0:
+            power = convolve_dicts(power, base)
+        if k >= lo:
+            for v, p in power.items():
+                out[v] = out.get(v, 0.0) + weights[k] * p
     return out
 
 

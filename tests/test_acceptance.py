@@ -31,7 +31,7 @@ from setmarkov import (
     sample_increments,
 )
 from setmarkov.cli import main
-from setmarkov.distributions import binomial_pmf, tv_distance
+from setmarkov.distributions import binomial_pmf, poisson_pmf, tv_distance
 from setmarkov.generators import (
     DirichletFlowSemigroup,
     EmpiricalFlowSemigroup,
@@ -43,7 +43,7 @@ from setmarkov.generators import (
     permutation_identity_check,
 )
 from setmarkov.grid import measure_of
-from setmarkov.kernels import _poisson_pmf, ck_defect
+from setmarkov.kernels import ck_defect
 from setmarkov.lattice import left_neighbourhoods
 from setmarkov.verify import (
     aligned_increment_samples,
@@ -298,7 +298,7 @@ def test_criterion_7_generators():
     zero_ok = max(errs1) < 1e-12
     ratios_ok = True
     details = []
-    poisson = JumpFlowSemigroup(unit, _poisson_pmf)
+    poisson = JumpFlowSemigroup(unit, poisson_pmf)
     systems = [
         ("empirical n=2", EmpiricalFlowSemigroup(2, unit), np.array([1.0, 0.0, 0.0])),
         ("poisson", poisson, np.cos(np.arange(poisson.cap + 1).astype(float))),

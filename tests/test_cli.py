@@ -216,6 +216,51 @@ def test_sample_large_counts(tmp_path):
         assert max(len(t) for t in spec.kernel._pmfs.values()) <= atoms, process["kind"]
 
 
+def test_sample_compound_at_a_large_intensity_is_not_constant(tmp_path):
+    # exp(-800) underflows a float: the count weights are taken in log space,
+    # so the draws spread around 800 * 1.5, not all on the largest atom.  A
+    # one-member lattice keeps this to one table
+    payload = dict(BASE, semilattice={"cell_lists": [[0]]},
+                   process={"kind": "compound_poisson", "measure": {"constant": 800},
+                            "jumps": {"values": [1, 2], "probs": [0.5, 0.5]}})
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--config", write_config(tmp_path, payload), "--n", "2000",
+                 "--out", str(out)]) == 0
+    values = [float(r["C0"]) for r in csv.DictReader(out.read_text().splitlines())]
+    assert len(set(values)) > 1
+    # the sample mean has standard deviation sqrt(800 * 2.5 / 2000) = 1
+    assert abs(np.mean(values) - 1200.0) < 6.0
+
+
+# the matrix semigroup needs float binomial coefficients and integer jumps
+SEMIGROUP_LEFT_OUT = {
+    "n <= 1000": dict(BASE, semilattice={"cell_lists": [[0, 1, 2], [0, 1, 2, 3]]},
+                      process={"kind": "empirical", "n": 2000,
+                               "measure": {"weights": [0.97, 0.01, 0.01, 0.01]}}),
+    "positive integer jumps": dict(BASE, process={
+        "kind": "compound_poisson", "measure": {"constant": 0.5},
+        "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}}),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(SEMIGROUP_LEFT_OUT))
+def test_semigroup_left_out_is_a_config_error_and_reported(tmp_path, capsys, reason):
+    # comb(2000, 1000) overflows a float: gencheck refuses the semigroup with
+    # the limit instead of an OverflowError, and validate leaves its rows out
+    # and says so in the flow_matching row
+    cfg = write_config(tmp_path, SEMIGROUP_LEFT_OUT[reason])
+    assert main(["gencheck", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err and "Traceback" not in err
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    instance = checks["flow_matching"]["instance"]
+    assert instance.startswith("one-step vs refined chain; matrix-semigroup rows left out: ")
+    assert reason in instance
+    assert "generator_matching" not in checks and "integral_identity" not in checks
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_sample_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     out = tmp_path / "x.csv"

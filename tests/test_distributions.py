@@ -8,7 +8,6 @@ from setmarkov.distributions import (
     FinitePmf,
     NormalLaw,
     PointMass,
-    ShiftedPoisson,
     TwoStage,
     binomial_pmf,
     compound_poisson_dict,
@@ -53,12 +52,6 @@ def test_normal_law():
     assert d.cdf(1.5) == pytest.approx(0.841344746, abs=1e-8)
     degenerate = NormalLaw(2.0, 0.0)
     assert degenerate.cdf(1.99) == 0.0 and degenerate.cdf(2.0) == 1.0
-
-
-def test_shifted_poisson():
-    d = ShiftedPoisson(2.0, 1.5)
-    assert d.cdf(1.9) == 0.0
-    assert d.cdf(2.0) == pytest.approx(math.exp(-1.5))
 
 
 def test_beta_segment_cdf():

@@ -22,10 +22,11 @@ from setmarkov import (
     enumerate_consistent_orderings,
     exact_fdd,
 )
-from setmarkov import construction, kernels
+from setmarkov import construction, distributions, kernels
 from setmarkov.cli import main
 from setmarkov.distributions import canonical_value, pmf_ppf, tv_distance
 from setmarkov.errors import ConfigError
+from setmarkov.grid import measure_of
 from setmarkov.kernels import chain_rows
 from setmarkov.verify import (
     MIN_CONDITION_PROB,
@@ -234,17 +235,21 @@ def test_binomial_runs_once_per_step_key(monkeypatch, lattice6, uniform4):
 
 def test_poisson_tail_search_runs_once_per_step(monkeypatch, lattice6, grid4):
     calls = []
-    real = kernels.poisson_tail_count
-    monkeypatch.setattr(kernels, "poisson_tail_count",
+    real = distributions.poisson_tail_count
+    monkeypatch.setattr(distributions, "poisson_tail_count",
                         lambda *a: calls.append(a) or real(*a))
     # a small mean keeps each table short; the count does not depend on it
-    spec = FddSpec(lattice6, PoissonIncrementKernel(CellMeasure(grid4, [1e-3] * 16)))
+    lam = CellMeasure(grid4, [1e-3] * 16)
+    spec = FddSpec(lattice6, PoissonIncrementKernel(lam))
     steps = {(0, lattice6.min_set.mask)}
     for o in enumerate_consistent_orderings(lattice6):
         exact_fdd(spec.with_ordering(o))
         masks = o.prefix_masks
         steps |= {(a, b) for a, b in zip(masks, masks[1:]) if a != b}
-    assert len(calls) == len(steps)
+    # steps over equally many cells share one table: one search per mean
+    means = {measure_of(lam, b & ~a) for a, b in steps}
+    assert len(means) < len(steps)
+    assert sorted(mean for mean, _ in calls) == sorted(means)
 
 
 COMPOUND_STAIRCASE = {

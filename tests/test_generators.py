@@ -18,6 +18,7 @@ from setmarkov import (
     flow_from_ordering,
 )
 from setmarkov.config import load_config
+from setmarkov.distributions import poisson_pmf
 from setmarkov.errors import ConfigError, UnsupportedKernelError
 from setmarkov.generators import (
     JACOBI_ORDER,
@@ -34,7 +35,6 @@ from setmarkov.generators import (
     permutation_identity_check,
     system_along_flow,
 )
-from setmarkov.kernels import _poisson_pmf
 from setmarkov.lattice import DiscreteFlow
 from setmarkov.quadrature import hermite, jacobi01, jacobi01_raw
 from setmarkov.suite import run_validation_suite
@@ -129,7 +129,7 @@ class TestFiniteDifferenceOrder:
             assert 1.5 <= a / b <= 3.0
 
     def test_poisson_first_order(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
         h = np.cos(np.arange(sg.cap + 1).astype(float))
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2, 5e-3, 2.5e-3], h)
         for a, b in zip(errs, errs[1:]):
@@ -150,7 +150,7 @@ class TestFiniteDifferenceOrder:
             assert 1.5 <= a / b <= 3.0
 
     def test_constant_function_vanishes(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
         h = np.ones(sg.cap + 1)
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2], h)
         assert errs[0] < 1e-12
@@ -158,7 +158,7 @@ class TestFiniteDifferenceOrder:
 
 class TestClosedFormGenerators:
     def test_poisson_constant_h_is_zero(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
         g = closed_form_generator(sg, 0.25, np.ones(sg.cap + 1))
         assert np.max(np.abs(sg.values(g))) == 0.0
 
@@ -432,7 +432,7 @@ class TestSemigroupProperty:
         assert gap < 1e-9
 
     def test_poisson(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, _poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
         h = np.cos(np.arange(sg.cap + 1).astype(float))
         two_step = sg.apply(0.1, 0.4, sg.apply(0.4, 0.8, h))
         direct = sg.apply(0.1, 0.8, h)

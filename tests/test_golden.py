@@ -4,6 +4,13 @@ and of the `validate` and `gencheck` reports of the continuous-kind bench
 configs, recorded before their checks shared quantile columns and evaluated
 composed cdfs over all probes at once.
 
+``FDD_SHA256["compound_poisson"]`` was re-recorded when compound poisson
+began to weigh the law of k jumps by the poisson count table the poisson kind
+reads (``distributions.poisson_pmf``, log space), in place of its own
+exp(-lam) lam^k / k! recurrence, which underflowed past a mean of about 745.
+The weights moved in their last bits: the largest change of one probability
+in that CSV is 5.2e-18, and its total variation from the old CSV 6.3e-17.
+
 Any change to these bytes is a change of the sampler or of the exact-law
 export, not a refactor.  Re-record only for an intended change of output.
 """
@@ -77,7 +84,7 @@ FDD_SHA256 = {
     "poisson":
         "f97ff3b396ac7cd09f832546892d74708eeed2f0d398bf1ae173fb00062c634f",
     "compound_poisson":
-        "48ed28d1cbf45245f7aed5c126b8593d4bc02ec1713493c097d94b781ebfbd89",
+        "5e1205c664e2cb720cd9ee0cf9712e0bb9be23f5a77c5ab99a1fa6b355726c04",
 }
 
 # sample_increments on specs whose initial pmf overrides the kernel's own

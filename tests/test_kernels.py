@@ -30,6 +30,7 @@ from setmarkov.generators import (
     JumpFlowSemigroup,
 )
 from setmarkov.grid import measure_of
+from setmarkov.kernels import PMF_TAIL
 from setmarkov.lattice import DiscreteFlow
 
 from helpers import ref_binom_ppf, ref_poisson_ppf
@@ -287,14 +288,42 @@ class TestIidIncrementKernels:
         b = kernel_eval(k, sets2["s0"], sets2["s02"], 0.0)
         assert a.var == pytest.approx(b.var)
         kp = PoissonIncrementKernel(lam)
-        assert kernel_eval(kp, sets2["s0"], sets2["s01"], 0.0).lam == pytest.approx(
-            kernel_eval(kp, sets2["s0"], sets2["s02"], 0.0).lam)
+        assert kernel_eval(kp, sets2["s0"], sets2["s01"], 0.0).as_dict() == \
+            kernel_eval(kp, sets2["s0"], sets2["s02"], 0.0).as_dict()
 
     def test_poisson_law(self, grid2, sets2):
         lam = CellMeasure.counting(grid2)
         k = PoissonIncrementKernel(lam)
         law = kernel_eval(k, sets2["s0"], sets2["s012"], 1.0)
-        assert law.shift == 1.0 and law.lam == pytest.approx(2.0)
+        # 1 + Poisson(2), renormalised over the atoms the PMF_TAIL cut kept
+        assert law.values == tuple(1.0 + j for j in range(len(law.values)))
+        assert law.probs[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert sum(law.probs) == pytest.approx(1.0, abs=1e-15)
+
+    def test_poisson_law_cdf_is_stats_poisson_cdf(self, grid2, sets2):
+        for weight in (0.05, 1.0, 3.7, 40.0):
+            k = PoissonIncrementKernel(CellMeasure(grid2, [weight] * 4))
+            mean = 2.0 * weight
+            for x in (0.0, 3.0):
+                law = kernel_eval(k, sets2["s0"], sets2["s012"], x)
+                for z in np.arange(x - 1.0, x + mean + 12.0 * math.sqrt(mean) + 20.0, 0.5):
+                    want = stats.poisson.cdf(math.floor(z - x), mean)
+                    assert abs(law.cdf(z) - want) <= PMF_TAIL
+
+    def test_every_finite_law_is_its_renormalised_step_pmf(self, grid2, sets2):
+        lam = CellMeasure(grid2, [0.3, 1.1, 0.7, 2.0])
+        skewed = CellMeasure(grid2, [0.4, 0.3, 0.2, 0.1], "probability")
+        kernels = [(EmpiricalKernel(4, skewed), 0.25),
+                   (PoissonIncrementKernel(lam), 2.0),
+                   (CompoundPoissonKernel(lam, (1, 2.5), (0.6, 0.4)), 3.5)]
+        for k, x in kernels:
+            for B2 in ("s01", "s012", "full"):
+                law = k.law(sets2["s0"], sets2[B2], x)
+                pmf = k.step_pmf(sets2["s0"], sets2[B2], k.to_state(x))
+                total = sum(pmf.values())
+                want = {k.display(v): p / total for v, p in pmf.items()}
+                assert law.as_dict() == pytest.approx(want, rel=1e-15, abs=0.0)
+                assert sorted(law.as_dict()) == sorted(want)
 
     def test_compound_poisson_step_pmf(self, grid2, sets2):
         lam = CellMeasure.counting(grid2)

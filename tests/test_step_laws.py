@@ -28,7 +28,7 @@ from setmarkov import distributions, generators
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
-from setmarkov.distributions import compound_poisson_dict
+from setmarkov.distributions import compound_poisson_dict, poisson_pmf
 from setmarkov.generators import (
     JumpFlowSemigroup,
     generator_matching_defect,
@@ -36,7 +36,7 @@ from setmarkov.generators import (
     permutation_identity_check,
     system_along_flow,
 )
-from setmarkov.kernels import PMF_TAIL, _poisson_pmf, chain_rows, rows_tv
+from setmarkov.kernels import PMF_TAIL, chain_rows, rows_tv
 from setmarkov.lattice import DiscreteFlow, Trace, flow_from_ordering
 from setmarkov.quadrature import gauss_segment
 from setmarkov.verify import flow_matching_defect
@@ -87,10 +87,33 @@ def _prefix_triples(lattice):
 
 def test_poisson_pmf_is_stats_poisson_pmf_bit_for_bit():
     for mean in np.geomspace(1e-6, 50.0, 400).tolist() + [0.1, 0.5, 1.0, 7.25]:
-        pmf = _poisson_pmf(mean)
+        pmf = poisson_pmf(mean)
         assert list(pmf) == list(range(len(pmf)))
         want = stats.poisson.pmf(np.arange(len(pmf)), mean).tolist()
         assert list(pmf.values()) == want
+
+
+# 208 geometric means, then means around the left cut (144) and past about
+# 745, where exp(-mean) underflows a float
+UNIT_JUMP_MEANS = np.geomspace(1e-4, 5.0, 208).tolist() + [50.0, 143.9, 144.0, 300.0,
+                                                             1000.0]
+
+
+def test_unit_jump_compound_equals_poisson_value_for_value(grid2):
+    empty, cell = IndexedSet(grid2, 0), IndexedSet.from_cells(grid2, [0])
+    for mean in UNIT_JUMP_MEANS:
+        lam = CellMeasure(grid2, [mean, 0.0, 0.0, 0.0])
+        poisson = PoissonIncrementKernel(lam).increment_pmf(empty, cell)
+        compound = CompoundPoissonKernel(lam, (1,), (1.0,)).increment_pmf(empty, cell)
+        assert list(compound) == [float(k) for k in poisson], mean
+        assert list(compound.values()) == list(poisson.values()), mean
+
+
+def test_compound_table_past_the_exp_underflow_keeps_its_mass():
+    # exp(-800) is 0.0 in floats; the log-space count weights are not
+    pmf = compound_poisson_dict(800.0, (1, 2), (0.5, 0.5))
+    assert abs(sum(pmf.values()) - 1.0) <= 1e-12
+    assert abs(max(pmf, key=pmf.get) - 1200.0) <= 0.02 * 1200.0
 
 
 @pytest.mark.parametrize("jumps", sorted(JUMPS))
@@ -106,8 +129,8 @@ def test_cached_powers_match_the_uncached_loop(monkeypatch, jumps, order):
                         lambda a, b: convolutions.append(1) or real(a, b))
     powers = {}
     for mean in means:
-        got = compound_poisson_dict(mean, values, probs, tail=PMF_TAIL, powers=powers)
-        want = ref_compound_poisson_dict(mean, values, probs, tail=PMF_TAIL)
+        got = compound_poisson_dict(mean, values, probs, powers=powers)
+        want = ref_compound_poisson_dict(mean, values, probs)
         assert got == want
         assert list(got) == list(want)
         assert list(got.values()) == list(want.values())
@@ -122,13 +145,13 @@ def test_compound_kernel_pmf_of_mean_is_the_reference(grid2):
         k = CompoundPoissonKernel(lam, values, probs)
         for mean in (2.0, 0.3, 5.5, 0.3):
             got = k._pmf_of_mean(mean)
-            want = ref_compound_poisson_dict(mean, values, probs, tail=PMF_TAIL)
+            want = ref_compound_poisson_dict(mean, values, probs)
             assert list(got.items()) == list(want.items())
 
 
 def _jump_systems():
     unit = Trace([0.0, 1.0, 2.0], [0.0, 0.75, 2.0])
-    yield JumpFlowSemigroup(unit, _poisson_pmf, start_mass_cap=3)
+    yield JumpFlowSemigroup(unit, poisson_pmf, start_mass_cap=3)
     for name in ("poisson_lattice4", "compound_lattice3", "compound_staircase"):
         spec = load_config(str(CONFIGS / f"{name}.json")).spec
         yield system_along_flow(spec.kernel, flow_from_ordering(spec.ordering,
@@ -317,7 +340,7 @@ def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
     assert 3.5 in k2._pmfs["jump_powers"][2] and 3.5 not in k1._pmfs["jump_powers"][2]
     for k, (values, probs) in ((k1, JUMPS["integer"]), (k2, JUMPS["half"])):
         assert list(k._pmf_of_mean(1.5).items()) == \
-            list(ref_compound_poisson_dict(1.5, values, probs, tail=PMF_TAIL).items())
+            list(ref_compound_poisson_dict(1.5, values, probs).items())
 
 
 def test_threads_share_one_kernel_s_jump_powers_safely(grid2):
@@ -326,7 +349,7 @@ def test_threads_share_one_kernel_s_jump_powers_safely(grid2):
     values, probs = JUMPS["half"]
     k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
     means = np.geomspace(0.05, 6.0, 12).tolist()
-    want = {m: list(ref_compound_poisson_dict(m, values, probs, tail=PMF_TAIL).items())
+    want = {m: list(ref_compound_poisson_dict(m, values, probs).items())
             for m in means}
     bad = []
 
