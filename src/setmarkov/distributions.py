@@ -1,8 +1,8 @@
 """One-dimensional laws used by the transition kernels.
 
 Finite pmfs are exact (dict-backed); the closed-form families carry a cdf.
-The cut count tables live here, each with its cut policy: ``binomial_pmf``
-and ``poisson_pmf``, which both jump kinds read (``compound_poisson_dict``).
+The cut count tables live here, each with its cut policy: ``binomial_pmf``,
+``poisson_pmf`` and ``compound_poisson_dict`` (Panjer's recursion).
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
@@ -15,6 +15,7 @@ inverse cdfs; ``pmf_ppf`` serves the pmf tables.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -53,15 +54,8 @@ def _like(values, z):
     return float(values) if np.ndim(z) == 0 else values
 
 
-class Distribution:
-    """Minimal duck-typed interface: cdf(z)."""
-
-    def cdf(self, z: float) -> float:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PointMass(Distribution):
+class PointMass:
     value: float
 
     def cdf(self, z):
@@ -71,7 +65,7 @@ class PointMass(Distribution):
         return {_key(self.value): 1.0}
 
 
-class FinitePmf(Distribution):
+class FinitePmf:
     """Exact pmf on a finite set of real support points."""
 
     def __init__(self, values, probs):
@@ -115,7 +109,7 @@ def binomial_pmf(trials: int, p: float) -> FinitePmf:
 
 
 @dataclass(frozen=True)
-class NormalLaw(Distribution):
+class NormalLaw:
     mean: float
     var: float
 
@@ -138,7 +132,7 @@ class NormalLaw(Distribution):
 
 
 @dataclass(frozen=True)
-class BetaSegment(Distribution):
+class BetaSegment:
     """lo + (1-lo) * Beta(a, b): a law on [lo, 1].
 
     b == 0 degenerates to a point mass at the upper endpoint 1; a == 0 to a
@@ -177,7 +171,7 @@ class BetaSegment(Distribution):
         return float(stats.beta.pdf(y, self.a, self.b) / (1.0 - self.lo))
 
 
-class TwoStage(Distribution):
+class TwoStage:
     """Composition of two continuous kernels: y from ``first``, then the
     final value from ``second_of(y)``.  The cdf integrates the second-stage
     cdf against the first-stage law: Gauss-Hermite when both stages are
@@ -190,7 +184,7 @@ class TwoStage(Distribution):
     second-stage laws once and sums each probe's row with ``np.dot``, as the
     scalar call does; adaptive quadrature runs once per probe."""
 
-    def __init__(self, first: Distribution, second_of):
+    def __init__(self, first, second_of):
         self.first = first
         self.second_of = second_of
 
@@ -228,15 +222,6 @@ class TwoStage(Distribution):
         return _like(np.reshape(vals, np.shape(z)), z)
 
 
-def convolve_dicts(a: dict, b: dict) -> dict:
-    out: dict[float, float] = {}
-    for va, pa in a.items():
-        for vb, pb in b.items():
-            k = _key(va + vb)
-            out[k] = out.get(k, 0.0) + pa * pb
-    return out
-
-
 def poisson_tail_count(mean: float, tail: float) -> int:
     """Smallest k >= 0 with P(Poisson(mean) > k) <= tail: where the exact
     pmfs truncate the count.  One vectorised sf over a range of counts that
@@ -270,37 +255,69 @@ def poisson_pmf(mean: float) -> dict:
     return dict(zip(k.tolist(), probs.tolist()))
 
 
-def compound_poisson_dict(lam: float, jump_values, jump_probs,
-                          powers: dict | None = None) -> dict:
+def _panjer(rates: dict, mean: float, tail: float) -> dict:
+    """Law of a Poisson(mean) number of iid positive jumps, jump v at rate
+    ``rates[v]``, by Panjer's (1981) recursion x f(x) = sum_v v rates[v]
+    f(x - v) from f(0) = exp(-mean).  It keeps the values that at most
+    ``poisson_tail_count(mean, tail)`` jumps reach, so at most ``tail`` of the
+    mass is left out, and cuts the left tail as ``poisson_pmf`` does."""
+    most = poisson_tail_count(mean, tail)
+    floor = max(int(mean - 12.0 * math.sqrt(mean)), 0) * min(rates)
+    # ahead[x] = [the terms of x f(x) so far, the fewest jumps to x]; the least
+    # pending value is final.  f is held times 2**e: e lifts exp(-mean) into
+    # the float range past a mean of 700, and 2**512 is shed on passing it
+    e = max(math.ceil((mean - 700.0) / math.log(2.0)), 0)
+    ahead, pending, out = {0.0: [math.exp(e * math.log(2.0) - mean), 0]}, [0.0], {}
+    while pending:
+        x = heapq.heappop(pending)
+        g, n = ahead.pop(x)
+        if n > most:
+            continue
+        if (g := g / (x or 1.0)) > 2.0 ** 512:
+            g, e = math.ldexp(g, -512), e - 512
+            for t in ahead.values():
+                t[0] = math.ldexp(t[0], -512)
+        if x >= floor and (p := math.ldexp(g, -e)):
+            out[x] = p
+        for v, r in rates.items():
+            if (t := ahead.get(y := _key(x + v))) is None:
+                ahead[y] = [v * r * g, n + 1]
+                heapq.heappush(pending, y)
+            else:
+                t[0], t[1] = t[0] + v * r * g, min(t[1], n + 1)
+    return out
+
+
+def compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
     """Law of a Poisson(lam) number of iid jumps, as a dict pmf.
 
-    The law of k jumps is weighed by ``poisson_pmf(lam)[k]``, so the weights
-    are left sub-stochastic by that table's cut, and a unit jump gives the
-    poisson table value for value.  ``powers`` caches the law of k jumps under
-    key k.  It does not depend on ``lam``, so a caller that keeps one such
-    dict per jump law convolves each power once; the pmf is the same, in
-    values and key order, with or without it.
+    One nonzero jump size v reads ``poisson_pmf`` at k v, value for value.
+    Otherwise the jumps of each sign make a ``_panjer`` table of their sizes,
+    cut at ``PMF_TAIL`` over the number of signs and signed back, and two
+    signs are convolved once.  A zero or negative jump thins each sign's
+    intensity to the sum of its rates; positive jumps keep ``lam``.
     """
     if lam < 0:
         raise ConfigError("compound poisson intensity must be nonnegative")
     base = {_key(v): float(p) for v, p in zip(jump_values, jump_probs)}
     if abs(sum(base.values()) - 1.0) > PMF_TOTAL_TOL:
         raise ConfigError("jump pmf must sum to 1")
-    if powers is None:
-        powers = {}
-    counts = poisson_pmf(lam)
+    nonzero = {v: p for v, p in base.items() if v and p > 0}
+    if len(nonzero) == 1:
+        ((v, p),) = nonzero.items()
+        counts = poisson_pmf(lam if min(base) > 0 else lam * p)
+        return {_key(k * v) + 0.0: q for k, q in counts.items()}  # + 0.0: no -0.0 key
+    sides = [(sign, rates) for sign in (1.0, -1.0)
+             if (rates := {sign * v: lam * p for v, p in nonzero.items() if sign * v > 0})]
+    laws = [{sign * x + 0.0: p for x, p in _panjer(
+                rates, lam if min(base) > 0 else math.fsum(rates.values()),
+                PMF_TAIL / len(sides)).items()} for sign, rates in sides]
+    if len(laws) < 2:
+        return laws[0] if laws else {0.0: 1.0}
     out: dict[float, float] = {}
-    power = {0.0: 1.0}
-    for k in range(max(counts) + 1):
-        if k > 0:
-            if k not in powers:
-                # setdefault: a sampler thread that lost a race keeps the stored power
-                powers.setdefault(k, convolve_dicts(power, base))
-            power = powers[k]
-        weight = counts.get(k)
-        if weight is not None:
-            for v, p in power.items():
-                out[v] = out.get(v, 0.0) + weight * p
+    for a, p in laws[0].items():
+        for b, q in laws[1].items():
+            out[_key(a + b)] = out.get(_key(a + b), 0.0) + p * q
     return out
 
 

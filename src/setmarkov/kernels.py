@@ -83,11 +83,10 @@ class TransitionKernel:
 
     Finite-state kinds memoise their pmfs on the instance (``_pmfs``; the
     empirical kind keeps no step of more than ``DIRECT_BINOMIAL_TRIALS``
-    points left) and
-    return them as read-only mappings shared by every caller: the increment
-    and initial pmfs, the step pmf from each state, for the jump kinds the
-    pmf of each intensity, and for compound poisson the convolution powers
-    of the jump law.  Nothing is cached beyond the instance.
+    points left) and return them as read-only mappings shared by every
+    caller: the increment and initial pmfs, the step pmf from each state, and
+    for the jump kinds the pmf of each intensity.  Nothing is cached beyond
+    the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -95,13 +94,15 @@ class TransitionKernel:
     kind = "abstract"
     finite_state = False
 
-    def _memo(self, key, compute) -> MappingProxyType:
-        """The pmf stored under ``key``, computed on first use."""
-        pmf = self._pmfs.get(key)
-        if pmf is None:
-            # setdefault: a sampler thread that lost a race gets the stored pmf
-            pmf = self._pmfs.setdefault(key, MappingProxyType(compute()))
-        return pmf
+    def _memo(self, key, compute):
+        """The value under ``key``, computed on first use; a dict is kept read only."""
+        got = self._pmfs.get(key)
+        if got is None:
+            got = compute()
+            # setdefault: a sampler thread that lost a race gets the stored value
+            got = self._pmfs.setdefault(
+                key, MappingProxyType(got) if isinstance(got, dict) else got)
+        return got
 
     @property
     def measure(self) -> CellMeasure:
@@ -161,13 +162,8 @@ class TransitionKernel:
         """The step pmfs from B to B2 of the internal ``states`` as dense
         rows over the sorted union of their supports: (support, rows), the
         array read only, memoised like the pmfs."""
-        key = ("rows", B.mask, B2.mask, states)
-        got = self._pmfs.get(key)
-        if got is None:
-            support, rows = _dense([self.step_pmf(B, B2, y) for y in states])
-            rows.flags.writeable = False
-            got = self._pmfs.setdefault(key, (support, rows))
-        return got
+        return self._memo(("rows", B.mask, B2.mask, states),
+                          lambda: _dense([self.step_pmf(B, B2, y) for y in states]))
 
     def increment_pmf(self, B, B2, state) -> dict:
         """Law of (value at B2) - (value at B) given the value at B."""
@@ -315,11 +311,10 @@ class _JumpKernel(TransitionKernel):
     """Independent increments with intensity measure ``lam``: a poisson
     number of iid jumps from the law (``jump_values``, ``jump_probs``).  A
     subclass gives ``_pmf_of_mean``, the pmf of the increment over intensity
-    ``mean`` read from the poisson count table ``poisson_pmf`` (cut at
-    ``PMF_TAIL``), its ``initial`` field, the name of its law in texts
-    (``_law_name``) and that of its non-zero initial law (``_initial_name``).
-    The kernel memoises that pmf per mean (``_mean_pmf``); its tables and its
-    flow semigroup both read the memo."""
+    ``mean``, cut at ``PMF_TAIL``, its ``initial`` field, the name of its law
+    in texts (``_law_name``) and that of its non-zero initial law
+    (``_initial_name``).  The kernel memoises that pmf per mean
+    (``_mean_pmf``); its tables and its flow semigroup both read the memo."""
 
     lam: CellMeasure
 
@@ -343,11 +338,8 @@ class _JumpKernel(TransitionKernel):
 
     def increment_pmf(self, B, B2, state=0):
         _require_nested(B, B2)
-        key = (B.mask, B2.mask)
-        pmf = self._pmfs.get(key)
-        if pmf is None:
-            pmf = self._pmfs.setdefault(key, self._mean_pmf(measure_of(self.lam, B2 - B)))
-        return pmf
+        return self._memo((B.mask, B2.mask),
+                          lambda: self._mean_pmf(measure_of(self.lam, B2 - B)))
 
     def initial_pmf_for(self, min_set):
         # the zero initial law is the increment over no cells
@@ -408,9 +400,7 @@ class CompoundPoissonKernel(_JumpKernel):
             for v, p in self.increment_pmf(B, B2, state).items()})
 
     def _pmf_of_mean(self, mean: float) -> dict:
-        # the jump-law powers do not depend on the mean: one dict per kernel
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs,
-                                     powers=self._pmfs.setdefault("jump_powers", {}))
+        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
 
 
 @dataclass(frozen=True)
@@ -585,13 +575,14 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _dense(pmfs) -> tuple[tuple, np.ndarray]:
-    """(support, rows): the dict pmfs as the rows of one array over the
-    sorted union of their supports."""
+    """(support, rows): the dict pmfs as the rows of one read-only array
+    over the sorted union of their supports."""
     support = tuple(sorted(set().union(*pmfs)))
     col = {z: j for j, z in enumerate(support)}
     rows = np.zeros((len(pmfs), len(support)))
     for i, pmf in enumerate(pmfs):
         rows[i, [col[z] for z in pmf]] = list(pmf.values())
+    rows.flags.writeable = False
     return support, rows
 
 

@@ -27,10 +27,10 @@ the reference for the ``bincount`` and superset sums of
 ``ref_chain_pmf`` chains the kernel's step pmfs one state at a time through
 dicts, and ``ref_ck_defect`` and ``ref_flow_matching_defect`` compare such
 chains state by state: the reference for the dense rows of
-``kernels.chain_rows``.  ``ref_compound_poisson_dict`` convolves the jump law
-afresh on every call and weighs the law of k jumps by ``stats.poisson.pmf``
-over the counts the kernel tables keep: the reference for the cached powers
-and the shared count table of ``distributions.compound_poisson_dict``.
+``kernels.chain_rows``.  No reference here rebuilds a compound poisson
+table: ``distributions.compound_poisson_dict`` runs Panjer's recursion, and
+``tests/test_step_laws.py`` holds it against ``oracle_column`` of
+``tests/test_oracles.py``, a direct convolution of the jump law's powers.
 ``ref_jump_matrix`` and ``ref_jump_generator_matrix`` fill a jump semigroup
 matrix one atom at a time: the reference for the scattered band of
 ``generators.JumpFlowSemigroup``.
@@ -53,8 +53,6 @@ from scipy import stats
 
 from setmarkov.config import load_config
 from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
-from setmarkov.distributions import PMF_TAIL, PMF_TOTAL_TOL, canonical_value, \
-    convolve_dicts, poisson_tail_count
 from setmarkov.generators import (
     GAUSS_STENCIL,
     JACOBI_ORDER,
@@ -537,26 +535,6 @@ def ref_flow_matching_defect(kernel, stages1, stages2, states) -> float:
     """Worst TV distance, state by state, between two dict chains."""
     return max((ref_tv(ref_chain_pmf(kernel, stages1, x), ref_chain_pmf(kernel, stages2, x))
                 for x in states), default=0.0)
-
-
-def ref_compound_poisson_dict(lam, jump_values, jump_probs) -> dict:
-    """Compound poisson pmf with every convolution power computed afresh, the
-    law of k jumps weighed by ``stats.poisson.pmf`` at each count from
-    lam - 12 sqrt(lam) to the ``PMF_TAIL`` cut."""
-    base = {canonical_value(v): float(p) for v, p in zip(jump_values, jump_probs)}
-    assert abs(sum(base.values()) - 1.0) <= PMF_TOTAL_TOL
-    counts = np.arange(poisson_tail_count(lam, PMF_TAIL) + 1)
-    weights = stats.poisson.pmf(counts, lam).tolist()
-    lo = max(int(lam - 12.0 * math.sqrt(lam)), 0)
-    out = {}
-    power = {0.0: 1.0}
-    for k in counts.tolist():
-        if k > 0:
-            power = convolve_dicts(power, base)
-        if k >= lo:
-            for v, p in power.items():
-                out[v] = out.get(v, 0.0) + weights[k] * p
-    return out
 
 
 def _fill_band(M, offset, value):

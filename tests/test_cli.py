@@ -15,6 +15,7 @@ from setmarkov import suite, verify
 from setmarkov.cli import BLOCK_ROWS, _slots, format_rows, main
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
+from setmarkov.errors import TableSizeError
 from setmarkov.generators import Trace, generator_matching_defect, system_along_flow
 from setmarkov.lattice import DiscreteFlow, flow_from_ordering
 
@@ -259,6 +260,18 @@ def test_semigroup_left_out_is_a_config_error_and_reported(tmp_path, capsys, rea
     assert instance.startswith("one-step vs refined chain; matrix-semigroup rows left out: ")
     assert reason in instance
     assert "generator_matching" not in checks and "integral_identity" not in checks
+
+
+def test_validate_past_the_table_cap_fails_before_the_ck_rows(tmp_path, monkeypatch):
+    # the CK rows chain every one of the 2001 probe states of an empirical
+    # n = 2000 config; the exact ordering check, past TABLE_CAP, runs first
+    calls = []
+    monkeypatch.setattr(suite, "ck_defect", lambda *a, **k: calls.append(a))
+    cfg = load_config(write_config(tmp_path, dict(BASE, process={
+        "kind": "empirical", "n": 2000, "measure": {"uniform": True}})))
+    with pytest.raises(TableSizeError, match="joint table exceeds"):
+        suite.run_validation_suite(cfg)
+    assert not calls
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -4,12 +4,15 @@ and of the `validate` and `gencheck` reports of the continuous-kind bench
 configs, recorded before their checks shared quantile columns and evaluated
 composed cdfs over all probes at once.
 
-``FDD_SHA256["compound_poisson"]`` was re-recorded when compound poisson
-began to weigh the law of k jumps by the poisson count table the poisson kind
-reads (``distributions.poisson_pmf``, log space), in place of its own
-exp(-lam) lam^k / k! recurrence, which underflowed past a mean of about 745.
-The weights moved in their last bits: the largest change of one probability
-in that CSV is 5.2e-18, and its total variation from the old CSV 6.3e-17.
+``FDD_SHA256["compound_poisson"]`` was re-recorded when the compound
+poisson tables began to come from Panjer's recursion over the values that
+at most K jumps reach (K the poisson count cut), in place of the convolution
+powers of the jump law up to K jumps.  The CSV keeps its 216,000 rows; the
+values above K smallest jumps gained part of the mass the count cut had left
+out: the largest change of one probability is 2.0e-15, and the total
+variation from the old CSV 6.0e-14.  It was re-recorded once before, when
+compound poisson began to weigh the law of k jumps by the log-space poisson
+count table in place of an exp(-lam) recurrence (total variation 6.3e-17).
 
 Any change to these bytes is a change of the sampler or of the exact-law
 export, not a refactor.  Re-record only for an intended change of output.
@@ -84,7 +87,7 @@ FDD_SHA256 = {
     "poisson":
         "f97ff3b396ac7cd09f832546892d74708eeed2f0d398bf1ae173fb00062c634f",
     "compound_poisson":
-        "5e1205c664e2cb720cd9ee0cf9712e0bb9be23f5a77c5ab99a1fa6b355726c04",
+        "ddb9f582b54b3dd55995d9dad257fb7d5c43c6412a8d4267005ab8b53c12dd48",
 }
 
 # sample_increments on specs whose initial pmf overrides the kernel's own

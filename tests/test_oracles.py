@@ -33,7 +33,9 @@ ORACLE_TOL = 1e-12
 # (kind, jump values, jump probs)
 JUMP_LAWS = (("poisson", (1,), (1.0,)),
              ("compound", (1, 2), (0.6, 0.4)),
-             ("compound", (1, 2.5), (0.6, 0.4)))
+             ("compound", (1, 2.5), (0.6, 0.4)),
+             ("compound", (-1, 0, 2.5), (0.3, 0.2, 0.5)),
+             ("compound", (-1, -2), (0.3, 0.7)))
 
 
 def _key(v) -> float:
@@ -51,7 +53,8 @@ def oracle_column(mean: float, values, probs) -> dict:
             step: dict[float, float] = {}
             for v, p in power.items():
                 for jump, q in zip(values, probs):
-                    step[_key(v + jump)] = step.get(_key(v + jump), 0.0) + p * q
+                    to = _key(v + jump)
+                    step[to] = step.get(to, 0.0) + p * q
             power = step
         for v, p in power.items():
             out[v] = out.get(v, 0.0) + w * p

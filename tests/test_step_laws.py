@@ -7,6 +7,7 @@ import math
 import re
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,11 @@ from setmarkov import (
     compose_kernels,
     enumerate_consistent_orderings,
 )
-from setmarkov import distributions, generators
+from setmarkov import generators
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
-from setmarkov.distributions import compound_poisson_dict, poisson_pmf
+from setmarkov.distributions import compound_poisson_dict, poisson_pmf, poisson_tail_count
 from setmarkov.generators import (
     JumpFlowSemigroup,
     generator_matching_defect,
@@ -44,11 +45,11 @@ from setmarkov.verify import flow_matching_defect
 from helpers import (
     ref_chain_pmf,
     ref_ck_defect,
-    ref_compound_poisson_dict,
     ref_flow_matching_defect,
     ref_jump_generator_matrix,
     ref_jump_matrix,
 )
+from test_oracles import oracle_column
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 JUMPS = {"integer": ((1, 2), (0.6, 0.4)), "half": ((1, 2.5), (0.6, 0.4))}
@@ -116,37 +117,60 @@ def test_compound_table_past_the_exp_underflow_keeps_its_mass():
     assert abs(max(pmf, key=pmf.get) - 1200.0) <= 0.02 * 1200.0
 
 
-@pytest.mark.parametrize("jumps", sorted(JUMPS))
-@pytest.mark.parametrize("order", ["rising", "falling"])
-def test_cached_powers_match_the_uncached_loop(monkeypatch, jumps, order):
-    values, probs = JUMPS[jumps]
-    means = np.geomspace(1e-3, 6.0, 25).tolist()
-    if order == "falling":
-        means = means[::-1]
-    convolutions = []
-    real = distributions.convolve_dicts
-    monkeypatch.setattr(distributions, "convolve_dicts",
-                        lambda a, b: convolutions.append(1) or real(a, b))
-    powers = {}
-    for mean in means:
-        got = compound_poisson_dict(mean, values, probs, powers=powers)
-        want = ref_compound_poisson_dict(mean, values, probs)
-        assert got == want
-        assert list(got) == list(want)
-        assert list(got.values()) == list(want.values())
-    # each power of the jump law was convolved once, across all the means
-    assert len(convolutions) == max(powers)
-    assert sorted(powers) == list(range(1, max(powers) + 1))
+# the oracle convolves every power of the jump law, so the wider laws stop
+# at lower means; the mixed law has a zero and a negative jump
+MIXED = ((-1, 0, 2.5), (0.3, 0.2, 0.5))
+NEGATIVE = ((-1, -2), (0.3, 0.7))
+ORACLE_MEANS = {JUMPS["integer"]: (1e-3, 0.02, 0.3, 2.0, 5.5, 30.0, 150.0, 800.0),
+                JUMPS["half"]: (1e-3, 0.02, 0.3, 2.0, 5.5, 30.0, 150.0),
+                NEGATIVE: (1e-3, 0.02, 0.3, 2.0, 5.5, 30.0, 150.0),
+                MIXED: (1e-3, 0.02, 0.3, 2.0, 5.5, 30.0)}
+
+
+def assert_matches_the_oracle(got, mean, values, probs):
+    """A compound table against ``oracle_column``: at most ``PMF_TAIL`` of
+    its mass is left out.  For positive jumps, Panjer's recursion is exact
+    up to rounding on every value it reaches, and the oracle on every value
+    of up to mean + 12 sqrt(mean) + 29 jumps: so on every atom of at most K
+    smallest jumps (K the count cut) the two agree within a relative 4e-15
+    (1 + mean), the scale of the rounding of stats.poisson.pmf's log-space
+    weights.  Only atoms below the table's left cut, of mass under 1e-30,
+    are missing there.  A law of negative jumps only is checked as its mirror
+    image; a law of both signs cuts each side on its own, so it is held to a
+    TV distance of ``PMF_TAIL``."""
+    assert 1.0 - math.fsum(got.values()) <= PMF_TAIL
+    if max(values) < 0:
+        got, values = {-x: p for x, p in got.items()}, [-v for v in values]
+    want = oracle_column(mean, values, probs)
+    got = {round(x, 9): p for x, p in got.items()}
+    if min(values) < 0:
+        assert 0.5 * math.fsum(abs(got.get(x, 0.0) - want.get(x, 0.0))
+                               for x in set(got) | set(want)) <= PMF_TAIL
+        return
+    edge = poisson_tail_count(mean, PMF_TAIL) * min(values)
+    assert {x for x in got if x <= edge} <= set(want)
+    for x, w in want.items():
+        if x <= edge:
+            assert abs(got.get(x, 0.0) - w) <= 4e-15 * (1.0 + mean) * w or \
+                (x not in got and w < 1e-30), (mean, x)
 
 
 def test_compound_kernel_pmf_of_mean_is_the_reference(grid2):
-    lam = CellMeasure(grid2, [0.4] * 4)
-    for values, probs in JUMPS.values():
-        k = CompoundPoissonKernel(lam, values, probs)
-        for mean in (2.0, 0.3, 5.5, 0.3):
-            got = k._pmf_of_mean(mean)
-            want = ref_compound_poisson_dict(mean, values, probs)
-            assert list(got.items()) == list(want.items())
+    for (values, probs), means in ORACLE_MEANS.items():
+        k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
+        for mean in means:
+            assert_matches_the_oracle(k._pmf_of_mean(mean), mean, values, probs)
+
+
+def test_compound_table_at_a_mean_of_800_is_fast():
+    # Panjer's recursion costs O(atoms x jumps); the former power loop took
+    # about 1.5 s here.  Best of 5, with room for a slow host
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        compound_poisson_dict(800.0, (1, 2), (0.5, 0.5))
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.25
 
 
 def _jump_systems():
@@ -333,29 +357,27 @@ def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
     B, B2 = IndexedSet.from_cells(grid2, [0]), IndexedSet.from_cells(grid2, [0, 1, 2])
     for k in (k1, k2, k1):
         k.step_rows(B, B2, (0.0, 1.0))
-        k._pmf_of_mean(1.5)
+        k._mean_pmf(1.5)
     assert set(k1._pmfs) == set(k2._pmfs)
     for key in k1._pmfs:
         assert k1._pmfs[key] is not k2._pmfs[key]
-    assert 3.5 in k2._pmfs["jump_powers"][2] and 3.5 not in k1._pmfs["jump_powers"][2]
+    assert 3.5 in k2._mean_pmf(1.5) and 3.5 not in k1._mean_pmf(1.5)
     for k, (values, probs) in ((k1, JUMPS["integer"]), (k2, JUMPS["half"])):
-        assert list(k._pmf_of_mean(1.5).items()) == \
-            list(ref_compound_poisson_dict(1.5, values, probs).items())
+        assert_matches_the_oracle(k._mean_pmf(1.5), 1.5, values, probs)
 
 
-def test_threads_share_one_kernel_s_jump_powers_safely(grid2):
-    # sample --workers runs one kernel's pmfs in several threads: a power
-    # convolved twice in a race must still leave one power per count
+def test_threads_share_one_kernel_s_tables_safely(grid2):
+    # sample --workers runs one kernel's pmfs in several threads: every
+    # thread must read the table a single thread builds
     values, probs = JUMPS["half"]
     k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
     means = np.geomspace(0.05, 6.0, 12).tolist()
-    want = {m: list(ref_compound_poisson_dict(m, values, probs).items())
-            for m in means}
+    want = {m: list(compound_poisson_dict(m, values, probs).items()) for m in means}
     bad = []
 
     def work(order):
         for m in order:
-            if list(k._pmf_of_mean(m).items()) != want[m]:
+            if list(k._mean_pmf(m).items()) != want[m]:
                 bad.append(m)
 
     interval = sys.getswitchinterval()
@@ -371,8 +393,6 @@ def test_threads_share_one_kernel_s_jump_powers_safely(grid2):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not bad
-    powers = k._pmfs["jump_powers"]
-    assert sorted(powers) == list(range(1, max(powers) + 1))
 
 
 @pytest.mark.parametrize("name", ["poisson_lattice4", "compound_lattice3"])
