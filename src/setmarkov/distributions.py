@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .errors import ConfigError
 from .quadrature import hermite
@@ -30,7 +30,8 @@ PMF_TOTAL_TOL = 1e-12
 PMF_TAIL = 1e-13
 # binomial_pmf takes comb(trials, j) p^j q^(trials - j) in floats up to this
 # many trials; from 1030 on, comb(trials, trials // 2) overflows a float, so
-# larger counts take stats.binom.pmf
+# larger counts take stats.binom.pmf, imported there: no smaller table loads
+# scipy.stats
 DIRECT_BINOMIAL_TRIALS = 1000
 COMPOSE_CDF_TOL = 1e-8
 # The Gauss-Hermite rule resolves a normal second stage whose variance is at
@@ -100,6 +101,7 @@ def binomial_pmf(trials: int, p: float) -> FinitePmf:
     mean, reach = trials * p, 12.0 * math.sqrt(trials * p * q) + 70
     counts = range(max(int(mean - reach), 0), min(int(mean + reach), trials) + 1)
     if trials > DIRECT_BINOMIAL_TRIALS:
+        from scipy import stats
         return FinitePmf(counts, stats.binom.pmf(np.array(counts), trials, p).tolist())
     probs, comb = [], math.comb(trials, counts.start)
     for j in counts:
@@ -161,12 +163,15 @@ class BetaSegment:
         if d is not None:
             return d.cdf(z)
         y = (np.asarray(z) - self.lo) / (1.0 - self.lo)
-        return _like(stats.beta.cdf(y, self.a, self.b), z)
+        # stats.beta.cdf evaluates betainc inside (0, 1) and places 0 below
+        # and 1 above it; clipped into [0, 1], betainc gives those bits too
+        return _like(special.betainc(self.a, self.b, np.clip(y, 0.0, 1.0)), z)
 
     def pdf(self, z):
         d = self._degenerate()
         if d is not None:
             return 0.0
+        from scipy import stats  # only TwoStage._quad reads a beta density
         y = (z - self.lo) / (1.0 - self.lo)
         return float(stats.beta.pdf(y, self.a, self.b) / (1.0 - self.lo))
 
@@ -215,6 +220,7 @@ class TwoStage:
     def _quad(self, z, lo, hi, **kw):
         """Adaptive quadrature of the second-stage cdf against the first
         stage's density, one integral per probe."""
+        from scipy import integrate
         pdf = self.first.pdf
         vals = [integrate.quad(lambda y: self.second_of(y).cdf(zj) * pdf(y), lo, hi,
                                epsabs=COMPOSE_CDF_TOL, limit=200, **kw)[0]

@@ -32,10 +32,13 @@ import numpy as np
 
 # Longest repr of a double: '-1.2345678901234567e-308'.
 WIDTH = 24
-# Values per kernel pass.  ``_shortest`` holds about 40 uint64 temporaries at
-# once.  Timed alone it took 0.33 ms at 4,096 values and 1.22 ms at 6,144,
-# where numpy's allocator stopped reusing them (best of 9, 2-CPU x86-64 VM).
-CHUNK = 4096
+# Values per kernel pass: a block of the CSV writer on the 6-set staircase
+# (1,024 rows of 6 cells) in one pass.  ``_shortest`` holds about 40 uint64
+# temporaries at once.  Timed alone it took 0.33 ms at 4,096 values and
+# 1.22 ms at 6,144, where numpy's allocator stopped reusing them (best of 9);
+# inside the ``sample`` jobs one pass of 6,144 beat two of 3,072, and the
+# benchmark's ``sample-csv`` fell from 5.17 to 4.83 s (2-CPU x86-64 VM).
+CHUNK = 6144
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .distributions import (
     DIRECT_BINOMIAL_TRIALS,
@@ -481,9 +481,8 @@ class DirichletKernel(TransitionKernel):
             ys = self._beta_steps(rng, B, B1, np.full(count, float(x)))
             zs = self._beta_steps(rng, B1, B2, ys)
             levels = np.linspace(0.1, 0.9, 9)
-            probes = np.asarray([direct.lo + (1.0 - direct.lo) *
-                                 stats.beta.ppf(q, direct.a, direct.b)
-                                 for q in levels])
+            # betaincinv gives the bits of stats.beta.ppf at these levels
+            probes = direct.lo + (1.0 - direct.lo) * special.betaincinv(direct.a, direct.b, levels)
             emp = np.searchsorted(np.sort(zs), probes, side="right") / count
             gaps = np.abs(emp - levels)
             ses = np.sqrt(levels * (1 - levels) / count)

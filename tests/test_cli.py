@@ -35,16 +35,56 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(p)
 
 
-def test_python_dash_m_runs_the_cli():
+CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this setmarkov."""
     src = str(Path(setmarkov.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-m", "setmarkov", "--help"], env=env,
+
+
+def test_python_dash_m_runs_the_cli():
+    out = subprocess.run([sys.executable, "-m", "setmarkov", "--help"], env=_child_env(),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: setmarkov")
     for command in ("validate", "sample", "fdd", "gencheck"):
         assert command in out.stdout
+
+
+# Run in a child interpreter: after ``import setmarkov`` and after each job,
+# which of scipy.stats and scipy.integrate are loaded.
+_IMPORT_PROBE = """
+import json, sys
+
+def loaded():
+    return [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+
+import setmarkov
+steps = [["import setmarkov", 0, loaded()]]
+from setmarkov.cli import main
+for argv in json.loads(sys.argv[1]):
+    steps.append([argv[0], main(argv), loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_cli_jobs_never_import_scipy_stats_or_integrate(tmp_path):
+    # a child interpreter, since helpers.py and several test modules import
+    # scipy.stats into this one; the two modules together about doubled the
+    # start-up of every CLI call
+    sample = ["sample", "--config", str(CONFIGS / "empirical6_staircase.json"),
+              "--n", "1000", "--out", str(tmp_path / "sample.csv")]
+    compound = str(CONFIGS / "compound_lattice3.json")
+    jobs = [sample, ["validate", "--config", compound, "--out", str(tmp_path / "report.json")],
+            ["fdd", "--config", compound, "--out", str(tmp_path / "fdd.csv")]]
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(jobs)],
+                         env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == [
+        ["import setmarkov", 0, []], ["sample", 0, []], ["validate", 0, []], ["fdd", 0, []]]
 
 
 def test_validate_passes_on_builtin(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from setmarkov.distributions import (
     BetaSegment,
@@ -67,6 +68,32 @@ def test_beta_segment_degenerate_endpoints():
     assert BetaSegment(0.0, 2.0, 0.3).cdf(0.3) == 1.0    # no mass to add
     full = BetaSegment(1.0, 1.0, 1.0)  # started at 1: stays there
     assert full.cdf(0.999) == 0.0 and full.cdf(1.0) == 1.0
+
+
+@pytest.mark.parametrize("lo", [0.0, 0.2, 0.75])
+@pytest.mark.parametrize("a, b", [(0.5, 0.5), (1.5, 2.5), (0.05, 30.0), (7.5, 0.3), (2.0, 1.0)])
+def test_beta_segment_cdf_is_the_stats_beta_cdf_bit_for_bit(a, b, lo):
+    # betainc on y clipped into [0, 1], against the stats.beta.cdf it replaced
+    # (0 below the support, 1 above it, betainc inside)
+    seg = BetaSegment(a, b, lo)
+    probes = np.concatenate([
+        [-np.inf, -1.0, lo - 1e-12, np.nextafter(lo, -1.0), lo, np.nextafter(lo, 2.0)],
+        np.linspace(lo, 1.0, 41)[1:-1],
+        [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1.5, np.inf]])
+    want = stats.beta.cdf((probes - lo) / (1.0 - lo), a, b)
+    assert seg.cdf(probes).tobytes() == want.tobytes()
+    for z, w in zip(probes, want):
+        got = seg.cdf(float(z))
+        assert type(got) is float and np.float64(got).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("a, b, lo, atom", [(0.0, 2.0, 0.3, 0.3), (0.0, 0.0, 0.3, 0.3),
+                                            (2.0, 0.0, 0.3, 1.0), (1.5, 2.5, 1.0, 1.0)])
+def test_degenerate_beta_segment_cdf_is_its_point_mass_bit_for_bit(a, b, lo, atom):
+    probes = np.array([-1.0, 0.0, np.nextafter(atom, -1.0), atom, np.nextafter(atom, 2.0), 2.0])
+    seg, mass = BetaSegment(a, b, lo), PointMass(atom)
+    assert seg.cdf(probes).tobytes() == mass.cdf(probes).tobytes()
+    assert [seg.cdf(float(z)) for z in probes] == [mass.cdf(float(z)) for z in probes]
 
 
 def test_two_stage_gaussian_cdf_matches_convolution():

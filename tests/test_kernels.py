@@ -1,9 +1,11 @@
+import itertools
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from setmarkov import (
     CellMeasure,
@@ -15,8 +17,11 @@ from setmarkov import (
     IndexedSet,
     PoissonIncrementKernel,
     ck_defect,
+    cli,
     compose_kernels,
     kernel_eval,
+    kernels,
+    left_neighbourhoods,
     suite,
 )
 from setmarkov.config import load_config
@@ -267,6 +272,92 @@ def test_compound_mutant_breaks_samples_and_validate():
     # the rows that hold its semigroup against its generator see it
     assert {name for name, ok in rows.items() if not ok} == {
         "integral_identity", "generator_fd_order"}
+
+
+class _WholeSetGaussian(GaussianIncrementKernel):
+    """Mutant: the step from B to B' is normal with variance lam(B'), not
+    lam(B' minus B), both in its law and in the sampler's quantile column;
+    its flow semigroup still reads the real variances."""
+
+    def law(self, B, B2, x):
+        return NormalLaw(float(x), measure_of(self.lam, B2))
+
+    def increment_ppf(self, prev, cur, x, u):
+        return kernels._normal_ppf(u) * np.sqrt(measure_of(self.lam, cur))
+
+
+def test_gaussian_mutant_breaks_samples_and_validate(tmp_path, monkeypatch):
+    path = str(CONFIGS / "gaussian_staircase.json")
+    cfg = load_config(path)
+    real = cfg.spec
+    cfg.spec = FddSpec(real.lattice, _WholeSetGaussian(real.kernel.lam), real.ordering)
+    assert not np.array_equal(sample_increments(real, 0, 2000),
+                              sample_increments(cfg.spec, 0, 2000))
+    monkeypatch.setattr(cli, "load_config", lambda _: cfg)
+    out = tmp_path / "report.json"
+    assert cli.main(["validate", "--config", path, "--out", str(out)]) == 1
+    rows = {r["name"]: r["pass"] for r in json.loads(out.read_text())["checks"]}
+    # integral_identity and generator_fd_order read the flow semigroup, which
+    # keeps the real variances
+    assert {name for name, ok in rows.items() if not ok} == {
+        "chapman_kolmogorov", "ordering_invariance", "marginal_law"}
+
+
+def _stats_beta_ppf(a, b, levels):
+    return np.array([stats.beta.ppf(q, a, b) for q in levels])
+
+
+def test_betaincinv_is_the_stats_beta_ppf_at_the_deciles():
+    levels = np.linspace(0.1, 0.9, 9)
+    params = (0.05, 0.5, 1.0, 2.5, 8.0, 40.0)
+    for a, b in itertools.product(params, params):
+        assert (special.betaincinv(a, b, levels).tobytes()
+                == _stats_beta_ppf(a, b, levels).tobytes()), (a, b)
+
+
+class _CheckedBetaQuantiles:
+    """``scipy.special`` whose ``betaincinv`` also takes ``stats.beta.ppf``
+    level by level, the call the CK deciles made before, and records
+    whether the two agree bit for bit."""
+
+    def __init__(self):
+        self.agree = []
+
+    def __getattr__(self, name):
+        return getattr(special, name)
+
+    def betaincinv(self, a, b, levels):
+        out = special.betaincinv(a, b, levels)
+        self.agree.append(out.tobytes() == _stats_beta_ppf(a, b, levels).tobytes())
+        return out
+
+
+def test_ck_deciles_are_the_stats_beta_quantiles_bit_for_bit(monkeypatch):
+    cfg = load_config(str(CONFIGS / "dirichlet_staircase.json"))
+    k, o = cfg.spec.kernel, cfg.spec.ordering
+    spy = _CheckedBetaQuantiles()
+    monkeypatch.setattr(kernels, "special", spy)
+    last = len(o) - 1
+    for i, j, m in [(0, 1, last), (1, 2, last), (0, 3, last)]:
+        ck_defect(k, o.prefix_set(i), o.prefix_set(j), o.prefix_set(m), k.probe_states(),
+                  mc=(0, 4000))
+    assert spy.agree and all(spy.agree)
+
+
+@pytest.mark.parametrize("seed", [0, 10, 27])
+def test_ks_statistic_is_the_stats_kstest_statistic_bit_for_bit(seed):
+    # seed 27 is one of the dirichlet marginal_law false alarms (ROADMAP item 2)
+    cfg = load_config(str(CONFIGS / "dirichlet_staircase.json"))
+    alpha = cfg.spec.kernel.measure
+    arr = sample_increments(cfg.spec, seed, cfg.mc_samples)
+    lefts = left_neighbourhoods(cfg.spec.ordering)
+    for m in cfg.lattice.members:
+        vals = suite._member_values(arr, lefts, m)
+        a = measure_of(alpha, m)
+        b = alpha.total - a
+        want = stats.kstest(vals, lambda z: stats.beta.cdf(z, a, b)).statistic
+        got = suite.ks_statistic(vals, BetaSegment(a, b).cdf)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestEmpiricalKernel:

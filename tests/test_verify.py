@@ -234,7 +234,7 @@ class TestColumnScope:
         real = getattr(owner, name)
 
         def counted(*args):
-            calls.append(args[:-1])
+            calls.append((*args[:-1], np.shape(args[-1])))
             return real(*args)
 
         monkeypatch.setattr(owner, name, counted)
@@ -251,7 +251,9 @@ class TestColumnScope:
         rows = suite.run_validation_suite(cfg)
         assert {r["name"] for r in rows} >= {"ordering_invariance", "marginal_law"}
         assert len(streams) == len(set(streams)) == 6
-        assert len(quantiles) == columns
+        # a column holds one quantile per sample; the dirichlet CK rows also
+        # take betaincinv at 9 deciles per probe state, which is no column
+        assert sum(q[-1] == (cfg.mc_samples,) for q in quantiles) == columns
         assert kernels._COLUMN_MEMO.get() is None
 
     def test_memo_dropped_when_validate_raises(self, monkeypatch):
