@@ -70,70 +70,86 @@ def _check(ok: bool, path: str, want: str) -> None:
 
 
 def _need(obj: dict, key: str, path: str):
+    _check(isinstance(obj, dict), path or "/", "an object")
     if key not in obj:
         raise ConfigError(f"{path}/{key}: missing required field")
     return obj[key]
 
 
-def _build_measure(node, grid: GroundGrid, kind: str, path: str) -> CellMeasure:
-    _check(isinstance(node, dict), path, "an object")
+def _integer(v, path: str) -> int:
+    _check(type(v) is int, path, "an integer")
+    return v
+
+
+def _number(v, path: str) -> float:
+    _check(type(v) in (int, float), path, "a number")
+    return float(v)
+
+
+def _numbers(v, path: str) -> tuple:
+    _check(isinstance(v, list) and all(type(x) in (int, float) for x in v), path,
+           "a list of numbers")
+    return tuple(v)
+
+
+def _construct(path: str, make, *args):
+    """``make(*args)``, its package errors raised as config errors at ``path``;
+    the arguments, read from the config first, raise at their own paths."""
     try:
-        if node.get("uniform"):
-            if kind == "probability":
-                return CellMeasure.uniform_probability(grid)
-            return CellMeasure(grid, np.full(grid.cell_count, 1.0), kind)
-        if "constant" in node:
-            return CellMeasure(grid, np.full(grid.cell_count, float(node["constant"])), kind)
-        weights = _need(node, "weights", path)
-        return CellMeasure(grid, weights, kind)
+        return make(*args)
     except SetMarkovError as e:
         raise ConfigError(f"{path}: {e}") from None
+
+
+def _build_measure(node, grid: GroundGrid, kind: str, path: str) -> CellMeasure:
+    _check(isinstance(node, dict), path, "an object")
+    if node.get("uniform"):
+        if kind == "probability":
+            return CellMeasure.uniform_probability(grid)
+        weights = np.full(grid.cell_count, 1.0)
+    elif "constant" in node:
+        weights = np.full(grid.cell_count, _number(node["constant"], f"{path}/constant"))
+    else:
+        weights = _numbers(_need(node, "weights", path), f"{path}/weights")
+    return _construct(path, CellMeasure, grid, weights, kind)
 
 
 def _build_lattice(node, grid: GroundGrid, path: str) -> Semilattice:
     _check(isinstance(node, dict), path, "an object")
     generators = []
-    for i, corner in enumerate(node.get("rectangles", [])):
-        try:
-            generators.append(IndexedSet.rectangle(grid, corner))
-        except SetMarkovError as e:
-            raise ConfigError(f"{path}/rectangles/{i}: {e}") from None
-    for i, cells in enumerate(node.get("cell_lists", [])):
-        try:
-            generators.append(IndexedSet.from_cells(grid, cells))
-        except SetMarkovError as e:
-            raise ConfigError(f"{path}/cell_lists/{i}: {e}") from None
+    for key, make in (("rectangles", IndexedSet.rectangle), ("cell_lists", IndexedSet.from_cells)):
+        items = node.get(key, [])
+        _check(isinstance(items, list) and all(
+            isinstance(item, list) and all(type(j) is int for j in item) for item in items),
+            f"{path}/{key}", "a list of lists of integers")
+        generators += [_construct(f"{path}/{key}/{i}", make, grid, item)
+                       for i, item in enumerate(items)]
     if not generators:
         raise ConfigError(f"{path}: needs rectangles or cell_lists")
-    try:
-        return close_under_intersection(generators)
-    except SetMarkovError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    return _construct(path, close_under_intersection, generators)
 
 
 def _build_kernel(node, grid: GroundGrid, path: str):
     kind = _need(node, "kind", path)
-    if kind not in MEASURE_KIND:
+    if not isinstance(kind, str) or kind not in MEASURE_KIND:
         raise ConfigError(f"{path}/kind: unknown process kind {kind!r}")
     measure = _build_measure(_need(node, "measure", path), grid,
                              MEASURE_KIND[kind], f"{path}/measure")
-    try:
-        if kind == "empirical":
-            return EmpiricalKernel(int(_need(node, "n", path)), measure,
-                                   corrupted=bool(node.get("corrupted", False)))
-        if kind == "gaussian":
-            return GaussianIncrementKernel(measure, node.get("initial", "normal"))
-        if kind == "poisson":
-            return PoissonIncrementKernel(measure, node.get("initial", "poisson"))
-        if kind == "compound_poisson":
-            jumps = _need(node, "jumps", path)
-            return CompoundPoissonKernel(measure,
-                                         tuple(jumps.get("values", ())),
-                                         tuple(jumps.get("probs", ())),
-                                         node.get("initial", "compound"))
-        return DirichletKernel(measure)
-    except SetMarkovError as e:
-        raise ConfigError(f"{path}: {e}") from None
+    if kind == "empirical":
+        return _construct(path, EmpiricalKernel, _integer(_need(node, "n", path), f"{path}/n"),
+                          measure, bool(node.get("corrupted", False)))
+    if kind == "gaussian":
+        return _construct(path, GaussianIncrementKernel, measure, node.get("initial", "normal"))
+    if kind == "poisson":
+        return _construct(path, PoissonIncrementKernel, measure, node.get("initial", "poisson"))
+    if kind == "compound_poisson":
+        jumps = _need(node, "jumps", path)
+        _check(isinstance(jumps, dict), f"{path}/jumps", "an object")
+        return _construct(path, CompoundPoissonKernel, measure,
+                          *(_numbers(jumps.get(key, []), f"{path}/jumps/{key}")
+                            for key in ("values", "probs")),
+                          node.get("initial", "compound"))
+    return _construct(path, DirichletKernel, measure)
 
 
 def _merge_tolerances(tolerances: dict, node, path: str) -> None:
@@ -175,24 +191,25 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("/: config must be a JSON object")
     grid_node = _need(raw, "grid", "")
-    grid = GroundGrid(tuple(_need(grid_node, "extents", "/grid")))
+    extents = _need(grid_node, "extents", "/grid")
+    _check(isinstance(extents, list) and all(type(e) is int for e in extents),
+           "/grid/extents", "a list of integers")
+    grid = GroundGrid(tuple(extents))
     lattice = _build_lattice(_need(raw, "semilattice", ""), grid, "/semilattice")
     proc = _need(raw, "process", "")
     kernel = _build_kernel(proc, grid, "/process")
-    try:
-        spec: FddSpec | MixtureSpec = FddSpec(lattice, kernel)
-        mix = proc.get("mixture")
-        if mix is not None:
-            other = dict(proc)
-            other.pop("mixture")
-            other["measure"] = _need(mix, "measure", "/process/mixture")
-            kernel2 = _build_kernel(other, grid, "/process/mixture")
-            w = float(mix.get("weight", 0.5))
-            spec = MixtureSpec((FddSpec(lattice, kernel), FddSpec(lattice, kernel2)),
-                               (w, 1.0 - w))
-    except SetMarkovError as e:
-        raise ConfigError(f"/process: {e}") from None
-    seed = int(raw.get("seed", 0))
+    spec: FddSpec | MixtureSpec = _construct("/process", FddSpec, lattice, kernel)
+    mix = proc.get("mixture")
+    if mix is not None:
+        other = dict(proc)
+        other.pop("mixture")
+        other["measure"] = _need(mix, "measure", "/process/mixture")
+        kernel2 = _build_kernel(other, grid, "/process/mixture")
+        w = _number(mix.get("weight", 0.5), "/process/mixture/weight")
+        spec = _construct("/process", MixtureSpec,
+                          (spec, _construct("/process", FddSpec, lattice, kernel2)),
+                          (w, 1.0 - w))
+    seed = _integer(raw.get("seed", 0), "/seed")
     tolerances = dict(DEFAULT_TOLERANCES)
     _merge_tolerances(tolerances, raw.get("tolerances", {}), "/tolerances")
     exp = raw.get("experiment", {})

@@ -33,6 +33,8 @@ from .quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
 GAUSS_NODES = 32
 JACOBI_ORDER = 48
 GAUSS_STENCIL = 1.0 / 512.0
+# an empirical stage leaves no point outside it once this little mass is left
+EMPTY_REST = 1e-15
 
 
 class MatrixSemigroup:
@@ -77,6 +79,10 @@ class MatrixSemigroup:
         """The identity: one column per state, so every function of the state."""
         return np.eye(len(self.states))
 
+    def exhausted(self, t: float) -> bool:
+        """Whether the stage at time t leaves no mass outside it."""
+        return False
+
 
 class QuadratureSemigroup:
     """Operators acting on test functions that are elementwise on float64
@@ -89,6 +95,10 @@ class QuadratureSemigroup:
     def values(self, h):
         return h(self.probes)
 
+    def exhausted(self, t: float) -> bool:
+        """Whether the stage at time t leaves no mass outside it."""
+        return False
+
 
 def empirical_success(gain: float, covered: float, corrupted: bool) -> float:
     """Chance that an empirical point outside mass ``covered`` lands in a
@@ -98,7 +108,7 @@ def empirical_success(gain: float, covered: float, corrupted: bool) -> float:
     if corrupted:
         return min(gain, 1.0)
     rest = 1.0 - covered
-    if rest <= 1e-15:  # the set holds all the mass: no point is left outside
+    if rest <= EMPTY_REST:  # the set holds all the mass: no point is left outside
         return 0.0
     return min(gain / rest, 1.0)
 
@@ -132,6 +142,10 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         M[self._rows, self._rows + self._heads] = (
             self._comb * p_pow[self._heads] * q_pow[self._tails])
         return M
+
+    def exhausted(self, t):
+        # the corrupted rule never divides by the mass left outside
+        return not self.corrupted and 1.0 - self.trace(t) <= EMPTY_REST
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
         n = self.n
@@ -267,6 +281,9 @@ class DirichletFlowSemigroup(QuadratureSemigroup):
 
         return out
 
+    def exhausted(self, t):
+        return self.alpha_total - self.trace(t) <= 0.0
+
     def apply_generator(self, s, h, side="+"):
         rate = self.trace.slope(s, side)
         c = self.alpha_total - self.trace(s)
@@ -350,6 +367,15 @@ def integral_identity_residual(system, s: float, t: float, h) -> float:
     lhs = system.values(system.apply(s, t, h)) - system.values(h)
     rhs = generator_integral(system, s, t, h)
     return float(np.max(np.abs(lhs - rhs)))
+
+
+def identity_end(system) -> float:
+    """The last trace knot whose stage still leaves mass outside it (the
+    first knot when none does).  From there on T_{v,t}h = h(full) for every
+    v < t while T_{t,t}h = h: a jump at v = t that no generator integral
+    sees, so the integral identity holds only up to this knot."""
+    live = [t for t in system.trace.times.tolist() if not system.exhausted(t)]
+    return live[-1] if live else float(system.trace.times[0])
 
 
 def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow,

@@ -3,8 +3,9 @@
 A kernel maps (B, B', x) with B a subset of B' to the conditional law of the
 process value at B' given value x at B.  Five built-in families:
 
-* independent-increment kinds (gaussian / poisson / compound poisson), whose
-  law depends on (B, B') only through the intensity of B' minus B;
+* independent-increment kinds, whose law depends on (B, B') only through
+  the intensity of B' minus B: gaussian, and compound poisson, one kernel
+  whose subclass poisson only names the unit jump;
 * the size-n empirical process (binomial steps, states stored as integer
   counts and displayed as count/n);
 * the Dirichlet process (beta steps on [0, 1]).
@@ -39,7 +40,6 @@ from .distributions import (
     canonical_value,
     compound_poisson_dict,
     pmf_ppf,
-    poisson_pmf,
 )
 from .errors import ConfigError, UnsupportedKernelError
 from .generators import (
@@ -307,22 +307,30 @@ class GaussianIncrementKernel(TransitionKernel):
 
 
 @dataclass(frozen=True)
-class _JumpKernel(TransitionKernel):
-    """Independent increments with intensity measure ``lam``: a poisson
-    number of iid jumps from the law (``jump_values``, ``jump_probs``).  A
-    subclass gives ``_pmf_of_mean``, the pmf of the increment over intensity
-    ``mean``, cut at ``PMF_TAIL``, its ``initial`` field, the name of its law
-    in texts (``_law_name``) and that of its non-zero initial law
-    (``_initial_name``).  The kernel memoises that pmf per mean
-    (``_mean_pmf``); its tables and its flow semigroup both read the memo."""
+class CompoundPoissonKernel(TransitionKernel):
+    """Independent compound-poisson increments with intensity measure
+    ``lam``: a poisson number of iid jumps from the finite jump pmf
+    (``jump_values``, ``jump_probs``).  The increment over intensity ``mean``
+    is ``_pmf_of_mean(mean)``, cut at ``PMF_TAIL``; the kernel memoises it
+    per mean (``_mean_pmf``), and its tables and its flow semigroup both
+    read the memo.  ``_law_name`` names the law in texts and
+    ``_initial_name`` its non-zero initial law."""
 
     lam: CellMeasure
+    jump_values: tuple[float, ...]
+    jump_probs: tuple[float, ...]
+    initial: str = "compound"  # or "zero"
 
+    kind = "compound_poisson"
     finite_state = True  # exact tables use a tail truncation
-    _law_name = "abstract"
-    _initial_name = "abstract"
+    _law_name = "compound poisson"
+    _initial_name = "compound"
 
     def __post_init__(self):
+        if len(self.jump_values) != len(self.jump_probs) or not self.jump_values:
+            raise ConfigError("jump pmf needs matching nonempty values and probs")
+        if abs(sum(self.jump_probs) - 1.0) > 1e-12:
+            raise ConfigError("jump pmf must sum to 1")
         if self.initial not in (self._initial_name, "zero"):
             raise ConfigError(f"{self._law_name} initial law must be "
                               f"'{self._initial_name}' or 'zero'")
@@ -330,6 +338,9 @@ class _JumpKernel(TransitionKernel):
     @property
     def measure(self):
         return self.lam
+
+    def _pmf_of_mean(self, mean: float) -> dict:
+        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
 
     def _mean_pmf(self, mean: float) -> MappingProxyType:
         """``_pmf_of_mean(mean)``, memoised per mean: steps over cells of
@@ -354,6 +365,12 @@ class _JumpKernel(TransitionKernel):
                                  self.jump_values, self.jump_probs,
                                  start_mass_cap=_start_cap(self, flow))
 
+    def step_pmf(self, B, B2, state) -> dict:
+        # canonical float keys so composed sums merge with direct ones
+        return self._memo(("step", B.mask, B2.mask, state), lambda: {
+            canonical_value(state + v): p
+            for v, p in self.increment_pmf(B, B2, state).items()})
+
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
             return "point mass at 0"
@@ -361,46 +378,16 @@ class _JumpKernel(TransitionKernel):
 
 
 @dataclass(frozen=True)
-class PoissonIncrementKernel(_JumpKernel):
-    """Independent poisson increments with mean measure ``lam``: unit jumps."""
+class PoissonIncrementKernel(CompoundPoissonKernel):
+    """Independent poisson increments with mean measure ``lam``: compound
+    poisson with the unit jump."""
 
+    jump_values: tuple[float, ...] = field(default=(1,), init=False)
+    jump_probs: tuple[float, ...] = field(default=(1.0,), init=False)
     initial: str = "poisson"  # or "zero"
 
     kind = "poisson"
     _law_name = _initial_name = "poisson"
-    jump_values = (1,)
-    jump_probs = (1.0,)
-    _pmf_of_mean = staticmethod(poisson_pmf)
-
-
-@dataclass(frozen=True)
-class CompoundPoissonKernel(_JumpKernel):
-    """Independent compound-poisson increments: a poisson number of iid jumps
-    from a finite jump pmf, intensity measure ``lam``."""
-
-    jump_values: tuple[float, ...]
-    jump_probs: tuple[float, ...]
-    initial: str = "compound"  # or "zero"
-
-    kind = "compound_poisson"
-    _law_name = "compound poisson"
-    _initial_name = "compound"
-
-    def __post_init__(self):
-        if len(self.jump_values) != len(self.jump_probs) or not self.jump_values:
-            raise ConfigError("jump pmf needs matching nonempty values and probs")
-        if abs(sum(self.jump_probs) - 1.0) > 1e-12:
-            raise ConfigError("jump pmf must sum to 1")
-        super().__post_init__()
-
-    def step_pmf(self, B, B2, state) -> dict:
-        # canonical float keys so composed sums merge with direct ones
-        return self._memo(("step", B.mask, B2.mask, state), lambda: {
-            canonical_value(state + v): p
-            for v, p in self.increment_pmf(B, B2, state).items()})
-
-    def _pmf_of_mean(self, mean: float) -> dict:
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,44 @@ def test_malformed_field_exits_2(tmp_path, capsys, command, field, value, pointe
     assert pointer in capsys.readouterr().err
 
 
+COMPOUND = dict(BASE, process={"kind": "compound_poisson", "measure": {"constant": 0.5},
+                               "jumps": {"values": [1, 2], "probs": [0.5, 0.5]}})
+
+
+def _with(config, pointer, value):
+    """A copy of ``config`` with the field at ``pointer`` set to ``value``."""
+    out = json.loads(json.dumps(config))
+    *parents, last = pointer.strip("/").split("/")
+    node = out
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+@pytest.mark.parametrize("config, pointer", [
+    (_with(BASE, "/process/n", "ten"), "/process/n"),
+    (_with(BASE, "/process/n", 2.7), "/process/n"),
+    (_with(COMPOUND, "/process/measure/constant", "x"), "/process/measure/constant"),
+    (_with(COMPOUND, "/process/measure", {"weights": ["a", 1, 1, 1]}),
+     "/process/measure/weights"),
+    (_with(COMPOUND, "/process/jumps/values", ["a"]), "/process/jumps/values"),
+    (_with(COMPOUND, "/process/jumps", [1, 2]), "/process/jumps"),
+    (_with(BASE, "/process/mixture", {"measure": {"uniform": True}, "weight": "x"}),
+     "/process/mixture/weight"),
+    (_with(BASE, "/seed", "abc"), "/seed"),
+    (_with(BASE, "/grid/extents", 3), "/grid/extents"),
+    (_with(BASE, "/semilattice", {"rectangles": 3}), "/semilattice/rectangles"),
+    (_with(BASE, "/semilattice/cell_lists", [[0, 1.5]]), "/semilattice/cell_lists"),
+])
+def test_malformed_value_is_a_config_error_with_its_path(tmp_path, capsys, config, pointer):
+    # n, seed and cells must be integers: 2.7 is refused, not run as 2
+    assert main(["validate", "--config", write_config(tmp_path, config),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {pointer}: must be ") and "Traceback" not in err
+
+
 def test_gencheck_dirichlet_past_a_total_mass_of_1035(tmp_path):
     # total mass 2,000: the Jacobi rules stay finite
     payload = dict(BASE, process={"kind": "dirichlet", "measure": {"constant": 500}})
@@ -188,6 +226,9 @@ class NanSystem:
 
     def apply_generator(self, s, h, side="+"):
         return h
+
+    def exhausted(self, t):
+        return False
 
 
 def test_fd_order_rule():

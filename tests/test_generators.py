@@ -1,4 +1,5 @@
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from setmarkov import (
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
+from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.distributions import poisson_pmf
 from setmarkov.errors import ConfigError, UnsupportedKernelError
@@ -678,3 +680,66 @@ class TestContinuousNegativeControls:
         monkeypatch.setattr(type(cfg.spec.kernel), "flow_semigroup", MUTANTS[name])
         rows = {r["name"]: r for r in run_validation_suite(cfg)}
         assert not rows["integral_identity"]["pass"]
+
+
+# the last rectangle is the whole grid: the canonical flow's last stage holds
+# all the mass of F (empirical) or of alpha (dirichlet)
+EXHAUSTING = {
+    kind: {"grid": {"extents": [2, 2]},
+           "semilattice": {"rectangles": [[0, 0], [1, 0], [1, 1]]},
+           "process": process, "experiment": {"mc_samples": 5000}}
+    for kind, process in [
+        ("empirical", {"kind": "empirical", "n": 3,
+                       "measure": {"weights": [0.1, 0.2, 0.3, 0.4]}}),
+        ("dirichlet", {"kind": "dirichlet",
+                       "measure": {"weights": [0.5, 1.0, 0.7, 1.5]}}),
+    ]
+}
+
+
+def _run_checks(tmp_path, config):
+    """Exit codes and rows by name of validate and gencheck at seed 0."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = {}
+    for command in ("validate", "gencheck"):
+        report = tmp_path / f"{command}.json"
+        code = main([command, "--config", str(path), "--seed", "0", "--out", str(report)])
+        checks = json.loads(report.read_text())["checks"]
+        out[command] = code, {c.get("name", c.get("check")): c for c in checks}
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(EXHAUSTING))
+def test_integral_identity_stops_at_the_last_knot_with_mass_outside(tmp_path, kind):
+    # past knot 1, T_{v,2} h = h(full) for every v < 2 while T_{2,2} h = h:
+    # no generator integral sees that jump, so over [0, 2] the identity reads
+    # the whole jump of x^2 (dirichlet) or of a state's indicator (empirical)
+    checks = _run_checks(tmp_path, EXHAUSTING[kind])
+    cfg = load_config(str(tmp_path / "config.json"))
+    flow = flow_from_ordering(cfg.spec.ordering, cfg.spec.kernel.measure)
+    system = system_along_flow(cfg.spec.kernel, flow)
+    assert integral_identity_residual(system, 0.0, 2.0, system.basis()) == pytest.approx(1.0)
+    code, rows = checks["validate"]
+    assert code == 0
+    assert rows["integral_identity"]["instance"] == (
+        "canonical flow up to knot 1, the last whose stage leaves mass outside it")
+    assert rows["integral_identity"]["defect"] < 1e-12
+    code, rows = checks["gencheck"]
+    assert code == 0
+    assert rows["integral_identity"]["note"] == (
+        "up to knot 1, the last whose stage leaves mass outside it")
+    assert rows["integral_identity"]["residuals"][0] < 1e-12
+
+
+def test_integral_identity_is_skipped_when_no_leg_leaves_mass_outside(tmp_path):
+    config = dict(EXHAUSTING["empirical"], semilattice={"cell_lists": [[0], [0, 1]]})
+    config["process"] = dict(config["process"], measure={"weights": [1.0, 0.0, 0.0, 0.0]})
+    checks = _run_checks(tmp_path, config)
+    reason = ("skipped: the first stage of the canonical flow leaves no mass "
+              "outside it, so no leg is left")
+    code, rows = checks["validate"]
+    assert code == 0 and rows["integral_identity"]["instance"] == reason
+    code, rows = checks["gencheck"]
+    assert code == 0 and rows["integral_identity"]["note"] == reason
+    assert rows["integral_identity"]["residuals"] == []

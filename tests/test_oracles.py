@@ -6,8 +6,13 @@ each the law of a Poisson(lam(Ci)) number of iid jumps (C0 the minimal set,
 a point mass at 0 under the ``zero`` initial law).  The oracle builds each
 column's law from ``stats.poisson.pmf`` weights and a direct convolution of
 the jump law, and ``exact_fdd`` must equal the product law on every
-consistent ordering.  The measures are uneven, so a column read against the
-wrong cell would show.
+consistent ordering.
+
+The size-n empirical process counts n iid points of F, so its increments,
+the counts in the disjoint C0, ..., Ck, are multinomial(n; F(C0), ...,
+F(Ck), 1 - F(C0 u ... u Ck)).
+
+The measures are uneven, so a column read against the wrong cell would show.
 """
 
 import math
@@ -20,6 +25,7 @@ from scipy import stats
 from setmarkov import (
     CellMeasure,
     CompoundPoissonKernel,
+    EmpiricalKernel,
     FddSpec,
     GroundGrid,
     IndexedSet,
@@ -70,6 +76,16 @@ def product_law_tv(law, columns) -> float:
     return 0.5 * (float(np.abs(law.probs - q).sum()) + max(1.0 - float(q.sum()), 0.0))
 
 
+def _lattice(draw, grid):
+    """Two or three generators, each holding cell 0 so that no intersection
+    is empty, closed under intersection."""
+    cells = grid.cell_count
+    generators = draw(st.lists(st.sets(st.integers(1, cells - 1), max_size=cells - 1),
+                               min_size=2, max_size=3))
+    return close_under_intersection(
+        [IndexedSet.from_cells(grid, [0, *g]) for g in generators])
+
+
 @st.composite
 def jump_processes(draw):
     side = draw(st.sampled_from((2, 3)))
@@ -77,11 +93,7 @@ def jump_processes(draw):
     cells = side * side
     # uneven intensities, small enough to keep every joint table short
     weights = draw(st.lists(st.floats(0.01, 0.6 / side), min_size=cells, max_size=cells))
-    # every generator holds cell 0, so no intersection is empty
-    generators = draw(st.lists(st.sets(st.integers(1, cells - 1), max_size=cells - 1),
-                               min_size=2, max_size=3))
-    lattice = close_under_intersection(
-        [IndexedSet.from_cells(grid, [0, *g]) for g in generators])
+    lattice = _lattice(draw, grid)
     kind, values, probs = draw(st.sampled_from(JUMP_LAWS))
     zero = draw(st.booleans())
     lam = CellMeasure(grid, weights)
@@ -105,3 +117,40 @@ def test_jump_kinds_match_the_independent_increment_product_law(process):
             columns.append({0.0: 1.0} if j == 0 and zero
                            else oracle_column(mean, values, probs))
         assert product_law_tv(law, columns) <= ORACLE_TOL
+
+
+def multinomial_pmf(counts, n: int, probs, rest_prob: float) -> float:
+    """P(counts) under multinomial(n; probs, rest_prob), the rest cell last."""
+    rest = n - sum(counts)
+    if rest < 0:
+        return 0.0
+    ways = math.factorial(n) // math.prod(math.factorial(k) for k in (*counts, rest))
+    return ways * math.prod(p**k for p, k in zip((*probs, rest_prob), (*counts, rest)))
+
+
+@st.composite
+def empirical_processes(draw):
+    side = draw(st.sampled_from((2, 3)))
+    grid = GroundGrid((side, side))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=side * side, max_size=side * side))
+    weights = [w / math.fsum(raw) for w in raw]
+    n = draw(st.integers(1, 6))
+    return FddSpec(_lattice(draw, grid), EmpiricalKernel(n, CellMeasure(grid, weights,
+                                                                        "probability"))), weights
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(empirical_processes())
+def test_empirical_kind_matches_the_multinomial_law(process):
+    spec, weights = process
+    n = spec.kernel.n
+    for ordering in enumerate_consistent_orderings(spec.lattice):
+        law = exact_fdd(spec.with_ordering(ordering))
+        probs = [math.fsum(weights[c] for c in s.cells()) for s in law.sets]
+        covered = set().union(*(s.cells() for s in law.sets))
+        rest_prob = math.fsum(w for c, w in enumerate(weights) if c not in covered)
+        q = np.array([multinomial_pmf(row, n, probs, rest_prob)
+                      for row in law.keys.astype(int).tolist()])
+        # the oracle's mass off the exact support is 1 minus its mass on it
+        tv = 0.5 * (float(np.abs(law.probs - q).sum()) + max(1.0 - float(q.sum()), 0.0))
+        assert tv <= ORACLE_TOL

@@ -1,6 +1,7 @@
 """Finite-state step laws: each computed once per kernel instance, chained as
 dense rows, and equal to the dict-by-dict references of ``helpers``."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -318,8 +319,7 @@ def test_rows_tv_aligns_supports_by_value():
 
 
 def _twin(kernel):
-    return type(kernel)(**{f: getattr(kernel, f) for f in kernel.__dataclass_fields__
-                           if f != "_pmfs"})
+    return dataclasses.replace(kernel)
 
 
 @pytest.mark.parametrize("name", ["empirical", "poisson", "compound_integer",
