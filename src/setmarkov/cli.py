@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -33,6 +34,12 @@ EXIT_USAGE = 2
 # Rows per block of the CSV writer: enough to spread numpy's per-call cost,
 # few enough that a block's strings stay small next to the sample matrix.
 BLOCK_ROWS = 1024
+# Rows per slice of ``sample``: each worker thread samples and formats one
+# slice at a time, so memory is bounded by this, not by --n.  On the
+# ``sample-csv`` workload (2-CPU x86-64 VM, medians of 3 runs) 8,192 rows took
+# 5.04 s against 4.24 s at 32,768, as glibc kept trimming the heap between
+# slices; 65,536 rows took no less time and 12 MB more peak RSS (95 MB).
+SLICE_ROWS = 32 * BLOCK_ROWS
 # Bytes of a cell's slot in ``format_rows``: its repr, then a separator.
 SLOT = WIDTH + 2
 
@@ -90,38 +97,43 @@ def _slots(values: bytes) -> np.ndarray:
     return texts
 
 
-def format_rows(block: np.ndarray) -> str:
+def format_rows(block: np.ndarray, dedupe: bool = True) -> str:
     """CSV lines of a 2-d float array: every value as its shortest
     round-trip ``repr``, comma-separated, each line ended by CRLF -- the bytes
     ``csv.writer`` writes for those strings.
 
-    Each distinct bit pattern of the block (-0.0 and 0.0 stay apart) is
-    formatted once by ``floatfmt.format_floats`` into a zero-padded slot;
-    the slots are gathered back into the cells, the last cell of each row
-    ends in CRLF instead of a comma, and dropping the zero bytes leaves the
-    lines.
+    Every cell is formatted by ``floatfmt.format_floats`` into a zero-padded
+    slot that ends in a comma; the last cell of each row ends in CRLF
+    instead, and dropping the zero bytes leaves the lines.  With ``dedupe``
+    each distinct bit pattern of the block (-0.0 and 0.0 stay apart) is
+    formatted once, through ``_slots``, and gathered back into the cells:
+    this pays where values repeat, as in the blocks of a finite-state kind,
+    and costs an ``np.unique`` sort where every value is distinct, as in
+    those of a continuous kind.
     """
     rows, cols = block.shape
     bits = np.ascontiguousarray(block, dtype=np.float64).view(np.uint64).ravel()
-    values, inverse = np.unique(bits, return_inverse=True)
-    texts = _slots(values.tobytes())
-    cells = np.take(texts, inverse, axis=0).reshape(rows, cols, SLOT)
+    if dedupe:
+        values, inverse = np.unique(bits, return_inverse=True)
+        cells = np.take(_slots(values.tobytes()), inverse, axis=0)
+    else:
+        cells = np.empty((len(bits), SLOT), dtype=np.uint8)
+        cells[:, :WIDTH] = format_floats(bits.view(np.float64))
+        cells[:, WIDTH:] = (ord(","), 0)
+    cells = cells.reshape(rows, cols, SLOT)
     cells[:, -1, WIDTH:] = np.frombuffer(b"\r\n", dtype=np.uint8)
     flat = cells.ravel()
     return flat[flat != 0].tobytes().decode("ascii")
 
 
-def _write_csv(path, header, blocks) -> tuple[int, int]:
+def _write_csv(path, header, texts) -> int:
     """The header row through ``csv.writer`` (names are quoted as needed),
-    then each float block of the iterable through ``format_rows``.  Returns
-    the data rows and the bytes written."""
-    rows = 0
+    then each text of the iterable.  Returns the bytes written."""
     with open(path, "w", newline="") as f:
         csv.writer(f).writerow(header)
-        for block in blocks:
-            f.write(format_rows(block))
-            rows += len(block)
-    return rows, os.path.getsize(path)
+        for text in texts:
+            f.write(text)
+    return os.path.getsize(path)
 
 
 def _report_written(command, rows, size, start) -> None:
@@ -140,36 +152,38 @@ def cmd_sample(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers must be >= 1")
     spec = cfg.spec
-    lefts = spec.lefts
-    workers = args.workers
-    chunk = (args.n + workers - 1) // workers
-    ranges = [(s, min(chunk, args.n - s)) for s in range(0, args.n, chunk)]
-
-    def produce(rng):
-        start, count = rng
-        return sample_increments(spec, cfg.seed, count, start=start)
-
-    if workers == 1:
-        parts = [produce(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(produce, ranges))
     kernel = spec.kernel
-    groups = [decompose_over_lefts(lefts, mask) for _, mask in cfg.derived_sets]
+    n, workers = args.n, args.workers
+    groups = [decompose_over_lefts(spec.lefts, mask) for _, mask in cfg.derived_sets]
 
-    def rows():
-        for part in parts:
-            for s in range(0, len(part), BLOCK_ROWS):
-                inc = part[s:s + BLOCK_ROWS]
-                block = np.zeros((len(inc), inc.shape[1] + len(groups)))
-                block[:, :inc.shape[1]] = inc
-                for j, g in enumerate(groups, inc.shape[1]):
-                    for i in g:  # from 0.0, term by term, as Python's sum adds
-                        block[:, j] += inc[:, i]
-                yield kernel.display(block)
+    def slice_texts(first: int) -> list[str]:
+        """The CSV lines of rows first .. first + SLICE_ROWS - 1, one text a block."""
+        inc = sample_increments(spec, cfg.seed, min(SLICE_ROWS, n - first), start=first)
+        texts = []
+        for s in range(0, len(inc), BLOCK_ROWS):
+            part = inc[s:s + BLOCK_ROWS]
+            block = np.zeros((len(part), part.shape[1] + len(groups)))
+            block[:, :part.shape[1]] = part
+            for j, g in enumerate(groups, part.shape[1]):
+                for i in g:  # from 0.0, term by term, as Python's sum adds
+                    block[:, j] += part[:, i]
+            texts.append(format_rows(kernel.display(block), dedupe=kernel.finite_state))
+        return texts
 
-    header = [f"C{i}" for i in range(parts[0].shape[1])] + [n for n, _ in cfg.derived_sets]
-    _report_written("sample", *_write_csv(args.out, header, rows()), start)
+    def texts():
+        # slices finish out of order; they are written in order, and at most
+        # ``workers`` of them are held besides the one being written
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = deque()
+            for first in range(0, n, SLICE_ROWS):
+                pending.append(pool.submit(slice_texts, first))
+                if len(pending) > workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
+
+    header = [f"C{i}" for i in range(len(spec.ordering))] + [name for name, _ in cfg.derived_sets]
+    _report_written("sample", n, _write_csv(args.out, header, texts()), start)
     return EXIT_PASS
 
 
@@ -184,13 +198,14 @@ def cmd_fdd(args) -> int:
         return EXIT_USAGE
     kernel = spec.kernel
 
-    def rows():
+    def texts():
         for s in range(0, len(law.probs), BLOCK_ROWS):
             part = slice(s, s + BLOCK_ROWS)
-            yield np.column_stack([kernel.display(law.keys[part]), law.probs[part]])
+            yield format_rows(np.column_stack([kernel.display(law.keys[part]),
+                                               law.probs[part]]))
 
     header = list(law.labels) + ["probability"]
-    _report_written("fdd", *_write_csv(args.out, header, rows()), start)
+    _report_written("fdd", len(law.probs), _write_csv(args.out, header, texts()), start)
     return EXIT_PASS
 
 

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import setmarkov
 from setmarkov import suite, verify
-from setmarkov.cli import BLOCK_ROWS, _slots, format_rows, main
+from setmarkov.cli import BLOCK_ROWS, SLICE_ROWS, _slots, format_rows, main
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
 from setmarkov.errors import TableSizeError
@@ -570,6 +571,9 @@ def test_format_rows_matches_repr(cached, shape):
         assert _slots.cache_info().currsize == 1
     assert format_rows(block) == want
     assert _slots.cache_info().hits == int(cached)
+    # every cell formatted on its own: the same bytes, no slots kept
+    assert format_rows(block, dedupe=False) == want
+    assert _slots.cache_info().hits == int(cached)
 
 
 DERIVED = [{"name": "u12", "union": [1, 2]},
@@ -588,17 +592,44 @@ def test_sample_block_writer_matches_row_writer(tmp_path, kind):
     payload = dict(BASE, process=WRITER_PROCESSES[kind],
                    experiment={"derived_sets": DERIVED})
     cfg = write_config(tmp_path, payload)
-    b = BLOCK_ROWS
-    for n in (1, b - 1, b, b + 1, 2 * b + 1):
-        ref = tmp_path / f"ref{n}.csv"
-        ref_sample_csv(cfg, n, 5, ref)
-        want = ref.read_bytes()
-        assert want.startswith(b'C0,C1,C2,u12,d1,"x,y"\r\n')
+    b, s = BLOCK_ROWS, SLICE_ROWS
+    sizes = (1, b - 1, b, b + 1, 2 * b + 1, s - 1, s, s + 1)
+    # a row depends on (seed, row) alone: the first n rows of the longest
+    # reference are the reference for n
+    ref = tmp_path / "ref.csv"
+    ref_sample_csv(cfg, max(sizes), 5, ref)
+    lines = ref.read_bytes().splitlines(keepends=True)
+    assert lines[0] == b'C0,C1,C2,u12,d1,"x,y"\r\n'
+    for n in sizes:
+        want = b"".join(lines[:n + 1])
+        # s + 1 rows make two slices, fewer make one: 3 workers outnumber them
         for workers in (1, 2, 3):
             out = tmp_path / f"n{n}w{workers}.csv"
             assert main(["sample", "--config", cfg, "--n", str(n), "--seed", "5",
                          "--workers", str(workers), "--out", str(out)]) == 0
             assert out.read_bytes() == want, (n, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sample_memory_does_not_grow_with_n(tmp_path, workers):
+    # rows are sampled and written slice by slice: besides the slice being
+    # written, at most ``workers`` are sampled or wait, so the traced peak at
+    # 8 slices stays within workers + 1 times the peak of one slice, however
+    # the threads are scheduled; a writer that holds the whole sample matrix
+    # before writing it needs over four times the one-slice peak
+    cfg = str(CONFIGS / "gaussian_staircase.json")
+    out = str(tmp_path / "out.csv")
+    argv = ["sample", "--config", cfg, "--seed", "0", "--workers", str(workers), "--out", out]
+    assert main(argv + ["--n", "1"]) == 0  # lazy tables and imports first
+    peaks = []
+    for n in (SLICE_ROWS, 8 * SLICE_ROWS):
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--n", str(n)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= (workers + 1) * peaks[0], peaks
 
 
 def test_fdd_block_writer_matches_row_writer(tmp_path):

@@ -150,3 +150,4 @@ def test_format_rows_mixes_every_layout(shape):
     want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block)
     assert format_rows(block) == want
     assert format_rows(block) == want  # the second time from the kept slots
+    assert format_rows(block, dedupe=False) == want

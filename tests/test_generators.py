@@ -743,3 +743,22 @@ def test_integral_identity_is_skipped_when_no_leg_leaves_mass_outside(tmp_path):
     code, rows = checks["gencheck"]
     assert code == 0 and rows["integral_identity"]["note"] == reason
     assert rows["integral_identity"]["residuals"] == []
+
+
+@pytest.mark.parametrize("kind", sorted(EXHAUSTING))
+def test_generator_fd_is_skipped_where_the_stage_holds_all_the_mass(tmp_path, kind):
+    # the first stage holds all the mass, so the flow is exhausted at the
+    # finite-difference time: the dirichlet generator is undefined there, and
+    # both commands exit 0 with rows that say why they read nothing
+    config = dict(EXHAUSTING[kind], semilattice={"cell_lists": [[0], [0, 1]]})
+    config["process"] = dict(config["process"], measure={"weights": [1.0, 0.0, 0.0, 0.0]})
+    checks = _run_checks(tmp_path, config)
+    reason = ("skipped: the stage at flow time 0.25 leaves no mass outside it, "
+              "so the generator is undefined there")
+    code, rows = checks["validate"]
+    assert code == 0
+    assert rows["generator_fd_order"]["instance"] == f"{kind} {reason}"
+    assert rows["generator_fd_order"]["pass"]
+    code, rows = checks["gencheck"]
+    assert code == 0 and rows["generator_fd"]["note"] == reason
+    assert rows["generator_fd"]["residuals"] == [] and rows["generator_fd"]["pass"]
