@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
 import os
 import sys
 import time
@@ -34,8 +36,10 @@ EXIT_USAGE = 2
 # Rows per block of the CSV writer: enough to spread numpy's per-call cost,
 # few enough that a block's strings stay small next to the sample matrix.
 BLOCK_ROWS = 1024
-# Rows per slice of ``sample``: each worker thread samples and formats one
-# slice at a time, so memory is bounded by this, not by --n.  On the
+# Rows per slice of ``sample``: each worker thread draws one slice at a time,
+# and the calling thread formats and writes the drawn slices in order, so
+# memory is bounded by this, not by --n.  Drawing (scipy's quantiles release
+# the GIL) overlaps formatting (many small numpy calls, which hold it).  On the
 # ``sample-csv`` workload (2-CPU x86-64 VM, medians of 3 runs) 8,192 rows took
 # 5.04 s against 4.24 s at 32,768, as glibc kept trimming the heap between
 # slices; 65,536 rows took no less time and 12 MB more peak RSS (95 MB).
@@ -53,7 +57,8 @@ def _describe_initial(cfg) -> str:
 
 
 def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    # a NaN or infinity is not JSON: json.dumps raises rather than write it
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -97,7 +102,7 @@ def _slots(values: bytes) -> np.ndarray:
     return texts
 
 
-def format_rows(block: np.ndarray, dedupe: bool = True) -> str:
+def format_rows(block: np.ndarray, dedupe: bool = True) -> bytes:
     """CSV lines of a 2-d float array: every value as its shortest
     round-trip ``repr``, comma-separated, each line ended by CRLF -- the bytes
     ``csv.writer`` writes for those strings.
@@ -123,16 +128,17 @@ def format_rows(block: np.ndarray, dedupe: bool = True) -> str:
     cells = cells.reshape(rows, cols, SLOT)
     cells[:, -1, WIDTH:] = np.frombuffer(b"\r\n", dtype=np.uint8)
     flat = cells.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+    return flat[flat != 0].tobytes()
 
 
-def _write_csv(path, header, texts) -> int:
-    """The header row through ``csv.writer`` (names are quoted as needed),
-    then each text of the iterable.  Returns the bytes written."""
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerow(header)
-        for text in texts:
-            f.write(text)
+def _write_csv(path, header, lines) -> int:
+    """The header row through ``csv.writer`` (names are quoted as needed, in
+    UTF-8), then each bytes of the iterable.  Returns the bytes written."""
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as f:
+        f.write(head.getvalue().encode())
+        f.writelines(lines)
     return os.path.getsize(path)
 
 
@@ -156,34 +162,37 @@ def cmd_sample(args) -> int:
     n, workers = args.n, args.workers
     groups = [decompose_over_lefts(spec.lefts, mask) for _, mask in cfg.derived_sets]
 
-    def slice_texts(first: int) -> list[str]:
-        """The CSV lines of rows first .. first + SLICE_ROWS - 1, one text a block."""
+    def slice_block(first: int) -> np.ndarray:
+        """Rows first .. first + SLICE_ROWS - 1 in display units, derived sets last."""
         inc = sample_increments(spec, cfg.seed, min(SLICE_ROWS, n - first), start=first)
-        texts = []
-        for s in range(0, len(inc), BLOCK_ROWS):
-            part = inc[s:s + BLOCK_ROWS]
-            block = np.zeros((len(part), part.shape[1] + len(groups)))
-            block[:, :part.shape[1]] = part
-            for j, g in enumerate(groups, part.shape[1]):
-                for i in g:  # from 0.0, term by term, as Python's sum adds
-                    block[:, j] += part[:, i]
-            texts.append(format_rows(kernel.display(block), dedupe=kernel.finite_state))
-        return texts
+        block = np.zeros((len(inc), inc.shape[1] + len(groups)))
+        block[:, :inc.shape[1]] = inc
+        for j, g in enumerate(groups, inc.shape[1]):
+            for i in g:  # from 0.0, term by term, as Python's sum adds
+                block[:, j] += inc[:, i]
+        return kernel.display(block)
 
-    def texts():
-        # slices finish out of order; they are written in order, and at most
-        # ``workers`` of them are held besides the one being written
+    def formatted(block):
+        """The CSV lines of a drawn slice, one bytes a block; the slice is
+        let go when its last block is formatted, before the next is awaited."""
+        for s in range(0, len(block), BLOCK_ROWS):
+            yield format_rows(block[s:s + BLOCK_ROWS], dedupe=kernel.finite_state)
+
+    def lines():
+        # the pool draws the slices, which finish out of order; this thread
+        # formats and writes them in order, and at most ``workers`` drawn
+        # slices wait besides the one being formatted
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending = deque()
             for first in range(0, n, SLICE_ROWS):
-                pending.append(pool.submit(slice_texts, first))
+                pending.append(pool.submit(slice_block, first))
                 if len(pending) > workers:
-                    yield from pending.popleft().result()
+                    yield from formatted(pending.popleft().result())
             while pending:
-                yield from pending.popleft().result()
+                yield from formatted(pending.popleft().result())
 
     header = [f"C{i}" for i in range(len(spec.ordering))] + [name for name, _ in cfg.derived_sets]
-    _report_written("sample", n, _write_csv(args.out, header, texts()), start)
+    _report_written("sample", n, _write_csv(args.out, header, lines()), start)
     return EXIT_PASS
 
 
@@ -198,22 +207,36 @@ def cmd_fdd(args) -> int:
         return EXIT_USAGE
     kernel = spec.kernel
 
-    def texts():
+    def lines():
         for s in range(0, len(law.probs), BLOCK_ROWS):
             part = slice(s, s + BLOCK_ROWS)
             yield format_rows(np.column_stack([kernel.display(law.keys[part]),
                                                law.probs[part]]))
 
     header = list(law.labels) + ["probability"]
-    _report_written("fdd", len(law.probs), _write_csv(args.out, header, texts()), start)
+    _report_written("fdd", len(law.probs), _write_csv(args.out, header, lines()), start)
     return EXIT_PASS
+
+
+def _steps(text: str) -> list[float]:
+    """The step sizes of ``gencheck --eps``: finite numbers above 0."""
+    try:
+        eps = [float(e) for e in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--eps {text}: not a comma-separated list of numbers") from None
+    for e in eps:
+        if not 0.0 < e < math.inf:
+            raise ConfigError(f"--eps {text}: step {e:g} is not a finite number above 0")
+    return eps
 
 
 def cmd_gencheck(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
-    eps = [float(e) for e in args.eps.split(",")] if args.eps else FD_EPS
+    eps = _steps(args.eps) if args.eps else FD_EPS
+    if args.tolerance is not None and not args.tolerance >= 0.0:
+        raise ConfigError(f"--tolerance {args.tolerance:g} is not a number of at least 0")
     rows = run_gencheck(cfg, eps, args.tolerance, ordering_index=args.ordering)
     passed = all(r["pass"] for r in rows)
     payload = {
@@ -278,6 +301,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except SetMarkovError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:
+        # every file read goes through load_config, which reports a failure
+        # as a ConfigError: what is left is the output
+        print(f"error: cannot write {args.out or 'stdout'}: {e.strerror or e}", file=sys.stderr)
         return EXIT_USAGE
 
 

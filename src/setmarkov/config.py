@@ -227,6 +227,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
     return parse_config(raw)
@@ -238,6 +240,6 @@ def merge_tolerance_overrides(cfg: ExperimentConfig, path: str | None):
     try:
         with open(path) as f:
             overrides = json.load(f)
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"tolerance overrides: {e}") from None
     _merge_tolerances(cfg.tolerances, overrides, f"tolerance overrides {path}#")

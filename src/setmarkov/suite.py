@@ -367,7 +367,8 @@ def run_gencheck(cfg, eps_list, tolerance: float | None,
         raise ConfigError(f"ordering index {ordering_index} out of range (have {counted})")
     flow = flow_from_ordering(orders[ordering_index], kernel.measure)
     system = system_along_flow(kernel, flow)
-    itol = tolerance or tol["quadrature" if kernel.finite_state else "dirichlet_quadrature"]
+    if tolerance is None:
+        tolerance = tol["quadrature" if kernel.finite_state else "dirichlet_quadrature"]
     rows = []
     h = system.basis()
     if (skipped := _fd_skipped(system)) is not None:
@@ -381,10 +382,12 @@ def run_gencheck(cfg, eps_list, tolerance: float | None,
             order = float(np.mean([math.log(r, 2.0) for r in ratios]))
         rows.append({"check": "generator_fd", "residuals": [float(e) for e in errs],
                      "order_estimate": order, "pass": bool(defect <= FD_ORDER_TOL)})
+        if ratios == []:
+            rows[-1].update(order_estimate=None, note="one step gives no order estimate")
     resid, note = _integral_identity(system, flow, h)
     rows.append({"check": "integral_identity",
                  "residuals": [] if resid is None else [float(resid)],
-                 "order_estimate": None, "pass": resid is None or bool(resid <= itol)})
+                 "order_estimate": None, "pass": resid is None or bool(resid <= tolerance)})
     if note:
         rows[-1]["note"] = note.lstrip(" ")
     return rows

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import setmarkov
-from setmarkov import suite, verify
+from setmarkov import cli, suite, verify
 from setmarkov.cli import BLOCK_ROWS, SLICE_ROWS, _slots, format_rows, main
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
@@ -425,6 +425,73 @@ def test_gencheck_report(tmp_path, capsys):
     assert report["pass"] is True
 
 
+@pytest.mark.parametrize("command", ["validate", "gencheck", "sample", "fdd"])
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # the CSV writers open the file before they draw or format a row
+    calls = []
+    for name in ("sample_increments", "format_rows"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+    out = str(tmp_path / "missing" / "r.csv")
+    argv = [command, "--config", write_config(tmp_path, BASE), "--out", out]
+    if command == "sample":
+        argv += ["--n", "3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not calls
+
+
+@pytest.mark.parametrize("eps", ["abc", "0.01,x", "0", "-0.01", "0.01,0", "nan", "inf"])
+def test_gencheck_rejects_a_step_that_is_not_finite_and_above_0(tmp_path, capsys, eps):
+    out = tmp_path / "gen.json"
+    assert main(["gencheck", "--config", write_config(tmp_path, BASE), "--eps", eps,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: --eps {eps}: ")
+    assert not out.exists()
+
+
+def test_gencheck_honours_tolerance_0(tmp_path):
+    # the integral identity reads a residual of about 3e-14 on this config:
+    # within the default tolerance, above 0
+    cfg = str(CONFIGS / "poisson_lattice4.json")
+    rows = {}
+    for tolerance in (None, "0"):
+        out = tmp_path / "gen.json"
+        argv = ["gencheck", "--config", cfg, "--out", str(out)]
+        rc = main(argv + (["--tolerance", tolerance] if tolerance else []))
+        rows[tolerance] = (rc, next(c for c in json.loads(out.read_text())["checks"]
+                                    if c["check"] == "integral_identity"))
+    assert rows[None][0] == 0 and rows[None][1]["pass"]
+    assert 0.0 < rows["0"][1]["residuals"][0] < 1e-12
+    assert rows["0"][0] == 1 and not rows["0"][1]["pass"]
+
+
+@pytest.mark.parametrize("tolerance", ["-1e-9", "nan"])
+def test_gencheck_rejects_a_negative_or_nan_tolerance(tmp_path, capsys, tolerance):
+    assert main(["gencheck", "--config", write_config(tmp_path, BASE),
+                 f"--tolerance={tolerance}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --tolerance ") and "at least 0" in err
+
+
+def test_gencheck_one_step_reports_no_order_estimate(tmp_path):
+    out = tmp_path / "gen.json"
+    assert main(["gencheck", "--config", str(CONFIGS / "poisson_lattice4.json"),
+                 "--eps", "0.01", "--out", str(out)]) == 0
+    assert "NaN" not in out.read_text()
+    fd = json.loads(out.read_text())["checks"][0]
+    assert fd["check"] == "generator_fd" and len(fd["residuals"]) == 1
+    assert fd["order_estimate"] is None and fd["note"] == "one step gives no order estimate"
+
+
+def test_reports_refuse_non_finite_values(tmp_path):
+    out = tmp_path / "r.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli._write_json(str(out), {"defect": value})
+    assert not out.exists()
+
+
 def test_validate_report_byte_identical(tmp_path):
     cfg = write_config(tmp_path, BASE)
     o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -564,7 +631,7 @@ def test_format_rows_matches_repr(cached, shape):
     # with ``cached`` the slots come from an earlier block of the same values
     flat = np.resize(np.array(WRITER_VALUES), shape[0] * shape[1])
     block = flat.reshape(shape)
-    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block)
+    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block).encode()
     _slots.cache_clear()
     if cached:
         format_rows(block[::-1].copy())
@@ -584,6 +651,9 @@ WRITER_PROCESSES = {
     "gaussian": {"kind": "gaussian", "measure": {"weights": [0.5, 1.0, 1.5, 2.0]}},
     "compound_poisson": {"kind": "compound_poisson", "measure": {"constant": 0.7},
                          "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}},
+    "dirichlet": {"kind": "dirichlet", "measure": {"weights": [0.5, 1.0, 1.5, 2.0]}},
+    "mixture": {"kind": "dirichlet", "measure": {"constant": 0.5},
+                "mixture": {"measure": {"constant": 1.5}, "weight": 0.3}},
 }
 
 

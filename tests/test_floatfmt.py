@@ -122,7 +122,7 @@ def test_repr_formats_only_subnormals_infinities_and_nans(monkeypatch):
     block = np.array([[0.0, -0.0, 1.5, special[0]],
                       [special[1], special[2], special[3], special[4]],
                       [1e300, -1e-300, special[0], special[2]]])
-    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block)
+    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block).encode()
     assert format_rows(block) == want
     assert len(calls) == len(special)
     assert all(math.isnan(x) or not math.isfinite(x) or abs(x) < 2.2250738585072014e-308
@@ -147,7 +147,7 @@ def test_format_rows_mixes_every_layout(shape):
     flat = np.resize(np.array(layout_values()), shape[0] * shape[1])
     flat = np.random.default_rng(shape[0]).permutation(flat)
     block = flat.reshape(shape)
-    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block)
+    want = "".join(",".join(repr(float(v)) for v in row) + "\r\n" for row in block).encode()
     assert format_rows(block) == want
     assert format_rows(block) == want  # the second time from the kept slots
     assert format_rows(block, dedupe=False) == want
