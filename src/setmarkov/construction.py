@@ -247,13 +247,9 @@ class JointLaw:
 
 def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
     """Exact joint pmf of the increments over the ordering's left
-    neighbourhoods; finite-state kernels only.
-
-    Each step groups the rows by running sum, asks the kernel for the
-    increment pmf of each distinct sum once, and expands every row by its
-    pmf; each probability is the product of the row's and the step's.  The
-    size of the next table is known before it is built, and a table of more
-    than ``cap`` entries raises ``TableSizeError`` instead.
+    neighbourhoods; finite-state kernels only: ``chain_table`` from the
+    initial pmf through the ordering's prefix unions.  A table of more than
+    ``cap`` entries raises ``TableSizeError`` before it is built.
     """
     if isinstance(spec, MixtureSpec):
         parts = [exact_fdd(c, cap) for c in spec.components]
@@ -268,13 +264,29 @@ def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
             f"{kernel.kind} kernel has no exact finite table; use sampling instead"
         )
     ordering = spec.ordering
-    initial = spec.initial_pmf()
-    running = np.array(list(initial))
+    stages = [ordering.prefix_set(i) for i in range(len(ordering))]
+    columns, probs = chain_table(kernel, stages, spec.initial_pmf(), cap)
+    labels = tuple(f"C{i}" for i in range(len(ordering)))
+    return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs)
+
+
+def chain_table(kernel, stages, start: dict, cap: int = TABLE_CAP):
+    """The table of a chain that starts from the pmf ``start`` (internal
+    state -> probability) at stages[0] and steps through the kernel's
+    increment pmfs from each stage to the next: (columns, probs), one row
+    per outcome, the first column the start state and then one increment
+    column per step.
+
+    Each step groups the rows by running sum, asks the kernel for the
+    increment pmf of each distinct sum once, and expands every row by its
+    pmf; each probability is the product of the row's and the step's.  The
+    size of the next table is known before it is built, and a table of more
+    than ``cap`` entries raises ``TableSizeError`` instead.
+    """
+    running = np.array(list(start))
     columns = [running]
-    probs = np.array([float(p) for p in initial.values()])
-    for i in range(1, len(ordering)):
-        prev = ordering.prefix_set(i - 1)
-        cur = ordering.prefix_set(i)
+    probs = np.array([float(p) for p in start.values()])
+    for prev, cur in zip(stages, stages[1:]):
         states, group = np.unique(running, return_inverse=True)
         pmfs = [kernel.increment_pmf(prev, cur, x) for x in states.tolist()]
         sizes = np.array([len(pmf) for pmf in pmfs])
@@ -293,8 +305,7 @@ def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
         columns = [c[row] for c in columns] + [incs[at]]
         probs = probs[row] * steps[at]
         running = running[row] + columns[-1]
-    labels = tuple(f"C{i}" for i in range(len(ordering)))
-    return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs)
+    return columns, probs
 
 
 def _stream(seed: int, key: int, start: int, count: int) -> np.ndarray:

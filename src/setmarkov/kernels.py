@@ -576,10 +576,24 @@ def chain_rows(kernel, stages, states) -> tuple[tuple, np.ndarray]:
     """Exact laws of the internal state at stages[-1] after chaining the
     kernel through the consecutive stages, one row per internal state of
     ``states`` at stages[0]: (support, rows), ``rows[i, j]`` the probability
-    of ``support[j]``.  Each leg is the kernel's ``step_rows`` from every
-    state the chain has reached, and the legs are multiplied; the start is
-    one-hot rows, so a single leg gives its step pmfs bit for bit."""
-    support, rows = _dense([{x: 1.0} for x in states])
+    of ``support[j]``.  The start is one-hot rows, so a single leg gives its
+    step pmfs bit for bit."""
+    return _push_rows(kernel, stages, _dense([{x: 1.0} for x in states]))
+
+
+def chain_law(kernel, stages, start: dict) -> dict:
+    """Law of the internal state at stages[-1] when the chain starts from
+    the pmf ``start`` at stages[0]: {state: probability}, by the dense rows
+    of ``chain_rows`` from one start row."""
+    support, rows = _push_rows(kernel, stages, _dense([start]))
+    return dict(zip(support, rows[0].tolist()))
+
+
+def _push_rows(kernel, stages, laws: tuple[tuple, np.ndarray]) -> tuple[tuple, np.ndarray]:
+    """The (support, rows) laws at stages[0] carried to stages[-1]: each leg
+    is the kernel's ``step_rows`` from every state the chain has reached,
+    and the legs are multiplied."""
+    support, rows = laws
     for a, b in zip(stages, stages[1:]):
         if a.mask != b.mask:
             support, leg = kernel.step_rows(a, b, support)

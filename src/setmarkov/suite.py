@@ -15,8 +15,8 @@ from scipy import special
 
 from .construction import (
     MixtureSpec,
+    decompose_over_lefts,
     exact_fdd,  # noqa: F401  (perfbench traces it here)
-    joint_over_increments,
     sample_increments,
 )
 from .distributions import BetaSegment, binomial_pmf, tv_distance
@@ -39,11 +39,13 @@ from .lattice import (
     left_neighbourhoods,
 )
 from .verify import (
+    exact_table,
     flow_matching_defect,
     flow_markov_defect,
     increment_vector_independence_defect,
     ordering_invariance_defect,
     set_markov_defect,
+    swap_edges,
 )
 
 FD_EPS = (1e-2, 5e-3, 2.5e-3)
@@ -135,8 +137,10 @@ def _finite_state_rows(cfg):
     tol = cfg.tolerances
     orders, counted, cut = _orderings(cfg)
     states = kernel.probe_states()
-    # first, so that a joint table past TABLE_CAP fails before the CK loop
-    ordering_defect = ordering_invariance_defect(spec, orders)
+    # first, so that a joint table past TABLE_CAP fails before the CK loop;
+    # the rows below read it, or their own sub-tables, through ``tables``
+    tables = {}
+    law = exact_table(spec, tables)
 
     # composition law on every prefix triple of every ordering
     worst = 0.0
@@ -157,16 +161,16 @@ def _finite_state_rows(cfg):
                      f"{len(seen)} prefix triples, {counted}",
                      worst, tol["exact"]))
 
-    # joint increment law invariant under the ordering
+    # joint increment law invariant under the ordering, one swap edge at a time
     rows.append(_row("ordering_invariance",
-                     f"{len(orders) * (len(orders) - 1) // 2} ordering pairs{cut}",
-                     ordering_defect, tol["exact"]))
+                     f"{len(swap_edges(orders))} swap edges of {len(orders)} orderings{cut}",
+                     ordering_invariance_defect(spec, orders), tol["exact"]))
 
     # exact marginals for the empirical process
     if kernel.kind == "empirical" and not mixture:
         worst = 0.0
         for m in cfg.lattice.members:
-            got = joint_over_increments(spec, [m]).scalar_dict()
+            got = law.pushforward_sums([decompose_over_lefts(spec.lefts, m)]).scalar_dict()
             want = binomial_pmf(kernel.n, measure_of(kernel.measure, m)).as_dict()
             worst = max(worst, tv_distance(got, want))
         rows.append(_row("marginal_law", "all members vs binomial", worst, tol["exact"]))
@@ -176,13 +180,16 @@ def _finite_state_rows(cfg):
     lefts0 = left_neighbourhoods(ordering)
     worst = 0.0
     instances = 0
+    # one sub-table per distinct intersection closure, dropped after the row
+    closures = dict(tables)
     for k in range(1, len(ordering) - 1):
         B = ordering.prefix_set(k)
         partition = [c for c in lefts0.sets[: k + 1] if c.mask]
         for A in cfg.lattice.members:
-            r = set_markov_defect(spec, A, B, partition)
+            r = set_markov_defect(spec, A, B, partition, closures)
             worst = max(worst, r.defect)
             instances += 1
+    del closures
     rows.append(_row("set_markov", f"{instances} (A, B) instances", worst, tol["exact"]))
 
     if len(ordering) < 2:
@@ -192,12 +199,13 @@ def _finite_state_rows(cfg):
     B = ordering.prefix_set(k)
     a_list = [m for m in cfg.lattice.members if m.mask & ~B.mask][:2]
     if a_list:
-        r = increment_vector_independence_defect(spec, B, a_list)
+        r = increment_vector_independence_defect(spec, B, a_list, dict(tables))
         rows.append(_row("increment_independence",
                          f"B=prefix[{k}], {len(a_list)} sets", r.defect, tol["exact"]))
 
     flow = flow_from_ordering(ordering, kernel.measure)
-    r = flow_markov_defect(spec, flow)
+    r = flow_markov_defect(spec, flow, tables)
+    del tables, law  # no row below reads a joint table
     rows.append(_row("flow_markov", "canonical flow", r.defect, tol["exact"]))
 
     # flow matching: a refined chain against the one-step chain

@@ -1,7 +1,8 @@
 """Executable consistency and Markov-property checks.
 
 Every check reduces a claim about the process to a total-variation defect
-computed from exact joint tables (finite-state kernels) or to a probability
+computed exactly (finite-state kernels: from joint tables, or for ordering
+invariance from the two-step laws of each swap edge) or to a probability
 gap with Monte Carlo error bars (continuous kernels, fixed seeds).  A zero
 defect (up to float rounding) means the claim holds on that instance; the
 deliberately corrupted kernel and the initial-draw mixture process exist to
@@ -16,14 +17,16 @@ import numpy as np
 
 from .construction import (
     FddSpec,
+    JointLaw,
     MixtureSpec,
+    chain_table,
     decompose_over_lefts,
     exact_fdd,
     group_rows,
     sample_increments,
 )
 from .errors import ConfigError, UnsupportedKernelError
-from .kernels import chain_rows, rows_tv, shared_columns
+from .kernels import chain_law, chain_rows, rows_tv, shared_columns
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -163,20 +166,91 @@ def probability_gap(p1: np.ndarray, p2: np.ndarray, count: int) -> McDefect:
     return McDefect(float(gaps[i]), float(se[i]), float(gaps[i] / se[i]))
 
 
+def swap_edges(orderings) -> list[tuple[ConsistentOrdering, int]]:
+    """The swap edges of the listed orderings: one (o, k) for each pair of
+    them that differ only by the exchange of slots k and k + 1, o the pair's
+    lexicographically first.  A repeated ordering counts once.
+
+    The consistent orderings are the linear extensions of inclusion on the
+    members, and any two are joined by a path of such swaps (Pruesse &
+    Ruskey 1991).  A list whose edges do not join all of its orderings,
+    such as two orderings two swaps apart, raises ``ConfigError``.  The
+    first orderings of ``lattice.enumerate_consistent_orderings`` are always
+    joined: members are indexed by size first, so each later ordering has a
+    descent, whose swap gives an earlier one.
+    """
+    listed = {o.positions: o for o in orderings}
+    edges, linked = [], {pos: [] for pos in listed}
+    for pos, o in listed.items():
+        for k in range(1, len(pos) - 1):
+            other = pos[:k] + (pos[k + 1], pos[k]) + pos[k + 2:]
+            if other > pos and other in listed:
+                edges.append((o, k))
+                linked[pos].append(other)
+                linked[other].append(pos)
+    todo = list(listed)[:1]
+    reached = set(todo)
+    while todo:
+        for pos in linked[todo.pop()]:
+            if pos not in reached:
+                reached.add(pos)
+                todo.append(pos)
+    if len(reached) < len(listed):
+        raise ConfigError(f"the {len(edges)} swap edges of the {len(listed)} listed "
+                          "orderings do not join them all: list the orderings between")
+    return edges
+
+
+def swap_edge_tv(spec, ordering: ConsistentOrdering, k: int) -> float:
+    """Exact TV distance between the increment laws of ``ordering`` and of
+    the ordering that exchanges its slots k and k + 1, with no joint table.
+
+    The two orderings share every chain step but the exchanged two, and
+    left neighbourhoods do not depend on the ordering, so the distance is
+    that between the laws of (x, increment over the set at slot k,
+    increment over the set at slot k + 1), x the running value before slot
+    k, with the two steps taken in each order: the sum over x of
+    pi(x) TV(K(x), K'(x)).  pi is the law of x along the ordering's first
+    k slots (``kernels.chain_law``); each order's law is a three-column
+    ``construction.chain_table`` from pi.  A mixture is not Markov in the
+    running value: its state is (component, running value), which gives the
+    weighted sum of the components' distances, an upper bound on the
+    mixture's that is 0 exactly when every component's is.
+    """
+    if isinstance(spec, MixtureSpec):
+        return sum(w * swap_edge_tv(c, ordering, k)
+                   for c, w in zip(spec.components, spec.weights))
+    kernel = spec.kernel
+    prefix = [ordering.prefix_set(i) for i in range(k)]
+    start = chain_law(kernel, prefix, spec.initial_pmf())
+    before = prefix[-1]
+    a, b = ordering.sets[k], ordering.sets[k + 1]
+    laws = []
+    for first, second in ((a, b), (b, a)):
+        stages = (before, before | first, before | first | second)
+        columns, probs = chain_table(kernel, stages, start)
+        laws.append(JointLaw(("x", "first", "second"), None, np.array(columns).T, probs))
+    # the exchanged order steps over b first: its columns go back to (x, a, b)
+    return laws[0].tv(laws[1].permuted((0, 2, 1)))
+
+
 def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
                                mc: tuple[int, int] | None = None):
     """Invariance of the increment joint law under the choice of consistent
-    ordering, worst over every pair of ``orderings``.
+    ordering.
 
-    Both routes take the variables in ``canonical_variable_order``.  Left
-    neighbourhoods do not depend on the ordering
-    (``lattice.ordering_free_left_neighbourhood``), so once the orderings
-    share a lattice they share every variable.  Finite-state kernels give
-    the largest exact TV distance between laws brought to that order and to
-    sorted rows once each.  Otherwise Monte Carlo with mc=(seed, count): the
-    probe events take their thresholds from the first ordering's samples,
-    and the result is the ``McDefect`` of the pair with the most standard
-    errors.  Every ordering reads one uniform stream per variable
+    Finite-state kernels: the largest exact TV distance over the swap edges
+    of ``orderings`` (``swap_edges``, ``swap_edge_tv``).  The edges join
+    every listed ordering to every other, so all of them give one law
+    exactly when every edge reads 0, and two orderings further apart differ
+    by at most the sum along a path of edges.  Otherwise Monte Carlo with
+    mc=(seed, count), worst over every pair of ``orderings``: each
+    ordering's samples take the variables in ``canonical_variable_order``,
+    which left neighbourhoods make the same variables for every ordering
+    (``lattice.ordering_free_left_neighbourhood``).  The probe events take
+    their thresholds from the first ordering's samples, and the result is
+    the ``McDefect`` of the pair with the most standard errors.  Every
+    ordering reads one uniform stream per variable
     (``aligned_increment_samples``), so each stream and each distinct
     quantile column is computed once and shared across orderings
     (``kernels.shared_columns``, or the scope a caller already opened).
@@ -185,11 +259,9 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     if any(o.lattice is not lattice and o.lattice.members != lattice.members
            for o in orderings):
         raise ConfigError("orderings do not order the same lattice")
-    pairs = [(i, j) for i in range(len(orderings)) for j in range(i + 1, len(orderings))]
     if spec.kernel.finite_state and mc is None:
-        laws = [exact_fdd(spec.with_ordering(o)).permuted(canonical_variable_order(o)).sorted()
-                for o in orderings]
-        return max((laws[i].tv(laws[j]) for i, j in pairs), default=0.0)
+        return max((swap_edge_tv(spec, o, k) for o, k in swap_edges(orderings)),
+                   default=0.0)
     if mc is None:
         raise UnsupportedKernelError(
             f"{spec.kernel.kind} kernel needs mc=(seed, count) for this check"
@@ -199,6 +271,7 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
         aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
     medians, quartiles = mc_probe_thresholds(aligned[0])
     probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
+    pairs = [(i, j) for i in range(len(orderings)) for j in range(i + 1, len(orderings))]
     return max((probability_gap(probs[i], probs[j], count) for i, j in pairs),
                key=lambda gap: gap.sigmas, default=McDefect(0.0, 0.0, 0.0))
 
@@ -219,17 +292,33 @@ def _sub_spec(spec, lattice):
     return FddSpec(lattice, spec.kernel, None, spec.initial)
 
 
-def set_markov_defect(spec, A: IndexedSet, B, partition) -> ConditionalCheck:
+def exact_table(spec, tables: dict | None = None):
+    """``exact_fdd(spec)``.  With ``tables``, a dict shared by the specs of
+    one process, the table is kept there under the lattice's member masks
+    and the ordering's positions and built only once for them."""
+    if tables is None:
+        return exact_fdd(spec)
+    key = (tuple(m.mask for m in spec.lattice.members), spec.ordering.positions)
+    law = tables.get(key)
+    if law is None:
+        law = tables[key] = exact_fdd(spec)
+    return law
+
+
+def set_markov_defect(spec, A: IndexedSet, B, partition,
+                      tables: dict | None = None) -> ConditionalCheck:
     """Conditional independence of the increment over A minus B from the
     history of B (observed through the given partition) given the value at B.
 
     B must be a prefix union of the spec's ordering; the partition lists the
-    left-neighbourhood cells of B whose values generate the history.
+    left-neighbourhood cells of B whose values generate the history.  The
+    law is the exact table of the intersection closure of B's generators and
+    A (``exact_table`` with ``tables``).
     """
     gens, _ = _generators_of_prefix(spec, B)
     minimal = close_under_intersection([g for g in gens if g.mask] + [A])
     sub = _sub_spec(spec, minimal)
-    law = exact_fdd(sub)
+    law = exact_table(sub, tables)
     lefts = sub.lefts
     b_mask = getattr(B, "mask", B)
     target_idx = decompose_over_lefts(lefts, A.mask & ~b_mask)
@@ -238,14 +327,15 @@ def set_markov_defect(spec, A: IndexedSet, B, partition) -> ConditionalCheck:
     return conditional_independence_defect(law, [target_idx], part_idx, [b_idx])
 
 
-def increment_vector_independence_defect(spec, B, a_list) -> ConditionalCheck:
+def increment_vector_independence_defect(spec, B, a_list,
+                                         tables: dict | None = None) -> ConditionalCheck:
     """Joint version: the vector of increments over A_i minus B is
     conditionally independent of all of B's increment history given the
-    value at B."""
+    value at B (the table as in ``set_markov_defect``)."""
     gens, _ = _generators_of_prefix(spec, B)
     minimal = close_under_intersection([g for g in gens if g.mask] + list(a_list))
     sub = _sub_spec(spec, minimal)
-    law = exact_fdd(sub)
+    law = exact_table(sub, tables)
     lefts = sub.lefts
     b_mask = getattr(B, "mask", B)
     target_groups = [decompose_over_lefts(lefts, a.mask & ~b_mask) for a in a_list]
@@ -254,12 +344,15 @@ def increment_vector_independence_defect(spec, B, a_list) -> ConditionalCheck:
                                            [hist_idx])
 
 
-def flow_markov_defect(spec, flow: DiscreteFlow) -> ConditionalCheck:
+def flow_markov_defect(spec, flow: DiscreteFlow,
+                       tables: dict | None = None) -> ConditionalCheck:
     """Classical Markov property of the process transported along the flow:
     at every knot, the next stage value depends on the past stages only
-    through the current one.  Maximized over all knot pairs s < t."""
+    through the current one.  Maximized over all knot pairs s < t.  The law
+    is the exact table of the ordering that embeds the flow's stages
+    (``exact_table`` with ``tables``)."""
     ordering, prefixes = embed_chain(flow.stages, spec.lattice)
-    law = exact_fdd(spec.with_ordering(ordering))
+    law = exact_table(spec.with_ordering(ordering), tables)
     stage = [list(range(k + 1)) for k in prefixes]  # columns summing to each stage
     defect, skipped, events = 0.0, 0, 0
     for t in range(1, len(stage)):

@@ -7,8 +7,8 @@ consistent orderings exhaustively.  The ``ref_*`` functions compute the
 exact-law operations with one dict entry per outcome, accumulated row by
 row: the reference for the array engine in ``construction`` and ``verify``.
 ``ref_align_variables`` matches the left neighbourhoods of two orderings
-by mask: the reference for the canonical variable order of
-``verify.ordering_invariance_defect``.
+by mask: the reference alignment of two orderings' dict tables, against
+which ``verify.ordering_invariance_defect`` is checked.
 ``ref_permutation_identity_check`` enumerates matrix-chain paths one by one:
 the reference for the matrix algebra of ``generators.permutation_identity_check``.
 ``ref_generator_matching_defect`` takes one state indicator per generator
@@ -218,8 +218,9 @@ def ref_tv(a, b) -> float:
 def ref_align_variables(lefts_a, lefts_b) -> tuple:
     """perm with lefts_b.sets[perm[i]] equal (as a set) to lefts_a.sets[i]:
     each set of ``lefts_a`` is matched by mask to the first unused set of
-    ``lefts_b``.  The reference for the canonical variable order that
-    ``verify.ordering_invariance_defect`` puts every ordering's law in."""
+    ``lefts_b``.  The reference for bringing two orderings' laws to one
+    variable order, as ``verify.canonical_variable_order`` does for the
+    Monte Carlo route."""
     used = [False] * len(lefts_b.sets)
     perm = []
     for c in lefts_a.sets:

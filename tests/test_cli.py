@@ -346,7 +346,7 @@ def test_semigroup_left_out_is_a_config_error_and_reported(tmp_path, capsys, rea
 
 def test_validate_past_the_table_cap_fails_before_the_ck_rows(tmp_path, monkeypatch):
     # the CK rows chain every one of the 2001 probe states of an empirical
-    # n = 2000 config; the exact ordering check, past TABLE_CAP, runs first
+    # n = 2000 config; the spec's exact table, past TABLE_CAP, is built first
     calls = []
     monkeypatch.setattr(suite, "ck_defect", lambda *a, **k: calls.append(a))
     cfg = load_config(write_config(tmp_path, dict(BASE, process={
@@ -568,7 +568,7 @@ def test_ordering_cap_cut_is_reported(tmp_path):
     payload["experiment"] = {"ordering_cap": 4}
     got = _instances(tmp_path, payload)
     assert got["chapman_kolmogorov"].endswith(" prefix triples, 4 of 16 orderings")
-    assert got["ordering_invariance"] == "6 ordering pairs, 4 of 16 orderings"
+    assert got["ordering_invariance"] == "3 swap edges of 4 orderings, 4 of 16 orderings"
     # orderings 0-3 agree on their first three sets: no kept pair has power
     for level in (2, 3):
         for suffix in ("", "_generator"):
@@ -580,7 +580,7 @@ def test_ordering_cap_cut_is_reported(tmp_path):
 def test_uncut_orderings_keep_their_text(tmp_path):
     got = _instances(tmp_path, STAIRCASE)
     assert got["chapman_kolmogorov"].endswith(" prefix triples, 16 orderings")
-    assert got["ordering_invariance"] == "120 ordering pairs"
+    assert got["ordering_invariance"] == "24 swap edges of 16 orderings"
     assert got["permutation_identity_2"] == \
         "orderings 0 and 8 (slots 1 3 2 4 5 6), 3 start states"
     assert got["permutation_identity_3"] == \
@@ -657,13 +657,16 @@ WRITER_PROCESSES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(WRITER_PROCESSES))
-def test_sample_block_writer_matches_row_writer(tmp_path, kind):
+def _writer_matches_row_writer(tmp_path, kind, b, s):
+    """``sample`` against the row-by-row reference at every block and slice
+    edge of blocks of ``b`` rows and slices of ``s``, with 1, 2 and 3
+    workers."""
     payload = dict(BASE, process=WRITER_PROCESSES[kind],
                    experiment={"derived_sets": DERIVED})
     cfg = write_config(tmp_path, payload)
-    b, s = BLOCK_ROWS, SLICE_ROWS
     sizes = (1, b - 1, b, b + 1, 2 * b + 1, s - 1, s, s + 1)
+    if s < SLICE_ROWS:
+        sizes += (4 * s + 1,)  # five slices: 3 workers leave drawn slices waiting
     # a row depends on (seed, row) alone: the first n rows of the longest
     # reference are the reference for n
     ref = tmp_path / "ref.csv"
@@ -678,6 +681,20 @@ def test_sample_block_writer_matches_row_writer(tmp_path, kind):
             assert main(["sample", "--config", cfg, "--n", str(n), "--seed", "5",
                          "--workers", str(workers), "--out", str(out)]) == 0
             assert out.read_bytes() == want, (n, workers)
+
+
+@pytest.mark.parametrize("kind", sorted(WRITER_PROCESSES))
+def test_sample_block_writer_matches_row_writer(tmp_path, monkeypatch, kind):
+    # blocks of 8 rows and slices of 32 cross the same edges as the real
+    # sizes in a thousandth of the rows
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 8)
+    monkeypatch.setattr(cli, "SLICE_ROWS", 32)
+    _writer_matches_row_writer(tmp_path, kind, 8, 32)
+
+
+def test_sample_block_writer_matches_row_writer_at_the_real_sizes(tmp_path):
+    assert SLICE_ROWS % BLOCK_ROWS == 0
+    _writer_matches_row_writer(tmp_path, "empirical", BLOCK_ROWS, SLICE_ROWS)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -722,14 +739,15 @@ def _ordering_row(tmp_path, payload):
 
 
 def test_exact_ordering_row_has_power_on_an_uneven_measure(tmp_path, monkeypatch):
-    # on a uniform measure the columns of the two orderings of {0, 01, 02} are
-    # exchangeable, so a wrong variable alignment reads 0; cells 1 and 2 of
-    # uneven weight tell the aligned and misaligned laws apart
+    # on a uniform measure the two increments of the swap edge of {0, 01, 02}
+    # are exchangeable, so comparing them without exchanging them reads 0;
+    # cells 1 and 2 of uneven weight tell the aligned and misaligned laws apart
     payload = json.loads(json.dumps(BASE))
     payload["process"]["measure"] = {"weights": [0.4, 0.3, 0.2, 0.1]}
     row = _ordering_row(tmp_path, payload)
-    assert row["instance"] == "1 ordering pairs" and row["tolerance"] <= 1e-9
+    assert row["instance"] == "1 swap edges of 2 orderings" and row["tolerance"] <= 1e-9
     assert row["pass"] and row["defect"] <= 1e-15
-    monkeypatch.setattr(verify, "canonical_variable_order", lambda o: tuple(range(len(o))))
+    # the exchanged order's (x, second, first) columns taken as (x, first, second)
+    monkeypatch.setattr(verify.JointLaw, "permuted", lambda law, perm: law)
     misaligned = _ordering_row(tmp_path, payload)
     assert not misaligned["pass"] and misaligned["defect"] > 0.01

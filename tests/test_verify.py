@@ -24,8 +24,8 @@ from setmarkov import (
 from setmarkov import construction, kernels, suite, verify
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
-from setmarkov.errors import ConfigError, UnsupportedKernelError
-from setmarkov.lattice import DiscreteFlow
+from setmarkov.errors import ConfigError, TableSizeError, UnsupportedKernelError
+from setmarkov.lattice import ConsistentOrdering, DiscreteFlow
 from setmarkov.verify import (
     flow_markov_defect,
     flow_matching_defect,
@@ -122,12 +122,50 @@ class TestOrderingInvariance:
         assert ordering_invariance_defect(spec, orders) < 1e-12
 
     def test_worst_pair_of_the_list(self, lattice6, uniform4):
+        # the defect is the largest swap-edge TV, each edge's TV taken from the
+        # dict tables of its two orderings; pairs further apart can read more
         spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4, corrupted=True))
         orders = enumerate_consistent_orderings(lattice6)
-        pairwise = [ordering_invariance_defect(spec, [a, b])
-                    for i, a in enumerate(orders) for b in orders[i + 1:]]
-        assert max(pairwise) > 1e-3 and pairwise.index(max(pairwise)) > 0
-        assert ordering_invariance_defect(spec, orders) == max(pairwise)
+        tables = [ref_exact_fdd(spec.with_ordering(o)) for o in orders]
+        lefts = [spec.with_ordering(o).lefts for o in orders]
+
+        def tv(i, j):
+            return ref_tv(tables[i], ref_permuted(tables[j],
+                                                  ref_align_variables(lefts[i], lefts[j])))
+
+        pairs = [(i, j) for i in range(len(orders)) for j in range(i + 1, len(orders))]
+        edges = [(i, j) for i, j in pairs if _one_swap_apart(orders[i], orders[j])]
+        edge_tvs = [tv(i, j) for i, j in edges]
+        assert len(edges) == 24 and max(edge_tvs) > 1e-3
+        assert edge_tvs.index(max(edge_tvs)) > 0
+        assert abs(ordering_invariance_defect(spec, orders) - max(edge_tvs)) <= 1e-15
+        assert max(tv(i, j) for i, j in pairs) > 2 * max(edge_tvs)
+
+    def test_swap_edges_must_join_the_list(self, lattice6, uniform4):
+        spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4, corrupted=True))
+        orders = enumerate_consistent_orderings(lattice6)
+        i, j, k = next((i, j, k) for i, a in enumerate(orders) for j, b in enumerate(orders)
+                       for k, c in enumerate(orders)
+                       if _one_swap_apart(a, b) and _one_swap_apart(b, c)
+                       and _differing_slots(a, c) == 4)
+        # two swaps apart, or a list cut between them: no edge joins the pair
+        with pytest.raises(ConfigError, match="swap edges of the 2 listed orderings"):
+            ordering_invariance_defect(spec, [orders[i], orders[k]])
+        with pytest.raises(ConfigError, match="do not join them all"):
+            verify.swap_edges([orders[i], orders[k], orders[i]])
+        joined = [orders[i], orders[j], orders[k]]
+        assert len(verify.swap_edges(joined)) == 2
+        # a repeated ordering counts once
+        assert verify.swap_edges(joined + [orders[j], orders[i]]) == verify.swap_edges(joined)
+        assert ordering_invariance_defect(spec, joined + joined) == \
+            ordering_invariance_defect(spec, joined) > 1e-3
+
+    def test_every_staircase_ordering_and_every_cut_is_joined(self, lattice6):
+        orders = enumerate_consistent_orderings(lattice6)
+        assert len(verify.swap_edges(orders)) == 24
+        # the first orderings of the enumeration are always joined
+        for cap in range(1, len(orders) + 1):
+            assert len(verify.swap_edges(orders[:cap])) >= cap - 1
 
     @pytest.mark.parametrize("case", ["empirical_staircase", "corrupted", "mixture",
                                       "compound", "poisson_initial"])
@@ -142,16 +180,103 @@ class TestOrderingInvariance:
         assert abs(got - want) <= 1e-15
         assert got > 0.01 if case == "corrupted" else got < 1e-12
 
-    def test_exact_pairs_compare_row_by_row(self, monkeypatch, invariance_cases):
-        # every ordering's canonical law has the same key matrix, so no pair
-        # groups rows
-        spec, orders = invariance_cases["poisson_initial"]
+    def test_exact_route_builds_no_joint_table(self, monkeypatch):
+        # each swap edge builds two three-column laws from the running value's
+        # law: none is a joint table over the orderings' variables
+        spec = _bench_spec("empirical10_staircase")
+        orders = enumerate_consistent_orderings(spec.lattice)
+        full = len(construction.exact_fdd(spec).probs)
+        built = []
+        real = verify.chain_table
 
-        def refuse(columns):
-            raise AssertionError("a pair of canonical laws was regrouped")
+        def recorded(kernel, stages, start, *args):
+            columns, probs = real(kernel, stages, start, *args)
+            built.append((len(columns), len(probs)))
+            return columns, probs
 
-        monkeypatch.setattr(construction, "group_rows", refuse)
+        def refuse(spec, *args):
+            raise AssertionError("a joint table was built")
+
+        monkeypatch.setattr(verify, "chain_table", recorded)
+        monkeypatch.setattr(verify, "exact_fdd", refuse)
         assert ordering_invariance_defect(spec, orders) < 1e-12
+        assert len(built) == 2 * 24
+        assert {c for c, _ in built} == {3} and max(r for _, r in built) < full / 10
+
+
+def _differing_slots(a, b) -> int:
+    return sum(p != q for p, q in zip(a.positions, b.positions))
+
+
+def _one_swap_apart(a, b) -> bool:
+    """Whether the orderings differ only by the exchange of two adjacent slots."""
+    slots = [k for k, (p, q) in enumerate(zip(a.positions, b.positions)) if p != q]
+    return (len(slots) == 2 and slots[1] == slots[0] + 1
+            and a.positions[slots[0]] == b.positions[slots[1]])
+
+
+def _bench_spec(stem):
+    return load_config(str(CONFIGS / f"{stem}.json")).spec
+
+
+# the finite-state bench configs whose joint tables fit TABLE_CAP
+# (``compound_staircase`` does not: see test_the_bench_agreement_cases_are_all_that_fit)
+TABLE_CONFIGS = ("compound_lattice3", "corrupted_lattice3", "empirical10_staircase",
+                 "empirical6_staircase", "poisson_lattice4")
+
+
+def test_the_bench_agreement_cases_are_all_that_fit():
+    for path in sorted(CONFIGS.glob("*.json")):
+        spec = load_config(str(path)).spec
+        if spec.kernel.finite_state and path.stem not in TABLE_CONFIGS:
+            with pytest.raises(TableSizeError):
+                construction.exact_fdd(spec)
+
+
+@pytest.fixture
+def agreement_cases(invariance_cases, grid4, lattice6):
+    """(spec, orderings) of every case the swap-edge TVs are checked on."""
+    cases = {stem: (spec, enumerate_consistent_orderings(spec.lattice))
+             for stem, spec in ((s, _bench_spec(s)) for s in TABLE_CONFIGS)}
+    cases.update(invariance_cases)
+    orders6 = enumerate_consistent_orderings(lattice6)
+    six = _bench_spec("empirical6_staircase").kernel
+    cases["corrupted_staircase"] = (
+        FddSpec(lattice6, EmpiricalKernel(6, six.F, corrupted=True)), orders6)
+    uneven = CellMeasure(grid4, [(1 + i) / 136 for i in range(16)], "probability")
+    cases["uneven_staircase"] = (FddSpec(lattice6, EmpiricalKernel(3, uneven)), orders6)
+    return cases
+
+
+@pytest.mark.parametrize("case", [*TABLE_CONFIGS, "empirical_staircase", "corrupted",
+                                  "mixture", "compound", "poisson_initial",
+                                  "corrupted_staircase", "uneven_staircase"])
+def test_swap_edge_tv_is_the_full_table_tv(case, agreement_cases):
+    """On every swap edge, the TV from the running value's law and the two
+    exchanged steps equals the TV between the two orderings' full joint
+    tables, brought to one variable order."""
+    spec, orders = agreement_cases[case]
+    tables = {}
+
+    def table(o):
+        if o.positions not in tables:
+            law = construction.exact_fdd(spec.with_ordering(o))
+            tables[o.positions] = law.permuted(verify.canonical_variable_order(o))
+        return tables[o.positions]
+
+    edges = verify.swap_edges(orders)
+    worst = 0.0
+    for o, k in edges:
+        swapped = list(o.positions)
+        swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+        other = ConsistentOrdering(o.lattice, tuple(swapped))
+        assert _one_swap_apart(o, other)
+        got = verify.swap_edge_tv(spec, o, k)
+        assert abs(got - table(o).tv(table(other))) <= 1e-15, (o.positions, k)
+        worst = max(worst, got)
+    assert len(edges) >= len(orders) - 1
+    assert ordering_invariance_defect(spec, orders) == worst
+    assert worst > 0.01 if "corrupted" in case else worst < 1e-12
 
 
 class TestSharedQuantiles:
