@@ -229,11 +229,9 @@ class JointLaw:
 
     def tv(self, other: "JointLaw") -> float:
         """Total variation distance (sup over events) to a law of as many
-        variables; equal key matrices (no row repeats) compare row by row."""
+        variables."""
         if self.keys.shape[1] != other.keys.shape[1]:
             raise ConfigError("laws over different numbers of variables")
-        if np.array_equal(self.keys, other.keys):
-            return 0.5 * float(np.abs(self.probs - other.probs).sum())
         ids, _ = group_rows(np.concatenate([self.keys.T, other.keys.T], axis=1).T)
         diff = np.bincount(ids, weights=np.concatenate([self.probs, -other.probs]))
         return 0.5 * float(np.abs(diff).sum())

@@ -16,7 +16,7 @@ from scipy import special
 from .construction import (
     MixtureSpec,
     decompose_over_lefts,
-    exact_fdd,  # noqa: F401  (perfbench traces it here)
+    exact_fdd,
     sample_increments,
 )
 from .distributions import BetaSegment, binomial_pmf, tv_distance
@@ -39,7 +39,6 @@ from .lattice import (
     left_neighbourhoods,
 )
 from .verify import (
-    exact_table,
     flow_matching_defect,
     flow_markov_defect,
     increment_vector_independence_defect,
@@ -138,9 +137,8 @@ def _finite_state_rows(cfg):
     orders, counted, cut = _orderings(cfg)
     states = kernel.probe_states()
     # first, so that a joint table past TABLE_CAP fails before the CK loop;
-    # the rows below read it, or their own sub-tables, through ``tables``
-    tables = {}
-    law = exact_table(spec, tables)
+    # every row below that needs a joint table reads this one
+    law = exact_fdd(spec)
 
     # composition law on every prefix triple of every ordering
     worst = 0.0
@@ -177,19 +175,21 @@ def _finite_state_rows(cfg):
 
     # conditional-independence checks
     ordering = spec.ordering
-    lefts0 = left_neighbourhoods(ordering)
     worst = 0.0
     instances = 0
-    # one sub-table per distinct intersection closure, dropped after the row
-    closures = dict(tables)
+    seen = set()
     for k in range(1, len(ordering) - 1):
         B = ordering.prefix_set(k)
-        partition = [c for c in lefts0.sets[: k + 1] if c.mask]
+        partition = [c for c in spec.lefts.sets[: k + 1] if c.mask]
         for A in cfg.lattice.members:
-            r = set_markov_defect(spec, A, B, partition, closures)
-            worst = max(worst, r.defect)
             instances += 1
-    del closures
+            # history and present depend on k alone: each (k, A minus B) once,
+            # and none with A inside B, whose increment is 0 and defect 0.0
+            key = (k, A.mask & ~B.mask)
+            if not key[1] or key in seen:
+                continue
+            seen.add(key)
+            worst = max(worst, set_markov_defect(spec, A, B, partition, law).defect)
     rows.append(_row("set_markov", f"{instances} (A, B) instances", worst, tol["exact"]))
 
     if len(ordering) < 2:
@@ -199,13 +199,13 @@ def _finite_state_rows(cfg):
     B = ordering.prefix_set(k)
     a_list = [m for m in cfg.lattice.members if m.mask & ~B.mask][:2]
     if a_list:
-        r = increment_vector_independence_defect(spec, B, a_list, dict(tables))
+        r = increment_vector_independence_defect(spec, B, a_list, law)
         rows.append(_row("increment_independence",
                          f"B=prefix[{k}], {len(a_list)} sets", r.defect, tol["exact"]))
 
     flow = flow_from_ordering(ordering, kernel.measure)
-    r = flow_markov_defect(spec, flow, tables)
-    del tables, law  # no row below reads a joint table
+    r = flow_markov_defect(spec, flow, law)
+    del law  # no row below reads the joint table
     rows.append(_row("flow_markov", "canonical flow", r.defect, tol["exact"]))
 
     # flow matching: a refined chain against the one-step chain

@@ -1,7 +1,8 @@
 """Executable consistency and Markov-property checks.
 
 Every check reduces a claim about the process to a total-variation defect
-computed exactly (finite-state kernels: from joint tables, or for ordering
+computed exactly (finite-state kernels: from the process's own joint table,
+whose columns sum to the value at any member union, or for ordering
 invariance from the two-step laws of each swap edge) or to a probability
 gap with Monte Carlo error bars (continuous kernels, fixed seeds).  A zero
 defect (up to float rounding) means the claim holds on that instance; the
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construction import (
-    FddSpec,
     JointLaw,
     MixtureSpec,
     chain_table,
@@ -31,7 +31,6 @@ from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
     IndexedSet,
-    close_under_intersection,
     embed_chain,
     left_neighbourhoods,
 )
@@ -73,8 +72,8 @@ def conditional_independence_defect(law, target, history, present,
     p = law.probs
     t, _ = group_rows(law.group_sums(target))
     h, h_first = group_rows(law.group_sums(history))
-    g, _ = group_rows(law.group_sums(present))
-    g = g[h_first[h]]
+    g, _ = group_rows(law.group_sums(present)[h_first])
+    g = g[h]
     nt = int(t.max()) + 1
     ph = np.bincount(h, weights=p)
     pg = np.bincount(g, weights=p)
@@ -276,51 +275,29 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
                key=lambda gap: gap.sigmas, default=McDefect(0.0, 0.0, 0.0))
 
 
-def _generators_of_prefix(spec, B) -> tuple[list[IndexedSet], int]:
+def _prefix_mask(spec, B) -> int:
+    """B's mask, once B is known to be a prefix union of the spec's ordering."""
     mask = getattr(B, "mask", B)
-    ordering = spec.ordering
-    for k, pm in enumerate(ordering.prefix_masks):
-        if pm == mask:
-            return list(ordering.sets[: k + 1]), k
-    raise ConfigError("B is not a prefix union of the spec's ordering")
-
-
-def _sub_spec(spec, lattice):
-    if isinstance(spec, MixtureSpec):
-        comps = tuple(FddSpec(lattice, c.kernel, None, c.initial) for c in spec.components)
-        return MixtureSpec(comps, spec.weights)
-    return FddSpec(lattice, spec.kernel, None, spec.initial)
-
-
-def exact_table(spec, tables: dict | None = None):
-    """``exact_fdd(spec)``.  With ``tables``, a dict shared by the specs of
-    one process, the table is kept there under the lattice's member masks
-    and the ordering's positions and built only once for them."""
-    if tables is None:
-        return exact_fdd(spec)
-    key = (tuple(m.mask for m in spec.lattice.members), spec.ordering.positions)
-    law = tables.get(key)
-    if law is None:
-        law = tables[key] = exact_fdd(spec)
-    return law
+    if mask not in spec.ordering.prefix_masks:
+        raise ConfigError("B is not a prefix union of the spec's ordering")
+    return mask
 
 
 def set_markov_defect(spec, A: IndexedSet, B, partition,
-                      tables: dict | None = None) -> ConditionalCheck:
+                      law: JointLaw | None = None) -> ConditionalCheck:
     """Conditional independence of the increment over A minus B from the
     history of B (observed through the given partition) given the value at B.
 
     B must be a prefix union of the spec's ordering; the partition lists the
-    left-neighbourhood cells of B whose values generate the history.  The
-    law is the exact table of the intersection closure of B's generators and
-    A (``exact_table`` with ``tables``).
+    unions of left neighbourhoods inside B whose values generate the history.
+    Target, history and present are sums of columns of the spec's own table
+    ``law`` (``exact_fdd(spec)`` when not given): every member union is a
+    union of the spec's left neighbourhoods.
     """
-    gens, _ = _generators_of_prefix(spec, B)
-    minimal = close_under_intersection([g for g in gens if g.mask] + [A])
-    sub = _sub_spec(spec, minimal)
-    law = exact_table(sub, tables)
-    lefts = sub.lefts
-    b_mask = getattr(B, "mask", B)
+    b_mask = _prefix_mask(spec, B)
+    if law is None:
+        law = exact_fdd(spec)
+    lefts = spec.lefts
     target_idx = decompose_over_lefts(lefts, A.mask & ~b_mask)
     part_idx = [decompose_over_lefts(lefts, p) for p in partition]
     b_idx = decompose_over_lefts(lefts, b_mask)
@@ -328,39 +305,57 @@ def set_markov_defect(spec, A: IndexedSet, B, partition,
 
 
 def increment_vector_independence_defect(spec, B, a_list,
-                                         tables: dict | None = None) -> ConditionalCheck:
+                                         law: JointLaw | None = None) -> ConditionalCheck:
     """Joint version: the vector of increments over A_i minus B is
     conditionally independent of all of B's increment history given the
-    value at B (the table as in ``set_markov_defect``)."""
-    gens, _ = _generators_of_prefix(spec, B)
-    minimal = close_under_intersection([g for g in gens if g.mask] + list(a_list))
-    sub = _sub_spec(spec, minimal)
-    law = exact_table(sub, tables)
-    lefts = sub.lefts
-    b_mask = getattr(B, "mask", B)
+    value at B (read from ``law`` as in ``set_markov_defect``)."""
+    b_mask = _prefix_mask(spec, B)
+    if law is None:
+        law = exact_fdd(spec)
+    lefts = spec.lefts
     target_groups = [decompose_over_lefts(lefts, a.mask & ~b_mask) for a in a_list]
-    hist_idx = [i for i, c in enumerate(lefts.sets) if c.mask and c.mask & ~b_mask == 0]
+    hist_idx = decompose_over_lefts(lefts, b_mask)
     return conditional_independence_defect(law, target_groups, [[i] for i in hist_idx],
                                            [hist_idx])
 
 
 def flow_markov_defect(spec, flow: DiscreteFlow,
-                       tables: dict | None = None) -> ConditionalCheck:
+                       law: JointLaw | None = None) -> ConditionalCheck:
     """Classical Markov property of the process transported along the flow:
     at every knot, the next stage value depends on the past stages only
-    through the current one.  Maximized over all knot pairs s < t.  The law
-    is the exact table of the ordering that embeds the flow's stages
-    (``exact_table`` with ``tables``)."""
-    ordering, prefixes = embed_chain(flow.stages, spec.lattice)
-    law = exact_table(spec.with_ordering(ordering), tables)
-    stage = [list(range(k + 1)) for k in prefixes]  # columns summing to each stage
+    through the current one.  Each stage must be a union of members
+    (``embed_chain`` checks it), and its value is a sum of columns of the
+    spec's own table ``law`` (``exact_fdd(spec)`` when not given).
+
+    Only the one-step pairs (s, s + 1) are checked, and the defect is the
+    largest of theirs.  The stage values Y_0, ..., Y_K form a Markov chain
+    exactly when law(Y_{s+1} | Y_0..Y_s) = law(Y_{s+1} | Y_s) for every s:
+    by the tower property, law(Y_t | Y_0..Y_s) is then the composition of
+    the one-step laws from Y_s, a function of Y_s alone.  With d_r the
+    defect of the pair (r, r + 1), replacing the true step at each knot
+    r = s, ..., t - 1 by the one-step law given Y_r moves the law of Y_t
+    given Y_0..Y_s by at most d_r, so the defect of any pair s < t is at
+    most 2 (d_s + ... + d_{t-1}), up to the conditional mass of histories
+    below ``min_prob``: the largest defect over all pairs is at most 2K
+    times this one, and 0 exactly when this one is.
+    """
+    embed_chain(flow.stages, spec.lattice)
+    if law is None:
+        law = exact_fdd(spec)
+    stage, columns = [], []
+    for s in flow.stages:
+        # the previous stage's columns first: a stage's float sum is then the
+        # previous stage's value plus the new increments, a function of the
+        # present and the increments alone, whatever the float rounding
+        columns = columns + [i for i in decompose_over_lefts(spec.lefts, s)
+                             if i not in columns]
+        stage.append(columns)
     defect, skipped, events = 0.0, 0, 0
     for t in range(1, len(stage)):
-        for s in range(t):
-            c = conditional_independence_defect(law, [stage[t]], stage[: s + 1], [stage[s]])
-            defect = max(defect, c.defect)
-            skipped += c.skipped
-            events += c.events
+        c = conditional_independence_defect(law, [stage[t]], stage[:t], [stage[t - 1]])
+        defect = max(defect, c.defect)
+        skipped += c.skipped
+        events += c.events
     return ConditionalCheck(defect, skipped, events)
 
 

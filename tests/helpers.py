@@ -9,6 +9,13 @@ row: the reference for the array engine in ``construction`` and ``verify``.
 ``ref_align_variables`` matches the left neighbourhoods of two orderings
 by mask: the reference alignment of two orderings' dict tables, against
 which ``verify.ordering_invariance_defect`` is checked.
+``ref_sub_lattice_set_markov_defect`` and
+``ref_sub_lattice_increment_independence_defect`` read the set-Markov rows
+from the exact table of an intersection closure of B's generators and the
+target sets, and ``ref_all_pairs_flow_markov_defect`` reads every knot pair
+of a flow from the table of the ordering that embeds it: the references for
+the Markov rows of ``verify``, which read the spec's own table (and, along a
+flow, only the one-step pairs).
 ``ref_permutation_identity_check`` enumerates matrix-chain paths one by one:
 the reference for the matrix algebra of ``generators.permutation_identity_check``.
 ``ref_generator_matching_defect`` takes one state indicator per generator
@@ -52,17 +59,24 @@ import numpy as np
 from scipy import stats
 
 from setmarkov.config import load_config
-from setmarkov.construction import decompose_over_lefts, exact_fdd, sample_increments
+from setmarkov.construction import (
+    FddSpec,
+    MixtureSpec,
+    decompose_over_lefts,
+    exact_fdd,
+    sample_increments,
+)
 from setmarkov.generators import (
     GAUSS_STENCIL,
     JACOBI_ORDER,
     generator_integral,
     system_along_flow,
 )
-from setmarkov.lattice import flow_from_ordering
+from setmarkov.lattice import close_under_intersection, embed_chain, flow_from_ordering
 from setmarkov.verify import (
     McDefect,
     aligned_increment_samples,
+    conditional_independence_defect,
     mc_event_probabilities,
     mc_probe_thresholds,
     probability_gap,
@@ -254,6 +268,58 @@ def ref_conditional_independence_defect(table, target, history, present, min_pro
         defect = max(defect, ref_tv({t: v / ph for t, v in tab.items()},
                                     {t: v / pg for t, v in gtab.items()}))
     return defect, skipped, len(hist)
+
+
+def _ref_sub_spec(spec, generators):
+    """The spec's kernel and initial law on the intersection closure of
+    ``generators``, in that closure's default ordering."""
+    lattice = close_under_intersection(generators)
+    if isinstance(spec, MixtureSpec):
+        return MixtureSpec(tuple(FddSpec(lattice, c.kernel, None, c.initial)
+                                 for c in spec.components), spec.weights)
+    return FddSpec(lattice, spec.kernel, None, spec.initial)
+
+
+def _ref_closure_of_prefix(spec, B, sets):
+    """The spec on the closure of B's generators (the members of the spec's
+    ordering up to B) plus ``sets``, and that closure's left neighbourhoods
+    inside B."""
+    ordering = spec.ordering
+    k = ordering.prefix_masks.index(B.mask)
+    sub = _ref_sub_spec(spec, [g for g in ordering.sets[: k + 1] if g.mask] + list(sets))
+    inside = [i for i, c in enumerate(sub.lefts.sets) if c.mask and c.mask & ~B.mask == 0]
+    return sub, inside
+
+
+def ref_sub_lattice_set_markov_defect(spec, A, B, partition) -> float:
+    """``verify.set_markov_defect`` read from the exact table of the closure
+    of B's generators and A instead of the spec's own table."""
+    sub, _ = _ref_closure_of_prefix(spec, B, [A])
+    law, lefts = exact_fdd(sub), sub.lefts
+    target = decompose_over_lefts(lefts, A.mask & ~B.mask)
+    history = [decompose_over_lefts(lefts, c) for c in partition]
+    present = decompose_over_lefts(lefts, B)
+    return conditional_independence_defect(law, [target], history, [present]).defect
+
+
+def ref_sub_lattice_increment_independence_defect(spec, B, a_list) -> float:
+    """``verify.increment_vector_independence_defect`` read from the exact
+    table of the closure of B's generators and the sets of ``a_list``."""
+    sub, inside = _ref_closure_of_prefix(spec, B, a_list)
+    targets = [decompose_over_lefts(sub.lefts, a.mask & ~B.mask) for a in a_list]
+    return conditional_independence_defect(exact_fdd(sub), targets,
+                                           [[i] for i in inside], [inside]).defect
+
+
+def ref_all_pairs_flow_markov_defect(spec, flow) -> float:
+    """The flow's Markov defect over every knot pair s < t, read from the
+    table of the ordering that realizes the stages as prefix unions."""
+    ordering, prefixes = embed_chain(flow.stages, spec.lattice)
+    law = exact_fdd(spec.with_ordering(ordering))
+    stage = [list(range(k + 1)) for k in prefixes]
+    return max((conditional_independence_defect(law, [stage[t]], stage[: s + 1],
+                                                [stage[s]]).defect
+                for t in range(len(stage)) for s in range(t)), default=0.0)
 
 
 def _chain_distribution(mats, x_idx, tol=1e-16):

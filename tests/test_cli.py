@@ -547,7 +547,7 @@ def test_mixture_config_fails_markov_checks(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
     report = json.loads(out.read_text())
     failing = {c["name"] for c in report["checks"] if not c["pass"]}
-    assert failing & {"set_markov", "flow_markov", "increment_independence"}
+    assert {"set_markov", "flow_markov", "increment_independence"} <= failing
 
 
 STAIRCASE = {"grid": {"extents": [4, 4]},

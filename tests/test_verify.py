@@ -1,3 +1,4 @@
+import sys
 import threading
 from pathlib import Path
 
@@ -24,7 +25,12 @@ from setmarkov import (
 from setmarkov import construction, kernels, suite, verify
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
-from setmarkov.errors import ConfigError, TableSizeError, UnsupportedKernelError
+from setmarkov.errors import (
+    ChainEmbeddingError,
+    ConfigError,
+    TableSizeError,
+    UnsupportedKernelError,
+)
 from setmarkov.lattice import ConsistentOrdering, DiscreteFlow
 from setmarkov.verify import (
     flow_markov_defect,
@@ -41,7 +47,10 @@ from helpers import (
     ref_exact_fdd,
     ref_mc_event_probabilities,
     ref_mc_ordering_invariance,
+    ref_all_pairs_flow_markov_defect,
     ref_permuted,
+    ref_sub_lattice_increment_independence_defect,
+    ref_sub_lattice_set_markov_defect,
     ref_tv,
 )
 
@@ -277,6 +286,92 @@ def test_swap_edge_tv_is_the_full_table_tv(case, agreement_cases):
     assert len(edges) >= len(orders) - 1
     assert ordering_invariance_defect(spec, orders) == worst
     assert worst > 0.01 if "corrupted" in case else worst < 1e-12
+
+
+# the cases whose rows read 0: there every member union's law is one law,
+# however it is built, and the two routes agree to rounding
+MARKOV_AGREEMENT = (*(c for c in TABLE_CONFIGS if c != "corrupted_lattice3"),
+                    "empirical_staircase", "compound", "poisson_initial")
+# a corrupted kernel's sub-lattice table is not a marginal of the spec's, and
+# the mixture is not Markov: there the two routes give the same verdicts
+CONTROL_AGREEMENT = ("corrupted_lattice3", "corrupted", "corrupted_staircase", "mixture")
+EXACT_TOL = 1e-10
+
+
+@pytest.mark.parametrize("case", [*MARKOV_AGREEMENT, *CONTROL_AGREEMENT])
+def test_markov_rows_agree_with_the_sub_lattice_tables(case, agreement_cases):
+    """At every prefix union B, the set-Markov defect of every member A and
+    the increment-independence defect of the first two members outside B,
+    read from the spec's own table, against the same defects read from the
+    table of the closure of B's generators and the target sets."""
+    spec, _ = agreement_cases[case]
+    law = construction.exact_fdd(spec)
+    ordering = spec.ordering
+    got, want = [], []
+    for k in range(len(ordering) - 1):
+        B = ordering.prefix_set(k)
+        partition = [c for c in spec.lefts.sets[: k + 1] if c.mask]
+        for A in spec.lattice.members:
+            got.append(set_markov_defect(spec, A, B, partition, law).defect)
+            want.append(ref_sub_lattice_set_markov_defect(spec, A, B, partition))
+        a_list = [m for m in spec.lattice.members if m.mask & ~B.mask][:2]
+        got.append(increment_vector_independence_defect(spec, B, a_list, law).defect)
+        want.append(ref_sub_lattice_increment_independence_defect(spec, B, a_list))
+    if case in MARKOV_AGREEMENT:
+        assert max(map(abs, np.subtract(got, want))) <= 1e-12
+        assert max(got) <= EXACT_TOL
+    else:
+        assert [g <= EXACT_TOL for g in got] == [w <= EXACT_TOL for w in want]
+    if case == "mixture":
+        assert min(max(got), max(want)) > 0.01
+
+
+@pytest.mark.parametrize("case", [*MARKOV_AGREEMENT, *CONTROL_AGREEMENT])
+def test_one_step_flow_markov_bounds_every_pair(case, agreement_cases):
+    """The one-step flow defect against every knot pair's, on the canonical
+    flows of the first orderings: both read 0 on the same cases, and the
+    all-pairs defect stays within the one-step bound of the docstring."""
+    spec, orders = agreement_cases[case]
+    law = construction.exact_fdd(spec)
+    # a corrupted kernel's law along another ordering is another process
+    flows = [flow_from_ordering(o) for o in
+             ([spec.ordering] if "corrupted" in case else orders[:4])]
+    for flow in flows:
+        got = flow_markov_defect(spec, flow, law).defect
+        want = ref_all_pairs_flow_markov_defect(spec, flow)
+        assert (got <= 1e-12) == (want <= 1e-12)
+        assert got <= want + 1e-12
+        assert want <= 2 * (len(flow.stages) - 1) * got + 1e-12
+        if case == "mixture":
+            assert min(got, want) > 0.01
+
+
+def _count_tables(monkeypatch):
+    """Count the outermost ``exact_fdd`` calls made through any setmarkov
+    module (a mixture's table calls it once more per component)."""
+    calls, depth = [], []
+    real = construction.exact_fdd
+
+    def counted(*args, **kwargs):
+        if not depth:
+            calls.append(args[0])
+        depth.append(1)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "setmarkov" and getattr(module, "exact_fdd", None) is real:
+            monkeypatch.setattr(module, "exact_fdd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("stem", TABLE_CONFIGS)
+def test_validate_builds_one_joint_table(stem, monkeypatch):
+    calls = _count_tables(monkeypatch)
+    suite.run_validation_suite(load_config(str(CONFIGS / f"{stem}.json")))
+    assert len(calls) == 1
 
 
 class TestSharedQuantiles:
@@ -524,6 +619,14 @@ class TestFlowMarkov:
     def test_mixture_fails(self, mixture3, uniform2):
         flow = flow_from_ordering(mixture3.ordering, uniform2)
         assert flow_markov_defect(mixture3, flow).defect > 0.01
+
+    def test_stage_not_a_union_of_members_rejected(self, empirical_spec3, grid2, uniform2):
+        # {1, 2} is a union of left neighbourhoods, but no member lies inside it
+        flow = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)), uniform2)
+        assert flow_markov_defect(empirical_spec3, flow).defect < 1e-12
+        flow = DiscreteFlow((0.0, 1.0), (cells(grid2, 1, 2), cells(grid2, 0, 1, 2)), uniform2)
+        with pytest.raises(ChainEmbeddingError):
+            flow_markov_defect(empirical_spec3, flow)
 
     def test_staircase_flows(self, lattice6, uniform4):
         spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4))
