@@ -2,7 +2,9 @@
 
 Finite pmfs are exact (dict-backed); the closed-form families carry a cdf.
 The cut count tables live here, each with its cut policy: ``binomial_pmf``,
-``poisson_pmf`` and ``compound_poisson_dict`` (Panjer's recursion).
+``poisson_pmf`` and ``compound_poisson_dict`` (Panjer's recursion);
+``binomial_coefficients`` gives the coefficients to ``binomial_pmf`` and to
+the empirical flow semigroup alike.
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
@@ -103,11 +105,20 @@ def binomial_pmf(trials: int, p: float) -> FinitePmf:
     if trials > DIRECT_BINOMIAL_TRIALS:
         from scipy import stats
         return FinitePmf(counts, stats.binom.pmf(np.array(counts), trials, p).tolist())
-    probs, comb = [], math.comb(trials, counts.start)
+    return FinitePmf(counts, [c * p**j * q ** (trials - j)
+                              for j, c in zip(counts, binomial_coefficients(trials, counts))])
+
+
+def binomial_coefficients(trials: int, counts: range) -> list[float]:
+    """float(comb(trials, j)) for each j of the step-1 range ``counts``,
+    each coefficient from the last by exact integer arithmetic: one
+    multiplication and one division per count, where ``math.comb`` would
+    start afresh."""
+    out, comb = [], math.comb(trials, counts.start)
     for j in counts:
-        probs.append(comb * p**j * q ** (trials - j))
+        out.append(float(comb))
         comb = comb * (trials - j) // (j + 1)  # exact: comb(trials, j + 1)
-    return FinitePmf(counts, probs)
+    return out
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,15 @@ the operator identities that tie the two together.
 
 A flow turns the set-indexed kernel into a one-parameter family of
 transition operators driven entirely by the measure trace t -> m(f(t))
-(piecewise linear between knots, ``lattice.Trace``).  Finite-state kinds are
-represented by matrices; the gaussian and dirichlet kinds by quadrature
-(the Gauss-Hermite, resp. Gauss-Jacobi rules of ``quadrature``) applied to
-test functions that are elementwise on float64 arrays, one array call per
-rule.  Each kernel builds its own semigroup (``flow_semigroup``).
+(piecewise linear between knots, ``lattice.Trace``), which each kernel
+takes of its own measure when it builds its semigroup (``flow_semigroup``).
+Finite-state kinds are represented by matrices on one (row, jump) band,
+built afresh for every pair of times; the empirical kind's binomial
+coefficients come from ``distributions.binomial_coefficients``, as
+``binomial_pmf``'s do.  The gaussian and dirichlet kinds are represented by
+quadrature (the Gauss-Hermite, resp. Gauss-Jacobi rules of ``quadrature``)
+applied to test functions that are elementwise on float64 arrays, one array
+call per rule.
 
 Checks provided:
 
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import binomial_coefficients
 from .errors import ConfigError, UnsupportedKernelError
 from .lattice import ConsistentOrdering, DiscreteFlow, Trace, flow_from_ordering
 from .quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
@@ -39,31 +44,27 @@ EMPTY_REST = 1e-15
 
 class MatrixSemigroup:
     """Transition and generator matrices acting on state vectors, along the
-    measure trace of a flow.
+    measure trace of a flow, on the integer states 0..cap.
 
-    ``matrix(s, t)`` is a subclass's ``_transition``.  Between two trace
-    knots it is built once per instance and returned read only: the
-    generator integrals compose through the same knot-to-knot legs at every
-    Gauss node, and no other leg is asked for twice.  ``tail_cut`` is None
-    when the transition matrices hold their step laws whole; a semigroup
-    whose step laws are cut at a tail sets it to the largest mass any
-    matrix it built so far dropped."""
+    A subclass's ``matrix(s, t)`` builds the transition matrix on every
+    call.  Every entry it may fill lies on one band, (row, row + jump) for
+    each row and jump with row + jump <= cap, and ``_banded`` writes one
+    value per band entry.  ``tail_cut`` is None when the transition matrices
+    hold their step laws whole; a semigroup whose step laws are cut at a
+    tail sets it to the largest mass any matrix it built so far dropped."""
 
-    finite_state = True
     tail_cut: float | None = None
 
-    def __init__(self, trace: Trace):
+    def __init__(self, trace: Trace, states: np.ndarray):
         self.trace = trace
-        self._knots = frozenset(trace.times.tolist())
-        self._legs: dict[tuple[float, float], np.ndarray] = {}
+        self.states = states
+        self._rows, self._jumps = np.nonzero(np.add.outer(states, states) <= states[-1])
 
-    def matrix(self, s: float, t: float) -> np.ndarray:
-        if s not in self._knots or t not in self._knots:
-            return self._transition(s, t)
-        M = self._legs.get((s, t))
-        if M is None:
-            M = self._legs[s, t] = self._transition(s, t)
-            M.flags.writeable = False
+    def _banded(self, values) -> np.ndarray:
+        """The matrix with ``values[i]`` at the i-th band entry, row by row
+        and jump by jump, and 0 off the band."""
+        M = np.zeros((len(self.states), len(self.states)))
+        M[self._rows, self._rows + self._jumps] = values
         return M
 
     def apply(self, s, t, h):
@@ -89,8 +90,6 @@ class QuadratureSemigroup:
     arrays of any shape, like numpy ufuncs, read off at fixed probe points.
     ``apply`` and ``apply_generator`` return such functions: they broadcast
     the argument over a trailing node axis and contract it with the weights."""
-
-    finite_state = False
 
     def values(self, h):
         return h(self.probes)
@@ -121,16 +120,16 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
     """
 
     def __init__(self, n: int, trace: Trace, corrupted: bool = False):
-        super().__init__(trace)
+        super().__init__(trace, np.arange(n + 1))
         self.n = n
         self.corrupted = corrupted
-        self.states = self.probe_states = np.arange(n + 1)
-        # entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
-        k, j = np.nonzero(np.add.outer(self.states, self.states) <= n)
-        self._rows, self._heads, self._tails = k, j, n - k - j
-        self._comb = np.array([float(math.comb(n - a, b)) for a, b in zip(k, j)])
+        self.probe_states = self.states
+        # band entry (k, k + j) of a transition matrix is comb(n - k, j) p^j q^(n-k-j)
+        self._tails = n - self._rows - self._jumps
+        self._comb = np.array([c for m in range(n, -1, -1)
+                               for c in binomial_coefficients(m, range(m + 1))])
 
-    def _transition(self, s: float, t: float) -> np.ndarray:
+    def matrix(self, s: float, t: float) -> np.ndarray:
         n = self.n
         gs = self.trace(s)
         p = empirical_success(self.trace(t) - gs, gs, self.corrupted)
@@ -138,10 +137,7 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         # powers by Python's float pow, as distributions.binomial_pmf takes them
         p_pow = np.array([p**j for j in range(n + 1)])
         q_pow = np.array([q**j for j in range(n + 1)])
-        M = np.zeros((n + 1, n + 1))
-        M[self._rows, self._rows + self._heads] = (
-            self._comb * p_pow[self._heads] * q_pow[self._tails])
-        return M
+        return self._banded(self._comb * p_pow[self._jumps] * q_pow[self._tails])
 
     def exhausted(self, t):
         # the corrupted rule never divides by the mass left outside
@@ -166,15 +162,13 @@ class JumpFlowSemigroup(MatrixSemigroup):
     positive integers; the matrices are the exactly killed (sub-stochastic)
     restriction, so the generator/semigroup identities hold to machine
     precision on states that cannot reach the cap.  ``matrix`` writes the
-    step law as one dense vector by jump size and scatters it into the band
-    through index arrays built once; ``tail_cut`` records the mass the tail
-    cut left out of that vector (1 minus its sum), the largest over the
-    matrices built so far.
+    step law as one dense vector by jump size and reads it onto the band by
+    jump; ``tail_cut`` records the mass the tail cut left out of that vector
+    (1 minus its sum), the largest over the matrices built so far.
     """
 
     def __init__(self, trace: Trace, step_law, jump_values=(1,), jump_probs=(1.0,),
                  start_mass_cap: int = 0):
-        super().__init__(trace)
         self.step_law = step_law
         jv = [int(v) for v in jump_values]
         if jv != list(jump_values) or any(v < 1 for v in jv):
@@ -184,25 +178,19 @@ class JumpFlowSemigroup(MatrixSemigroup):
         span = float(trace.values[-1] - trace.values[0])
         reach = int(round(max(step_law(max(span, 1e-9)))))
         self.cap = int(start_mass_cap + reach)
-        self.states = np.arange(self.cap + 1)
+        super().__init__(trace, np.arange(self.cap + 1))
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
-        # entry (row, row + jump) of a transition matrix, for every jump that fits
-        rows, jumps = np.nonzero(np.add.outer(self.states, self.states) <= self.cap)
-        self._band = (rows, rows + jumps, jumps)
         self.tail_cut = 0.0
 
     def _spread(self, jumps, values) -> tuple[np.ndarray, np.ndarray]:
-        """The matrix with ``values[i]`` at every entry (r, r + jumps[i]) that
-        fits, and the dense vector by jump size it was read from."""
+        """The matrix with ``values[i]`` at every band entry of jump
+        ``jumps[i]``, and the dense vector by jump size it was read from."""
         jumps = np.rint(np.asarray(jumps, dtype=float)).astype(np.intp)
         law = np.zeros(max(self.cap, int(jumps.max())) + 1)
         law[jumps] = values
-        rows, cols, jump = self._band
-        M = np.zeros((self.cap + 1, self.cap + 1))
-        M[rows, cols] = law[jump]
-        return M, law
+        return self._banded(law[self._jumps]), law
 
-    def _transition(self, s: float, t: float) -> np.ndarray:
+    def matrix(self, s: float, t: float) -> np.ndarray:
         pmf = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
         M, law = self._spread(list(pmf), list(pmf.values()))
         self.tail_cut = max(self.tail_cut, 1.0 - float(law.sum()))
@@ -388,10 +376,10 @@ def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: Discret
     if flow1.stages[i1].mask != flow2.stages[i2].mask or \
             flow1.stages[j1].mask != flow2.stages[j2].mask:
         raise ConfigError("flow spans do not share endpoint sets")
+    if not kernel.finite_state:
+        raise UnsupportedKernelError("generator matching check needs a finite-state kernel")
     sys1 = system_along_flow(kernel, flow1)
     sys2 = system_along_flow(kernel, flow2)
-    if not (sys1.finite_state and sys2.finite_state):
-        raise UnsupportedKernelError("generator matching check needs finite-state kernels")
     h = sys1.basis()
     v1 = generator_integral(sys1, flow1.times[i1], flow1.times[j1], h, knot_compose=True)
     v2 = generator_integral(sys2, flow2.times[i2], flow2.times[j2], h, knot_compose=True)

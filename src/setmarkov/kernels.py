@@ -614,6 +614,14 @@ def rows_tv(a: tuple[tuple, np.ndarray], b: tuple[tuple, np.ndarray]) -> np.ndar
     return 0.5 * np.abs(gap).sum(axis=1)
 
 
+def chains_tv(kernel, stages1, stages2, states) -> float:
+    """Largest total variation distance, over the internal ``states``,
+    between the kernel's chain along ``stages1`` and along ``stages2``: two
+    ``chain_rows`` laws, each built once for all states."""
+    gaps = rows_tv(chain_rows(kernel, stages1, states), chain_rows(kernel, stages2, states))
+    return float(gaps.max(initial=0.0))
+
+
 def compose_kernels(kernel, B, B1, B2, x):
     """Chain the kernel through an intermediate set: B -> B1 -> B2.
 
@@ -659,9 +667,8 @@ def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> C
     if mc is not None:
         return kernel.ck_monte_carlo(B, B1, B2, states, *mc)
     if kernel.finite_state:
-        xs = [kernel.to_state(x) for x in states]
-        gaps = rows_tv(chain_rows(kernel, (B, B1, B2), xs), chain_rows(kernel, (B, B2), xs))
-        return CkResult(float(gaps.max(initial=0.0)))
+        return CkResult(chains_tv(kernel, (B, B1, B2), (B, B2),
+                                  [kernel.to_state(x) for x in states]))
     worst = 0.0
     for x in states:
         direct = kernel_eval(kernel, B, B2, x)

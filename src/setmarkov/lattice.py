@@ -4,8 +4,8 @@ Sets are bitmasks of grid cells.  A semilattice is a finite family closed
 under pairwise intersection whose members all contain a common nonempty
 minimal set.  Orderings that never place a set before one of its subsets,
 the disjoint "left neighbourhood" cells they induce, extremal union
-representations, chain embeddings, monotone flows and the piecewise-linear
-measure traces along them all live here.
+representations, chain embeddings, monotone flows (knot times and stages)
+and the piecewise-linear trace of a measure along a flow all live here.
 """
 
 from __future__ import annotations
@@ -435,12 +435,12 @@ class Trace:
 
 @dataclass(frozen=True)
 class DiscreteFlow:
-    """A monotone chain of stages at increasing knot times, with an optional
-    measure whose piecewise-linear trace plays the role of continuous time."""
+    """A monotone chain of stages at increasing knot times.  A kernel reads
+    it through the trace of its own measure, ``Trace.along_flow``, whose
+    piecewise-linear values play the role of continuous time."""
 
     times: tuple[float, ...]
     stages: tuple[IndexedSet, ...]
-    trace_measure: CellMeasure | None = None
 
     def __post_init__(self):
         if len(self.times) != len(self.stages) or not self.times:
@@ -451,22 +451,10 @@ class DiscreteFlow:
             if not a.issubset(b):
                 raise ConfigError("flow stages must be monotone under inclusion")
 
-    @cached_property
-    def trace(self) -> Trace:
-        """The trace of ``trace_measure``; callable at any time of the flow."""
-        if self.trace_measure is None:
-            raise ConfigError("flow has no trace measure")
-        return Trace.along_flow(self.trace_measure, self)
 
-    @property
-    def trace_values(self) -> tuple[float, ...]:
-        return tuple(self.trace.values.tolist())
-
-
-def flow_from_ordering(ordering: ConsistentOrdering,
-                       measure: CellMeasure | None = None) -> DiscreteFlow:
+def flow_from_ordering(ordering: ConsistentOrdering) -> DiscreteFlow:
     """The canonical flow of an ordering: knot i at time i, stage = union of
     the first i+1 sets."""
     stages = tuple(ordering.prefix_set(i) for i in range(len(ordering)))
     times = tuple(float(i) for i in range(len(ordering)))
-    return DiscreteFlow(times, stages, measure)
+    return DiscreteFlow(times, stages)

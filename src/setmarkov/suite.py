@@ -203,14 +203,14 @@ def _finite_state_rows(cfg):
         rows.append(_row("increment_independence",
                          f"B=prefix[{k}], {len(a_list)} sets", r.defect, tol["exact"]))
 
-    flow = flow_from_ordering(ordering, kernel.measure)
+    flow = flow_from_ordering(ordering)
     r = flow_markov_defect(spec, flow, law)
     del law  # no row below reads the joint table
     rows.append(_row("flow_markov", "canonical flow", r.defect, tol["exact"]))
 
     # flow matching: a refined chain against the one-step chain
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
-                          (flow.stages[0], flow.stages[-1]), flow.trace_measure)
+                          (flow.stages[0], flow.stages[-1]))
     # the matrix semigroup needs a closed integer state grid and float
     # binomial coefficients: compound kernels with non-integer jumps and
     # empirical kernels past DIRECT_BINOMIAL_TRIALS points get only the
@@ -331,7 +331,7 @@ def _continuous_rows(cfg):
     if len(ordering) < 2:
         return rows  # no flow legs to differentiate along
 
-    flow = flow_from_ordering(ordering, kernel.measure)
+    flow = flow_from_ordering(ordering)
     system = system_along_flow(kernel, flow)
     h = system.basis()
     rows.append(_integral_identity_row(system, flow, h, tol["dirichlet_quadrature"]))
@@ -340,8 +340,7 @@ def _continuous_rows(cfg):
 
 
 def _member_values(arr, lefts, member):
-    idx = [i for i, c in enumerate(lefts.sets) if c.mask and c.issubset(member)]
-    return arr[:, idx].sum(axis=1)
+    return arr[:, decompose_over_lefts(lefts, member)].sum(axis=1)
 
 
 def ks_statistic(values, cdf):
@@ -373,7 +372,7 @@ def run_gencheck(cfg, eps_list, tolerance: float | None,
     orders, counted, _ = _orderings(cfg)
     if not 0 <= ordering_index < len(orders):
         raise ConfigError(f"ordering index {ordering_index} out of range (have {counted})")
-    flow = flow_from_ordering(orders[ordering_index], kernel.measure)
+    flow = flow_from_ordering(orders[ordering_index])
     system = system_along_flow(kernel, flow)
     if tolerance is None:
         tolerance = tol["quadrature" if kernel.finite_state else "dirichlet_quadrature"]

@@ -26,7 +26,7 @@ from .construction import (
     sample_increments,
 )
 from .errors import ConfigError, UnsupportedKernelError
-from .kernels import chain_law, chain_rows, rows_tv, shared_columns
+from .kernels import chain_law, chains_tv, shared_columns
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -364,7 +364,7 @@ def flow_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow
     """Two flows passing through the same pair of sets must transport a state
     identically: TV distance between the two knot-chain compositions,
     maximized over the probe states (internal states).  Finite-state
-    kernels; each chain is built once for all states (``kernels.chain_rows``)."""
+    kernels; the chains compare as in ``ck_defect`` (``kernels.chains_tv``)."""
     i1, j1 = span1
     i2, j2 = span2
     if flow1.stages[i1].mask != flow2.stages[i2].mask or \
@@ -372,6 +372,4 @@ def flow_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: DiscreteFlow
         raise ConfigError("flow spans do not share endpoint sets")
     if not kernel.finite_state:
         raise UnsupportedKernelError("flow matching check needs a finite-state kernel")
-    gaps = rows_tv(chain_rows(kernel, flow1.stages[i1: j1 + 1], states),
-                   chain_rows(kernel, flow2.stages[i2: j2 + 1], states))
-    return float(gaps.max(initial=0.0))
+    return chains_tv(kernel, flow1.stages[i1: j1 + 1], flow2.stages[i2: j2 + 1], states)

@@ -214,7 +214,7 @@ def test_criterion_4_markov_properties():
             if a_list:
                 worst = max(worst,
                             increment_vector_independence_defect(spec, B, a_list).defect)
-            flow = flow_from_ordering(ordering, F)
+            flow = flow_from_ordering(ordering)
             worst = max(worst, flow_markov_defect(spec, flow).defect)
     g, lat = three_set_lattice()
     F = CellMeasure.uniform_probability(g)
@@ -224,7 +224,7 @@ def test_criterion_4_markov_properties():
     B = mix.ordering.prefix_set(1)
     part = [cells(g, 0), cells(g, 1)]
     mix_defect = max(set_markov_defect(mix, lat.members[2], B, part).defect,
-                     flow_markov_defect(mix, flow_from_ordering(mix.ordering, F)).defect)
+                     flow_markov_defect(mix, flow_from_ordering(mix.ordering)).defect)
     ok = worst < 1e-10 and mix_defect > 0.01
     report(4, ok, f"built-in defects {worst:.2e} < 1e-10, mixture {mix_defect:.3f} > 0.01")
 

@@ -601,9 +601,9 @@ def test_generator_matching_reads_every_probe_state(tmp_path):
     path = write_config(tmp_path, payload)
     cfg = load_config(path)
     kernel = cfg.spec.kernel
-    flow = flow_from_ordering(cfg.spec.ordering, kernel.measure)
+    flow = flow_from_ordering(cfg.spec.ordering)
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
-                          (flow.stages[0], flow.stages[-1]), flow.trace_measure)
+                          (flow.stages[0], flow.stages[-1]))
     spans = ((0, 1), (0, len(flow.stages) - 1))
     assert len(system_along_flow(kernel, flow).probe_states) == 27
     got = generator_matching_defect(kernel, coarse, spans[0], flow, spans[1])

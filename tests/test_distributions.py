@@ -10,6 +10,7 @@ from setmarkov.distributions import (
     NormalLaw,
     PointMass,
     TwoStage,
+    binomial_coefficients,
     binomial_pmf,
     compound_poisson_dict,
     pmf_ppf,
@@ -23,6 +24,16 @@ def test_binomial_pmf_exact():
     assert pmf.as_dict()[0] == pytest.approx(4 / 9, abs=1e-15)
     assert pmf.as_dict()[1] == pytest.approx(4 / 9, abs=1e-15)
     assert pmf.as_dict()[2] == pytest.approx(1 / 9, abs=1e-15)
+
+
+def test_binomial_coefficients_are_the_float_of_math_comb():
+    # every row up to 300 trials, and sampled rows and ranges at 1000
+    for n in range(301):
+        assert binomial_coefficients(n, range(n + 1)) == [float(math.comb(n, j))
+                                                         for j in range(n + 1)]
+    for n, counts in [(1000, range(1001)), (999, range(400, 600)), (1000, range(1000, 1001)),
+                      (997, range(0, 1)), (1000, range(480, 521))]:
+        assert binomial_coefficients(n, counts) == [float(math.comb(n, j)) for j in counts]
 
 
 def test_finite_pmf_validation():

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -261,32 +264,38 @@ class TestEmbedChain:
 
 class TestFlows:
     def test_flow_trace_values(self, orderings3, uniform2):
-        flow = flow_from_ordering(orderings3[0], uniform2)
+        flow = flow_from_ordering(orderings3[0])
         assert [s.cells() for s in flow.stages] == [[0], [0, 1], [0, 1, 2]]
-        assert flow.trace_values == pytest.approx((0.25, 0.5, 0.75))
+        trace = Trace.along_flow(uniform2, flow)
+        assert trace.values.tolist() == pytest.approx([0.25, 0.5, 0.75])
 
     def test_trace_midpoint_interpolation(self, orderings3, uniform2):
-        flow = flow_from_ordering(orderings3[0], uniform2)
-        assert flow.trace(0.5) == pytest.approx(0.375)
+        trace = Trace.along_flow(uniform2, flow_from_ordering(orderings3[0]))
+        assert trace(0.5) == pytest.approx(0.375)
 
     def test_single_member_flow_constant(self, grid2, uniform2):
         lat = close_under_intersection([cells(grid2, 0)])
-        flow = flow_from_ordering(default_ordering(lat), uniform2)
+        flow = flow_from_ordering(default_ordering(lat))
         assert len(flow.stages) == 1
-        assert flow.trace(0.0) == pytest.approx(0.25)
+        assert Trace.along_flow(uniform2, flow)(0.0) == pytest.approx(0.25)
 
     def test_flow_trace_is_the_piecewise_linear_trace(self, orderings3, uniform2):
-        flow = flow_from_ordering(orderings3[0], uniform2)
-        assert isinstance(flow.trace, Trace)
-        assert flow.trace.slope(1.0, "-") == pytest.approx(0.25)
-        assert flow.trace.breakpoints(0.5, 2.0) == [0.5, 1.0, 2.0]
+        flow = flow_from_ordering(orderings3[0])
+        trace = Trace.along_flow(uniform2, flow)
+        assert trace.times.tolist() == list(flow.times)
+        assert trace.slope(1.0, "-") == pytest.approx(0.25)
+        assert trace.breakpoints(0.5, 2.0) == [0.5, 1.0, 2.0]
 
-    def test_stages_monotone_required(self, grid2, uniform2):
+    def test_flow_holds_only_times_and_stages(self, orderings3):
+        # a kernel reads a flow through the trace of its own measure
+        assert [f.name for f in dataclasses.fields(DiscreteFlow)] == ["times", "stages"]
+        assert list(inspect.signature(flow_from_ordering).parameters) == ["ordering"]
+
+    def test_stages_monotone_required(self, grid2):
         with pytest.raises(ConfigError):
-            DiscreteFlow((0.0, 1.0), (cells(grid2, 0, 1), cells(grid2, 0)), uniform2)
+            DiscreteFlow((0.0, 1.0), (cells(grid2, 0, 1), cells(grid2, 0)))
 
     def test_trace_nondecreasing(self, lattice6, uniform4):
         for o in enumerate_consistent_orderings(lattice6)[:6]:
-            flow = flow_from_ordering(o, uniform4)
-            vals = flow.trace_values
+            vals = Trace.along_flow(uniform4, flow_from_ordering(o)).values.tolist()
             assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))

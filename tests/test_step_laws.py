@@ -26,15 +26,12 @@ from setmarkov import (
     compose_kernels,
     enumerate_consistent_orderings,
 )
-from setmarkov import generators
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
 from setmarkov.distributions import compound_poisson_dict, poisson_pmf, poisson_tail_count
 from setmarkov.generators import (
     JumpFlowSemigroup,
-    generator_matching_defect,
-    integral_identity_residual,
     permutation_identity_check,
     system_along_flow,
 )
@@ -179,8 +176,7 @@ def _jump_systems():
     yield JumpFlowSemigroup(unit, poisson_pmf, start_mass_cap=3)
     for name in ("poisson_lattice4", "compound_lattice3", "compound_staircase"):
         spec = load_config(str(CONFIGS / f"{name}.json")).spec
-        yield system_along_flow(spec.kernel, flow_from_ordering(spec.ordering,
-                                                                spec.kernel.measure))
+        yield system_along_flow(spec.kernel, flow_from_ordering(spec.ordering))
 
 
 def test_scattered_jump_matrices_equal_the_per_atom_fill():
@@ -199,51 +195,6 @@ def test_scattered_jump_matrices_equal_the_per_atom_fill():
         # 1 minus a float sum: within a few units of 1.0's last place
         assert system.tail_cut == pytest.approx(max(cuts), abs=5e-16)
         assert 0.0 < system.tail_cut <= PMF_TAIL
-
-
-@pytest.mark.parametrize("name", ["empirical10_staircase", "poisson_lattice4",
-                                  "compound_lattice3"])
-def test_knot_matrices_are_built_once(monkeypatch, name):
-    # the generator integrals compose through the same knot-to-knot legs at
-    # every Gauss node; each such leg is built once per semigroup, no other
-    # leg is asked for twice, and every defect and tail cut reads as when
-    # each call builds its matrix afresh
-    spec = load_config(str(CONFIGS / f"{name}.json")).spec
-    kernel = spec.kernel
-    flow = flow_from_ordering(spec.ordering, kernel.measure)
-    coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
-                          (flow.stages[0], flow.stages[-1]), flow.trace_measure)
-    built = []
-
-    def counted(real):
-        def transition(self, s, t):
-            built.append((id(self), s, t))
-            return real(self, s, t)
-        return transition
-
-    for cls in (generators.EmpiricalFlowSemigroup, JumpFlowSemigroup):
-        monkeypatch.setattr(cls, "_transition", counted(cls._transition))
-
-    def run():
-        system = system_along_flow(kernel, flow)
-        h = system.basis()
-        return (generator_matching_defect(kernel, coarse, (0, 1), flow,
-                                          (0, len(flow.stages) - 1)),
-                integral_identity_residual(system, 0.0, float(flow.times[-1]), h),
-                system.tail_cut, system)
-
-    *memoised, system = run()
-    assert len(built) == len(set(built))
-    M = system.matrix(0.0, 1.0)
-    assert system.matrix(0.0, 1.0) is M and not M.flags.writeable
-    assert system.matrix(0.5, 1.0).flags.writeable  # not a knot-to-knot leg
-    reused = len(built)
-    monkeypatch.setattr(generators.MatrixSemigroup, "matrix",
-                        lambda self, s, t: self._transition(s, t))
-    built.clear()
-    *afresh, _ = run()
-    assert len(built) > reused
-    assert memoised == afresh
 
 
 @pytest.mark.parametrize("name", ["empirical", "corrupted", "poisson", "compound_integer",
@@ -276,9 +227,9 @@ def test_corrupted_kernel_keeps_its_defect(grid2):
 def test_chain_rows_and_flow_matching_match_the_dict_chain(lattice3, grid2, name):
     spec = _specs(lattice3, grid2)[name]
     kernel = spec.kernel
-    flow = flow_from_ordering(spec.ordering, kernel.measure)
+    flow = flow_from_ordering(spec.ordering)
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
-                          (flow.stages[0], flow.stages[-1]), flow.trace_measure)
+                          (flow.stages[0], flow.stages[-1]))
     states = [kernel.to_state(x) for x in kernel.probe_states()]
     support, rows = chain_rows(kernel, flow.stages, states)
     assert rows.shape == (len(states), len(support))

@@ -609,57 +609,55 @@ class TestFlowMarkov:
         lat = close_under_intersection([
             cells(grid2, 0), cells(grid2, 0, 1), cells(grid2, 0, 1, 2)])
         spec = FddSpec(lat, EmpiricalKernel(2, uniform2))
-        flow = flow_from_ordering(spec.ordering, uniform2)
+        flow = flow_from_ordering(spec.ordering)
         assert flow_markov_defect(spec, flow).defect < 1e-12
 
-    def test_single_knot_flow(self, empirical_spec3, grid2, uniform2):
-        flow = DiscreteFlow((0.0,), (cells(grid2, 0),), uniform2)
+    def test_single_knot_flow(self, empirical_spec3, grid2):
+        flow = DiscreteFlow((0.0,), (cells(grid2, 0),))
         assert flow_markov_defect(empirical_spec3, flow).defect == 0.0
 
-    def test_mixture_fails(self, mixture3, uniform2):
-        flow = flow_from_ordering(mixture3.ordering, uniform2)
+    def test_mixture_fails(self, mixture3):
+        flow = flow_from_ordering(mixture3.ordering)
         assert flow_markov_defect(mixture3, flow).defect > 0.01
 
-    def test_stage_not_a_union_of_members_rejected(self, empirical_spec3, grid2, uniform2):
+    def test_stage_not_a_union_of_members_rejected(self, empirical_spec3, grid2):
         # {1, 2} is a union of left neighbourhoods, but no member lies inside it
-        flow = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)), uniform2)
+        flow = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)))
         assert flow_markov_defect(empirical_spec3, flow).defect < 1e-12
-        flow = DiscreteFlow((0.0, 1.0), (cells(grid2, 1, 2), cells(grid2, 0, 1, 2)), uniform2)
+        flow = DiscreteFlow((0.0, 1.0), (cells(grid2, 1, 2), cells(grid2, 0, 1, 2)))
         with pytest.raises(ChainEmbeddingError):
             flow_markov_defect(empirical_spec3, flow)
 
     def test_staircase_flows(self, lattice6, uniform4):
         spec = FddSpec(lattice6, EmpiricalKernel(2, uniform4))
         for o in enumerate_consistent_orderings(lattice6)[:4]:
-            flow = flow_from_ordering(o, uniform4)
+            flow = flow_from_ordering(o)
             assert flow_markov_defect(spec, flow).defect < 1e-10
 
 
 class TestFlowMatching:
     def test_single_leg_flows_match_trivially(self, grid2, uniform2, lattice3):
         k = EmpiricalKernel(2, uniform2)
-        f = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)), uniform2)
+        f = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)))
         assert flow_matching_defect(k, f, (0, 1), f, (0, 1), [0, 1, 2]) == 0.0
 
     def test_two_refinement_chains(self, lattice3, uniform2, orderings3):
         k = EmpiricalKernel(2, uniform2)
-        f1 = flow_from_ordering(orderings3[0], uniform2)
-        f2 = flow_from_ordering(orderings3[1], uniform2)
+        f1 = flow_from_ordering(orderings3[0])
+        f2 = flow_from_ordering(orderings3[1])
         assert flow_matching_defect(k, f1, (0, 2), f2, (0, 2), [0, 1, 2]) < 1e-12
 
     def test_corrupted_kernel_fails_against_refinement(self, lattice3, uniform2,
                                                        orderings3, grid2):
         k = EmpiricalKernel(2, uniform2, corrupted=True)
-        coarse = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)),
-                              uniform2)
-        fine = flow_from_ordering(orderings3[0], uniform2)
+        coarse = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1, 2)))
+        fine = flow_from_ordering(orderings3[0])
         d = flow_matching_defect(k, coarse, (0, 1), fine, (0, 2), [0, 1, 2])
         assert d > 0.01
 
     def test_mismatched_endpoints_rejected(self, lattice3, uniform2, orderings3, grid2):
         k = EmpiricalKernel(2, uniform2)
-        f1 = flow_from_ordering(orderings3[0], uniform2)
-        coarse = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1)),
-                              uniform2)
+        f1 = flow_from_ordering(orderings3[0])
+        coarse = DiscreteFlow((0.0, 1.0), (cells(grid2, 0), cells(grid2, 0, 1)))
         with pytest.raises(ConfigError):
             flow_matching_defect(k, coarse, (0, 1), f1, (0, 2), [0])
