@@ -334,14 +334,17 @@ def generator_integral(system, s: float, t: float, h, knot_compose: bool = False
     """integral_s^t G_v (T_{vt} h) dv as probe values, by composite Gauss
     quadrature split at the trace knots.  ``knot_compose`` makes the inner
     transition operator compose through the knots, which matters only for
-    families that break the composition law."""
+    families that break the composition law.  Composed from a node v of the
+    segment (a, b), it is T_{vb} applied to T_{bt} h through the knots, so
+    every node of the segment reads one T_{bt} h."""
     pts = system.trace.breakpoints(s, t)
     acc = np.zeros_like(system.values(h))
     for a, b in zip(pts, pts[1:]):
         xs, ws = gauss_segment(a, b, GAUSS_NODES)
+        end, rest = ((b, apply_through_knots(system, b, t, h)) if knot_compose and b < t
+                     else (t, h))
         for v, w in zip(xs, ws):
-            inner = (apply_through_knots(system, v, t, h) if knot_compose
-                     else system.apply(v, t, h))
+            inner = system.apply(v, end, rest)
             acc = acc + w * system.values(system.apply_generator(v, inner))
     return acc
 
