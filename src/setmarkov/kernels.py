@@ -20,6 +20,8 @@ violates the composition law and is used to show the checks have power.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
@@ -491,14 +493,51 @@ def kernel_eval(kernel: TransitionKernel, B: IndexedSet, B2: IndexedSet, x):
     return kernel.law(B, B2, x)
 
 
+# the fewest values a piece of a split column holds: on a 2-CPU x86-64 VM,
+# 8,192 values of ``special.ndtri``, the cheapest function split, took about
+# as long in two pieces as in one call (0.95-1.04x), and 4,096 values took
+# longer (0.82-0.93x); ``special.betainc`` gained from two pieces of 2,048
+MIN_PIECE = 4096
+POOL_THREAD_PREFIX = "setmarkov-columns"
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
 class _Columns(dict):
     """Read-only columns by key; ``key_of`` maps the id of each column held
     back to its key.  The memo keeps every column it holds alive, so an id
-    it finds there is never that of an array it does not own."""
+    it finds there is never that of an array it does not own.  ``threads``
+    is the pool's size, read when ``pieces`` is first asked, and ``pool()``
+    the scope's thread pool, made on first use."""
 
     def __init__(self):
         super().__init__()
         self.key_of: dict[int, tuple] = {}
+        self.threads: int | None = None
+        self._pool: ThreadPoolExecutor | None = None
+
+    def pool(self) -> ThreadPoolExecutor:
+        if self._pool is None:
+            self._pool = ThreadPoolExecutor(self.threads,
+                                            thread_name_prefix=POOL_THREAD_PREFIX)
+        return self._pool
+
+    def pieces(self, n: int) -> int:
+        """How many pieces ``in_pieces`` cuts n values into: one per usable
+        CPU at most, each of at least ``MIN_PIECE`` values."""
+        if self.threads is None:
+            self.threads = _usable_cpus() - 1
+        return max(1, min(self.threads + 1, n // MIN_PIECE))
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 _COLUMN_MEMO: ContextVar[_Columns | None] = ContextVar("column_memo", default=None)
@@ -510,17 +549,43 @@ def shared_columns():
     once and then shares it, read only: the clipped uniform column of each
     stream, keyed by (seed, stream key, start, count), and each quantile
     column derived from one, keyed by its parameters and that stream's key.
-    Orderings sampled from the same streams meet the same columns again.  A
-    nested block reuses the memo already open; the outermost block drops it
-    on exit, raising or not.  Outside any block nothing is memoised."""
+    Orderings sampled from the same streams meet the same columns again.
+
+    The block also owns a pool of one thread fewer than the CPUs the
+    process may use, made when ``in_pieces`` first splits a column, so each
+    quantile column and each cdf column ``in_pieces`` takes is computed on
+    every usable CPU.  The functions split are elementwise: a column holds
+    the same bits whatever the CPU count.
+
+    A nested block reuses the memo and pool already open; the outermost
+    block drops the memo and joins the pool's threads on exit, raising or
+    not.  Outside any block nothing is memoised or split."""
     if _COLUMN_MEMO.get() is not None:
         yield
         return
-    token = _COLUMN_MEMO.set(_Columns())
+    memo = _Columns()
+    token = _COLUMN_MEMO.set(memo)
     try:
         yield
     finally:
         _COLUMN_MEMO.reset(token)
+        memo.close()
+
+
+def in_pieces(f, x: np.ndarray) -> np.ndarray:
+    """``f(x)`` for a function f elementwise on the 1-d array x.  Inside
+    ``shared_columns`` x is cut into contiguous pieces (``_Columns.pieces``):
+    the calling thread computes the first and the scope's pool the others,
+    and the results are joined into one array, which holds the bits of
+    ``f(x)``.  Outside a block, ``f(x)`` itself."""
+    memo = _COLUMN_MEMO.get()
+    pieces = 1 if memo is None else memo.pieces(len(x))
+    if pieces == 1:
+        return f(x)
+    cuts = [len(x) * i // pieces for i in range(pieces + 1)]
+    rest = [memo.pool().submit(f, x[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
+    first = f(x[:cuts[1]])
+    return np.concatenate([first, *(piece.result() for piece in rest)])
 
 
 def shared_column(key: tuple, compute) -> np.ndarray:
@@ -537,19 +602,19 @@ def shared_column(key: tuple, compute) -> np.ndarray:
     return col
 
 
-def _quantile_column(law: tuple, u: np.ndarray, compute) -> np.ndarray:
-    """``compute()``, the quantiles of ``law`` at the uniforms u: shared
-    under (*law, key of u) when u is a column of the open memo, and computed
-    afresh otherwise."""
+def _quantile_column(law: tuple, u: np.ndarray, ppf) -> np.ndarray:
+    """``ppf(u)``, the quantiles of ``law`` at the uniforms u, elementwise:
+    shared under (*law, key of u) when u is a column of the open memo and
+    computed ``in_pieces``, and computed afresh otherwise."""
     memo = _COLUMN_MEMO.get()
     stream = None if memo is None else memo.key_of.get(id(u))
     if stream is None:
-        return compute()
-    return shared_column((*law, stream), compute)
+        return ppf(u)
+    return shared_column((*law, stream), lambda: in_pieces(ppf, u))
 
 
 def _normal_ppf(u: np.ndarray) -> np.ndarray:
-    return _quantile_column(("normal",), u, lambda: special.ndtri(u))
+    return _quantile_column(("normal",), u, special.ndtri)
 
 
 def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -557,7 +622,7 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
         return np.zeros_like(u)
     if b == 0:
         return np.ones_like(u)
-    return _quantile_column(("beta", a, b), u, lambda: special.betaincinv(a, b, u))
+    return _quantile_column(("beta", a, b), u, lambda v: special.betaincinv(a, b, v))
 
 
 def _dense(pmfs) -> tuple[tuple, np.ndarray]:

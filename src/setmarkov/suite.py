@@ -31,7 +31,7 @@ from .generators import (
     system_along_flow,
 )
 from .grid import measure_of
-from .kernels import ck_defect, shared_columns
+from .kernels import ck_defect, in_pieces, shared_columns
 from .lattice import (
     DiscreteFlow,
     enumerate_consistent_orderings,
@@ -346,9 +346,10 @@ def _member_values(arr, lefts, member):
 def ks_statistic(values, cdf):
     """Two-sided Kolmogorov-Smirnov distance of a sample from ``cdf``: the
     larger of D+ and D- over the sorted values.  It is the statistic of
-    ``scipy.stats.kstest``, bit for bit, without the p-value."""
+    ``scipy.stats.kstest``, bit for bit, without the p-value.  ``cdf`` is
+    elementwise, so inside ``kernels.shared_columns`` it runs ``in_pieces``."""
     x = np.sort(values)
-    c = cdf(x)
+    c = in_pieces(cdf, x)
     n = x.size
     d_plus = np.max(np.arange(1.0, n + 1) / n - c)
     d_minus = np.max(c - np.arange(0.0, n) / n)

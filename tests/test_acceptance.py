@@ -43,7 +43,7 @@ from setmarkov.generators import (
     permutation_identity_check,
 )
 from setmarkov.grid import measure_of
-from setmarkov.kernels import ck_defect
+from setmarkov.kernels import ck_defect, shared_columns
 from setmarkov.lattice import left_neighbourhoods
 from setmarkov.verify import (
     aligned_increment_samples,
@@ -175,8 +175,11 @@ def test_criterion_3_ordering_invariance():
                                                  "dirichlet")),
                      GaussianIncrementKernel(CellMeasure.counting(g))):
             cspec = FddSpec(lat, kern)
-            aligned = [aligned_increment_samples(cspec, o, SEED, MC_COUNT)
-                       for o in orders]
+            # one column scope, as the ordering check opens: the orderings
+            # share each uniform stream and quantile column, bit for bit
+            with shared_columns():
+                aligned = [aligned_increment_samples(cspec, o, SEED, MC_COUNT)
+                           for o in orders]
             medians, quartiles = mc_probe_thresholds(aligned[0])
             probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
             for i in range(len(orders)):

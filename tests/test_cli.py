@@ -88,6 +88,35 @@ def test_cli_jobs_never_import_scipy_stats_or_integrate(tmp_path):
         ["import setmarkov", 0, []], ["sample", 0, []], ["validate", 0, []], ["fdd", 0, []]]
 
 
+# Run in a child interpreter pinned to one CPU of its own: no column pool,
+# every column in one piece.  Prints the CPU count and each job's exit code.
+_ONE_CPU = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from setmarkov import kernels
+from setmarkov.cli import main
+print(json.dumps([kernels._usable_cpus(), [main(argv) for argv in json.loads(sys.argv[1])]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_validate_reports_do_not_depend_on_the_cpu_count(tmp_path):
+    def jobs(tag):
+        return [["validate", "--config", str(CONFIGS / f"{kind}_staircase.json"),
+                 "--seed", str(seed), "--out", str(tmp_path / f"{kind}-{seed}-{tag}.json")]
+                for kind in ("dirichlet", "gaussian") for seed in (0, 10)]
+
+    out = subprocess.run([sys.executable, "-c", _ONE_CPU, json.dumps(jobs("one"))],
+                         env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    cpus, codes = json.loads(out.stdout.splitlines()[-1])
+    assert cpus == 1
+    # the dirichlet validate at seed 10 exits 1 on a recorded false alarm
+    assert codes == [main(argv) for argv in jobs("default")] == [0, 1, 0, 0]
+    for one, default in zip(jobs("one"), jobs("default")):
+        assert Path(one[-1]).read_bytes() == Path(default[-1]).read_bytes()
+
+
 def test_validate_passes_on_builtin(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "report.json"

@@ -406,6 +406,67 @@ def test_ks_statistic_is_the_stats_kstest_statistic_bit_for_bit(seed):
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _read_only_column(n):
+    """n clipped uniforms of one stream, read only, as the column memo holds them."""
+    u = _stream(11, 3, 0, n)
+    u.flags.writeable = False
+    return u
+
+
+class TestInPieces:
+    """``kernels.in_pieces`` gives the bits of the single call whatever the
+    number of pieces, since every function it splits is elementwise.  The
+    piece count is forced through the CPU-count lookup."""
+
+    FUNCTIONS = {
+        "betaincinv": lambda v: special.betaincinv(0.5, 2.5, v),
+        "ndtri": lambda v: special.ndtri(v),
+        "beta_segment_cdf": BetaSegment(1.5, 3.5, lo=0.25).cdf,
+    }
+    MIN = kernels.MIN_PIECE
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [0, 1, MIN - 1, MIN, 2 * MIN + 1, 20000])
+    @pytest.mark.parametrize("name", sorted(FUNCTIONS))
+    def test_bits_of_the_single_call(self, monkeypatch, name, n, cpus):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        f = self.FUNCTIONS[name]
+        x = _read_only_column(n)
+        sizes = []
+
+        def counted(v):
+            sizes.append(len(v))
+            return f(v)
+
+        with kernels.shared_columns():
+            got = kernels.in_pieces(counted, x)
+        want = f(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert sum(sizes) == n and len(sizes) == max(1, min(cpus, n // self.MIN))
+        assert len(sizes) == 1 or min(sizes) >= self.MIN
+
+    def test_outside_a_scope_the_single_call(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 4)
+        calls = []
+
+        def f(v):
+            calls.append(special.ndtri(v))
+            return calls[-1]
+
+        assert kernels.in_pieces(f, _read_only_column(20000)) is calls[0]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_ks_statistic_in_pieces(self, monkeypatch, cpus):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        vals = special.betaincinv(1.5, 3.5, _read_only_column(20000))
+        cdf = BetaSegment(1.5, 3.5).cdf
+        want = suite.ks_statistic(vals, cdf)
+        with kernels.shared_columns():
+            got = suite.ks_statistic(vals, cdf)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 class TestEmpiricalKernel:
     def test_binomial_step(self, grid2, uniform2, sets2):
         k = EmpiricalKernel(2, uniform2)

@@ -22,7 +22,7 @@ from setmarkov import (
     enumerate_consistent_orderings,
     flow_from_ordering,
 )
-from setmarkov import construction, kernels, suite, verify
+from setmarkov import cli, construction, kernels, suite, verify
 from setmarkov.config import load_config
 from setmarkov.construction import sample_increments
 from setmarkov.errors import (
@@ -460,20 +460,33 @@ class TestColumnScope:
         monkeypatch.setattr(owner, name, counted)
         return calls
 
-    @pytest.mark.parametrize("stem, quantile, columns", [
+    COLUMNS = pytest.mark.parametrize("stem, quantile, columns", [
         ("gaussian_staircase", "ndtri", 6),
         ("dirichlet_staircase", "betaincinv", 18),
     ])
+
+    @COLUMNS
     def test_validate_draws_each_column_once(self, monkeypatch, stem, quantile, columns):
+        self.check_columns(monkeypatch, stem, quantile, columns, cpus=1)
+
+    @COLUMNS
+    def test_validate_splits_each_column_over_the_cpus(self, monkeypatch, stem, quantile,
+                                                       columns):
+        self.check_columns(monkeypatch, stem, quantile, columns, cpus=4)
+
+    def check_columns(self, monkeypatch, stem, quantile, columns, cpus):
         cfg = load_config(str(CONFIGS / f"{stem}.json"))
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         streams = self.count(monkeypatch, construction, "step_uniforms")
         quantiles = self.count(monkeypatch, special, quantile)
         rows = suite.run_validation_suite(cfg)
         assert {r["name"] for r in rows} >= {"ordering_invariance", "marginal_law"}
         assert len(streams) == len(set(streams)) == 6
-        # a column holds one quantile per sample; the dirichlet CK rows also
-        # take betaincinv at 9 deciles per probe state, which is no column
-        assert sum(q[-1] == (cfg.mc_samples,) for q in quantiles) == columns
+        # a column holds one quantile per sample, computed in one piece per
+        # usable CPU; the dirichlet CK rows also take betaincinv at 9 deciles
+        # per probe state, which is no column
+        piece = (cfg.mc_samples // cpus,)
+        assert sum(q[-1] == piece for q in quantiles) == columns * cpus
         assert kernels._COLUMN_MEMO.get() is None
 
     def test_memo_dropped_when_validate_raises(self, monkeypatch):
@@ -527,6 +540,94 @@ class TestColumnScope:
             assert kernels._COLUMN_MEMO.get() == {}
         assert len(quantiles) == 2 and first.flags.writeable
         assert first.tobytes() == second.tobytes()
+
+
+class TestColumnPool:
+    """The outermost ``kernels.shared_columns`` scope owns the thread pool
+    that ``kernels.in_pieces`` splits columns over; no other path makes one."""
+
+    @staticmethod
+    def pool_threads():
+        return [t for t in threading.enumerate()
+                if t.name.startswith(kernels.POOL_THREAD_PREFIX)]
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Four usable CPUs, and every pool the column scopes make."""
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 4)
+        made = []
+
+        class Counted(kernels.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(kernels, "ThreadPoolExecutor", Counted)
+        return made
+
+    COLUMN = np.linspace(0.01, 0.99, 4 * kernels.MIN_PIECE)
+
+    @staticmethod
+    def dirichlet_orderings():
+        spec = load_config(str(CONFIGS / "dirichlet_staircase.json")).spec
+        return spec, enumerate_consistent_orderings(spec.lattice)[:2]
+
+    def test_threads_joined_when_the_scope_returns(self, pools):
+        with kernels.shared_columns():
+            got = kernels.in_pieces(special.ndtri, self.COLUMN)
+            assert len(pools) == 1 and self.pool_threads()
+        assert self.pool_threads() == []
+        assert got.tobytes() == special.ndtri(self.COLUMN).tobytes()
+
+    def test_threads_joined_when_the_scope_raises(self, pools):
+        with pytest.raises(RuntimeError, match="inside the scope"):
+            with kernels.shared_columns():
+                kernels.in_pieces(special.ndtri, self.COLUMN)
+                raise RuntimeError("inside the scope")
+        assert len(pools) == 1 and self.pool_threads() == []
+
+    def test_threads_joined_when_a_pool_piece_raises(self, pools):
+        def fails_past_the_first_piece(v):
+            if v[0] > self.COLUMN[0]:
+                raise RuntimeError("piece failed")
+            return special.ndtri(v)
+
+        with pytest.raises(RuntimeError, match="piece failed"):
+            with kernels.shared_columns():
+                kernels.in_pieces(fails_past_the_first_piece, self.COLUMN)
+        assert len(pools) == 1 and self.pool_threads() == []
+        assert kernels._COLUMN_MEMO.get() is None
+
+    def test_nested_scope_reuses_the_outer_pool(self, pools):
+        with kernels.shared_columns():
+            kernels.in_pieces(special.ndtri, self.COLUMN)
+            with kernels.shared_columns():
+                kernels.in_pieces(special.ndtri, self.COLUMN)
+            assert len(pools) == 1 and self.pool_threads()
+            ordering_invariance_defect(*self.dirichlet_orderings(), mc=(0, 20000))
+            assert len(pools) == 1
+        assert self.pool_threads() == []
+
+    def test_no_pool_until_a_column_is_split(self, pools):
+        with kernels.shared_columns():
+            kernels.in_pieces(special.ndtri, self.COLUMN[:2 * kernels.MIN_PIECE - 1])
+        assert pools == []
+
+    def test_only_the_continuous_validate_makes_a_pool(self, pools, tmp_path):
+        def run(command, stem, *extra):
+            argv = [command, "--config", str(CONFIGS / f"{stem}.json"),
+                    "--out", str(tmp_path / f"{command}-{stem}.out"), *extra]
+            assert cli.main(argv) in (0, 1)
+
+        run("sample", "dirichlet_staircase", "--n", "20000", "--workers", "2")
+        run("sample", "gaussian_staircase", "--n", "20000")
+        run("fdd", "poisson_lattice4")
+        run("gencheck", "dirichlet_staircase")
+        run("gencheck", "gaussian_staircase")
+        run("validate", "corrupted_lattice3")
+        assert pools == []
+        run("validate", "gaussian_staircase")
+        assert len(pools) == 1 and self.pool_threads() == []
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
