@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .config import load_config, merge_tolerance_overrides
 from .construction import MixtureSpec, decompose_over_lefts, exact_fdd, sample_increments
-from .errors import ConfigError, SetMarkovError, UnsupportedKernelError
+from .errors import ConfigError, SetMarkovError
 from .floatfmt import WIDTH, format_floats
 from .suite import FD_EPS, run_gencheck, run_validation_suite
 
@@ -200,11 +200,7 @@ def cmd_fdd(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
     spec = cfg.spec
-    try:
-        law = exact_fdd(spec).sorted()
-    except UnsupportedKernelError as e:
-        print(f"unsupported: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    law = exact_fdd(spec).sorted()
     kernel = spec.kernel
 
     def lines():

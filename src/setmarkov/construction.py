@@ -14,7 +14,8 @@ uniform per (sample, step) through ``initial_ppf`` and ``increment_ppf``.
 A ``JointLaw`` is a key matrix (one row per outcome, one column per variable,
 internal states) and a probability vector.  Its operations group rows by one
 int64 code per row, built in mixed radix from per-column value ranks
-(``group_rows``), and sum probabilities with ``bincount``.
+(``group_rows``), and sum probabilities with ``bincount``.  A table past
+the module constant ``TABLE_CAP`` raises ``TableSizeError`` unbuilt.
 """
 
 from __future__ import annotations
@@ -243,14 +244,14 @@ class JointLaw:
         return {k[0]: v for k, v in self.table.items()}
 
 
-def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
+def exact_fdd(spec) -> JointLaw:
     """Exact joint pmf of the increments over the ordering's left
     neighbourhoods; finite-state kernels only: ``chain_table`` from the
     initial pmf through the ordering's prefix unions.  A table of more than
-    ``cap`` entries raises ``TableSizeError`` before it is built.
+    ``TABLE_CAP`` entries raises ``TableSizeError`` before it is built.
     """
     if isinstance(spec, MixtureSpec):
-        parts = [exact_fdd(c, cap) for c in spec.components]
+        parts = [exact_fdd(c) for c in spec.components]
         keys = np.concatenate([part.keys.T for part in parts], axis=1).T
         probs = np.concatenate([w * part.probs for w, part in zip(spec.weights, parts)])
         ids, first = group_rows(keys)
@@ -263,12 +264,12 @@ def exact_fdd(spec, cap: int = TABLE_CAP) -> JointLaw:
         )
     ordering = spec.ordering
     stages = [ordering.prefix_set(i) for i in range(len(ordering))]
-    columns, probs = chain_table(kernel, stages, spec.initial_pmf(), cap)
+    columns, probs = chain_table(kernel, stages, spec.initial_pmf())
     labels = tuple(f"C{i}" for i in range(len(ordering)))
     return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs)
 
 
-def chain_table(kernel, stages, start: dict, cap: int = TABLE_CAP):
+def chain_table(kernel, stages, start: dict):
     """The table of a chain that starts from the pmf ``start`` (internal
     state -> probability) at stages[0] and steps through the kernel's
     increment pmfs from each stage to the next: (columns, probs), one row
@@ -279,7 +280,7 @@ def chain_table(kernel, stages, start: dict, cap: int = TABLE_CAP):
     increment pmf of each distinct sum once, and expands every row by its
     pmf; each probability is the product of the row's and the step's.  The
     size of the next table is known before it is built, and a table of more
-    than ``cap`` entries raises ``TableSizeError`` instead.
+    than ``TABLE_CAP`` entries raises ``TableSizeError`` instead.
     """
     running = np.array(list(start))
     columns = [running]
@@ -290,8 +291,8 @@ def chain_table(kernel, stages, start: dict, cap: int = TABLE_CAP):
         sizes = np.array([len(pmf) for pmf in pmfs])
         counts = sizes[group]
         total = int(counts.sum())
-        if total > cap:
-            raise TableSizeError(f"joint table exceeds {cap} entries")
+        if total > TABLE_CAP:
+            raise TableSizeError(f"joint table exceeds {TABLE_CAP} entries")
         incs = np.array([v for pmf in pmfs for v in pmf])
         steps = np.array([q for pmf in pmfs for q in pmf.values()], dtype=float)
         # row r expands to its group's pmf, in pmf order: position j of that
@@ -418,10 +419,10 @@ def decompose_over_lefts(lefts: LeftNeighbourhoods, target) -> list[int]:
     return idx
 
 
-def joint_over_increments(spec, targets, cap: int = TABLE_CAP) -> JointLaw:
+def joint_over_increments(spec, targets) -> JointLaw:
     """Joint law of the process over arbitrary unions of left neighbourhoods,
     as the pushforward of the exact increment law through block sums."""
-    law = exact_fdd(spec, cap)
+    law = exact_fdd(spec)
     lefts = spec.lefts
     groups = [decompose_over_lefts(lefts, t) for t in targets]
     sets = tuple(IndexedSet(spec.lattice.grid, _union_mask(t)) for t in targets)

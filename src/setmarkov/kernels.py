@@ -86,9 +86,9 @@ class TransitionKernel:
     Finite-state kinds memoise their pmfs on the instance (``_pmfs``; the
     empirical kind keeps no step of more than ``DIRECT_BINOMIAL_TRIALS``
     points left) and return them as read-only mappings shared by every
-    caller: the increment and initial pmfs, the step pmf from each state, and
-    for the jump kinds the pmf of each intensity.  Nothing is cached beyond
-    the instance.
+    caller: the increment and initial pmfs, the step pmf from each state
+    (keyed by ``canonical_value`` for every kind), and for the jump kinds
+    the pmf of each intensity.  Nothing is cached beyond the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -156,9 +156,12 @@ class TransitionKernel:
         raise NotImplementedError
 
     def step_pmf(self, B, B2, state) -> dict:
-        """Law of the value at B2 given the value ``state`` at B."""
+        """Law of the value at B2 given the value ``state`` at B, keyed by
+        ``canonical_value``: equal states reached by different float sums
+        (the compound kind's non-integer jumps) merge."""
         return self._memo(("step", B.mask, B2.mask, state), lambda: {
-            state + j: p for j, p in self.increment_pmf(B, B2, state).items()})
+            canonical_value(state + j): p
+            for j, p in self.increment_pmf(B, B2, state).items()})
 
     def step_rows(self, B, B2, states: tuple) -> tuple[tuple, np.ndarray]:
         """The step pmfs from B to B2 of the internal ``states`` as dense
@@ -174,7 +177,7 @@ class TransitionKernel:
     def initial_pmf_for(self, min_set) -> dict:
         raise UnsupportedKernelError(f"{self.kind} kernel has no finite initial pmf")
 
-    def ck_monte_carlo(self, B, B1, B2, states, seed: int, count: int) -> "CkResult":
+    def ck_monte_carlo(self, B, B1, B2, states, seed: int, count: int) -> "Defect":
         raise UnsupportedKernelError(
             f"{self.kind} kernel has no Monte Carlo composition check")
 
@@ -367,12 +370,6 @@ class CompoundPoissonKernel(TransitionKernel):
                                  self.jump_values, self.jump_probs,
                                  start_mass_cap=_start_cap(self, flow))
 
-    def step_pmf(self, B, B2, state) -> dict:
-        # canonical float keys so composed sums merge with direct ones
-        return self._memo(("step", B.mask, B2.mask, state), lambda: {
-            canonical_value(state + v): p
-            for v, p in self.increment_pmf(B, B2, state).items()})
-
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
             return "point mass at 0"
@@ -479,7 +476,7 @@ class DirichletKernel(TransitionKernel):
             if gaps[i] / ses[i] > worst_sigmas:
                 worst_sigmas = float(gaps[i] / ses[i])
                 worst, worst_se = float(gaps[i]), float(ses[i])
-        return CkResult(worst, worst_se)
+        return Defect(worst, worst_se)
 
     def describe_initial(self, min_set=None) -> str:
         return "beta(alpha(min), alpha(min complement))"
@@ -669,8 +666,6 @@ def _push_rows(kernel, stages, laws: tuple[tuple, np.ndarray]) -> tuple[tuple, n
 def rows_tv(a: tuple[tuple, np.ndarray], b: tuple[tuple, np.ndarray]) -> np.ndarray:
     """Total variation distance between matching rows of two
     (support, rows) laws, over the union of their supports."""
-    if a[0] == b[0]:
-        return 0.5 * np.abs(a[1] - b[1]).sum(axis=1)
     support = sorted(set(a[0]) | set(b[0]))
     col = {z: j for j, z in enumerate(support)}
     gap = np.zeros((len(a[1]), len(support)))
@@ -707,8 +702,9 @@ def compose_kernels(kernel, B, B1, B2, x):
 
 
 @dataclass
-class CkResult:
-    """Chapman-Kolmogorov defect, with Monte Carlo error bars when sampled."""
+class Defect:
+    """A defect (the Chapman-Kolmogorov one of ``ck_defect``, or a Monte
+    Carlo probability gap), with its standard error when sampled."""
 
     defect: float
     se: float | None = None
@@ -720,7 +716,7 @@ class CkResult:
         return self.defect / max(self.se, 1e-300)
 
 
-def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> CkResult:
+def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> Defect:
     """Deviation of the two-step composition from the direct kernel.
 
     Finite-state kinds: exact total-variation distance, maximized over
@@ -732,12 +728,12 @@ def ck_defect(kernel, B, B1, B2, states, mc: tuple[int, int] | None = None) -> C
     if mc is not None:
         return kernel.ck_monte_carlo(B, B1, B2, states, *mc)
     if kernel.finite_state:
-        return CkResult(chains_tv(kernel, (B, B1, B2), (B, B2),
-                                  [kernel.to_state(x) for x in states]))
+        return Defect(chains_tv(kernel, (B, B1, B2), (B, B2),
+                                [kernel.to_state(x) for x in states]))
     worst = 0.0
     for x in states:
         direct = kernel_eval(kernel, B, B2, x)
         composed = compose_kernels(kernel, B, B1, B2, x)
         probes = kernel.cdf_probes(B, B2, x)
         worst = max(worst, float(np.max(np.abs(composed.cdf(probes) - direct.cdf(probes)))))
-    return CkResult(worst)
+    return Defect(worst)

@@ -6,10 +6,13 @@ minimal set.  Orderings that never place a set before one of its subsets,
 the disjoint "left neighbourhood" cells they induce, extremal union
 representations, chain embeddings, monotone flows (knot times and stages)
 and the piecewise-linear trace of a measure along a flow all live here.
+An intersection closure stops past ``CLOSURE_CAP`` members, and no more
+than ``ORDERING_CAP`` orderings are listed (module constants).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -169,11 +172,12 @@ class Semilattice:
         return self
 
 
-def close_under_intersection(generators, cap: int = CLOSURE_CAP) -> Semilattice:
+def close_under_intersection(generators) -> Semilattice:
     """Smallest intersection-closed family containing ``generators``.
 
     Raises EmptyRootError if any intersection in the closure is empty (the
-    family then has no nonempty minimal set).
+    family then has no nonempty minimal set), and TableSizeError once the
+    closure holds more than ``CLOSURE_CAP`` members.
     """
     generators = list(generators)
     if not generators:
@@ -199,8 +203,8 @@ def close_under_intersection(generators, cap: int = CLOSURE_CAP) -> Semilattice:
                 if c not in masks and c not in new:
                     new.add(c)
         masks |= new
-        if len(masks) > cap:
-            raise TableSizeError(f"intersection closure exceeds {cap} members")
+        if len(masks) > CLOSURE_CAP:
+            raise TableSizeError(f"intersection closure exceeds {CLOSURE_CAP} members")
         frontier = new
     ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
     return Semilattice(grid, tuple(IndexedSet(grid, m) for m in ordered))
@@ -259,12 +263,28 @@ def default_ordering(lat: Semilattice) -> ConsistentOrdering:
     return ConsistentOrdering(lat, tuple(range(len(lat.members))))
 
 
-def enumerate_consistent_orderings(lat: Semilattice,
-                                   cap: int = ORDERING_CAP) -> list[ConsistentOrdering]:
+def enumerate_consistent_orderings(lat: Semilattice) -> list[ConsistentOrdering]:
     """All consistent orderings, in lexicographic order of member indices.
 
-    Raises OrderingOverflowError past ``cap`` results (n! growth).
+    Raises OrderingOverflowError past ``ORDERING_CAP`` results (n! growth).
     """
+    return leading_orderings(lat, ORDERING_CAP + 1)[0]
+
+
+def leading_orderings(lat: Semilattice, count: int) -> tuple[list[ConsistentOrdering], int]:
+    """The first ``count`` consistent orderings, in the order above, and
+    how many there are, counted (not built) up to ``ORDERING_CAP + 1``.
+    Raises OrderingOverflowError past ``ORDERING_CAP`` listed orderings."""
+    positions = _consistent_positions(lat)
+    listed = list(itertools.islice(positions, min(count, ORDERING_CAP + 1)))
+    if len(listed) > ORDERING_CAP:
+        raise OrderingOverflowError(f"more than {ORDERING_CAP} consistent orderings")
+    rest = sum(1 for _ in itertools.islice(positions, ORDERING_CAP + 1 - len(listed)))
+    return [ConsistentOrdering(lat, p) for p in listed], len(listed) + rest
+
+
+def _consistent_positions(lat: Semilattice):
+    """The ``positions`` of every consistent ordering, lazily, in order."""
     mem = lat.members
     n = len(mem)
     strict_subs = []
@@ -274,14 +294,11 @@ def enumerate_consistent_orderings(lat: Semilattice,
             if j != i and mem[j].mask & ~mem[i].mask == 0:
                 subs |= 1 << j
         strict_subs.append(subs)
-    out: list[ConsistentOrdering] = []
     slots = [0] * n
 
     def backtrack(depth: int, used: int):
         if depth == n:
-            out.append(ConsistentOrdering(lat, tuple(slots)))
-            if len(out) > cap:
-                raise OrderingOverflowError(f"more than {cap} consistent orderings")
+            yield tuple(slots)
             return
         for i in range(n):
             if (used >> i) & 1:
@@ -289,10 +306,9 @@ def enumerate_consistent_orderings(lat: Semilattice,
             if strict_subs[i] & ~used:
                 continue
             slots[depth] = i
-            backtrack(depth + 1, used | (1 << i))
+            yield from backtrack(depth + 1, used | (1 << i))
 
-    backtrack(0, 0)
-    return out
+    return backtrack(0, 0)
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,7 @@ from .generators import (
 )
 from .grid import measure_of
 from .kernels import ck_defect, in_pieces, shared_columns
-from .lattice import (
-    DiscreteFlow,
-    enumerate_consistent_orderings,
-    flow_from_ordering,
-    left_neighbourhoods,
-)
+from .lattice import ORDERING_CAP, DiscreteFlow, flow_from_ordering, leading_orderings
 from .verify import (
     flow_matching_defect,
     flow_markov_defect,
@@ -66,13 +61,14 @@ def _row(name, instance, defect, tolerance):
 
 def _orderings(cfg):
     """The first ``ordering_cap`` consistent orderings; their count, '16
-    orderings' or '4 of 16 orderings' when the cap cut some; and the
-    instance suffix that reports a cut (empty when nothing was cut)."""
-    orders = enumerate_consistent_orderings(cfg.lattice)
-    if len(orders) <= cfg.ordering_cap:
-        return orders, f"{len(orders)} orderings", ""
-    counted = f"{cfg.ordering_cap} of {len(orders)} orderings"
-    return orders[:cfg.ordering_cap], counted, ", " + counted
+    orderings' or '4 of 16 orderings' (or of 'more than ORDERING_CAP') when
+    the cap cut some; and the instance suffix that reports a cut."""
+    orders, total = leading_orderings(cfg.lattice, cfg.ordering_cap)
+    if total == len(orders):
+        return orders, f"{total} orderings", ""
+    of = total if total <= ORDERING_CAP else f"more than {ORDERING_CAP}"
+    counted = f"{len(orders)} of {of} orderings"
+    return orders, counted, ", " + counted
 
 
 def fd_order(errs) -> tuple[list[float] | None, float]:
@@ -300,27 +296,24 @@ def _continuous_rows(cfg):
 
     # marginal laws
     arr = sample_increments(spec, seed, count)
-    lefts = left_neighbourhoods(ordering)
+    mem = cfg.lattice.members
+    values = [_member_values(arr, spec.lefts, m) for m in mem]
     if kernel.kind == "dirichlet":
         worst = 0.0
-        crit = None
-        for m in cfg.lattice.members:
-            vals = _member_values(arr, lefts, m)
+        for m, vals in zip(mem, values):
             a = measure_of(kernel.measure, m)
             b = kernel.measure.total - a
-            crit = special.kolmogi(0.01) / math.sqrt(count)
             # a member of alpha mass 0 or of all of it has a point-mass
             # marginal, against which a KS distance only measures rounding
             if a > 0 and b > 0:
                 worst = max(worst, ks_statistic(vals, BetaSegment(a, b).cdf))
-        rows.append(_row("marginal_law", "KS vs beta, all members", worst, crit))
+        rows.append(_row("marginal_law", "KS vs beta, all members", worst,
+                         special.kolmogi(0.01) / math.sqrt(count)))
     else:
         worst_sig = 0.0
-        mem = cfg.lattice.members
         for i in range(len(mem)):
             for j in range(i, len(mem)):
-                xi = _member_values(arr, lefts, mem[i])
-                xj = _member_values(arr, lefts, mem[j])
+                xi, xj = values[i], values[j]
                 prod = (xi - xi.mean()) * (xj - xj.mean())
                 se = prod.std(ddof=1) / math.sqrt(count)
                 want = measure_of(kernel.measure, mem[i] & mem[j])

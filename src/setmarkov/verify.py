@@ -4,10 +4,11 @@ Every check reduces a claim about the process to a total-variation defect
 computed exactly (finite-state kernels: from the process's own joint table,
 whose columns sum to the value at any member union, or for ordering
 invariance from the two-step laws of each swap edge) or to a probability
-gap with Monte Carlo error bars (continuous kernels, fixed seeds).  A zero
-defect (up to float rounding) means the claim holds on that instance; the
-deliberately corrupted kernel and the initial-draw mixture process exist to
-show the defects are not vacuously small.
+gap with its Monte Carlo standard error (``kernels.Defect``; continuous
+kernels, fixed seeds).  A zero defect (up to float rounding) means the
+claim holds on that instance; the deliberately corrupted kernel and the
+initial-draw mixture process exist to show the defects are not vacuously
+small.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .construction import (
     sample_increments,
 )
 from .errors import ConfigError, UnsupportedKernelError
-from .kernels import chain_law, chains_tv, shared_columns
+from .kernels import Defect, chain_law, chains_tv, shared_columns
 from .lattice import (
     ConsistentOrdering,
     DiscreteFlow,
@@ -47,28 +48,15 @@ class ConditionalCheck:
     events: int
 
 
-@dataclass
-class McDefect:
-    """Largest probability gap over the probe events, in absolute terms and
-    in units of its Monte Carlo standard error."""
-
-    defect: float
-    se: float
-    sigmas: float
-
-
-def conditional_independence_defect(law, target, history, present,
-                                    min_prob: float = MIN_CONDITION_PROB) -> ConditionalCheck:
+def conditional_independence_defect(law, target, history, present) -> ConditionalCheck:
     """TV distance between law(target | history) and law(target | present),
-    maximized over history outcomes of probability >= min_prob.
+    maximized over history outcomes of probability >= ``MIN_CONDITION_PROB``.
 
     ``target``, ``history`` and ``present`` are lists of column-index groups
     of ``law``; each observes the vector of its group sums.  The present is
     a function of the history, but float sums of one history can differ in
     their last bits, so each history takes the present of its first row.
     """
-    if not min_prob > 0:
-        raise ConfigError("min_prob must be positive: histories are conditioned on")
     p = law.probs
     t, _ = group_rows(law.group_sums(target))
     h, h_first = group_rows(law.group_sums(history))
@@ -79,7 +67,7 @@ def conditional_independence_defect(law, target, history, present,
     pg = np.bincount(g, weights=p)
     ht, ht_mass = _joint_masses(h, t, nt, p)
     gt, gt_mass = _joint_masses(g, t, nt, p)
-    keep = np.flatnonzero(ph >= min_prob)
+    keep = np.flatnonzero(ph >= MIN_CONDITION_PROB)
     skipped = len(ph) - len(keep)
     if not keep.size:
         return ConditionalCheck(0.0, skipped, len(ph))
@@ -157,12 +145,12 @@ def mc_probe_thresholds(aligned: np.ndarray):
     return medians, quartiles
 
 
-def probability_gap(p1: np.ndarray, p2: np.ndarray, count: int) -> McDefect:
+def probability_gap(p1: np.ndarray, p2: np.ndarray, count: int) -> Defect:
     gaps = np.abs(p1 - p2)
     pbar = np.clip((p1 + p2) / 2.0, 0.0, 1.0)
     se = np.sqrt(np.maximum(pbar * (1 - pbar), 1e-12) * (2.0 / count))
     i = int(np.argmax(gaps / se))
-    return McDefect(float(gaps[i]), float(se[i]), float(gaps[i] / se[i]))
+    return Defect(float(gaps[i]), float(se[i]))
 
 
 def swap_edges(orderings) -> list[tuple[ConsistentOrdering, int]]:
@@ -248,7 +236,7 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     which left neighbourhoods make the same variables for every ordering
     (``lattice.ordering_free_left_neighbourhood``).  The probe events take
     their thresholds from the first ordering's samples, and the result is
-    the ``McDefect`` of the pair with the most standard errors.  Every
+    the ``probability_gap`` of the pair with the most standard errors.  Every
     ordering reads one uniform stream per variable
     (``aligned_increment_samples``), so each stream and each distinct
     quantile column is computed once and shared across orderings
@@ -272,7 +260,7 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
     pairs = [(i, j) for i in range(len(orderings)) for j in range(i + 1, len(orderings))]
     return max((probability_gap(probs[i], probs[j], count) for i, j in pairs),
-               key=lambda gap: gap.sigmas, default=McDefect(0.0, 0.0, 0.0))
+               key=lambda gap: gap.sigmas, default=Defect(0.0, 0.0))
 
 
 def _prefix_mask(spec, B) -> int:
@@ -336,8 +324,8 @@ def flow_markov_defect(spec, flow: DiscreteFlow,
     r = s, ..., t - 1 by the one-step law given Y_r moves the law of Y_t
     given Y_0..Y_s by at most d_r, so the defect of any pair s < t is at
     most 2 (d_s + ... + d_{t-1}), up to the conditional mass of histories
-    below ``min_prob``: the largest defect over all pairs is at most 2K
-    times this one, and 0 exactly when this one is.
+    below ``MIN_CONDITION_PROB``: the largest defect over all pairs is at
+    most 2K times this one, and 0 exactly when this one is.
     """
     embed_chain(flow.stages, spec.lattice)
     if law is None:

@@ -73,8 +73,8 @@ from setmarkov.generators import (
     system_along_flow,
 )
 from setmarkov.lattice import close_under_intersection, embed_chain, flow_from_ordering
+from setmarkov.kernels import Defect
 from setmarkov.verify import (
-    McDefect,
     aligned_increment_samples,
     conditional_independence_defect,
     mc_event_probabilities,
@@ -518,7 +518,7 @@ def ref_mc_ordering_invariance(spec, orderings, seed, count):
             gap = probability_gap(probs[i], probs[j], count)
             if worst is None or gap.sigmas > worst.sigmas:
                 worst = gap
-    return worst or McDefect(0.0, 0.0, 0.0)
+    return worst or Defect(0.0, 0.0)
 
 
 def ref_mc_event_probabilities(aligned, medians, quartiles):

@@ -606,6 +606,30 @@ def test_ordering_cap_cut_is_reported(tmp_path):
                 f"no pair moves slots 2-{level}, 3 start states, 4 of 16 orderings")
 
 
+def test_ordering_cap_lists_no_more_than_it_keeps(tmp_path):
+    # eight members above {0}, each {0, i}: 8! = 40,320 orderings, more than
+    # lattice.ORDERING_CAP; only the 4 kept are listed, and the rest are
+    # counted up to the cap
+    payload = {"grid": {"extents": [9]},
+               "semilattice": {"cell_lists": [[0, i] for i in range(1, 9)]},
+               "process": {"kind": "empirical", "n": 1, "measure": {"uniform": True}},
+               "experiment": {"ordering_cap": 4}}
+    cut = "4 of more than 10000 orderings"
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", write_config(tmp_path, payload),
+                 "--out", str(out)]) == 0
+    got = {c["name"]: c["instance"] for c in json.loads(out.read_text())["checks"]}
+    assert got["chapman_kolmogorov"] == f"300 prefix triples, {cut}"
+    assert got["ordering_invariance"] == f"3 swap edges of 4 orderings, {cut}"
+    assert got["permutation_identity_3"].endswith(f", {cut}")
+    assert main(["gencheck", "--config", write_config(tmp_path, payload),
+                 "--out", str(tmp_path / "gencheck.json")]) == 0
+    # 7 members: 5,040 orderings, all counted
+    payload["semilattice"]["cell_lists"].pop()
+    got = _instances(tmp_path, dict(payload, grid={"extents": [8]}))
+    assert got["chapman_kolmogorov"].endswith(", 4 of 5040 orderings")
+
+
 def test_uncut_orderings_keep_their_text(tmp_path):
     got = _instances(tmp_path, STAIRCASE)
     assert got["chapman_kolmogorov"].endswith(" prefix triples, 16 orderings")

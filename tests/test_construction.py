@@ -19,6 +19,7 @@ from setmarkov import (
     sample_fdd,
     sample_increments,
 )
+from setmarkov import construction
 from setmarkov.distributions import binomial_pmf, tv_distance
 from setmarkov.errors import ConfigError, DecompositionError, UnsupportedKernelError
 from setmarkov.grid import measure_of
@@ -161,11 +162,12 @@ class TestJointOverIncrements:
 
 
 class TestTableCap:
-    def test_exact_fdd_respects_entry_cap(self, lattice3, uniform2):
+    def test_exact_fdd_respects_entry_cap(self, lattice3, uniform2, monkeypatch):
         from setmarkov.errors import TableSizeError
+        monkeypatch.setattr(construction, "TABLE_CAP", 3)
         spec = FddSpec(lattice3, EmpiricalKernel(3, uniform2))
-        with pytest.raises(TableSizeError):
-            exact_fdd(spec, cap=3)
+        with pytest.raises(TableSizeError, match="exceeds 3 entries"):
+            exact_fdd(spec)
 
 
 class TestInitialOverride:

@@ -23,10 +23,9 @@ from setmarkov import (
     enumerate_consistent_orderings,
     exact_fdd,
 )
-from setmarkov import construction, distributions, kernels
+from setmarkov import construction, distributions, kernels, verify
 from setmarkov.cli import main
 from setmarkov.distributions import canonical_value, pmf_ppf, tv_distance
-from setmarkov.errors import ConfigError
 from setmarkov.grid import measure_of
 from setmarkov.kernels import chain_rows
 from setmarkov.verify import (
@@ -153,7 +152,9 @@ def test_conditional_independence_defect_matches_dict_reference(data):
     chosen = data.draw(st.lists(st.sampled_from(range(len(history))), unique=True))
     present = [[i for h in chosen for i in history[h]]]
     min_prob = data.draw(st.sampled_from([1e-12, 0.05, 0.3]))
-    got = conditional_independence_defect(law_of(table), target, history, present, min_prob)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "MIN_CONDITION_PROB", min_prob)
+        got = conditional_independence_defect(law_of(table), target, history, present)
     defect, skipped, events = ref_conditional_independence_defect(
         table, target, history, present, min_prob)
     assert abs(got.defect - defect) <= TOL
@@ -313,8 +314,3 @@ def test_set_markov_with_a_split_history_part(grid2):
     assert (got.skipped, got.events) == (skipped, events)
     assert got.defect < 1e-14 and defect < 1e-14
 
-
-def test_conditional_defect_rejects_a_zero_min_prob():
-    law = law_of({(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.5})
-    with pytest.raises(ConfigError, match="min_prob"):
-        conditional_independence_defect(law, [[1]], [[0]], [[0]], min_prob=0.0)

@@ -500,8 +500,9 @@ class TestSystemAlongFlow:
         sg = system_along_flow(k, flow)
         M = sg.matrix(0.0, 2.0)
         pmf = k.step_pmf(flow.stages[0], flow.stages[2], 0)
+        # step pmfs are keyed by canonical floats: count j is the key j.0
         for j, p in pmf.items():
-            assert M[0, j] == pytest.approx(p, abs=1e-12)
+            assert M[0, int(j)] == pytest.approx(p, abs=1e-12)
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"

@@ -23,7 +23,9 @@ from setmarkov.errors import (
     ConfigError,
     EmptyRootError,
     OrderingOverflowError,
+    TableSizeError,
 )
+from setmarkov import lattice
 from setmarkov.lattice import Trace
 
 from helpers import (
@@ -83,6 +85,17 @@ class TestClosure:
         with pytest.raises(EmptyRootError):
             close_under_intersection([cells(grid2, 0), cells(grid2, 1)])
 
+    def test_closure_cap(self, monkeypatch):
+        # three generators close to seven members: their three pairwise
+        # intersections, then {0}
+        g = GroundGrid((4,))
+        gens = [cells(g, 0, 1, 2), cells(g, 0, 1, 3), cells(g, 0, 2, 3)]
+        monkeypatch.setattr(lattice, "CLOSURE_CAP", 7)
+        assert len(close_under_intersection(gens)) == 7
+        monkeypatch.setattr(lattice, "CLOSURE_CAP", 6)
+        with pytest.raises(TableSizeError, match="exceeds 6 members"):
+            close_under_intersection(gens)
+
     def test_deterministic_member_order(self, grid2):
         lat = close_under_intersection([cells(grid2, 0, 2), cells(grid2, 0, 1)])
         sizes = [m.size for m in lat.members]
@@ -113,9 +126,23 @@ class TestConsistentOrderings:
     def test_staircase_has_sixteen(self, lattice6):
         assert len(enumerate_consistent_orderings(lattice6)) == 16
 
-    def test_overflow_cap(self, lattice6):
-        with pytest.raises(OrderingOverflowError):
-            enumerate_consistent_orderings(lattice6, cap=3)
+    def test_overflow_cap(self, lattice6, monkeypatch):
+        monkeypatch.setattr(lattice, "ORDERING_CAP", 3)
+        with pytest.raises(OrderingOverflowError, match="more than 3 "):
+            enumerate_consistent_orderings(lattice6)
+
+    def test_leading_orderings_count_past_what_they_list(self, lattice6, monkeypatch):
+        every = enumerate_consistent_orderings(lattice6)
+        orders, total = lattice.leading_orderings(lattice6, 4)
+        assert [o.positions for o in orders] == [o.positions for o in every[:4]]
+        assert total == 16
+        # past the cap the count stops at ORDERING_CAP + 1, and listing
+        # more than the cap raises
+        monkeypatch.setattr(lattice, "ORDERING_CAP", 10)
+        assert lattice.leading_orderings(lattice6, 4)[1] == 11
+        assert len(lattice.leading_orderings(lattice6, 10)[0]) == 10
+        with pytest.raises(OrderingOverflowError, match="more than 10 "):
+            lattice.leading_orderings(lattice6, 11)
 
     def test_subset_precedence_enforced(self, lattice3):
         with pytest.raises(ConfigError):
