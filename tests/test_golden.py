@@ -17,6 +17,13 @@ variation from the old CSV 6.0e-14.  It was re-recorded once before, when
 compound poisson began to weigh the law of k jumps by the log-space poisson
 count table in place of an exp(-lam) recurrence (total variation 6.3e-17).
 
+The ``fdd`` CSVs of three compound poisson configs whose value grids no
+bench config covers -- jumps {1, 2.5} (step 0.5), {-1, 0, 2.5} (both signs
+and a zero jump) and {-1, -2} (negative jumps only) -- and the seed-3
+``sample`` CSV of the first were recorded before the exact engine moved its
+finite laws from dict pmfs to vectors on the value grid
+(``COMPOUND_GRID_SHA256``).
+
 Any change to these bytes is a change of the sampler or of the exact-law
 export, not a refactor.  Re-record only for an intended change of output.
 """
@@ -100,6 +107,21 @@ INITIAL_OVERRIDE_SHA256 = {
     "poisson":
         "99c7ca309e6bdd1cc5c7e08979b540eb0268cfdae9e7cd8af2aecebc9c0e6a25",
 }
+
+
+# (command, jump values, jump probs) -> SHA-256 of the CSV; the configs are
+# those of the CI step "Compound poisson with a non-integer jump"
+COMPOUND_GRID_SHA256 = {
+    ("fdd", (1, 2.5), (0.6, 0.4)):
+        "768d0333a76618ce37683c86db5dd41c2c1378c68c2c9404e96d6f9f513bf7d5",
+    ("fdd", (-1, 0, 2.5), (0.3, 0.2, 0.5)):
+        "51076c5375f6d25ccec0275d85c61fd0b7802afb3a987ca7df575294684d3a0a",
+    ("fdd", (-1, -2), (0.3, 0.7)):
+        "519565e4e5f935e7e4c4557a19ad21e917e0d0c8e9e57cd490d7cad3c432ba00",
+    ("sample", (1, 2.5), (0.6, 0.4)):
+        "7e8358262dd0a616eb9913236d56d9efeb8ddc184dbf98f849e6edae1e6d7346",
+}
+COMPOUND_GRID_SAMPLE = ["--seed", "3", "--n", "3000"]
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -194,3 +216,17 @@ def test_report_digest(tmp_path, command, stem, seed):
                "--out", str(out)])
     assert rc == REPORT_EXIT.get((command, stem, seed), 0)
     assert _sha256(out) == REPORT_SHA256[command, stem, seed]
+
+
+@pytest.mark.parametrize("command, values, probs", sorted(COMPOUND_GRID_SHA256))
+def test_compound_grid_csv_digest(tmp_path, command, values, probs):
+    cfg = {"grid": {"extents": [2, 2]},
+           "semilattice": {"cell_lists": [[0, 1], [0, 2]]},
+           "process": {"kind": "compound_poisson", "measure": {"constant": 0.5},
+                       "jumps": {"values": list(values), "probs": list(probs)}}}
+    path = tmp_path / "compound.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out.csv"
+    extra = COMPOUND_GRID_SAMPLE if command == "sample" else []
+    assert main([command, "--config", str(path), *extra, "--out", str(out)]) == 0
+    assert _sha256(out) == COMPOUND_GRID_SHA256[command, values, probs]
