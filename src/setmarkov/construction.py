@@ -8,24 +8,30 @@ the difference of consecutive prefix values.  Summing disjoint blocks of the
 increment vector evaluates the process anywhere in the generated algebra.
 
 Both routes are generic over the kernel protocol: ``exact_fdd`` chains the
-kernel's ``increment_pmf``, and ``sample_increments`` feeds one counter-based
-uniform per (sample, step) through ``initial_ppf`` and ``increment_ppf``.
+kernel's ``increment_law`` vectors on its value grid, and
+``sample_increments`` feeds one counter-based uniform per (sample, step)
+through ``initial_ppf`` and ``increment_ppf``.
 
-A ``JointLaw`` is a key matrix (one row per outcome, one column per variable,
-internal states) and a probability vector.  Its operations group rows by one
-int64 code per row, built in mixed radix from per-column value ranks
-(``group_rows``), and sum probabilities with ``bincount``.  A table past
-the module constant ``TABLE_CAP`` raises ``TableSizeError`` unbuilt.
+A ``JointLaw`` is a matrix of grid indices (one row per outcome, one column
+per variable), the grid's step, and a probability vector.  Sums of columns
+are sums of indices, exact, so equal values always merge.  Its operations
+group rows by one int64 code per row, built in mixed radix from each
+column's offsets from its least index (``group_rows``), and sum
+probabilities with ``bincount``; values are made only for output
+(``JointLaw.keys``).  A table past the module constant ``TABLE_CAP`` raises
+``TableSizeError`` unbuilt, with the number of rows it would need.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .distributions import pmf_ppf
+from .distributions import GridLaw, grid_step, grid_values, pmf_ppf
 from .errors import (
     ConfigError,
     DecompositionError,
@@ -81,6 +87,12 @@ class FddSpec:
             return dict(self.initial)
         return self.kernel.initial_pmf_for(self.min_set)
 
+    def initial_law(self) -> GridLaw:
+        """The initial law on the kernel's value grid."""
+        if self.initial is not None:
+            return self.kernel.grid_law(self.initial)
+        return self.kernel.initial_law(self.min_set)
+
     def with_ordering(self, ordering: ConsistentOrdering) -> "FddSpec":
         return FddSpec(self.lattice, self.kernel, ordering, self.initial)
 
@@ -130,49 +142,81 @@ class MixtureSpec:
 
 
 def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of a 2-d array by equal values.
+    """Group the rows of a 2-d integer array by equal values.
 
     Returns a group id per row, with groups numbered by first appearance, and
-    the first row of each group.  Each column is replaced by the index of its
-    value among the column's distinct values, and the ranks are combined into
-    one int64 code per row in mixed radix; a code about to overflow is first
-    re-ranked over its distinct values.
+    the first row of each group.  Each column is replaced by its offset from
+    the column's least value, and the offsets are combined into one int64
+    code per row in mixed radix; a code about to overflow is first re-ranked
+    over its distinct values.
     """
     code = np.zeros(columns.shape[0], dtype=np.int64)
     radix = 1
     for col in columns.T:
-        uniq, rank = np.unique(col, return_inverse=True)
-        size = len(uniq)
+        lo = int(col.min())
+        size = int(col.max()) - lo + 1
         if radix * size >= 2**62:
             _, code = np.unique(code, return_inverse=True)
             radix = int(code.max()) + 1
         code *= size
-        code += rank
+        code += col - lo
         radix *= size
-    _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+    _, first, inverse = distinct_codes(code, radix)
     order = np.argsort(first)
     relabel = np.empty(len(order), dtype=np.int64)
     relabel[order] = np.arange(len(order))
     return relabel[inverse], first[order]
 
 
+def distinct_codes(code: np.ndarray, span: int):
+    """``np.unique(code, return_index=True, return_inverse=True)`` for int
+    codes in [0, span): the distinct codes ascending, the first row of each,
+    and each row's rank among them.  A span of at most twice the rows is
+    read through a table over the span, with no sort."""
+    rows = len(code)
+    if span > 2 * rows + 64:
+        return np.unique(code, return_index=True, return_inverse=True)
+    first = np.full(span, rows, dtype=np.int64)
+    np.minimum.at(first, code, np.arange(rows))
+    distinct = np.flatnonzero(first < rows)
+    rank = np.empty(span, dtype=np.int64)
+    rank[distinct] = np.arange(len(distinct))
+    return distinct, first[distinct], rank[code]
+
+
+def _common_step(a: Fraction, b: Fraction) -> Fraction:
+    """The largest step of which both steps are whole multiples."""
+    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
 class JointLaw:
     """Exact pmf of the increment vector (or a pushforward of it).
 
-    ``keys`` holds one row per outcome and one column per variable (internal
-    states, no row repeated), stored column by column (Fortran order) since
-    every operation works on whole columns; ``probs`` holds the probability
-    of each row.  ``table`` is the same law as a dict {key tuple:
-    probability}, built on first access.
+    ``codes`` holds one row per outcome and one column per variable (grid
+    indices, no row repeated), stored column by column (Fortran order) since
+    every operation works on whole columns; index i stands for the value
+    ``canonical_value(i * step)``.  ``probs`` holds the probability of each
+    row.  ``keys`` is the matrix of values and ``table`` the same law as a
+    dict {value tuple: probability}, each made on first access.  A key
+    matrix given without a step is taken as values: integers are their own
+    indices, and floats sit on the grid of their ``grid_step``.
     """
 
-    def __init__(self, labels, sets, keys, probs):
+    def __init__(self, labels, sets, keys, probs, step: Fraction | None = None):
+        keys = np.asarray(keys)
+        if step is None:
+            step = Fraction(1)
+            if not np.issubdtype(keys.dtype, np.integer):
+                step = grid_step(np.unique(keys).tolist())
+                keys = np.rint(keys * step.denominator / step.numerator)
         self.labels = tuple(labels)
         self.sets = sets
-        self.keys = np.asfortranarray(keys)
+        self.step = step
+        self.codes = np.asfortranarray(keys, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=float)
-        if self.keys.shape != (len(self.probs), len(self.labels)):
-            raise ConfigError(f"key matrix of shape {self.keys.shape} does not fit "
+        if self.codes.shape != (len(self.probs), len(self.labels)):
+            raise ConfigError(f"key matrix of shape {self.codes.shape} does not fit "
                               f"{len(self.probs)} outcomes of {len(self.labels)} variables")
         total = float(self.probs.sum())
         if abs(total - 1.0) > 1e-10:
@@ -181,33 +225,42 @@ class JointLaw:
             raise ConfigError("joint law has a negative weight")
 
     @cached_property
+    def keys(self) -> np.ndarray:
+        return grid_values(self.codes, self.step)
+
+    @cached_property
     def table(self) -> dict[tuple, float]:
         return dict(zip(map(tuple, self.keys.tolist()), self.probs.tolist()))
 
     def columns(self, indices) -> np.ndarray:
-        """The key matrix restricted to the given variables, in that order."""
-        return self.keys.T[list(indices)].T
+        """The index matrix restricted to the given variables, in that order."""
+        return self.codes.T[list(indices)].T
+
+    def codes_on(self, step: Fraction) -> np.ndarray:
+        """The index matrix on a grid of ``step``, which divides this one's."""
+        return self.codes * int(self.step / step)
 
     def group_sums(self, groups) -> np.ndarray:
-        """Per outcome, the sum of its values over each index group (0 for an
-        empty group), added left to right."""
-        out = np.zeros((len(groups), len(self.probs)), dtype=self.keys.dtype)
+        """Per outcome, the index of its sum over each index group (0 for an
+        empty group), exact."""
+        out = np.zeros((len(groups), len(self.probs)), dtype=np.int64)
         for j, g in enumerate(groups):
             for i in g:
-                out[j] += self.keys[:, i]
+                out[j] += self.codes[:, i]
         return out.T
 
-    def _merged(self, values: np.ndarray, labels, sets) -> "JointLaw":
-        """Law of the per-outcome rows ``values``: equal rows merged."""
-        ids, first = group_rows(values)
-        return JointLaw(labels, sets, values[first], np.bincount(ids, weights=self.probs))
+    def _merged(self, codes: np.ndarray, labels, sets) -> "JointLaw":
+        """Law of the per-outcome index rows ``codes``: equal rows merged."""
+        ids, first = group_rows(codes)
+        return JointLaw(labels, sets, codes[first], np.bincount(ids, weights=self.probs),
+                        self.step)
 
     def permuted(self, perm) -> "JointLaw":
         """Reorder variables: new variable j is old variable perm[j]."""
         perm = list(perm)
         labels = tuple(self.labels[p] for p in perm)
         sets = tuple(self.sets[p] for p in perm) if self.sets else None
-        return JointLaw(labels, sets, self.columns(perm), self.probs)
+        return JointLaw(labels, sets, self.columns(perm), self.probs, self.step)
 
     def marginal(self, indices) -> "JointLaw":
         indices = list(indices)
@@ -223,17 +276,19 @@ class JointLaw:
     def sorted(self) -> "JointLaw":
         """The same law with its rows in lexicographic key order (first
         column most significant): the order of ``sorted(self.table)``."""
-        order = np.lexsort(self.keys.T[::-1])
+        order = np.lexsort(self.codes.T[::-1])
         # gathered column by column, so the result is already in Fortran order
-        keys = self.keys.T.take(order, axis=1).T
-        return JointLaw(self.labels, self.sets, keys, self.probs[order])
+        codes = self.codes.T.take(order, axis=1).T
+        return JointLaw(self.labels, self.sets, codes, self.probs[order], self.step)
 
     def tv(self, other: "JointLaw") -> float:
         """Total variation distance (sup over events) to a law of as many
         variables."""
-        if self.keys.shape[1] != other.keys.shape[1]:
+        if self.codes.shape[1] != other.codes.shape[1]:
             raise ConfigError("laws over different numbers of variables")
-        ids, _ = group_rows(np.concatenate([self.keys.T, other.keys.T], axis=1).T)
+        step = _common_step(self.step, other.step)
+        ids, _ = group_rows(np.concatenate([self.codes_on(step).T,
+                                            other.codes_on(step).T], axis=1).T)
         diff = np.bincount(ids, weights=np.concatenate([self.probs, -other.probs]))
         return 0.5 * float(np.abs(diff).sum())
 
@@ -247,16 +302,19 @@ class JointLaw:
 def exact_fdd(spec) -> JointLaw:
     """Exact joint pmf of the increments over the ordering's left
     neighbourhoods; finite-state kernels only: ``chain_table`` from the
-    initial pmf through the ordering's prefix unions.  A table of more than
+    initial law through the ordering's prefix unions.  A table of more than
     ``TABLE_CAP`` entries raises ``TableSizeError`` before it is built.
     """
     if isinstance(spec, MixtureSpec):
         parts = [exact_fdd(c) for c in spec.components]
-        keys = np.concatenate([part.keys.T for part in parts], axis=1).T
+        step = parts[0].step
+        for part in parts[1:]:
+            step = _common_step(step, part.step)
+        codes = np.concatenate([part.codes_on(step).T for part in parts], axis=1).T
         probs = np.concatenate([w * part.probs for w, part in zip(spec.weights, parts)])
-        ids, first = group_rows(keys)
-        return JointLaw(parts[0].labels, parts[0].sets, keys[first],
-                        np.bincount(ids, weights=probs))
+        ids, first = group_rows(codes)
+        return JointLaw(parts[0].labels, parts[0].sets, codes[first],
+                        np.bincount(ids, weights=probs), step)
     kernel = spec.kernel
     if not kernel.finite_state:
         raise UnsupportedKernelError(
@@ -264,39 +322,47 @@ def exact_fdd(spec) -> JointLaw:
         )
     ordering = spec.ordering
     stages = [ordering.prefix_set(i) for i in range(len(ordering))]
-    columns, probs = chain_table(kernel, stages, spec.initial_pmf())
+    columns, probs = chain_table(kernel, stages, spec.initial_law())
     labels = tuple(f"C{i}" for i in range(len(ordering)))
-    return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs)
+    return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs, kernel.value_step)
 
 
-def chain_table(kernel, stages, start: dict):
-    """The table of a chain that starts from the pmf ``start`` (internal
-    state -> probability) at stages[0] and steps through the kernel's
-    increment pmfs from each stage to the next: (columns, probs), one row
-    per outcome, the first column the start state and then one increment
-    column per step.
+def chain_table(kernel, stages, start: GridLaw):
+    """The table of a chain that starts from the law ``start`` at stages[0]
+    and steps through the kernel's increment laws from each stage to the
+    next: (columns, probs), one row per outcome of positive probability, the
+    first column the start index and then one increment column per step,
+    all grid indices.
 
-    Each step groups the rows by running sum, asks the kernel for the
-    increment pmf of each distinct sum once, and expands every row by its
-    pmf; each probability is the product of the row's and the step's.  The
-    size of the next table is known before it is built, and a table of more
-    than ``TABLE_CAP`` entries raises ``TableSizeError`` instead.
+    Each step groups the rows by running index (its offset from the least
+    one), asks the kernel for the increment law of each distinct index
+    once, and expands every row by the atoms of its law; each probability
+    is the product of the row's and the step's.  The size of the next table
+    is known before it is built, and a table of more than ``TABLE_CAP``
+    entries raises ``TableSizeError`` instead, with the rows the whole table
+    would need (``_rows_needed``).
     """
-    running = np.array(list(start))
+    running, probs = start.atoms
     columns = [running]
-    probs = np.array([float(p) for p in start.values()])
-    for prev, cur in zip(stages, stages[1:]):
-        states, group = np.unique(running, return_inverse=True)
-        pmfs = [kernel.increment_pmf(prev, cur, x) for x in states.tolist()]
-        sizes = np.array([len(pmf) for pmf in pmfs])
+    legs = list(zip(stages, stages[1:]))
+    for k, (prev, cur) in enumerate(legs):
+        lo = int(running.min())
+        seen = np.zeros(int(running.max()) - lo + 1, dtype=bool)
+        seen[running - lo] = True
+        states = lo + np.flatnonzero(seen)
+        group = (np.cumsum(seen) - 1)[running - lo]
+        laws = [kernel.increment_law(prev, cur, x).atoms for x in states.tolist()]
+        sizes = np.array([len(index) for index, _ in laws])
         counts = sizes[group]
         total = int(counts.sum())
         if total > TABLE_CAP:
-            raise TableSizeError(f"joint table exceeds {TABLE_CAP} entries")
-        incs = np.array([v for pmf in pmfs for v in pmf])
-        steps = np.array([q for pmf in pmfs for q in pmf.values()], dtype=float)
-        # row r expands to its group's pmf, in pmf order: position j of that
-        # block reads entry (group offset + j) of the concatenated pmfs
+            needed = _rows_needed(kernel, legs[k + 1:], states + 0, np.bincount(group), laws)
+            raise TableSizeError(f"joint table exceeds {TABLE_CAP} entries: "
+                                 f"it needs {needed} rows")
+        incs = np.concatenate([index for index, _ in laws])
+        steps = np.concatenate([p for _, p in laws])
+        # row r expands to its group's law, in law order: position j of that
+        # block reads entry (group offset + j) of the concatenated laws
         row = np.repeat(np.arange(len(probs)), counts)
         block_start = np.cumsum(counts) - counts
         at = np.arange(total) + np.repeat((np.cumsum(sizes) - sizes)[group] - block_start,
@@ -305,6 +371,24 @@ def chain_table(kernel, stages, start: dict):
         probs = probs[row] * steps[at]
         running = running[row] + columns[-1]
     return columns, probs
+
+
+def _rows_needed(kernel, legs, states, counts, laws) -> int:
+    """The rows of a whole table whose running index ``states[i]`` holds
+    ``counts[i]`` rows before the leg whose atoms from those states are
+    ``laws`` and then ``legs``: a count recursion over the increment laws'
+    atoms, exact in Python integers, that builds no table."""
+    tally: dict[int, int] = {}
+    for x, c, (index, _) in zip(states.tolist(), counts.tolist(), laws):
+        for y in (x + index).tolist():
+            tally[y] = tally.get(y, 0) + c
+    for prev, cur in legs:
+        nxt: dict[int, int] = {}
+        for x, c in tally.items():
+            for y in (x + kernel.increment_law(prev, cur, x).atoms[0]).tolist():
+                nxt[y] = nxt.get(y, 0) + c
+        tally = nxt
+    return sum(tally.values())
 
 
 def _stream(seed: int, key: int, start: int, count: int) -> np.ndarray:

@@ -17,14 +17,15 @@ inverse cdfs; ``pmf_ppf`` serves the pmf tables.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError
+from .errors import ConfigError, TableSizeError
 from .quadrature import hermite
 
 PMF_TOTAL_TOL = 1e-12
@@ -256,63 +257,150 @@ def poisson_tail_count(mean: float, tail: float) -> int:
         hi *= 2
 
 
-def poisson_pmf(mean: float) -> dict:
-    """The Poisson(mean) count law as a dict pmf over increasing counts, the
-    one table both jump kinds read.  Cut on the right where the tail drops
-    below ``PMF_TAIL`` (``poisson_tail_count``) and, from a mean of 144 on, on
-    the left below mean - 12 sqrt(mean), which holds less than exp(-72) of the
-    mass (Chernoff): a table keeps O(sqrt(mean)) atoms.  The weights are taken
-    in log space, so none underflows at a large mean."""
+@dataclass(frozen=True, eq=False)
+class GridLaw:
+    """A finite law on a value grid: ``probs[k]`` is the probability of grid
+    index ``first + k``, and the value of index i is ``i * step`` for the
+    grid's step (``grid_values``).  The vector is read only and shared by
+    every caller.  Its atoms are its nonzero entries: a zero entry inside the
+    vector is a value the law does not reach."""
+
+    first: int
+    probs: np.ndarray
+
+    def __post_init__(self):
+        self.probs.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    @property
+    def last(self) -> int:
+        return self.first + len(self.probs) - 1
+
+    def shifted(self, by: int) -> "GridLaw":
+        """The law of (index + ``by``)."""
+        return GridLaw(self.first + by, self.probs)
+
+    @cached_property
+    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(grid indices, probabilities) of the nonzero entries, ascending."""
+        at = np.flatnonzero(self.probs)
+        return self.first + at, self.probs[at]
+
+    def as_dict(self, step: Fraction) -> dict:
+        """{value: probability} over the atoms, values ``grid_values``."""
+        index, probs = self.atoms
+        return dict(zip(grid_values(index, step).tolist(), probs.tolist()))
+
+
+def grid_step(values) -> Fraction:
+    """The largest step of which every value is a whole multiple: the
+    greatest common divisor of their shortest decimals (1 when all are 0).
+    0.5 for {1, 2.5}, 0.1 for {0.1, 0.2}."""
+    decimals = [Fraction(repr(float(v))) for v in values if v]
+    if not decimals:
+        return Fraction(1)
+    scale = math.lcm(*(d.denominator for d in decimals))
+    return Fraction(math.gcd(*(int(d * scale) for d in decimals)), scale)
+
+
+def grid_values(index, step: Fraction) -> np.ndarray:
+    """``canonical_value(i * step)`` of each grid index i, as floats.  A
+    step of at most ``_KEY_DECIMALS`` decimals gives values whose exact
+    decimals have that many places, so the correctly rounded quotient of
+    two integers is the canonical value; a finer step rounds each value."""
+    index = np.asarray(index, dtype=np.int64)
+    if step.denominator == 1:
+        return (index * step.numerator).astype(float)
+    if 10**_KEY_DECIMALS % step.denominator == 0:
+        return index * step.numerator / step.denominator
+    return np.array([canonical_value(i * float(step)) for i in index.ravel().tolist()],
+                    dtype=float).reshape(index.shape)
+
+
+def poisson_pmf(mean: float) -> GridLaw:
+    """The Poisson(mean) count law on the integers, the one table both jump
+    kinds read.  Cut on the right where the tail drops below ``PMF_TAIL``
+    (``poisson_tail_count``) and, from a mean of 144 on, on the left below
+    mean - 12 sqrt(mean), which holds less than exp(-72) of the mass
+    (Chernoff): a table keeps O(sqrt(mean)) atoms.  The weights are taken in
+    log space, so none underflows at a large mean."""
     if mean == 0:
-        return {0: 1.0}
+        return GridLaw(0, np.ones(1))
     k = np.arange(max(int(mean - 12.0 * math.sqrt(mean)), 0),
                   poisson_tail_count(mean, PMF_TAIL) + 1)
     # the expression stats.poisson.pmf evaluates, without its argument checks
-    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
-    return dict(zip(k.tolist(), probs.tolist()))
+    return GridLaw(int(k[0]), np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean))
 
 
-def _panjer(rates: dict, mean: float, tail: float) -> dict:
-    """Law of a Poisson(mean) number of iid positive jumps, jump v at rate
-    ``rates[v]``, by Panjer's (1981) recursion x f(x) = sum_v v rates[v]
-    f(x - v) from f(0) = exp(-mean).  It keeps the values that at most
-    ``poisson_tail_count(mean, tail)`` jumps reach, so at most ``tail`` of the
-    mass is left out, and cuts the left tail as ``poisson_pmf`` does."""
+def _check_length(length: int, step: Fraction):
+    """Refuse a step law of more grid points than ``construction.TABLE_CAP``."""
+    from . import construction  # read at call time, as the table cap is
+
+    if length > construction.TABLE_CAP:
+        raise TableSizeError(f"a step law on the value grid of step {float(step):g} needs "
+                             f"{length} grid points, more than {construction.TABLE_CAP}")
+
+
+def _panjer(rates: dict, mean: float, tail: float, step: Fraction) -> GridLaw:
+    """Law of a Poisson(mean) number of iid positive jumps on the grid of
+    ``step``, jump v at rate ``rates[v]``, by Panjer's (1981) recursion
+    x f(x) = sum_v v rates[v] f(x - v) from f(0) = exp(-mean).  It keeps the
+    values that at most ``poisson_tail_count(mean, tail)`` jumps reach, so at
+    most ``tail`` of the mass is left out, and cuts the left tail as
+    ``poisson_pmf`` does.
+
+    The grid is walked upwards and each value passes its terms on, so each
+    sum takes its terms from its predecessors in ascending value (the
+    largest jump first) and starts from the first of them.  f is held times
+    2**e: e lifts exp(-mean) into the float range past a mean of 700, and
+    2**512 is shed, from every pending sum too, when f passes it."""
     most = poisson_tail_count(mean, tail)
     floor = max(int(mean - 12.0 * math.sqrt(mean)), 0) * min(rates)
-    # ahead[x] = [the terms of x f(x) so far, the fewest jumps to x]; the least
-    # pending value is final.  f is held times 2**e: e lifts exp(-mean) into
-    # the float range past a mean of 700, and 2**512 is shed on passing it
+    jumps = [(round(v * step.denominator / step.numerator), v * r) for v, r in rates.items()]
+    size = most * max(j for j, _ in jumps) + 1
+    _check_length(size, step)
+    x = grid_values(range(size), step).tolist()
     e = max(math.ceil((mean - 700.0) / math.log(2.0)), 0)
-    ahead, pending, out = {0.0: [math.exp(e * math.log(2.0) - mean), 0]}, [0.0], {}
-    while pending:
-        x = heapq.heappop(pending)
-        g, n = ahead.pop(x)
-        if n > most:
-            continue
-        if (g := g / (x or 1.0)) > 2.0 ** 512:
+    ahead, fewest = [0.0] * size, [most + 1] * size
+    ahead[0], fewest[0] = math.exp(e * math.log(2.0) - mean), 0
+    out = [0.0] * size
+    for i in range(size):
+        if (n := fewest[i]) > most:
+            continue  # not reached, or only by more than ``most`` jumps
+        if (g := ahead[i] / (x[i] or 1.0)) > 2.0 ** 512:
             g, e = math.ldexp(g, -512), e - 512
-            for t in ahead.values():
-                t[0] = math.ldexp(t[0], -512)
-        if x >= floor and (p := math.ldexp(g, -e)):
-            out[x] = p
-        for v, r in rates.items():
-            if (t := ahead.get(y := _key(x + v))) is None:
-                ahead[y] = [v * r * g, n + 1]
-                heapq.heappush(pending, y)
-            else:
-                t[0], t[1] = t[0] + v * r * g, min(t[1], n + 1)
-    return out
+            ahead[i + 1:] = [math.ldexp(t, -512) for t in ahead[i + 1:]]
+        if x[i] >= floor:
+            out[i] = math.ldexp(g, -e)
+        for j, vr in jumps:
+            if (y := i + j) < size:
+                ahead[y] += vr * g
+                if fewest[y] > n:
+                    fewest[y] = n + 1
+    first = next(i for i, p in enumerate(out) if p)
+    last = size - next(i for i, p in enumerate(reversed(out)) if p)
+    return GridLaw(first, np.array(out[first:last]))
 
 
-def compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
-    """Law of a Poisson(lam) number of iid jumps, as a dict pmf.
+def _mirrored(law: GridLaw) -> GridLaw:
+    """The law of minus the index."""
+    return GridLaw(-law.last, law.probs[::-1].copy())
 
-    One nonzero jump size v reads ``poisson_pmf`` at k v, value for value.
-    Otherwise the jumps of each sign make a ``_panjer`` table of their sizes,
-    cut at ``PMF_TAIL`` over the number of signs and signed back, and two
-    signs are convolved once.  A zero or negative jump thins each sign's
-    intensity to the sum of its rates; positive jumps keep ``lam``.
+
+def compound_poisson_law(lam: float, jump_values, jump_probs) -> GridLaw:
+    """Law of a Poisson(lam) number of iid jumps, on the grid of
+    ``grid_step(jump_values)``.
+
+    One nonzero jump size v reads ``poisson_pmf``, count k at index k (or -k
+    for v < 0).  Otherwise the jumps of each sign make a ``_panjer`` table of
+    their sizes, cut at ``PMF_TAIL`` over the number of signs and mirrored
+    back, and two signs are convolved once, each sum taking its terms in
+    ascending value of its positive part.  A zero or negative jump thins
+    each sign's intensity to the sum of its rates; positive jumps keep
+    ``lam``.  A law whose grid would hold more than ``construction.TABLE_CAP``
+    points raises ``TableSizeError`` before it is built.
     """
     if lam < 0:
         raise ConfigError("compound poisson intensity must be nonnegative")
@@ -320,33 +408,61 @@ def compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
     if abs(sum(base.values()) - 1.0) > PMF_TOTAL_TOL:
         raise ConfigError("jump pmf must sum to 1")
     nonzero = {v: p for v, p in base.items() if v and p > 0}
+    step = jump_step(jump_values, jump_probs)
+    if not nonzero:
+        return GridLaw(0, np.ones(1))
     if len(nonzero) == 1:
         ((v, p),) = nonzero.items()
         counts = poisson_pmf(lam if min(base) > 0 else lam * p)
-        return {_key(k * v) + 0.0: q for k, q in counts.items()}  # + 0.0: no -0.0 key
+        return counts if v > 0 else _mirrored(counts)
     sides = [(sign, rates) for sign in (1.0, -1.0)
              if (rates := {sign * v: lam * p for v, p in nonzero.items() if sign * v > 0})]
-    laws = [{sign * x + 0.0: p for x, p in _panjer(
-                rates, lam if min(base) > 0 else math.fsum(rates.values()),
-                PMF_TAIL / len(sides)).items()} for sign, rates in sides]
-    if len(laws) < 2:
-        return laws[0] if laws else {0.0: 1.0}
-    out: dict[float, float] = {}
-    for a, p in laws[0].items():
-        for b, q in laws[1].items():
-            out[_key(a + b)] = out.get(_key(a + b), 0.0) + p * q
-    return out
+    laws = [_panjer(rates, lam if min(base) > 0 else math.fsum(rates.values()),
+                    PMF_TAIL / len(sides), step) for _, rates in sides]
+    if len(laws) == 1:
+        return laws[0] if sides[0][0] > 0 else _mirrored(laws[0])
+    up, down = laws[0], _mirrored(laws[1])
+    _check_length(len(up) + len(down) - 1, step)
+    out = np.zeros(len(up) + len(down) - 1)
+    for k in np.flatnonzero(up.probs).tolist():
+        out[k: k + len(down)] += up.probs[k] * down.probs
+    return GridLaw(up.first + down.first, out)
 
 
-def pmf_ppf(pmf: dict, u: np.ndarray) -> np.ndarray:
-    """Inverse cdf of a dict pmf at each uniform in ``u``; mass lost to a
-    tail truncation goes to the largest atom."""
+def compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
+    """``compound_poisson_law`` as a dict pmf {value: probability} over its
+    atoms, values ``canonical_value(index * step)``."""
+    return compound_poisson_law(lam, jump_values, jump_probs).as_dict(
+        jump_step(jump_values, jump_probs))
+
+
+@lru_cache(maxsize=64)
+def _jump_step(jump_values: tuple, jump_probs: tuple) -> Fraction:
+    return grid_step(_key(v) for v, p in zip(jump_values, jump_probs) if p > 0)
+
+
+def jump_step(jump_values, jump_probs) -> Fraction:
+    """The value grid of a jump law: ``grid_step`` of the jumps it takes."""
+    return _jump_step(tuple(jump_values), tuple(jump_probs))
+
+
+def pmf_ppf(pmf, u: np.ndarray) -> np.ndarray:
+    """Inverse cdf at each uniform in ``u``: of a ``GridLaw``, its grid
+    indices; of a dict pmf, its keys.  A uniform equal to the cdf at an atom
+    draws the next atom, and mass lost to a tail truncation goes to the
+    largest entry."""
+    if isinstance(pmf, GridLaw):
+        return pmf.first + _ppf_positions(pmf.probs, u)
     vals = np.fromiter(pmf.keys(), float, len(pmf))
     order = np.argsort(vals, kind="stable")  # the keys are distinct
-    vals = vals[order]
-    cum = np.cumsum(np.fromiter(pmf.values(), float, len(pmf))[order])
+    probs = np.fromiter(pmf.values(), float, len(pmf))[order]
+    return vals[order][_ppf_positions(probs, u)]
+
+
+def _ppf_positions(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(probs)
     cum[-1] = max(cum[-1], 1.0)
-    return vals[np.searchsorted(cum, u, side="right").clip(max=len(vals) - 1)]
+    return np.searchsorted(cum, u, side="right").clip(max=len(probs) - 1)
 
 
 def tv_distance(a: dict, b: dict) -> float:

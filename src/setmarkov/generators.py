@@ -59,12 +59,14 @@ class MatrixSemigroup:
         self.trace = trace
         self.states = states
         self._rows, self._jumps = np.nonzero(np.add.outer(states, states) <= states[-1])
+        # the flat position of each band entry in a matrix
+        self._band = self._rows * (len(states) + 1) + self._jumps
 
     def _banded(self, values) -> np.ndarray:
         """The matrix with ``values[i]`` at the i-th band entry, row by row
         and jump by jump, and 0 off the band."""
         M = np.zeros((len(self.states), len(self.states)))
-        M[self._rows, self._rows + self._jumps] = values
+        M.reshape(-1)[self._band] = values
         return M
 
     def apply(self, s, t, h):
@@ -157,14 +159,15 @@ class JumpFlowSemigroup(MatrixSemigroup):
     integer states 0..cap.
 
     ``step_law(mean)`` is the kernel's own law of the increment over trace
-    mass ``mean`` -- the function its exact tables use, cut at the same
-    tail -- so a row of ``matrix`` is the kernel's step pmf.  Jumps must be
-    positive integers; the matrices are the exactly killed (sub-stochastic)
-    restriction, so the generator/semigroup identities hold to machine
-    precision on states that cannot reach the cap.  ``matrix`` writes the
-    step law as one dense vector by jump size and reads it onto the band by
-    jump; ``tail_cut`` records the mass the tail cut left out of that vector
-    (1 minus its sum), the largest over the matrices built so far.
+    mass ``mean`` -- the ``GridLaw`` its exact tables use, cut at the same
+    tail, on the grid of the jumps' greatest common divisor -- so a row of
+    ``matrix`` is the kernel's step law.  Jumps must be positive integers;
+    the matrices are the exactly killed (sub-stochastic) restriction, so the
+    generator/semigroup identities hold to machine precision on states that
+    cannot reach the cap.  ``matrix`` places the step law's vector on a
+    dense vector by jump size and reads it onto the band by jump;
+    ``tail_cut`` records the mass the tail cut left out of that vector (1
+    minus its sum), the largest over the matrices built so far.
     """
 
     def __init__(self, trace: Trace, step_law, jump_values=(1,), jump_probs=(1.0,),
@@ -175,31 +178,28 @@ class JumpFlowSemigroup(MatrixSemigroup):
             raise ConfigError("flow semigroup needs positive integer jumps")
         self.jump_values = tuple(jv)
         self.jump_probs = tuple(float(p) for p in jump_probs)
+        # the value of grid index i of a step law
+        self.value_step = math.gcd(*(v for v, p in zip(jv, self.jump_probs) if p > 0))
         span = float(trace.values[-1] - trace.values[0])
-        reach = int(round(max(step_law(max(span, 1e-9)))))
+        reach = step_law(max(span, 1e-9)).last * self.value_step
         self.cap = int(start_mass_cap + reach)
         super().__init__(trace, np.arange(self.cap + 1))
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
         self.tail_cut = 0.0
 
-    def _spread(self, jumps, values) -> tuple[np.ndarray, np.ndarray]:
-        """The matrix with ``values[i]`` at every band entry of jump
-        ``jumps[i]``, and the dense vector by jump size it was read from."""
-        jumps = np.rint(np.asarray(jumps, dtype=float)).astype(np.intp)
-        law = np.zeros(max(self.cap, int(jumps.max())) + 1)
-        law[jumps] = values
-        return self._banded(law[self._jumps]), law
-
     def matrix(self, s: float, t: float) -> np.ndarray:
-        pmf = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
-        M, law = self._spread(list(pmf), list(pmf.values()))
-        self.tail_cut = max(self.tail_cut, 1.0 - float(law.sum()))
-        return M
+        law = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
+        g = self.value_step
+        by_jump = np.zeros(max(self.cap, law.last * g) + 1)
+        by_jump[law.first * g: law.last * g + 1: g] = law.probs
+        self.tail_cut = max(self.tail_cut, 1.0 - float(by_jump.sum()))
+        return self._banded(by_jump[self._jumps])
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
         rate = self.trace.slope(s, side)
-        return self._spread((0,) + self.jump_values,
-                            [-rate] + [rate * p for p in self.jump_probs])[0]
+        by_jump = np.zeros(max(self.cap, *self.jump_values) + 1)
+        by_jump[[0, *self.jump_values]] = [-rate] + [rate * p for p in self.jump_probs]
+        return self._banded(by_jump[self._jumps])
 
 
 class GaussianFlowSemigroup(QuadratureSemigroup):

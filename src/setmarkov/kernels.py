@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from types import MappingProxyType
+from fractions import Fraction
 
 import numpy as np
 from scipy import special
@@ -35,12 +35,14 @@ from .distributions import (
     PMF_TAIL,  # noqa: F401  (importable from here too)
     BetaSegment,
     FinitePmf,
+    GridLaw,
     NormalLaw,
     PointMass,
     TwoStage,
     binomial_pmf,
-    canonical_value,
-    compound_poisson_dict,
+    compound_poisson_law,
+    grid_values,
+    jump_step,
     pmf_ppf,
 )
 from .errors import ConfigError, UnsupportedKernelError
@@ -55,7 +57,8 @@ from .grid import CellMeasure, GroundGrid, measure_of
 from .lattice import IndexedSet, Trace
 
 PROBE_POINTS = 101
-_NO_MOVE = MappingProxyType({0: 1.0})
+_UNIT_STEP = Fraction(1)
+_NO_MOVE = GridLaw(0, np.ones(1))
 
 
 def _require_nested(B: IndexedSet, B2: IndexedSet):
@@ -65,7 +68,13 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
 
 def _start_cap(kernel, flow) -> int:
     """Largest state of the initial law at the flow's first stage."""
-    return int(max(kernel.initial_pmf_for(flow.stages[0])))
+    return int(kernel.values(kernel.initial_law(flow.stages[0]).last))
+
+
+def _binomial_law(trials: int, p: float) -> GridLaw:
+    """``binomial_pmf`` on the integer grid: its counts are one range."""
+    pmf = binomial_pmf(trials, p)
+    return GridLaw(pmf.values[0], np.array(pmf.probs))
 
 
 @dataclass(frozen=True)
@@ -75,20 +84,25 @@ class TransitionKernel:
     Internal machinery works on *internal states* (integer counts for the
     empirical kernel, reals otherwise).  A kind implements ``measure``,
     ``flow_semigroup`` and ``describe_initial``; finite-state kinds add the
-    exact pmfs, which the default ``law`` renormalises and the default
-    ``initial_ppf`` and ``increment_ppf`` invert with ``pmf_ppf`` (a
-    uniform equal to the cdf at an atom draws the next atom; one above the
-    total of a table cut at ``PMF_TAIL`` draws the largest atom), and
-    continuous kinds add ``law``, ``cdf_probes`` and their own ppfs.  The
-    defaults of ``to_state``, ``display`` and ``probe_states`` suit
-    real-valued states.
+    exact laws ``increment_law`` and ``initial_law``, which the default
+    ``law`` renormalises and the default ``initial_ppf`` and
+    ``increment_ppf`` invert with ``pmf_ppf`` (a uniform equal to the cdf at
+    an atom draws the next atom; one above the total of a table cut at
+    ``PMF_TAIL`` draws the largest entry), and continuous kinds add
+    ``law``, ``cdf_probes`` and their own ppfs.  The defaults of
+    ``to_state``, ``display`` and ``probe_states`` suit real-valued states.
 
-    Finite-state kinds memoise their pmfs on the instance (``_pmfs``; the
-    empirical kind keeps no step of more than ``DIRECT_BINOMIAL_TRIALS``
-    points left) and return them as read-only mappings shared by every
-    caller: the increment and initial pmfs, the step pmf from each state
-    (keyed by ``canonical_value`` for every kind), and for the jump kinds
-    the pmf of each intensity.  Nothing is cached beyond the instance.
+    A finite kind's states lie on its value grid: internal state
+    ``i * value_step`` at grid index i (``values``, ``index_of``).  Its laws
+    are ``GridLaw`` vectors over grid indices, memoised on the instance in
+    one array memo (``_pmfs``; the empirical kind keeps no step of more than
+    ``DIRECT_BINOMIAL_TRIALS`` points left) and shared read only by every
+    caller: the increment and initial laws, for the jump kinds the law of
+    each intensity, and the dense leg matrices of ``step_rows``.  The step
+    law from a state is its increment law shifted by the state's index.
+    ``increment_pmf``, ``initial_pmf_for`` and ``step_pmf`` give a library
+    caller the same laws as fresh dicts {state: probability} over their
+    atoms.  Nothing is cached beyond the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -97,14 +111,29 @@ class TransitionKernel:
     finite_state = False
 
     def _memo(self, key, compute):
-        """The value under ``key``, computed on first use; a dict is kept read only."""
+        """The value under ``key``, computed on first use."""
         got = self._pmfs.get(key)
         if got is None:
-            got = compute()
             # setdefault: a sampler thread that lost a race gets the stored value
-            got = self._pmfs.setdefault(
-                key, MappingProxyType(got) if isinstance(got, dict) else got)
+            got = self._pmfs.setdefault(key, compute())
         return got
+
+    @property
+    def value_step(self) -> Fraction:
+        """The step of the value grid: internal state i * step at index i."""
+        return _UNIT_STEP
+
+    def values(self, index) -> np.ndarray:
+        """The internal states of grid indices, as floats."""
+        return grid_values(index, self.value_step)
+
+    def index_of(self, state):
+        """The grid index of an internal state on the value grid, elementwise
+        on an array of states."""
+        step = self.value_step
+        index = np.rint(np.asarray(state, dtype=float) * step.denominator
+                        / step.numerator).astype(np.int64)
+        return index if index.ndim else int(index)
 
     @property
     def measure(self) -> CellMeasure:
@@ -136,46 +165,72 @@ class TransitionKernel:
 
     def initial_ppf(self, min_set, u: np.ndarray) -> np.ndarray:
         """Inverse cdf of the initial value (internal units) at uniforms u:
-        by default ``pmf_ppf`` of the initial pmf."""
-        return pmf_ppf(self.initial_pmf_for(min_set), u)
+        by default ``pmf_ppf`` of the initial law."""
+        return self.values(pmf_ppf(self.initial_law(min_set), u))
 
     def increment_ppf(self, prev, cur, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse cdf of (value at cur) - (value at prev) given internal
         states x at prev, one uniform of u per state: by default ``pmf_ppf``
-        of the increment pmf of each distinct state, on that state's rows."""
+        of the increment law of each distinct state, on that state's rows."""
         # one stable sort groups the rows by state, so each row is read once
         order = np.argsort(x, kind="stable")
         states, starts = np.unique(x[order], return_index=True)
         out = np.empty_like(u)
         for state, rows in zip(states.tolist(), np.split(order, starts[1:])):
-            out[rows] = pmf_ppf(self.increment_pmf(prev, cur, state), u[rows])
+            law = self.increment_law(prev, cur, self.index_of(state))
+            out[rows] = self.values(pmf_ppf(law, u[rows]))
         return out
 
     def flow_semigroup(self, flow):
         """The one-parameter semigroup of this kernel transported by a flow."""
         raise NotImplementedError
 
-    def step_pmf(self, B, B2, state) -> dict:
-        """Law of the value at B2 given the value ``state`` at B, keyed by
-        ``canonical_value``: equal states reached by different float sums
-        (the compound kind's non-integer jumps) merge."""
-        return self._memo(("step", B.mask, B2.mask, state), lambda: {
-            canonical_value(state + j): p
-            for j, p in self.increment_pmf(B, B2, state).items()})
-
-    def step_rows(self, B, B2, states: tuple) -> tuple[tuple, np.ndarray]:
-        """The step pmfs from B to B2 of the internal ``states`` as dense
-        rows over the sorted union of their supports: (support, rows), the
-        array read only, memoised like the pmfs."""
-        return self._memo(("rows", B.mask, B2.mask, states),
-                          lambda: _dense([self.step_pmf(B, B2, y) for y in states]))
-
-    def increment_pmf(self, B, B2, state) -> dict:
-        """Law of (value at B2) - (value at B) given the value at B."""
+    def increment_law(self, B, B2, index: int = 0) -> GridLaw:
+        """Law of (value at B2) - (value at B) given the value at B, of grid
+        index ``index``."""
         raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
 
-    def initial_pmf_for(self, min_set) -> dict:
+    def initial_law(self, min_set) -> GridLaw:
         raise UnsupportedKernelError(f"{self.kind} kernel has no finite initial pmf")
+
+    def step_law(self, B, B2, index: int) -> GridLaw:
+        """Law of the value at B2 given the value of grid index ``index`` at B."""
+        return self.increment_law(B, B2, index).shifted(index)
+
+    def step_rows(self, B, B2, first: int, count: int) -> tuple[int, np.ndarray]:
+        """The step laws from B to B2 of the grid indices first, ...,
+        first + count - 1 as the rows of one dense matrix over a range of
+        grid indices: (first index of the range, rows), read only and
+        memoised."""
+        def build():
+            laws = [self.step_law(B, B2, i) for i in range(first, first + count)]
+            lo = min(law.first for law in laws)
+            rows = np.zeros((count, max(law.last for law in laws) - lo + 1))
+            for row, law in zip(rows, laws):
+                row[law.first - lo: law.last - lo + 1] = law.probs
+            rows.flags.writeable = False
+            return lo, rows
+
+        return self._memo(("rows", B.mask, B2.mask, first, count), build)
+
+    def grid_law(self, pmf: dict) -> GridLaw:
+        """A dict pmf {internal state: probability} as a law on the grid."""
+        index = np.array([self.index_of(x) for x in pmf], dtype=np.int64)
+        probs = np.zeros(int(index.max() - index.min()) + 1)
+        probs[index - index.min()] = list(pmf.values())
+        return GridLaw(int(index.min()), probs)
+
+    def increment_pmf(self, B, B2, state=0) -> dict:
+        """``increment_law`` from ``state`` as a dict {increment: probability}."""
+        return self.increment_law(B, B2, self.index_of(state)).as_dict(self.value_step)
+
+    def initial_pmf_for(self, min_set) -> dict:
+        """``initial_law`` as a dict {state: probability}."""
+        return self.initial_law(min_set).as_dict(self.value_step)
+
+    def step_pmf(self, B, B2, state) -> dict:
+        """``step_law`` from ``state`` as a dict {state: probability}."""
+        return self.step_law(B, B2, self.index_of(state)).as_dict(self.value_step)
 
     def ck_monte_carlo(self, B, B1, B2, states, seed: int, count: int) -> "Defect":
         raise UnsupportedKernelError(
@@ -185,9 +240,8 @@ class TransitionKernel:
         """Law of the value at B2 given the display value x at B, in display
         units: for a finite-state kind the step pmf from ``to_state(x)``,
         renormalised over the atoms a tail cut kept."""
-        pmf = self.step_pmf(B, B2, self.to_state(x))
-        probs = np.fromiter(pmf.values(), float, len(pmf))
-        return FinitePmf([self.display(v) for v in pmf], probs / probs.sum())
+        index, probs = self.step_law(B, B2, self.index_of(self.to_state(x))).atoms
+        return FinitePmf(self.display(self.values(index)).tolist(), probs / probs.sum())
 
     def describe_initial(self, min_set=None) -> str:
         raise NotImplementedError
@@ -230,23 +284,23 @@ class EmpiricalKernel(TransitionKernel):
         return empirical_success(measure_of(self.F, B2 - B), measure_of(self.F, B),
                                  self.corrupted)
 
-    def increment_pmf(self, B, B2, state):
+    def increment_law(self, B, B2, index=0):
         _require_nested(B, B2)
         if B.mask == B2.mask:
             return _NO_MOVE
-        rest = self.n - int(state)
+        rest = self.n - int(index)
 
         def build():
-            return binomial_pmf(rest, self.success_probability(B, B2)).as_dict()
+            return _binomial_law(rest, self.success_probability(B, B2))
 
         if rest > DIRECT_BINOMIAL_TRIALS:
             # a step meets O(sqrt(n)) such tables of O(sqrt(n)) atoms: not kept
-            return MappingProxyType(build())
+            return build()
         return self._memo((B.mask, B2.mask, rest), build)
 
-    def initial_pmf_for(self, min_set: IndexedSet):
-        return self._memo(("initial", min_set.mask), lambda: binomial_pmf(
-            self.n, measure_of(self.F, min_set)).as_dict())
+    def initial_law(self, min_set: IndexedSet):
+        return self._memo(("initial", min_set.mask), lambda: _binomial_law(
+            self.n, measure_of(self.F, min_set)))
 
     def flow_semigroup(self, flow):
         if self.n > DIRECT_BINOMIAL_TRIALS:
@@ -315,10 +369,11 @@ class GaussianIncrementKernel(TransitionKernel):
 class CompoundPoissonKernel(TransitionKernel):
     """Independent compound-poisson increments with intensity measure
     ``lam``: a poisson number of iid jumps from the finite jump pmf
-    (``jump_values``, ``jump_probs``).  The increment over intensity ``mean``
-    is ``_pmf_of_mean(mean)``, cut at ``PMF_TAIL``; the kernel memoises it
-    per mean (``_mean_pmf``), and its tables and its flow semigroup both
-    read the memo.  ``_law_name`` names the law in texts and
+    (``jump_values``, ``jump_probs``), on the value grid of the jumps'
+    common step (``distributions.jump_step``).  The increment over
+    intensity ``mean`` is ``_law_of_mean(mean)``, cut at ``PMF_TAIL``; the
+    kernel memoises it per mean (``_mean_law``), and its tables and its flow
+    semigroup both read the memo.  ``_law_name`` names the law in texts and
     ``_initial_name`` its non-zero initial law."""
 
     lam: CellMeasure
@@ -344,29 +399,33 @@ class CompoundPoissonKernel(TransitionKernel):
     def measure(self):
         return self.lam
 
-    def _pmf_of_mean(self, mean: float) -> dict:
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
+    @property
+    def value_step(self) -> Fraction:
+        return jump_step(self.jump_values, self.jump_probs)
 
-    def _mean_pmf(self, mean: float) -> MappingProxyType:
-        """``_pmf_of_mean(mean)``, memoised per mean: steps over cells of
+    def _law_of_mean(self, mean: float) -> GridLaw:
+        return compound_poisson_law(mean, self.jump_values, self.jump_probs)
+
+    def _mean_law(self, mean: float) -> GridLaw:
+        """``_law_of_mean(mean)``, memoised per mean: steps over cells of
         equal intensity share one table."""
-        return self._memo(("mean", mean), lambda: self._pmf_of_mean(mean))
+        return self._memo(("mean", mean), lambda: self._law_of_mean(mean))
 
-    def increment_pmf(self, B, B2, state=0):
+    def increment_law(self, B, B2, index=0):
         _require_nested(B, B2)
         return self._memo((B.mask, B2.mask),
-                          lambda: self._mean_pmf(measure_of(self.lam, B2 - B)))
+                          lambda: self._mean_law(measure_of(self.lam, B2 - B)))
 
-    def initial_pmf_for(self, min_set):
+    def initial_law(self, min_set):
         # the zero initial law is the increment over no cells
         empty = IndexedSet(self.grid, 0)
-        return self.increment_pmf(empty, empty if self.initial == "zero" else min_set)
+        return self.increment_law(empty, empty if self.initial == "zero" else min_set)
 
     def increment_ppf(self, prev, cur, x, u):
-        return pmf_ppf(self.increment_pmf(prev, cur), u)
+        return self.values(pmf_ppf(self.increment_law(prev, cur), u))
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._mean_pmf,
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._mean_law,
                                  self.jump_values, self.jump_probs,
                                  start_mass_cap=_start_cap(self, flow))
 
@@ -622,55 +681,48 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return _quantile_column(("beta", a, b), u, lambda v: special.betaincinv(a, b, v))
 
 
-def _dense(pmfs) -> tuple[tuple, np.ndarray]:
-    """(support, rows): the dict pmfs as the rows of one read-only array
-    over the sorted union of their supports."""
-    support = tuple(sorted(set().union(*pmfs)))
-    col = {z: j for j, z in enumerate(support)}
-    rows = np.zeros((len(pmfs), len(support)))
-    for i, pmf in enumerate(pmfs):
-        rows[i, [col[z] for z in pmf]] = list(pmf.values())
-    rows.flags.writeable = False
-    return support, rows
-
-
-def chain_rows(kernel, stages, states) -> tuple[tuple, np.ndarray]:
+def chain_rows(kernel, stages, states) -> tuple[int, np.ndarray]:
     """Exact laws of the internal state at stages[-1] after chaining the
     kernel through the consecutive stages, one row per internal state of
-    ``states`` at stages[0]: (support, rows), ``rows[i, j]`` the probability
-    of ``support[j]``.  The start is one-hot rows, so a single leg gives its
-    step pmfs bit for bit."""
-    return _push_rows(kernel, stages, _dense([{x: 1.0} for x in states]))
+    ``states`` at stages[0]: (first, rows), ``rows[i, j]`` the probability
+    of grid index first + j.  The start is one-hot rows over the range of
+    the states' grid indices, so a single leg gives its step laws bit for
+    bit."""
+    index = kernel.index_of(states)
+    first = int(index.min())
+    rows = np.zeros((len(index), int(index.max()) - first + 1))
+    rows[np.arange(len(index)), index - first] = 1.0
+    return _push_rows(kernel, stages, first, rows)
 
 
-def chain_law(kernel, stages, start: dict) -> dict:
+def chain_law(kernel, stages, start: GridLaw) -> GridLaw:
     """Law of the internal state at stages[-1] when the chain starts from
-    the pmf ``start`` at stages[0]: {state: probability}, by the dense rows
-    of ``chain_rows`` from one start row."""
-    support, rows = _push_rows(kernel, stages, _dense([start]))
-    return dict(zip(support, rows[0].tolist()))
+    the law ``start`` at stages[0], by the dense rows of ``chain_rows`` from
+    one start row."""
+    first, rows = _push_rows(kernel, stages, start.first, start.probs[None, :])
+    return GridLaw(first, rows[0])
 
 
-def _push_rows(kernel, stages, laws: tuple[tuple, np.ndarray]) -> tuple[tuple, np.ndarray]:
-    """The (support, rows) laws at stages[0] carried to stages[-1]: each leg
-    is the kernel's ``step_rows`` from every state the chain has reached,
-    and the legs are multiplied."""
-    support, rows = laws
+def _push_rows(kernel, stages, first: int, rows: np.ndarray) -> tuple[int, np.ndarray]:
+    """Laws at stages[0] over the grid indices first, first + 1, ...
+    carried to stages[-1]: each leg is the kernel's ``step_rows`` from
+    every index of the range the chain has reached, and the legs are
+    multiplied."""
     for a, b in zip(stages, stages[1:]):
         if a.mask != b.mask:
-            support, leg = kernel.step_rows(a, b, support)
+            first, leg = kernel.step_rows(a, b, first, rows.shape[1])
             rows = rows @ leg
-    return support, rows
+    return first, rows
 
 
-def rows_tv(a: tuple[tuple, np.ndarray], b: tuple[tuple, np.ndarray]) -> np.ndarray:
-    """Total variation distance between matching rows of two
-    (support, rows) laws, over the union of their supports."""
-    support = sorted(set(a[0]) | set(b[0]))
-    col = {z: j for j, z in enumerate(support)}
-    gap = np.zeros((len(a[1]), len(support)))
-    gap[:, [col[z] for z in a[0]]] = a[1]
-    gap[:, [col[z] for z in b[0]]] -= b[1]
+def rows_tv(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> np.ndarray:
+    """Total variation distance between matching rows of two (first, rows)
+    laws, over the union of their grid ranges."""
+    (fa, ra), (fb, rb) = a, b
+    lo = min(fa, fb)
+    gap = np.zeros((len(ra), max(fa + ra.shape[1], fb + rb.shape[1]) - lo))
+    gap[:, fa - lo: fa - lo + ra.shape[1]] = ra
+    gap[:, fb - lo: fb - lo + rb.shape[1]] -= rb
     return 0.5 * np.abs(gap).sum(axis=1)
 
 
@@ -692,8 +744,10 @@ def compose_kernels(kernel, B, B1, B2, x):
     _require_nested(B, B1)
     _require_nested(B1, B2)
     if kernel.finite_state:
-        support, rows = chain_rows(kernel, (B, B1, B2), [kernel.to_state(x)])
-        return FinitePmf([kernel.display(v) for v in support], rows[0] / rows[0].sum())
+        first, rows = chain_rows(kernel, (B, B1, B2), [kernel.to_state(x)])
+        at = np.flatnonzero(rows[0])
+        return FinitePmf(kernel.display(kernel.values(first + at)).tolist(),
+                         rows[0, at] / rows[0, at].sum())
     if measure_of(kernel.measure, B2 - B1) == 0:
         return kernel_eval(kernel, B, B1, x)
     if measure_of(kernel.measure, B1 - B) == 0:

@@ -23,6 +23,7 @@ from .construction import (
     chain_table,
     decompose_over_lefts,
     exact_fdd,
+    distinct_codes,
     group_rows,
     sample_increments,
 )
@@ -54,8 +55,9 @@ def conditional_independence_defect(law, target, history, present) -> Conditiona
 
     ``target``, ``history`` and ``present`` are lists of column-index groups
     of ``law``; each observes the vector of its group sums.  The present is
-    a function of the history, but float sums of one history can differ in
-    their last bits, so each history takes the present of its first row.
+    a function of the history, and each history takes the present of its
+    first row.  Group sums are sums of grid indices, exact, so equal values
+    reached in different orders merge.
     """
     p = law.probs
     t, _ = group_rows(law.group_sums(target))
@@ -89,7 +91,7 @@ def conditional_independence_defect(law, target, history, present) -> Conditiona
 
 def _joint_masses(a: np.ndarray, t: np.ndarray, nt: int, p: np.ndarray):
     """Sorted distinct codes a * nt + t and the probability of each."""
-    codes, inverse = np.unique(a * nt + t, return_inverse=True)
+    codes, _, inverse = distinct_codes(a * nt + t, (int(a.max()) + 1) * nt)
     return codes, np.bincount(inverse, weights=p)
 
 
@@ -209,14 +211,15 @@ def swap_edge_tv(spec, ordering: ConsistentOrdering, k: int) -> float:
                    for c, w in zip(spec.components, spec.weights))
     kernel = spec.kernel
     prefix = [ordering.prefix_set(i) for i in range(k)]
-    start = chain_law(kernel, prefix, spec.initial_pmf())
+    start = chain_law(kernel, prefix, spec.initial_law())
     before = prefix[-1]
     a, b = ordering.sets[k], ordering.sets[k + 1]
     laws = []
     for first, second in ((a, b), (b, a)):
         stages = (before, before | first, before | first | second)
         columns, probs = chain_table(kernel, stages, start)
-        laws.append(JointLaw(("x", "first", "second"), None, np.array(columns).T, probs))
+        laws.append(JointLaw(("x", "first", "second"), None, np.array(columns).T, probs,
+                             kernel.value_step))
     # the exchanged order steps over b first: its columns go back to (x, a, b)
     return laws[0].tv(laws[1].permuted((0, 2, 1)))
 

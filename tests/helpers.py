@@ -31,7 +31,8 @@ columns of the Monte Carlo ``verify.ordering_invariance_defect``.
 ``ref_mc_event_probabilities`` takes one boolean ``mean`` per probe event:
 the reference for the ``bincount`` and superset sums of
 ``verify.mc_event_probabilities``.
-``ref_chain_pmf`` chains the kernel's step pmfs one state at a time through
+``ref_chain_pmf`` chains the kernel's step pmfs (``ref_step_pmf``, from
+the dict tables of ``ref_increment_pmf``) one state at a time through
 dicts, and ``ref_ck_defect`` and ``ref_flow_matching_defect`` compare such
 chains state by state: the reference for the dense rows of
 ``kernels.chain_rows``.  No reference here rebuilds a compound poisson
@@ -44,6 +45,12 @@ matrix one atom at a time: the reference for the scattered band of
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
+``ref_panjer`` and ``ref_compound_poisson_dict`` are the compound poisson
+tables as dict pmfs keyed by ``canonical_value``, Panjer's recursion walking
+a heap of pending values: the reference, bit for bit, for the grid vectors
+of ``distributions.compound_poisson_law``.  ``ref_increment_pmf`` and
+``ref_initial_pmf`` give a kernel's dict pmfs as those tables and
+``binomial_pmf`` give them: the reference for the kernels' grid laws.
 ``ref_binom_ppf`` and ``ref_poisson_ppf`` are scipy's quantile functions,
 the samplers the empirical and poisson kernels used before they inverted
 their own pmf tables: the reference for ``kernels.TransitionKernel``'s
@@ -52,6 +59,7 @@ default ``initial_ppf`` and ``increment_ppf``.
 
 import csv
 import functools
+import heapq
 import itertools
 import math
 
@@ -59,6 +67,14 @@ import numpy as np
 from scipy import stats
 
 from setmarkov.config import load_config
+from setmarkov.distributions import (
+    PMF_TAIL,
+    PMF_TOTAL_TOL,
+    binomial_pmf,
+    canonical_value,
+    poisson_tail_count,
+)
+from setmarkov.grid import measure_of
 from setmarkov.construction import (
     FddSpec,
     MixtureSpec,
@@ -184,7 +200,8 @@ def place_points_joint(cell_probs, regions, n_points):
 
 
 def ref_exact_fdd(spec) -> dict:
-    """Increment law by dict chaining: one kernel pmf lookup per table row."""
+    """Increment law by dict chaining: one dict pmf of the kernel's tables
+    (``ref_increment_pmf``) per table row."""
     if hasattr(spec, "components"):
         table = {}
         for w, comp in zip(spec.weights, spec.components):
@@ -192,12 +209,14 @@ def ref_exact_fdd(spec) -> dict:
                 table[k] = table.get(k, 0.0) + w * v
         return table
     ordering = spec.ordering
-    table = {(s,): float(p) for s, p in spec.initial_pmf().items()}
+    initial = spec.initial if spec.initial is not None else \
+        ref_initial_pmf(spec.kernel, spec.min_set)
+    table = {(s,): float(p) for s, p in initial.items()}
     for i in range(1, len(ordering)):
         prev, cur = ordering.prefix_set(i - 1), ordering.prefix_set(i)
         new = {}
         for key, p in table.items():
-            for inc, q in spec.kernel.increment_pmf(prev, cur, sum(key)).items():
+            for inc, q in ref_increment_pmf(spec.kernel, prev, cur, sum(key)).items():
                 nk = key + (inc,)
                 new[nk] = new.get(nk, 0.0) + p * q
         table = new
@@ -217,9 +236,10 @@ def ref_marginal(table, indices) -> dict:
 
 
 def ref_pushforward_sums(table, groups) -> dict:
+    """Block sums keyed by ``canonical_value``, as values on a grid add."""
     out = {}
     for k, v in table.items():
-        kk = tuple(sum(k[i] for i in g) if g else 0 for g in groups)
+        kk = tuple(canonical_value(sum(k[i] for i in g)) if g else 0 for g in groups)
         out[kk] = out.get(kk, 0.0) + v
     return out
 
@@ -246,9 +266,10 @@ def ref_align_variables(lefts_a, lefts_b) -> tuple:
 
 def ref_conditional_independence_defect(table, target, history, present, min_prob):
     """(defect, skipped, events) with target/history/present as lists of
-    index groups, each observed through its group sums."""
+    index groups, each observed through its group sums, keyed by
+    ``canonical_value`` as values on a grid add."""
     def observe(groups, key):
-        return tuple(sum(key[i] for i in g) for g in groups)
+        return tuple(canonical_value(sum(key[i] for i in g)) for g in groups)
 
     hist, pres = {}, {}
     for key, p in table.items():
@@ -571,6 +592,12 @@ def ref_fdd_csv(config_path, path):
                        + [repr(float(table[key]))])
 
 
+def ref_step_pmf(kernel, B, B2, state) -> dict:
+    """``ref_increment_pmf`` shifted by the state, keyed by ``canonical_value``."""
+    return {canonical_value(state + j): p
+            for j, p in ref_increment_pmf(kernel, B, B2, state).items()}
+
+
 def ref_chain_pmf(kernel, stages, state) -> dict:
     """Exact pmf of the internal state at stages[-1] after chaining the
     kernel through the consecutive stages from ``state``, one dict entry per
@@ -581,7 +608,7 @@ def ref_chain_pmf(kernel, stages, state) -> dict:
             continue
         out = {}
         for y, p in pmf.items():
-            for z, q in kernel.step_pmf(a, b, y).items():
+            for z, q in ref_step_pmf(kernel, a, b, y).items():
                 out[z] = out.get(z, 0.0) + p * q
         pmf = out
     return pmf
@@ -594,7 +621,7 @@ def ref_ck_defect(kernel, B, B1, B2, states) -> float:
     for x in states:
         y = kernel.to_state(x)
         worst = max(worst, ref_tv(ref_chain_pmf(kernel, (B, B1, B2), y),
-                                  kernel.step_pmf(B, B2, y)))
+                                  ref_step_pmf(kernel, B, B2, y)))
     return worst
 
 
@@ -615,8 +642,9 @@ def ref_jump_matrix(system, s, t) -> np.ndarray:
     time, each atom along its whole band."""
     size = system.cap + 1
     M = np.zeros((size, size))
-    for v, p in system.step_law(max(system.trace(t) - system.trace(s), 0.0)).items():
-        _fill_band(M, int(round(v)), p)
+    law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
+    for index, p in zip(range(law.first, law.last + 1), law.probs.tolist()):
+        _fill_band(M, index * system.value_step, p)
     return M
 
 
@@ -639,3 +667,92 @@ def ref_binom_ppf(u, n, p):
 def ref_poisson_ppf(u, mean):
     """scipy's poisson quantile at uniforms u; a zero mean draws 0."""
     return stats.poisson.ppf(u, mean) if mean > 0 else np.zeros_like(u)
+
+
+def ref_panjer(rates: dict, mean: float, tail: float) -> dict:
+    """Law of a Poisson(mean) number of iid positive jumps, jump v at rate
+    ``rates[v]``, by Panjer's recursion over a heap of pending values: the
+    least pending value is final.  It keeps the values that at most
+    ``poisson_tail_count(mean, tail)`` jumps reach and cuts the left tail
+    below mean - 12 sqrt(mean) jumps of the smallest size; f is held times
+    2**e, and 2**512 is shed from every pending sum when f passes it."""
+    most = poisson_tail_count(mean, tail)
+    floor = max(int(mean - 12.0 * math.sqrt(mean)), 0) * min(rates)
+    e = max(math.ceil((mean - 700.0) / math.log(2.0)), 0)
+    ahead, pending, out = {0.0: [math.exp(e * math.log(2.0) - mean), 0]}, [0.0], {}
+    while pending:
+        x = heapq.heappop(pending)
+        g, n = ahead.pop(x)
+        if n > most:
+            continue
+        if (g := g / (x or 1.0)) > 2.0 ** 512:
+            g, e = math.ldexp(g, -512), e - 512
+            for t in ahead.values():
+                t[0] = math.ldexp(t[0], -512)
+        if x >= floor and (p := math.ldexp(g, -e)):
+            out[x] = p
+        for v, r in rates.items():
+            if (t := ahead.get(y := canonical_value(x + v))) is None:
+                ahead[y] = [v * r * g, n + 1]
+                heapq.heappush(pending, y)
+            else:
+                t[0], t[1] = t[0] + v * r * g, min(t[1], n + 1)
+    return out
+
+
+def ref_poisson_dict(mean: float) -> dict:
+    """The poisson count table as a dict {count: probability}."""
+    if mean == 0:
+        return {0: 1.0}
+    k = np.arange(max(int(mean - 12.0 * math.sqrt(mean)), 0),
+                  poisson_tail_count(mean, PMF_TAIL) + 1)
+    return dict(zip(k.tolist(), stats.poisson.pmf(k, mean).tolist()))
+
+
+def ref_compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
+    """The compound poisson table as a dict pmf keyed by ``canonical_value``:
+    one jump size reads the poisson table at k v; otherwise one
+    ``ref_panjer`` table per sign, signed back, and the two signs convolved
+    pair by pair, the positive side outermost."""
+    base = {canonical_value(v): float(p) for v, p in zip(jump_values, jump_probs)}
+    assert abs(sum(base.values()) - 1.0) <= PMF_TOTAL_TOL
+    nonzero = {v: p for v, p in base.items() if v and p > 0}
+    if len(nonzero) == 1:
+        ((v, p),) = nonzero.items()
+        counts = ref_poisson_dict(lam if min(base) > 0 else lam * p)
+        return {canonical_value(k * v) + 0.0: q for k, q in counts.items()}
+    sides = [(sign, rates) for sign in (1.0, -1.0)
+             if (rates := {sign * v: lam * p for v, p in nonzero.items() if sign * v > 0})]
+    laws = [{sign * x + 0.0: p for x, p in ref_panjer(
+                rates, lam if min(base) > 0 else math.fsum(rates.values()),
+                PMF_TAIL / len(sides)).items()} for sign, rates in sides]
+    if len(laws) < 2:
+        return laws[0] if laws else {0.0: 1.0}
+    out = {}
+    for a, p in laws[0].items():
+        for b, q in laws[1].items():
+            out[canonical_value(a + b)] = out.get(canonical_value(a + b), 0.0) + p * q
+    return out
+
+
+def ref_increment_pmf(kernel, B, B2, state=0) -> dict:
+    """A finite kernel's increment pmf from ``state`` as its tables give it:
+    ``binomial_pmf`` of the points left (empirical), the compound table of
+    the step's intensity (jump kinds)."""
+    if B.mask == B2.mask:
+        return {0: 1.0}
+    if kernel.kind == "empirical":
+        return binomial_pmf(kernel.n - int(state),
+                            kernel.success_probability(B, B2)).as_dict()
+    return ref_compound_poisson_dict(measure_of(kernel.lam, B2 - B),
+                                     kernel.jump_values, kernel.jump_probs)
+
+
+def ref_initial_pmf(kernel, min_set) -> dict:
+    """A finite kernel's initial pmf as its tables give it."""
+    if kernel.kind == "empirical":
+        return binomial_pmf(kernel.n, measure_of(kernel.F, min_set)).as_dict()
+    if kernel.initial == "zero":
+        return {0.0: 1.0}
+    return ref_compound_poisson_dict(measure_of(kernel.lam, min_set),
+                                     kernel.jump_values, kernel.jump_probs)

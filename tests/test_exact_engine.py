@@ -3,6 +3,7 @@ the memoised, read-only step pmfs it is built on."""
 
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -25,7 +26,7 @@ from setmarkov import (
 )
 from setmarkov import construction, distributions, kernels, verify
 from setmarkov.cli import main
-from setmarkov.distributions import canonical_value, pmf_ppf, tv_distance
+from setmarkov.distributions import GridLaw, canonical_value, pmf_ppf, tv_distance
 from setmarkov.grid import measure_of
 from setmarkov.kernels import chain_rows
 from setmarkov.verify import (
@@ -191,18 +192,23 @@ def test_memoised_pmfs_are_read_only_and_accepted_everywhere(lattice3, grid2):
         if kind == "mixture":
             continue
         kernel = spec.kernel
+        law = kernel.increment_law(B, B2, 0)
+        assert law is kernel.increment_law(B, B2, 0)
+        initial = spec.initial_law()
+        assert initial is kernel.initial_law(spec.min_set)
+        for shared in (law, initial):
+            with pytest.raises(ValueError):
+                shared.probs[0] = 1.0
+        # the dict views are fresh dicts of the same law
         pmf = kernel.increment_pmf(B, B2, 0)
-        assert pmf is kernel.increment_pmf(B, B2, 0)
-        initial = spec.initial_pmf()
-        for shared in (pmf, initial):
-            with pytest.raises(TypeError):
-                shared[99] = 1.0
-        # consumers take the read-only mappings as they took dicts
-        assert pmf_ppf(pmf, np.array([0.0, 0.5, 1.0])).shape == (3,)
+        assert pmf == law.as_dict(kernel.value_step) and pmf is not kernel.increment_pmf(B, B2, 0)
+        # consumers take the laws and their dict views alike
+        u = np.array([0.0, 0.5, 1.0])
+        assert kernel.values(pmf_ppf(law, u)).tolist() == pmf_ppf(pmf, u).tolist()
         assert pmf_ppf(initial, np.array([0.5])).shape == (1,)
         assert tv_distance(pmf, dict(pmf)) == 0.0
-        support, rows = chain_rows(kernel, (B, B2), [0])
-        assert dict(zip(support, rows[0].tolist())) == kernel.step_pmf(B, B2, 0)
+        first, rows = chain_rows(kernel, (B, B2), [0])
+        assert GridLaw(first, rows[0]).as_dict(kernel.value_step) == kernel.step_pmf(B, B2, 0)
         # the memo is per instance and takes no part in equality
         twin = dataclasses.replace(kernel)
         assert twin == kernel and hash(twin) == hash(kernel)
@@ -268,17 +274,18 @@ def test_table_cap_raises_before_the_table_is_built(tmp_path, capsys):
 
 
 def test_group_rows_rekeys_codes_that_would_overflow():
-    # 2048 distinct floats in each of six columns: a mixed-radix code over
-    # them needs 2048**6 = 2**66 values, so group_rows re-ranks on the way.
-    # Row pairs agree everywhere but in the first column, whose ranks differ
-    # by a multiple of 512: in a wrapped int64 code they would collide.
+    # 2048 distinct grid indices in each of six columns: a mixed-radix code
+    # over them needs 2048**6 = 2**66 values, so group_rows re-ranks on the
+    # way.  Row pairs agree everywhere but in the first column, whose
+    # offsets differ by a multiple of 512: in a wrapped int64 code they would
+    # collide.  The columns start at other indices than 0, some below it
     rng = np.random.default_rng(0)
     n = 2048
-    rest = [rng.permutation(n) * 0.1 + 0.01 * j for j in range(1, 6)]
-    rows = [((i + shift) % n * 0.1,) + tuple(float(c[i]) for c in rest)
+    rest = [rng.permutation(n) + 700 * j - 1500 for j in range(1, 6)]
+    rows = [((i + shift) % n - 3,) + tuple(int(c[i]) for c in rest)
             for shift in (0, 512) for i in range(n)]
     # each row twice, split by a last 0/1 column, so the marginal merges
-    keys = [k + (float(b),) for k in rows for b in (0, 1)]
+    keys = [k + (b,) for k in rows for b in (0, 1)]
     weights = rng.uniform(0.1, 1.0, size=len(keys))
     weights /= weights.sum()
     table = dict(zip(keys, weights.tolist()))
@@ -286,14 +293,17 @@ def test_group_rows_rekeys_codes_that_would_overflow():
     keep = list(range(6))
     assert_same_law(law.marginal(keep).table, ref_marginal(table, keep))
     other = dict(zip(keys, np.roll(weights, 1).tolist()))
-    assert abs(law.tv(law_of(other)) - ref_tv(table, other)) <= TOL
+    # summed exactly: a running sum of the 8192 gaps drifts past TOL
+    want = 0.5 * math.fsum(abs(p - other[k]) for k, p in table.items())
+    assert abs(law.tv(law_of(other)) - want) <= TOL
 
 
 def test_set_markov_with_a_split_history_part(grid2):
     # the history observes {0} and {1, 2}; {1, 2} is two left cells of the
-    # law, so rows of one history can have presents that round apart: rows
-    # (0.1, 0.0, 0.5) and (0.1, 0.1, 0.4) both have history (0.1, 0.5), but
-    # their left-to-right sums are 0.6 and 0.6000000000000001
+    # law, so rows of one history can have presents that float sums round
+    # apart: rows (0.1, 0.0, 0.5) and (0.1, 0.1, 0.4) both have history
+    # (0.1, 0.5), but their left-to-right float sums are 0.6 and
+    # 0.6000000000000001.  Sums of grid indices are exact: one present each
     lat = close_under_intersection([IndexedSet.from_cells(grid2, c)
                                     for c in ([0, 1], [0, 2], [0, 3])])
     spec = FddSpec(lat, CompoundPoissonKernel(CellMeasure(grid2, [0.05] * 4),
@@ -303,11 +313,14 @@ def test_set_markov_with_a_split_history_part(grid2):
     parts = [IndexedSet.from_cells(grid2, c).mask for c in ([0], [1, 2])]
     law = exact_fdd(spec)
     history, present = [[0], [1, 2]], [[0, 1, 2]]
-    sums = law.group_sums(history + present)
-    presents = {}
-    for row in map(tuple, sums.tolist()):
+    float_presents, presents = {}, {}
+    for row in law.keys.tolist():
+        seen = (row[0], row[1] + row[2])
+        float_presents.setdefault(seen, set()).add(row[0] + row[1] + row[2])
+    assert any(len(g) > 1 for g in float_presents.values())
+    for row in map(tuple, law.group_sums(history + present).tolist()):
         presents.setdefault(row[:2], set()).add(row[2])
-    assert any(len(g) > 1 for g in presents.values())
+    assert all(len(g) == 1 for g in presents.values())
     got = set_markov_defect(spec, A, B, parts)
     defect, skipped, events = ref_conditional_independence_defect(
         law.table, [[3]], history, present, MIN_CONDITION_PROB)

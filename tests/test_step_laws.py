@@ -29,7 +29,12 @@ from setmarkov import (
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
-from setmarkov.distributions import compound_poisson_dict, poisson_pmf, poisson_tail_count
+from setmarkov.distributions import (
+    compound_poisson_dict,
+    compound_poisson_law,
+    poisson_pmf,
+    poisson_tail_count,
+)
 from setmarkov.generators import (
     JumpFlowSemigroup,
     permutation_identity_check,
@@ -86,10 +91,10 @@ def _prefix_triples(lattice):
 
 def test_poisson_pmf_is_stats_poisson_pmf_bit_for_bit():
     for mean in np.geomspace(1e-6, 50.0, 400).tolist() + [0.1, 0.5, 1.0, 7.25]:
-        pmf = poisson_pmf(mean)
-        assert list(pmf) == list(range(len(pmf)))
-        want = stats.poisson.pmf(np.arange(len(pmf)), mean).tolist()
-        assert list(pmf.values()) == want
+        law = poisson_pmf(mean)
+        assert law.first == 0
+        want = stats.poisson.pmf(np.arange(len(law)), mean).tolist()
+        assert law.probs.tolist() == want
 
 
 # 208 geometric means, then means around the left cut (144) and past about
@@ -157,7 +162,8 @@ def test_compound_kernel_pmf_of_mean_is_the_reference(grid2):
     for (values, probs), means in ORACLE_MEANS.items():
         k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
         for mean in means:
-            assert_matches_the_oracle(k._pmf_of_mean(mean), mean, values, probs)
+            assert_matches_the_oracle(k._law_of_mean(mean).as_dict(k.value_step), mean,
+                                      values, probs)
 
 
 def test_compound_table_at_a_mean_of_800_is_fast():
@@ -191,7 +197,7 @@ def test_scattered_jump_matrices_equal_the_per_atom_fill():
                 assert np.array_equal(system.generator_matrix(s, side),
                                       ref_jump_generator_matrix(system, s, side))
             law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
-            cuts.append(1.0 - math.fsum(law.values()))
+            cuts.append(1.0 - math.fsum(law.probs))
         # 1 minus a float sum: within a few units of 1.0's last place
         assert system.tail_cut == pytest.approx(max(cuts), abs=5e-16)
         assert 0.0 < system.tail_cut <= PMF_TAIL
@@ -231,8 +237,9 @@ def test_chain_rows_and_flow_matching_match_the_dict_chain(lattice3, grid2, name
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
                           (flow.stages[0], flow.stages[-1]))
     states = [kernel.to_state(x) for x in kernel.probe_states()]
-    support, rows = chain_rows(kernel, flow.stages, states)
-    assert rows.shape == (len(states), len(support))
+    first, rows = chain_rows(kernel, flow.stages, states)
+    assert rows.shape[0] == len(states)
+    support = kernel.values(np.arange(first, first + rows.shape[1])).tolist()
     for x, row in zip(states, rows):
         want = ref_chain_pmf(kernel, flow.stages, x)
         got = dict(zip(support, row.tolist()))
@@ -254,19 +261,24 @@ def test_chain_rows_and_flow_matching_match_the_dict_chain(lattice3, grid2, name
 def test_no_leg_moves_gives_one_hot_rows(grid2):
     k = EmpiricalKernel(2, CellMeasure.uniform_probability(grid2))
     B = IndexedSet.from_cells(grid2, [0])
-    support, rows = chain_rows(k, (B, B), [1, 0, 1])
-    assert support == (0, 1)
+    first, rows = chain_rows(k, (B, B), [1, 0, 1])
+    assert first == 0
     assert rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_rows_tv_aligns_supports_by_value():
-    a = ((0, 1), np.array([[0.5, 0.5], [1.0, 0.0]]))
-    b = ((1, 2), np.array([[0.5, 0.5], [0.0, 1.0]]))
+    # (first grid index, rows): the two ranges are aligned by index
+    a = (0, np.array([[0.5, 0.5], [1.0, 0.0]]))
+    b = (1, np.array([[0.5, 0.5], [0.0, 1.0]]))
     assert rows_tv(a, b).tolist() == [0.5, 1.0]
+    assert rows_tv(b, a).tolist() == [0.5, 1.0]
     assert rows_tv(a, a).tolist() == [0.0, 0.0]
-    # int and float states that are equal merge, as dict keys do
-    c = ((0.0, 1.0, 2.0), np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+    # a range that holds zeros past the other's is the same law
+    c = (-1, np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]]))
     assert rows_tv(a, c).tolist() == [0.0, 0.0]
+    # indices that meet only in part
+    d = (3, np.array([[1.0], [1.0]]))
+    assert rows_tv(b, d).tolist() == [1.0, 1.0]
 
 
 def _twin(kernel):
@@ -290,15 +302,19 @@ def test_a_fresh_kernel_and_a_warmed_one_give_identical_laws(lattice3, grid2, na
             assert list(got.items()) == list(want.items())
             assert list(fresh.increment_pmf(B, B2, x).items()) == \
                 list(warm.increment_pmf(B, B2, x).items())
-        # each tuple of start states has its own rows, in its own order
-        for probe in (tuple(states), tuple(reversed(states))):
-            (s1, r1), (s2, r2) = fresh.step_rows(B, B2, probe), warm.step_rows(B, B2, probe)
-            assert s1 == s2 and np.array_equal(r1, r2)
+        # each range of start indices has its own rows, one per index
+        index = [warm.index_of(x) for x in states]
+        for first in range(min(index), max(index) + 1):
+            count = max(index) - first + 1
+            (f1, r1), (f2, r2) = fresh.step_rows(B, B2, first, count), \
+                warm.step_rows(B, B2, first, count)
+            assert f1 == f2 and np.array_equal(r1, r2)
             assert not r2.flags.writeable
-            for y, row in zip(probe, r2.tolist()):
-                want = fresh.step_pmf(B, B2, y)
-                assert {z: p for z, p in zip(s2, row) if z in want} == dict(want)
-                assert not any(p for z, p in zip(s2, row) if z not in want)
+            values = warm.values(np.arange(f2, f2 + r2.shape[1])).tolist()
+            for i, row in zip(range(first, first + count), r2.tolist()):
+                want = fresh.step_pmf(B, B2, warm.values(i))
+                assert {z: p for z, p in zip(values, row) if z in want} == dict(want)
+                assert not any(p for z, p in zip(values, row) if z not in want)
 
 
 def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
@@ -307,14 +323,16 @@ def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
     k2 = CompoundPoissonKernel(lam, *JUMPS["half"])
     B, B2 = IndexedSet.from_cells(grid2, [0]), IndexedSet.from_cells(grid2, [0, 1, 2])
     for k in (k1, k2, k1):
-        k.step_rows(B, B2, (0.0, 1.0))
-        k._mean_pmf(1.5)
+        k.step_rows(B, B2, 0, 2)
+        k._mean_law(1.5)
     assert set(k1._pmfs) == set(k2._pmfs)
     for key in k1._pmfs:
         assert k1._pmfs[key] is not k2._pmfs[key]
-    assert 3.5 in k2._mean_pmf(1.5) and 3.5 not in k1._mean_pmf(1.5)
-    for k, (values, probs) in ((k1, JUMPS["integer"]), (k2, JUMPS["half"])):
-        assert_matches_the_oracle(k._mean_pmf(1.5), 1.5, values, probs)
+    assert (k1.value_step, k2.value_step) == (1, 0.5)
+    half, integer = (k._mean_law(1.5).as_dict(k.value_step) for k in (k2, k1))
+    assert 3.5 in half and 3.5 not in integer
+    for pmf, (values, probs) in ((integer, JUMPS["integer"]), (half, JUMPS["half"])):
+        assert_matches_the_oracle(pmf, 1.5, values, probs)
 
 
 def test_threads_share_one_kernel_s_tables_safely(grid2):
@@ -323,12 +341,13 @@ def test_threads_share_one_kernel_s_tables_safely(grid2):
     values, probs = JUMPS["half"]
     k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
     means = np.geomspace(0.05, 6.0, 12).tolist()
-    want = {m: list(compound_poisson_dict(m, values, probs).items()) for m in means}
+    want = {m: compound_poisson_law(m, values, probs) for m in means}
     bad = []
 
     def work(order):
         for m in order:
-            if list(k._mean_pmf(m).items()) != want[m]:
+            got = k._mean_law(m)
+            if got.first != want[m].first or not np.array_equal(got.probs, want[m].probs):
                 bad.append(m)
 
     interval = sys.getswitchinterval()
