@@ -141,15 +141,13 @@ class MixtureSpec:
                            self.weights)
 
 
-def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of a 2-d integer array by equal values.
-
-    Returns a group id per row, with groups numbered by first appearance, and
-    the first row of each group.  Each column is replaced by its offset from
-    the column's least value, and the offsets are combined into one int64
-    code per row in mixed radix; a code about to overflow is first re-ranked
-    over its distinct values.
-    """
+def row_codes(columns: np.ndarray) -> tuple[np.ndarray, int]:
+    """One int64 code per row of a 2-d integer array, equal exactly for
+    equal rows, and the codes' span: each column is replaced by its offset
+    from the column's least value, and the offsets are combined in mixed
+    radix; a code about to overflow is first re-ranked over its distinct
+    values.  Without a re-rank the codes keep the rows' lexicographic
+    order."""
     code = np.zeros(columns.shape[0], dtype=np.int64)
     radix = 1
     for col in columns.T:
@@ -161,27 +159,50 @@ def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         code *= size
         code += col - lo
         radix *= size
-    _, first, inverse = distinct_codes(code, radix)
+    return code, radix
+
+
+def rank_codes(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(code, return_inverse=True)`` for int codes in [0, span):
+    the distinct codes ascending and each row's rank among them.  A span of
+    at most four times the rows is read through a table over the span, with
+    no sort."""
+    if span > 4 * len(code) + 64:
+        return np.unique(code, return_inverse=True)
+    seen = np.zeros(span, dtype=bool)
+    seen[code] = True
+    rank = np.cumsum(seen, dtype=np.int64 if span >= 2**31 else np.int32)
+    return np.flatnonzero(seen), rank[code] - 1
+
+
+def _matches(mine: np.ndarray, theirs: np.ndarray, span: int) -> np.ndarray:
+    """For each code of ``theirs``, the position of that code in ``mine``
+    (distinct codes in [0, span)), or -1: through a table over the span
+    when it is at most four times the codes, else by binary search."""
+    if span <= 4 * (len(mine) + len(theirs)) + 64:
+        where = np.full(span, -1, dtype=np.int64)
+        where[mine] = np.arange(len(mine))
+        return where[theirs]
+    order = np.argsort(mine)
+    at = np.searchsorted(mine[order], theirs).clip(max=len(mine) - 1)
+    return np.where(mine[order][at] == theirs, order[at], -1)
+
+
+def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of a 2-d integer array by equal values
+    (``row_codes``, ``rank_codes``).
+
+    Returns a group id per row, with groups numbered by first appearance, and
+    the first row of each group.
+    """
+    code, span = row_codes(columns)
+    distinct, rank = rank_codes(code, span)
+    first = np.full(len(distinct), len(code), dtype=np.int64)
+    np.minimum.at(first, rank, np.arange(len(code)))
     order = np.argsort(first)
     relabel = np.empty(len(order), dtype=np.int64)
     relabel[order] = np.arange(len(order))
-    return relabel[inverse], first[order]
-
-
-def distinct_codes(code: np.ndarray, span: int):
-    """``np.unique(code, return_index=True, return_inverse=True)`` for int
-    codes in [0, span): the distinct codes ascending, the first row of each,
-    and each row's rank among them.  A span of at most twice the rows is
-    read through a table over the span, with no sort."""
-    rows = len(code)
-    if span > 2 * rows + 64:
-        return np.unique(code, return_index=True, return_inverse=True)
-    first = np.full(span, rows, dtype=np.int64)
-    np.minimum.at(first, code, np.arange(rows))
-    distinct = np.flatnonzero(first < rows)
-    rank = np.empty(span, dtype=np.int64)
-    rank[distinct] = np.arange(len(distinct))
-    return distinct, first[distinct], rank[code]
+    return relabel[rank], first[order]
 
 
 def _common_step(a: Fraction, b: Fraction) -> Fraction:
@@ -287,9 +308,16 @@ class JointLaw:
         if self.codes.shape[1] != other.codes.shape[1]:
             raise ConfigError("laws over different numbers of variables")
         step = _common_step(self.step, other.step)
-        ids, _ = group_rows(np.concatenate([self.codes_on(step).T,
-                                            other.codes_on(step).T], axis=1).T)
-        diff = np.bincount(ids, weights=np.concatenate([self.probs, -other.probs]))
+        code, span = row_codes(np.concatenate([self.codes_on(step).T,
+                                               other.codes_on(step).T], axis=1).T)
+        mine, theirs = code[:len(self.probs)], code[len(self.probs):]
+        # no row repeats within a law: this law's rows are groups 0, 1, ...;
+        # each of the other's joins its match or opens the next new group
+        match = _matches(mine, theirs, span)
+        hit = match >= 0
+        ids = np.where(hit, match, len(mine) + np.cumsum(~hit) - 1)
+        diff = np.bincount(np.concatenate([np.arange(len(mine)), ids]),
+                           weights=np.concatenate([self.probs, -other.probs]))
         return 0.5 * float(np.abs(diff).sum())
 
     def scalar_dict(self) -> dict:

@@ -23,8 +23,8 @@ from .construction import (
     chain_table,
     decompose_over_lefts,
     exact_fdd,
-    distinct_codes,
     group_rows,
+    rank_codes,
     sample_increments,
 )
 from .errors import ConfigError, UnsupportedKernelError
@@ -91,7 +91,7 @@ def conditional_independence_defect(law, target, history, present) -> Conditiona
 
 def _joint_masses(a: np.ndarray, t: np.ndarray, nt: int, p: np.ndarray):
     """Sorted distinct codes a * nt + t and the probability of each."""
-    codes, _, inverse = distinct_codes(a * nt + t, (int(a.max()) + 1) * nt)
+    codes, inverse = rank_codes(a * nt + t, (int(a.max()) + 1) * nt)
     return codes, np.bincount(inverse, weights=p)
 
 

@@ -127,10 +127,11 @@ def test_tv_of_reordered_rows_groups_them(monkeypatch):
     a = {(0, 1): 0.5, (1, 0): 0.3, (2, 2): 0.2}
     b = {(2, 2): 0.1, (1, 0): 0.3, (0, 1): 0.6}  # the same rows in another order
     calls = []
-    real = construction.group_rows
-    monkeypatch.setattr(construction, "group_rows", lambda c: calls.append(c) or real(c))
+    real = construction.row_codes
+    monkeypatch.setattr(construction, "row_codes", lambda c: calls.append(c) or real(c))
     assert abs(law_of(a).tv(law_of(b)) - ref_tv(a, b)) <= TOL
-    assert len(calls) == 1
+    # one code per row of both laws at once, so equal rows meet
+    assert len(calls) == 1 and calls[0].shape == (6, 2)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
