@@ -24,7 +24,6 @@ probabilities with ``bincount``; values are made only for output
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -175,19 +174,6 @@ def rank_codes(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(seen), rank[code] - 1
 
 
-def _matches(mine: np.ndarray, theirs: np.ndarray, span: int) -> np.ndarray:
-    """For each code of ``theirs``, the position of that code in ``mine``
-    (distinct codes in [0, span)), or -1: through a table over the span
-    when it is at most four times the codes, else by binary search."""
-    if span <= 4 * (len(mine) + len(theirs)) + 64:
-        where = np.full(span, -1, dtype=np.int64)
-        where[mine] = np.arange(len(mine))
-        return where[theirs]
-    order = np.argsort(mine)
-    at = np.searchsorted(mine[order], theirs).clip(max=len(mine) - 1)
-    return np.where(mine[order][at] == theirs, order[at], -1)
-
-
 def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of a 2-d integer array by equal values
     (``row_codes``, ``rank_codes``).
@@ -203,12 +189,6 @@ def group_rows(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     relabel = np.empty(len(order), dtype=np.int64)
     relabel[order] = np.arange(len(order))
     return relabel[rank], first[order]
-
-
-def _common_step(a: Fraction, b: Fraction) -> Fraction:
-    """The largest step of which both steps are whole multiples."""
-    return Fraction(math.gcd(a.numerator * b.denominator, b.numerator * a.denominator),
-                    a.denominator * b.denominator)
 
 
 class JointLaw:
@@ -307,16 +287,17 @@ class JointLaw:
         variables."""
         if self.codes.shape[1] != other.codes.shape[1]:
             raise ConfigError("laws over different numbers of variables")
-        step = _common_step(self.step, other.step)
-        code, span = row_codes(np.concatenate([self.codes_on(step).T,
-                                               other.codes_on(step).T], axis=1).T)
-        mine, theirs = code[:len(self.probs)], code[len(self.probs):]
+        step = grid_step([self.step, other.step])
+        _, rank = rank_codes(*row_codes(np.concatenate(
+            [self.codes_on(step).T, other.codes_on(step).T], axis=1).T))
         # no row repeats within a law: this law's rows are groups 0, 1, ...;
         # each of the other's joins its match or opens the next new group
-        match = _matches(mine, theirs, span)
-        hit = match >= 0
-        ids = np.where(hit, match, len(mine) + np.cumsum(~hit) - 1)
-        diff = np.bincount(np.concatenate([np.arange(len(mine)), ids]),
+        n = len(self.probs)
+        mine = np.full(len(rank), -1)
+        mine[rank[:n]] = np.arange(n)
+        match = mine[rank[n:]]
+        ids = np.where(match >= 0, match, n + np.cumsum(match < 0) - 1)
+        diff = np.bincount(np.concatenate([np.arange(n), ids]),
                            weights=np.concatenate([self.probs, -other.probs]))
         return 0.5 * float(np.abs(diff).sum())
 
@@ -335,9 +316,7 @@ def exact_fdd(spec) -> JointLaw:
     """
     if isinstance(spec, MixtureSpec):
         parts = [exact_fdd(c) for c in spec.components]
-        step = parts[0].step
-        for part in parts[1:]:
-            step = _common_step(step, part.step)
+        step = grid_step([part.step for part in parts])
         codes = np.concatenate([part.codes_on(step).T for part in parts], axis=1).T
         probs = np.concatenate([w * part.probs for w, part in zip(spec.weights, parts)])
         ids, first = group_rows(codes)
@@ -384,7 +363,7 @@ def chain_table(kernel, stages, start: GridLaw):
         counts = sizes[group]
         total = int(counts.sum())
         if total > TABLE_CAP:
-            needed = _rows_needed(kernel, legs[k + 1:], states + 0, np.bincount(group), laws)
+            needed = _rows_needed(kernel, legs[k:], states, np.bincount(group))
             raise TableSizeError(f"joint table exceeds {TABLE_CAP} entries: "
                                  f"it needs {needed} rows")
         incs = np.concatenate([index for index, _ in laws])
@@ -401,15 +380,11 @@ def chain_table(kernel, stages, start: GridLaw):
     return columns, probs
 
 
-def _rows_needed(kernel, legs, states, counts, laws) -> int:
+def _rows_needed(kernel, legs, states, counts) -> int:
     """The rows of a whole table whose running index ``states[i]`` holds
-    ``counts[i]`` rows before the leg whose atoms from those states are
-    ``laws`` and then ``legs``: a count recursion over the increment laws'
-    atoms, exact in Python integers, that builds no table."""
-    tally: dict[int, int] = {}
-    for x, c, (index, _) in zip(states.tolist(), counts.tolist(), laws):
-        for y in (x + index).tolist():
-            tally[y] = tally.get(y, 0) + c
+    ``counts[i]`` rows before ``legs``: a count recursion over the
+    increment laws' atoms, exact in Python integers, that builds no table."""
+    tally = dict(zip(states.tolist(), counts.tolist()))
     for prev, cur in legs:
         nxt: dict[int, int] = {}
         for x, c in tally.items():
@@ -460,7 +435,7 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     out = np.empty((count, n_steps))
     u = _stream(seed, keys[0], start, count)
     if spec.initial is not None:
-        out[:, 0] = pmf_ppf(spec.initial, u)
+        out[:, 0] = kernel.values(pmf_ppf(spec.initial_law(), u))
     else:
         out[:, 0] = kernel.initial_ppf(spec.min_set, u)
     x = out[:, 0].copy()

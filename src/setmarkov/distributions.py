@@ -1,10 +1,15 @@
 """One-dimensional laws used by the transition kernels.
 
-Finite pmfs are exact (dict-backed); the closed-form families carry a cdf.
-The cut count tables live here, each with its cut policy: ``binomial_pmf``,
-``poisson_pmf`` and ``compound_poisson_dict`` (Panjer's recursion);
-``binomial_coefficients`` gives the coefficients to ``binomial_pmf`` and to
-the empirical flow semigroup alike.
+A finite law is a ``GridLaw``: a probability vector over consecutive
+indices of a value grid, index i standing for ``canonical_value(i *
+step)`` (``grid_values``; ``grid_step`` finds the step of a set of values,
+``jump_step`` that of a jump law).  ``FinitePmf`` and the dict pmfs serve
+library callers; the closed-form families carry a cdf.  The cut count
+tables live here, each with its cut policy: ``binomial_pmf``,
+``poisson_pmf`` and ``compound_poisson_law`` (Panjer's recursion on the
+grid; ``compound_poisson_dict`` is its dict); ``binomial_coefficients``
+gives the coefficients to ``binomial_pmf`` and to the empirical flow
+semigroup alike.
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
@@ -12,7 +17,7 @@ much narrower, adaptive quadrature otherwise).  The cdfs of ``PointMass``,
 ``NormalLaw``, ``BetaSegment`` and ``TwoStage`` are elementwise over a float
 array of probes, with the bits of the scalar call at every probe; a scalar
 probe gives a Python float.  Sampling lives in the kernels' vectorised
-inverse cdfs; ``pmf_ppf`` serves the pmf tables.
+inverse cdfs; ``pmf_ppf`` serves the grid laws and the dict pmfs.
 """
 
 from __future__ import annotations
@@ -295,9 +300,9 @@ class GridLaw:
 
 
 def grid_step(values) -> Fraction:
-    """The largest step of which every value is a whole multiple: the
-    greatest common divisor of their shortest decimals (1 when all are 0).
-    0.5 for {1, 2.5}, 0.1 for {0.1, 0.2}."""
+    """The largest step of which every value (a float, or a step) is a whole
+    multiple: the greatest common divisor of their shortest decimals (1 when
+    all are 0).  0.5 for {1, 2.5}, 0.1 for {0.1, 0.2}."""
     decimals = [Fraction(repr(float(v))) for v in values if v]
     if not decimals:
         return Fraction(1)
@@ -311,8 +316,6 @@ def grid_values(index, step: Fraction) -> np.ndarray:
     decimals have that many places, so the correctly rounded quotient of
     two integers is the canonical value; a finer step rounds each value."""
     index = np.asarray(index, dtype=np.int64)
-    if step.denominator == 1:
-        return (index * step.numerator).astype(float)
     if 10**_KEY_DECIMALS % step.denominator == 0:
         return index * step.numerator / step.denominator
     return np.array([canonical_value(i * float(step)) for i in index.ravel().tolist()],

@@ -12,7 +12,10 @@ process value at B' given value x at B.  Five built-in families:
 
 Construction, sampling, the checks and the flow semigroups call only the
 methods of ``TransitionKernel`` (listed there); none of them switches on
-``kind``.  The empirical kernel has a ``corrupted`` switch that drops the
+``kind``.  The finite-state kinds hold their laws as vectors on a value
+grid (``distributions.GridLaw``), and the exact composition checks chain
+them as dense rows over ranges of grid indices (``chain_rows``,
+``rows_tv``).  The empirical kernel has a ``corrupted`` switch that drops the
 conditioning denominator from the success probability; it deliberately
 violates the composition law and is used to show the checks have power.
 """
@@ -214,8 +217,13 @@ class TransitionKernel:
         return self._memo(("rows", B.mask, B2.mask, first, count), build)
 
     def grid_law(self, pmf: dict) -> GridLaw:
-        """A dict pmf {internal state: probability} as a law on the grid."""
-        index = np.array([self.index_of(x) for x in pmf], dtype=np.int64)
+        """A dict pmf {internal state: probability} as a law on the value
+        grid; a state off the grid raises ``ConfigError``."""
+        states = np.array(list(pmf), dtype=float)
+        index = self.index_of(states)
+        if not np.allclose(self.values(index), states, rtol=0.0, atol=1e-9):
+            raise ConfigError(f"a state of {sorted(pmf)} is not on the value grid "
+                              f"of step {float(self.value_step):g}")
         probs = np.zeros(int(index.max() - index.min()) + 1)
         probs[index - index.min()] = list(pmf.values())
         return GridLaw(int(index.min()), probs)

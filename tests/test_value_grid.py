@@ -31,7 +31,7 @@ from setmarkov.distributions import (
     grid_values,
     jump_step,
 )
-from setmarkov.errors import TableSizeError
+from setmarkov.errors import ConfigError, TableSizeError
 from setmarkov.lattice import flow_from_ordering
 
 from helpers import (
@@ -167,3 +167,12 @@ def test_a_grid_too_fine_for_one_step_law_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
         # sample has written its header when its first slice is drawn
         assert out.exists() == (command == "sample")
+
+
+def test_an_initial_state_off_the_value_grid_is_refused():
+    spec = _ci_spec(CI_JUMPS["half"])
+    on = FddSpec(spec.lattice, spec.kernel, initial={0.5: 0.25, 2.5: 0.75})
+    assert sorted(set(exact_fdd(on).keys[:, 0].tolist())) == [0.5, 2.5]
+    off = FddSpec(spec.lattice, spec.kernel, initial={0.3: 1.0})
+    with pytest.raises(ConfigError, match="not on the value grid of step 0.5"):
+        exact_fdd(off)
