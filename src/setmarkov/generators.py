@@ -435,10 +435,17 @@ def _by_arrival(law: np.ndarray) -> np.ndarray:
     """``law[x, d_1, ..., d_k]`` with the last rise replaced by the arrival
     state x + d_1 + ... + d_k; an arrival past the last state is dropped,
     as the killed matrices drop it."""
-    n = len(law)
-    idx = np.nonzero(sum(np.ix_(*[np.arange(n)] * law.ndim)) < n)
-    out = np.zeros_like(law)
-    out[idx[:-1] + (sum(idx),)] = law[idx]
+    n, m = len(law), law.ndim
+    # out[x, d_1, ..., x + d_1 + ... + d_k] sits at flat position
+    # sum_j i_j (n^(m-1-j) + 1) + d_k of a C-ordered cube, so a strided view
+    # reads it at [x, d_1, ..., d_k]; the padding keeps the view's dropped
+    # positions inside the buffer
+    flat = np.zeros(n**m + m * n)
+    out = flat[:n**m].reshape(law.shape)
+    arrival = np.lib.stride_tricks.as_strided(
+        flat, law.shape, [(n ** (m - 1 - j) + 1) * flat.itemsize for j in range(m - 1)]
+        + [flat.itemsize])
+    np.copyto(arrival, law, where=sum(np.ix_(*[np.arange(n, dtype=np.int32)] * m)) < n)
     return out
 
 
