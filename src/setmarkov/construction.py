@@ -8,7 +8,7 @@ the difference of consecutive prefix values.  Summing disjoint blocks of the
 increment vector evaluates the process anywhere in the generated algebra.
 
 Both routes are generic over the kernel protocol: ``exact_fdd`` chains the
-kernel's ``increment_law`` vectors on its value grid, and
+kernel's increment pmfs, vectors on its value grid, and
 ``sample_increments`` feeds one counter-based uniform per (sample, step)
 through ``initial_ppf`` and ``increment_ppf``.
 
@@ -81,16 +81,11 @@ class FddSpec:
     def min_set(self) -> IndexedSet:
         return self.lattice.min_set
 
-    def initial_pmf(self) -> dict:
-        if self.initial is not None:
-            return dict(self.initial)
-        return self.kernel.initial_pmf_for(self.min_set)
-
-    def initial_law(self) -> GridLaw:
+    def initial_pmf(self) -> GridLaw:
         """The initial law on the kernel's value grid."""
         if self.initial is not None:
             return self.kernel.grid_law(self.initial)
-        return self.kernel.initial_law(self.min_set)
+        return self.kernel.initial_pmf_for(self.min_set)
 
     def with_ordering(self, ordering: ConsistentOrdering) -> "FddSpec":
         return FddSpec(self.lattice, self.kernel, ordering, self.initial)
@@ -329,7 +324,7 @@ def exact_fdd(spec) -> JointLaw:
         )
     ordering = spec.ordering
     stages = [ordering.prefix_set(i) for i in range(len(ordering))]
-    columns, probs = chain_table(kernel, stages, spec.initial_law())
+    columns, probs = chain_table(kernel, stages, spec.initial_pmf())
     labels = tuple(f"C{i}" for i in range(len(ordering)))
     return JointLaw(labels, spec.lefts.sets, np.array(columns).T, probs, kernel.value_step)
 
@@ -358,7 +353,8 @@ def chain_table(kernel, stages, start: GridLaw):
         seen[running - lo] = True
         states = lo + np.flatnonzero(seen)
         group = (np.cumsum(seen) - 1)[running - lo]
-        laws = [kernel.increment_law(prev, cur, x).atoms for x in states.tolist()]
+        laws = [kernel.increment_pmf(prev, cur, x).atoms
+                for x in kernel.values(states).tolist()]
         sizes = np.array([len(index) for index, _ in laws])
         counts = sizes[group]
         total = int(counts.sum())
@@ -388,7 +384,8 @@ def _rows_needed(kernel, legs, states, counts) -> int:
     for prev, cur in legs:
         nxt: dict[int, int] = {}
         for x, c in tally.items():
-            for y in (x + kernel.increment_law(prev, cur, x).atoms[0]).tolist():
+            law = kernel.increment_pmf(prev, cur, float(kernel.values(x)))
+            for y in (x + law.atoms[0]).tolist():
                 nxt[y] = nxt.get(y, 0) + c
         tally = nxt
     return sum(tally.values())
@@ -435,7 +432,7 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     out = np.empty((count, n_steps))
     u = _stream(seed, keys[0], start, count)
     if spec.initial is not None:
-        out[:, 0] = kernel.values(pmf_ppf(spec.initial_law(), u))
+        out[:, 0] = pmf_ppf(spec.initial_pmf(), u)
     else:
         out[:, 0] = kernel.initial_ppf(spec.min_set, u)
     x = out[:, 0].copy()

@@ -23,6 +23,7 @@ inverse cdfs; ``pmf_ppf`` serves the grid laws and the dict pmfs.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -263,21 +264,21 @@ def poisson_tail_count(mean: float, tail: float) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class GridLaw:
-    """A finite law on a value grid: ``probs[k]`` is the probability of grid
-    index ``first + k``, and the value of index i is ``i * step`` for the
-    grid's step (``grid_values``).  The vector is read only and shared by
-    every caller.  Its atoms are its nonzero entries: a zero entry inside the
-    vector is a value the law does not reach."""
+class GridLaw(Mapping):
+    """A finite law on the value grid of ``step``: ``probs[k]`` is the
+    probability of grid index ``first + k``, index i standing for the value
+    ``canonical_value(i * step)`` (``grid_values``).  The vector is read
+    only and shared by every caller.  Its atoms are its nonzero entries; a
+    zero entry between two atoms is a value the law does not reach.  Read
+    as a mapping, it is the read-only dict pmf {value: probability} over
+    its atoms, in ascending value."""
 
     first: int
     probs: np.ndarray
+    step: Fraction = Fraction(1)
 
     def __post_init__(self):
         self.probs.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.probs)
 
     @property
     def last(self) -> int:
@@ -285,7 +286,7 @@ class GridLaw:
 
     def shifted(self, by: int) -> "GridLaw":
         """The law of (index + ``by``)."""
-        return GridLaw(self.first + by, self.probs)
+        return GridLaw(self.first + by, self.probs, self.step)
 
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,10 +294,18 @@ class GridLaw:
         at = np.flatnonzero(self.probs)
         return self.first + at, self.probs[at]
 
-    def as_dict(self, step: Fraction) -> dict:
-        """{value: probability} over the atoms, values ``grid_values``."""
-        index, probs = self.atoms
-        return dict(zip(grid_values(index, step).tolist(), probs.tolist()))
+    def __iter__(self):
+        return iter(grid_values(self.atoms[0], self.step).tolist())
+
+    def __len__(self) -> int:
+        return len(self.atoms[0])
+
+    def __getitem__(self, value) -> float:
+        i = round(float(value) * self.step.denominator / self.step.numerator)
+        if self.first <= i <= self.last and self.probs[i - self.first] and \
+                grid_values(i, self.step) == value:
+            return float(self.probs[i - self.first])
+        raise KeyError(value)
 
 
 def grid_step(values) -> Fraction:
@@ -384,12 +393,12 @@ def _panjer(rates: dict, mean: float, tail: float, step: Fraction) -> GridLaw:
                     fewest[y] = n + 1
     first = next(i for i, p in enumerate(out) if p)
     last = size - next(i for i, p in enumerate(reversed(out)) if p)
-    return GridLaw(first, np.array(out[first:last]))
+    return GridLaw(first, np.array(out[first:last]), step)
 
 
-def _mirrored(law: GridLaw) -> GridLaw:
-    """The law of minus the index."""
-    return GridLaw(-law.last, law.probs[::-1].copy())
+def _mirrored(law: GridLaw, step: Fraction) -> GridLaw:
+    """The law of minus the index, on the grid of ``step``."""
+    return GridLaw(-law.last, law.probs[::-1].copy(), step)
 
 
 def compound_poisson_law(lam: float, jump_values, jump_probs) -> GridLaw:
@@ -413,30 +422,29 @@ def compound_poisson_law(lam: float, jump_values, jump_probs) -> GridLaw:
     nonzero = {v: p for v, p in base.items() if v and p > 0}
     step = jump_step(jump_values, jump_probs)
     if not nonzero:
-        return GridLaw(0, np.ones(1))
+        return GridLaw(0, np.ones(1), step)
     if len(nonzero) == 1:
         ((v, p),) = nonzero.items()
         counts = poisson_pmf(lam if min(base) > 0 else lam * p)
-        return counts if v > 0 else _mirrored(counts)
+        return GridLaw(counts.first, counts.probs, step) if v > 0 else _mirrored(counts, step)
     sides = [(sign, rates) for sign in (1.0, -1.0)
              if (rates := {sign * v: lam * p for v, p in nonzero.items() if sign * v > 0})]
     laws = [_panjer(rates, lam if min(base) > 0 else math.fsum(rates.values()),
                     PMF_TAIL / len(sides), step) for _, rates in sides]
     if len(laws) == 1:
-        return laws[0] if sides[0][0] > 0 else _mirrored(laws[0])
-    up, down = laws[0], _mirrored(laws[1])
-    _check_length(len(up) + len(down) - 1, step)
-    out = np.zeros(len(up) + len(down) - 1)
-    for k in np.flatnonzero(up.probs).tolist():
-        out[k: k + len(down)] += up.probs[k] * down.probs
-    return GridLaw(up.first + down.first, out)
+        return laws[0] if sides[0][0] > 0 else _mirrored(laws[0], step)
+    up, down = laws[0].probs, _mirrored(laws[1], step)
+    _check_length(len(up) + len(down.probs) - 1, step)
+    out = np.zeros(len(up) + len(down.probs) - 1)
+    for k in np.flatnonzero(up).tolist():
+        out[k: k + len(down.probs)] += up[k] * down.probs
+    return GridLaw(laws[0].first + down.first, out, step)
 
 
 def compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
-    """``compound_poisson_law`` as a dict pmf {value: probability} over its
+    """``compound_poisson_law`` as a dict {value: probability} over its
     atoms, values ``canonical_value(index * step)``."""
-    return compound_poisson_law(lam, jump_values, jump_probs).as_dict(
-        jump_step(jump_values, jump_probs))
+    return dict(compound_poisson_law(lam, jump_values, jump_probs))
 
 
 @lru_cache(maxsize=64)
@@ -450,12 +458,11 @@ def jump_step(jump_values, jump_probs) -> Fraction:
 
 
 def pmf_ppf(pmf, u: np.ndarray) -> np.ndarray:
-    """Inverse cdf at each uniform in ``u``: of a ``GridLaw``, its grid
-    indices; of a dict pmf, its keys.  A uniform equal to the cdf at an atom
-    draws the next atom, and mass lost to a tail truncation goes to the
-    largest entry."""
+    """Inverse cdf of a ``GridLaw`` or a dict pmf at each uniform in ``u``,
+    as values.  A uniform equal to the cdf at an atom draws the next atom,
+    and mass lost to a tail truncation goes to the largest entry."""
     if isinstance(pmf, GridLaw):
-        return pmf.first + _ppf_positions(pmf.probs, u)
+        return grid_values(pmf.first + _ppf_positions(pmf.probs, u), pmf.step)
     vals = np.fromiter(pmf.keys(), float, len(pmf))
     order = np.argsort(vals, kind="stable")  # the keys are distinct
     probs = np.fromiter(pmf.values(), float, len(pmf))[order]

@@ -496,8 +496,7 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
         return sum(w * (system.generator_matrix(v) @ system.matrix(v, b))
                    for v, w in zip(xs, ws))
 
-    index, probs = spec.initial_law().atoms
-    starts = tuple(int(k) for k, p in zip(spec.kernel.values(index).tolist(), probs.tolist())
+    starts = tuple(int(k) for k, p in sorted(spec.initial_pmf().items())
                    if p > 1e-15 and int(k) in f_sys.probe_states)
     basis = np.vstack([np.eye(dim), f_sys.states.astype(float)])
 

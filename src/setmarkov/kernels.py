@@ -71,7 +71,7 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
 
 def _start_cap(kernel, flow) -> int:
     """Largest state of the initial law at the flow's first stage."""
-    return int(kernel.values(kernel.initial_law(flow.stages[0]).last))
+    return int(max(kernel.initial_pmf_for(flow.stages[0])))
 
 
 def _binomial_law(trials: int, p: float) -> GridLaw:
@@ -87,25 +87,24 @@ class TransitionKernel:
     Internal machinery works on *internal states* (integer counts for the
     empirical kernel, reals otherwise).  A kind implements ``measure``,
     ``flow_semigroup`` and ``describe_initial``; finite-state kinds add the
-    exact laws ``increment_law`` and ``initial_law``, which the default
-    ``law`` renormalises and the default ``initial_ppf`` and
-    ``increment_ppf`` invert with ``pmf_ppf`` (a uniform equal to the cdf at
-    an atom draws the next atom; one above the total of a table cut at
-    ``PMF_TAIL`` draws the largest entry), and continuous kinds add
-    ``law``, ``cdf_probes`` and their own ppfs.  The defaults of
-    ``to_state``, ``display`` and ``probe_states`` suit real-valued states.
+    exact pmfs, which the default ``law`` renormalises and the default
+    ``initial_ppf`` and ``increment_ppf`` invert with ``pmf_ppf`` (a
+    uniform equal to the cdf at an atom draws the next atom; one above the
+    total of a table cut at ``PMF_TAIL`` draws the largest entry), and
+    continuous kinds add ``law``, ``cdf_probes`` and their own ppfs.  The
+    defaults of ``to_state``, ``display`` and ``probe_states`` suit
+    real-valued states.
 
     A finite kind's states lie on its value grid: internal state
-    ``i * value_step`` at grid index i (``values``, ``index_of``).  Its laws
-    are ``GridLaw`` vectors over grid indices, memoised on the instance in
-    one array memo (``_pmfs``; the empirical kind keeps no step of more than
-    ``DIRECT_BINOMIAL_TRIALS`` points left) and shared read only by every
-    caller: the increment and initial laws, for the jump kinds the law of
-    each intensity, and the dense leg matrices of ``step_rows``.  The step
-    law from a state is its increment law shifted by the state's index.
-    ``increment_pmf``, ``initial_pmf_for`` and ``step_pmf`` give a library
-    caller the same laws as fresh dicts {state: probability} over their
-    atoms.  Nothing is cached beyond the instance.
+    ``i * value_step`` at grid index i (``values``, ``index_of``).  Its pmfs
+    are ``GridLaw`` vectors over grid indices, which read as read-only dict
+    pmfs {state: probability}.  They are memoised on the instance in one
+    array memo (``_pmfs``; the empirical kind keeps no step of more than
+    ``DIRECT_BINOMIAL_TRIALS`` points left) and shared by every caller: the
+    increment and initial pmfs, for the jump kinds the pmf of each
+    intensity, and the dense leg matrices of ``step_rows``.  The step pmf
+    from a state is its increment pmf shifted by the state's index.
+    Nothing is cached beyond the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -168,45 +167,39 @@ class TransitionKernel:
 
     def initial_ppf(self, min_set, u: np.ndarray) -> np.ndarray:
         """Inverse cdf of the initial value (internal units) at uniforms u:
-        by default ``pmf_ppf`` of the initial law."""
-        return self.values(pmf_ppf(self.initial_law(min_set), u))
+        by default ``pmf_ppf`` of the initial pmf."""
+        return pmf_ppf(self.initial_pmf_for(min_set), u)
 
     def increment_ppf(self, prev, cur, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse cdf of (value at cur) - (value at prev) given internal
         states x at prev, one uniform of u per state: by default ``pmf_ppf``
-        of the increment law of each distinct state, on that state's rows."""
+        of the increment pmf of each distinct state, on that state's rows."""
         # one stable sort groups the rows by state, so each row is read once
         order = np.argsort(x, kind="stable")
         states, starts = np.unique(x[order], return_index=True)
         out = np.empty_like(u)
         for state, rows in zip(states.tolist(), np.split(order, starts[1:])):
-            law = self.increment_law(prev, cur, self.index_of(state))
-            out[rows] = self.values(pmf_ppf(law, u[rows]))
+            out[rows] = pmf_ppf(self.increment_pmf(prev, cur, state), u[rows])
         return out
 
     def flow_semigroup(self, flow):
         """The one-parameter semigroup of this kernel transported by a flow."""
         raise NotImplementedError
 
-    def increment_law(self, B, B2, index: int = 0) -> GridLaw:
-        """Law of (value at B2) - (value at B) given the value at B, of grid
-        index ``index``."""
-        raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
-
-    def initial_law(self, min_set) -> GridLaw:
-        raise UnsupportedKernelError(f"{self.kind} kernel has no finite initial pmf")
-
-    def step_law(self, B, B2, index: int) -> GridLaw:
-        """Law of the value at B2 given the value of grid index ``index`` at B."""
-        return self.increment_law(B, B2, index).shifted(index)
+    def step_pmf(self, B, B2, state) -> GridLaw:
+        """Law of the value at B2 given the value ``state`` at B: the
+        increment pmf shifted by the state's grid index."""
+        index = self.index_of(state)
+        return self.increment_pmf(B, B2, state).shifted(index)
 
     def step_rows(self, B, B2, first: int, count: int) -> tuple[int, np.ndarray]:
-        """The step laws from B to B2 of the grid indices first, ...,
+        """The step pmfs from B to B2 of the grid indices first, ...,
         first + count - 1 as the rows of one dense matrix over a range of
         grid indices: (first index of the range, rows), read only and
         memoised."""
         def build():
-            laws = [self.step_law(B, B2, i) for i in range(first, first + count)]
+            states = self.values(np.arange(first, first + count)).tolist()
+            laws = [self.step_pmf(B, B2, x) for x in states]
             lo = min(law.first for law in laws)
             rows = np.zeros((count, max(law.last for law in laws) - lo + 1))
             for row, law in zip(rows, laws):
@@ -226,19 +219,14 @@ class TransitionKernel:
                               f"of step {float(self.value_step):g}")
         probs = np.zeros(int(index.max() - index.min()) + 1)
         probs[index - index.min()] = list(pmf.values())
-        return GridLaw(int(index.min()), probs)
+        return GridLaw(int(index.min()), probs, self.value_step)
 
-    def increment_pmf(self, B, B2, state=0) -> dict:
-        """``increment_law`` from ``state`` as a dict {increment: probability}."""
-        return self.increment_law(B, B2, self.index_of(state)).as_dict(self.value_step)
+    def increment_pmf(self, B, B2, state) -> GridLaw:
+        """Law of (value at B2) - (value at B) given the value at B."""
+        raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
 
-    def initial_pmf_for(self, min_set) -> dict:
-        """``initial_law`` as a dict {state: probability}."""
-        return self.initial_law(min_set).as_dict(self.value_step)
-
-    def step_pmf(self, B, B2, state) -> dict:
-        """``step_law`` from ``state`` as a dict {state: probability}."""
-        return self.step_law(B, B2, self.index_of(state)).as_dict(self.value_step)
+    def initial_pmf_for(self, min_set) -> GridLaw:
+        raise UnsupportedKernelError(f"{self.kind} kernel has no finite initial pmf")
 
     def ck_monte_carlo(self, B, B1, B2, states, seed: int, count: int) -> "Defect":
         raise UnsupportedKernelError(
@@ -248,7 +236,7 @@ class TransitionKernel:
         """Law of the value at B2 given the display value x at B, in display
         units: for a finite-state kind the step pmf from ``to_state(x)``,
         renormalised over the atoms a tail cut kept."""
-        index, probs = self.step_law(B, B2, self.index_of(self.to_state(x))).atoms
+        index, probs = self.step_pmf(B, B2, self.to_state(x)).atoms
         return FinitePmf(self.display(self.values(index)).tolist(), probs / probs.sum())
 
     def describe_initial(self, min_set=None) -> str:
@@ -292,11 +280,11 @@ class EmpiricalKernel(TransitionKernel):
         return empirical_success(measure_of(self.F, B2 - B), measure_of(self.F, B),
                                  self.corrupted)
 
-    def increment_law(self, B, B2, index=0):
+    def increment_pmf(self, B, B2, state):
         _require_nested(B, B2)
         if B.mask == B2.mask:
             return _NO_MOVE
-        rest = self.n - int(index)
+        rest = self.n - int(state)
 
         def build():
             return _binomial_law(rest, self.success_probability(B, B2))
@@ -306,7 +294,7 @@ class EmpiricalKernel(TransitionKernel):
             return build()
         return self._memo((B.mask, B2.mask, rest), build)
 
-    def initial_law(self, min_set: IndexedSet):
+    def initial_pmf_for(self, min_set: IndexedSet):
         return self._memo(("initial", min_set.mask), lambda: _binomial_law(
             self.n, measure_of(self.F, min_set)))
 
@@ -379,8 +367,8 @@ class CompoundPoissonKernel(TransitionKernel):
     ``lam``: a poisson number of iid jumps from the finite jump pmf
     (``jump_values``, ``jump_probs``), on the value grid of the jumps'
     common step (``distributions.jump_step``).  The increment over
-    intensity ``mean`` is ``_law_of_mean(mean)``, cut at ``PMF_TAIL``; the
-    kernel memoises it per mean (``_mean_law``), and its tables and its flow
+    intensity ``mean`` is ``_pmf_of_mean(mean)``, cut at ``PMF_TAIL``; the
+    kernel memoises it per mean (``_mean_pmf``), and its tables and its flow
     semigroup both read the memo.  ``_law_name`` names the law in texts and
     ``_initial_name`` its non-zero initial law."""
 
@@ -411,29 +399,29 @@ class CompoundPoissonKernel(TransitionKernel):
     def value_step(self) -> Fraction:
         return jump_step(self.jump_values, self.jump_probs)
 
-    def _law_of_mean(self, mean: float) -> GridLaw:
+    def _pmf_of_mean(self, mean: float) -> GridLaw:
         return compound_poisson_law(mean, self.jump_values, self.jump_probs)
 
-    def _mean_law(self, mean: float) -> GridLaw:
-        """``_law_of_mean(mean)``, memoised per mean: steps over cells of
+    def _mean_pmf(self, mean: float) -> GridLaw:
+        """``_pmf_of_mean(mean)``, memoised per mean: steps over cells of
         equal intensity share one table."""
-        return self._memo(("mean", mean), lambda: self._law_of_mean(mean))
+        return self._memo(("mean", mean), lambda: self._pmf_of_mean(mean))
 
-    def increment_law(self, B, B2, index=0):
+    def increment_pmf(self, B, B2, state=0):
         _require_nested(B, B2)
         return self._memo((B.mask, B2.mask),
-                          lambda: self._mean_law(measure_of(self.lam, B2 - B)))
+                          lambda: self._mean_pmf(measure_of(self.lam, B2 - B)))
 
-    def initial_law(self, min_set):
+    def initial_pmf_for(self, min_set):
         # the zero initial law is the increment over no cells
         empty = IndexedSet(self.grid, 0)
-        return self.increment_law(empty, empty if self.initial == "zero" else min_set)
+        return self.increment_pmf(empty, empty if self.initial == "zero" else min_set)
 
     def increment_ppf(self, prev, cur, x, u):
-        return self.values(pmf_ppf(self.increment_law(prev, cur), u))
+        return pmf_ppf(self.increment_pmf(prev, cur), u)
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._mean_law,
+        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._mean_pmf,
                                  self.jump_values, self.jump_probs,
                                  start_mass_cap=_start_cap(self, flow))
 
@@ -708,7 +696,7 @@ def chain_law(kernel, stages, start: GridLaw) -> GridLaw:
     the law ``start`` at stages[0], by the dense rows of ``chain_rows`` from
     one start row."""
     first, rows = _push_rows(kernel, stages, start.first, start.probs[None, :])
-    return GridLaw(first, rows[0])
+    return GridLaw(first, rows[0], start.step)
 
 
 def _push_rows(kernel, stages, first: int, rows: np.ndarray) -> tuple[int, np.ndarray]:

@@ -211,7 +211,7 @@ def swap_edge_tv(spec, ordering: ConsistentOrdering, k: int) -> float:
                    for c, w in zip(spec.components, spec.weights))
     kernel = spec.kernel
     prefix = [ordering.prefix_set(i) for i in range(k)]
-    start = chain_law(kernel, prefix, spec.initial_law())
+    start = chain_law(kernel, prefix, spec.initial_pmf())
     before = prefix[-1]
     a, b = ordering.sets[k], ordering.sets[k + 1]
     laws = []

@@ -642,9 +642,8 @@ def ref_jump_matrix(system, s, t) -> np.ndarray:
     time, each atom along its whole band."""
     size = system.cap + 1
     M = np.zeros((size, size))
-    law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
-    for index, p in zip(range(law.first, law.last + 1), law.probs.tolist()):
-        _fill_band(M, index * system.value_step, p)
+    for v, p in system.step_law(max(system.trace(t) - system.trace(s), 0.0)).items():
+        _fill_band(M, int(round(v)), p)
     return M
 
 

@@ -62,7 +62,7 @@ def compound_semigroup(trace, values, probs, start_mass_cap=0):
     """The jump semigroup on ``trace`` with the step law of a compound
     poisson kernel with these jumps."""
     kernel = CompoundPoissonKernel(CellMeasure(GroundGrid((1, 1)), [1.0]), values, probs)
-    return JumpFlowSemigroup(trace, kernel._law_of_mean, values, probs,
+    return JumpFlowSemigroup(trace, kernel._pmf_of_mean, values, probs,
                              start_mass_cap=start_mass_cap)
 
 

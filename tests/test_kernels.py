@@ -231,11 +231,11 @@ class TestFiniteStateSampler:
 class _WholeSetPoisson(PoissonIncrementKernel):
     """Mutant: the step from B to B' adds a poisson count of mean lam(B'),
     not lam(B' minus B).  The exact tables and the sampler both read
-    ``increment_law``, so this one override breaks both."""
+    ``increment_pmf``, so this one override breaks both."""
 
-    def increment_law(self, B, B2, index=0):
+    def increment_pmf(self, B, B2, state=0):
         return self._memo((B.mask, B2.mask),
-                          lambda: self._law_of_mean(measure_of(self.lam, B2)))
+                          lambda: self._pmf_of_mean(measure_of(self.lam, B2)))
 
 
 def test_poisson_mutant_breaks_samples_and_validate():
@@ -255,7 +255,7 @@ class _SwappedJumpCompound(CompoundPoissonKernel):
     """Mutant: the exact tables and the sampler read the jump law with its
     probabilities swapped; the generator still reads the real jump law."""
 
-    def _law_of_mean(self, mean):
+    def _pmf_of_mean(self, mean):
         return compound_poisson_law(mean, self.jump_values, self.jump_probs[::-1])
 
 

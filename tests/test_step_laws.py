@@ -29,12 +29,7 @@ from setmarkov import (
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
-from setmarkov.distributions import (
-    compound_poisson_dict,
-    compound_poisson_law,
-    poisson_pmf,
-    poisson_tail_count,
-)
+from setmarkov.distributions import compound_poisson_dict, poisson_pmf, poisson_tail_count
 from setmarkov.generators import (
     JumpFlowSemigroup,
     permutation_identity_check,
@@ -91,10 +86,10 @@ def _prefix_triples(lattice):
 
 def test_poisson_pmf_is_stats_poisson_pmf_bit_for_bit():
     for mean in np.geomspace(1e-6, 50.0, 400).tolist() + [0.1, 0.5, 1.0, 7.25]:
-        law = poisson_pmf(mean)
-        assert law.first == 0
-        want = stats.poisson.pmf(np.arange(len(law)), mean).tolist()
-        assert law.probs.tolist() == want
+        pmf = poisson_pmf(mean)
+        assert list(pmf) == list(range(len(pmf)))
+        want = stats.poisson.pmf(np.arange(len(pmf)), mean).tolist()
+        assert list(pmf.values()) == want
 
 
 # 208 geometric means, then means around the left cut (144) and past about
@@ -162,8 +157,7 @@ def test_compound_kernel_pmf_of_mean_is_the_reference(grid2):
     for (values, probs), means in ORACLE_MEANS.items():
         k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
         for mean in means:
-            assert_matches_the_oracle(k._law_of_mean(mean).as_dict(k.value_step), mean,
-                                      values, probs)
+            assert_matches_the_oracle(k._pmf_of_mean(mean), mean, values, probs)
 
 
 def test_compound_table_at_a_mean_of_800_is_fast():
@@ -197,7 +191,7 @@ def test_scattered_jump_matrices_equal_the_per_atom_fill():
                 assert np.array_equal(system.generator_matrix(s, side),
                                       ref_jump_generator_matrix(system, s, side))
             law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
-            cuts.append(1.0 - math.fsum(law.probs))
+            cuts.append(1.0 - math.fsum(law.values()))
         # 1 minus a float sum: within a few units of 1.0's last place
         assert system.tail_cut == pytest.approx(max(cuts), abs=5e-16)
         assert 0.0 < system.tail_cut <= PMF_TAIL
@@ -324,15 +318,13 @@ def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
     B, B2 = IndexedSet.from_cells(grid2, [0]), IndexedSet.from_cells(grid2, [0, 1, 2])
     for k in (k1, k2, k1):
         k.step_rows(B, B2, 0, 2)
-        k._mean_law(1.5)
+        k._mean_pmf(1.5)
     assert set(k1._pmfs) == set(k2._pmfs)
     for key in k1._pmfs:
         assert k1._pmfs[key] is not k2._pmfs[key]
-    assert (k1.value_step, k2.value_step) == (1, 0.5)
-    half, integer = (k._mean_law(1.5).as_dict(k.value_step) for k in (k2, k1))
-    assert 3.5 in half and 3.5 not in integer
-    for pmf, (values, probs) in ((integer, JUMPS["integer"]), (half, JUMPS["half"])):
-        assert_matches_the_oracle(pmf, 1.5, values, probs)
+    assert 3.5 in k2._mean_pmf(1.5) and 3.5 not in k1._mean_pmf(1.5)
+    for k, (values, probs) in ((k1, JUMPS["integer"]), (k2, JUMPS["half"])):
+        assert_matches_the_oracle(k._mean_pmf(1.5), 1.5, values, probs)
 
 
 def test_threads_share_one_kernel_s_tables_safely(grid2):
@@ -341,13 +333,12 @@ def test_threads_share_one_kernel_s_tables_safely(grid2):
     values, probs = JUMPS["half"]
     k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
     means = np.geomspace(0.05, 6.0, 12).tolist()
-    want = {m: compound_poisson_law(m, values, probs) for m in means}
+    want = {m: list(compound_poisson_dict(m, values, probs).items()) for m in means}
     bad = []
 
     def work(order):
         for m in order:
-            got = k._mean_law(m)
-            if got.first != want[m].first or not np.array_equal(got.probs, want[m].probs):
+            if list(k._mean_pmf(m).items()) != want[m]:
                 bad.append(m)
 
     interval = sys.getswitchinterval()

@@ -65,14 +65,13 @@ def _specs():
         yield f"ci_{name}", _ci_spec(jumps)
 
 
-def assert_same_pmf(law, step, want: dict):
+def assert_same_pmf(law, want: dict):
     """The atoms of a grid law against a dict pmf: the same values, bit for
     bit, in ascending order, and the same probabilities; a zero atom of the
     dict lies inside the vector with probability 0."""
-    got = law.as_dict(step)
     atoms = sorted((k, p) for k, p in want.items() if p)
-    assert list(got.items()) == atoms
-    values = grid_values(np.arange(law.first, law.last + 1), step).tolist()
+    assert list(law.items()) == atoms and list(law) == [k for k, _ in atoms]
+    values = grid_values(np.arange(law.first, law.last + 1), law.step).tolist()
     for k, p in want.items():
         if not p:
             assert law.probs[values.index(k)] == 0.0
@@ -81,8 +80,7 @@ def assert_same_pmf(law, step, want: dict):
 @pytest.mark.parametrize("name, spec", list(_specs()), ids=[n for n, _ in _specs()])
 def test_grid_laws_are_the_dict_pmfs(name, spec):
     kernel = spec.kernel
-    step = kernel.value_step
-    assert_same_pmf(spec.initial_law(), step, ref_initial_pmf(kernel, spec.min_set))
+    assert_same_pmf(spec.initial_pmf(), ref_initial_pmf(kernel, spec.min_set))
     legs = {(o.prefix_set(i - 1), o.prefix_set(i)) for o in
             enumerate_consistent_orderings(spec.lattice) for i in range(1, len(o))}
     flow = flow_from_ordering(spec.ordering)
@@ -92,13 +90,9 @@ def test_grid_laws_are_the_dict_pmfs(name, spec):
         states = list(range(kernel.n + 1))
     for prev, cur in legs:
         for x in states:
-            index = kernel.index_of(x)
-            assert_same_pmf(kernel.increment_law(prev, cur, index), step,
+            assert_same_pmf(kernel.increment_pmf(prev, cur, x),
                             ref_increment_pmf(kernel, prev, cur, x))
-            assert_same_pmf(kernel.step_law(prev, cur, index), step,
-                            ref_step_pmf(kernel, prev, cur, x))
-            assert kernel.step_pmf(prev, cur, x) == dict(
-                sorted((k, p) for k, p in ref_step_pmf(kernel, prev, cur, x).items() if p))
+            assert_same_pmf(kernel.step_pmf(prev, cur, x), ref_step_pmf(kernel, prev, cur, x))
 
 
 def test_grid_steps():
@@ -118,13 +112,12 @@ def test_panjer_on_the_grid_is_the_heap_recursion(jumps):
     for mean in ORACLE_MEANS[jumps] + (1000.0,) * (max(values) == 2):
         want = ref_compound_poisson_dict(mean, values, probs)
         got = compound_poisson_law(mean, values, probs)
-        assert_same_pmf(got, jump_step(values, probs), want)
+        assert_same_pmf(got, want)
         # one side alone: the recursion, its cut and its rescaling
         rates = {abs(v): mean * p for v, p in zip(values, probs) if v}
         if len(rates) > 1:
             side = _panjer(rates, math.fsum(rates.values()), PMF_TAIL, grid_step(rates))
-            assert_same_pmf(side, grid_step(rates),
-                            ref_panjer(rates, math.fsum(rates.values()), PMF_TAIL))
+            assert_same_pmf(side, ref_panjer(rates, math.fsum(rates.values()), PMF_TAIL))
 
 
 def _refused_count(spec, monkeypatch, cap) -> int:
