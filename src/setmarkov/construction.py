@@ -140,8 +140,7 @@ def row_codes(columns: np.ndarray) -> tuple[np.ndarray, int]:
     equal rows, and the codes' span: each column is replaced by its offset
     from the column's least value, and the offsets are combined in mixed
     radix; a code about to overflow is first re-ranked over its distinct
-    values.  Without a re-rank the codes keep the rows' lexicographic
-    order."""
+    values."""
     code = np.zeros(columns.shape[0], dtype=np.int64)
     radix = 1
     for col in columns.T:
@@ -349,10 +348,8 @@ def chain_table(kernel, stages, start: GridLaw):
     legs = list(zip(stages, stages[1:]))
     for k, (prev, cur) in enumerate(legs):
         lo = int(running.min())
-        seen = np.zeros(int(running.max()) - lo + 1, dtype=bool)
-        seen[running - lo] = True
-        states = lo + np.flatnonzero(seen)
-        group = (np.cumsum(seen) - 1)[running - lo]
+        states, group = rank_codes(running - lo, int(running.max()) - lo + 1)
+        states += lo
         laws = [kernel.increment_pmf(prev, cur, x).atoms
                 for x in kernel.values(states).tolist()]
         sizes = np.array([len(index) for index, _ in laws])
