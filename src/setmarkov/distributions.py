@@ -3,13 +3,12 @@
 A finite law is a ``GridLaw``: a probability vector over consecutive
 indices of a value grid, index i standing for ``canonical_value(i *
 step)`` (``grid_values``; ``grid_step`` finds the step of a set of values,
-``jump_step`` that of a jump law).  ``FinitePmf`` and the dict pmfs serve
-library callers; the closed-form families carry a cdf.  The cut count
-tables live here, each with its cut policy: ``binomial_pmf``,
-``poisson_pmf`` and ``compound_poisson_law`` (Panjer's recursion on the
-grid; ``compound_poisson_dict`` is its dict); ``binomial_coefficients``
-gives the coefficients to ``binomial_pmf`` and to the empirical flow
-semigroup alike.
+``jump_step`` that of a jump law), which reads as a read-only dict pmf.
+``FinitePmf`` serves the kernels' ``law``; the closed-form families carry a
+cdf.  The cut count tables live here, each with its cut policy:
+``binomial_pmf``, ``poisson_pmf`` and ``compound_poisson_dict`` (Panjer's
+recursion on the grid); ``binomial_coefficients`` gives the coefficients to
+``binomial_pmf`` and to the empirical flow semigroup alike.
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
@@ -401,9 +400,10 @@ def _mirrored(law: GridLaw, step: Fraction) -> GridLaw:
     return GridLaw(-law.last, law.probs[::-1].copy(), step)
 
 
-def compound_poisson_law(lam: float, jump_values, jump_probs) -> GridLaw:
+def compound_poisson_dict(lam: float, jump_values, jump_probs) -> GridLaw:
     """Law of a Poisson(lam) number of iid jumps, on the grid of
-    ``grid_step(jump_values)``.
+    ``jump_step(jump_values, jump_probs)``: a ``GridLaw``, which reads as a
+    dict pmf {value: probability}.
 
     One nonzero jump size v reads ``poisson_pmf``, count k at index k (or -k
     for v < 0).  Otherwise the jumps of each sign make a ``_panjer`` table of
@@ -439,12 +439,6 @@ def compound_poisson_law(lam: float, jump_values, jump_probs) -> GridLaw:
     for k in np.flatnonzero(up).tolist():
         out[k: k + len(down.probs)] += up[k] * down.probs
     return GridLaw(laws[0].first + down.first, out, step)
-
-
-def compound_poisson_dict(lam: float, jump_values, jump_probs) -> dict:
-    """``compound_poisson_law`` as a dict {value: probability} over its
-    atoms, values ``canonical_value(index * step)``."""
-    return dict(compound_poisson_law(lam, jump_values, jump_probs))
 
 
 @lru_cache(maxsize=64)

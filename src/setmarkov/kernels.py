@@ -43,7 +43,7 @@ from .distributions import (
     PointMass,
     TwoStage,
     binomial_pmf,
-    compound_poisson_law,
+    compound_poisson_dict,
     grid_values,
     jump_step,
     pmf_ppf,
@@ -400,7 +400,7 @@ class CompoundPoissonKernel(TransitionKernel):
         return jump_step(self.jump_values, self.jump_probs)
 
     def _pmf_of_mean(self, mean: float) -> GridLaw:
-        return compound_poisson_law(mean, self.jump_values, self.jump_probs)
+        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
 
     def _mean_pmf(self, mean: float) -> GridLaw:
         """``_pmf_of_mean(mean)``, memoised per mean: steps over cells of

@@ -48,7 +48,7 @@ row by row through ``csv.writer``: the reference for the block writer of
 ``ref_panjer`` and ``ref_compound_poisson_dict`` are the compound poisson
 tables as dict pmfs keyed by ``canonical_value``, Panjer's recursion walking
 a heap of pending values: the reference, bit for bit, for the grid vectors
-of ``distributions.compound_poisson_law``.  ``ref_increment_pmf`` and
+of ``distributions.compound_poisson_dict``.  ``ref_increment_pmf`` and
 ``ref_initial_pmf`` give a kernel's dict pmfs as those tables and
 ``binomial_pmf`` give them: the reference for the kernels' grid laws.
 ``ref_binom_ppf`` and ``ref_poisson_ppf`` are scipy's quantile functions,

@@ -30,7 +30,7 @@ from setmarkov.distributions import (
     BetaSegment,
     NormalLaw,
     PointMass,
-    compound_poisson_law,
+    compound_poisson_dict,
     pmf_ppf,
     tv_distance,
 )
@@ -256,7 +256,7 @@ class _SwappedJumpCompound(CompoundPoissonKernel):
     probabilities swapped; the generator still reads the real jump law."""
 
     def _pmf_of_mean(self, mean):
-        return compound_poisson_law(mean, self.jump_values, self.jump_probs[::-1])
+        return compound_poisson_dict(mean, self.jump_values, self.jump_probs[::-1])
 
 
 def test_compound_mutant_breaks_samples_and_validate():

@@ -26,7 +26,7 @@ from setmarkov.config import load_config
 from setmarkov.distributions import (
     PMF_TAIL,
     _panjer,
-    compound_poisson_law,
+    compound_poisson_dict,
     grid_step,
     grid_values,
     jump_step,
@@ -111,7 +111,7 @@ def test_panjer_on_the_grid_is_the_heap_recursion(jumps):
     values, probs = jumps
     for mean in ORACLE_MEANS[jumps] + (1000.0,) * (max(values) == 2):
         want = ref_compound_poisson_dict(mean, values, probs)
-        got = compound_poisson_law(mean, values, probs)
+        got = compound_poisson_dict(mean, values, probs)
         assert_same_pmf(got, want)
         # one side alone: the recursion, its cut and its rescaling
         rates = {abs(v): mean * p for v, p in zip(values, probs) if v}
