@@ -193,22 +193,17 @@ class JointLaw:
     every operation works on whole columns; index i stands for the value
     ``canonical_value(i * step)``.  ``probs`` holds the probability of each
     row.  ``keys`` is the matrix of values and ``table`` the same law as a
-    dict {value tuple: probability}, each made on first access.  A key
-    matrix given without a step is taken as values: integers are their own
-    indices, and floats sit on the grid of their ``grid_step``.
+    dict {value tuple: probability}, each made on first access.
     """
 
-    def __init__(self, labels, sets, keys, probs, step: Fraction | None = None):
-        keys = np.asarray(keys)
-        if step is None:
-            step = Fraction(1)
-            if not np.issubdtype(keys.dtype, np.integer):
-                step = grid_step(np.unique(keys).tolist())
-                keys = np.rint(keys * step.denominator / step.numerator)
+    def __init__(self, labels, sets, codes, probs, step: Fraction):
+        codes = np.asarray(codes)
+        if not np.issubdtype(codes.dtype, np.integer):
+            raise ConfigError(f"a joint law takes grid indices, not {codes.dtype} keys")
         self.labels = tuple(labels)
         self.sets = sets
         self.step = step
-        self.codes = np.asfortranarray(keys, dtype=np.int64)
+        self.codes = np.asfortranarray(codes, dtype=np.int64)
         self.probs = np.asarray(probs, dtype=float)
         if self.codes.shape != (len(self.probs), len(self.labels)):
             raise ConfigError(f"key matrix of shape {self.codes.shape} does not fit "

@@ -24,8 +24,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy import special
@@ -311,11 +312,11 @@ def grid_step(values) -> Fraction:
     """The largest step of which every value (a float, or a step) is a whole
     multiple: the greatest common divisor of their shortest decimals (1 when
     all are 0).  0.5 for {1, 2.5}, 0.1 for {0.1, 0.2}."""
-    decimals = [Fraction(repr(float(v))) for v in values if v]
+    decimals = [Decimal(repr(float(v))).as_integer_ratio() for v in values if v]
     if not decimals:
         return Fraction(1)
-    scale = math.lcm(*(d.denominator for d in decimals))
-    return Fraction(math.gcd(*(int(d * scale) for d in decimals)), scale)
+    scale = math.lcm(*(d for _, d in decimals))
+    return Fraction(math.gcd(*(n * (scale // d) for n, d in decimals)), scale)
 
 
 def grid_values(index, step: Fraction) -> np.ndarray:
@@ -441,14 +442,9 @@ def compound_poisson_dict(lam: float, jump_values, jump_probs) -> GridLaw:
     return GridLaw(laws[0].first + down.first, out, step)
 
 
-@lru_cache(maxsize=64)
-def _jump_step(jump_values: tuple, jump_probs: tuple) -> Fraction:
-    return grid_step(_key(v) for v, p in zip(jump_values, jump_probs) if p > 0)
-
-
 def jump_step(jump_values, jump_probs) -> Fraction:
     """The value grid of a jump law: ``grid_step`` of the jumps it takes."""
-    return _jump_step(tuple(jump_values), tuple(jump_probs))
+    return grid_step(_key(v) for v, p in zip(jump_values, jump_probs) if p > 0)
 
 
 def pmf_ppf(pmf, u: np.ndarray) -> np.ndarray:

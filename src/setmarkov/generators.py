@@ -59,14 +59,12 @@ class MatrixSemigroup:
         self.trace = trace
         self.states = states
         self._rows, self._jumps = np.nonzero(np.add.outer(states, states) <= states[-1])
-        # the flat position of each band entry in a matrix
-        self._band = self._rows * (len(states) + 1) + self._jumps
 
     def _banded(self, values) -> np.ndarray:
         """The matrix with ``values[i]`` at the i-th band entry, row by row
         and jump by jump, and 0 off the band."""
         M = np.zeros((len(self.states), len(self.states)))
-        M.reshape(-1)[self._band] = values
+        M[self._rows, self._rows + self._jumps] = values
         return M
 
     def apply(self, s, t, h):
@@ -178,10 +176,9 @@ class JumpFlowSemigroup(MatrixSemigroup):
             raise ConfigError("flow semigroup needs positive integer jumps")
         self.jump_values = tuple(jv)
         self.jump_probs = tuple(float(p) for p in jump_probs)
-        # the value of grid index i of a step law
-        self.value_step = math.gcd(*(v for v, p in zip(jv, self.jump_probs) if p > 0))
         span = float(trace.values[-1] - trace.values[0])
-        reach = step_law(max(span, 1e-9)).last * self.value_step
+        law = step_law(max(span, 1e-9))
+        reach = law.last * int(law.step)
         self.cap = int(start_mass_cap + reach)
         super().__init__(trace, np.arange(self.cap + 1))
         self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
@@ -189,7 +186,7 @@ class JumpFlowSemigroup(MatrixSemigroup):
 
     def matrix(self, s: float, t: float) -> np.ndarray:
         law = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
-        g = self.value_step
+        g = int(law.step)
         by_jump = np.zeros(max(self.cap, law.last * g) + 1)
         by_jump[law.first * g: law.last * g + 1: g] = law.probs
         self.tail_cut = max(self.tail_cut, 1.0 - float(by_jump.sum()))

@@ -14,10 +14,11 @@ Construction, sampling, the checks and the flow semigroups call only the
 methods of ``TransitionKernel`` (listed there); none of them switches on
 ``kind``.  The finite-state kinds hold their laws as vectors on a value
 grid (``distributions.GridLaw``), and the exact composition checks chain
-them as dense rows over ranges of grid indices (``chain_rows``,
-``rows_tv``).  The empirical kernel has a ``corrupted`` switch that drops the
-conditioning denominator from the success probability; it deliberately
-violates the composition law and is used to show the checks have power.
+them as rows over the grid indices the laws reach (``reach_columns``,
+``chain_rows``, ``rows_tv``).  The empirical kernel has a ``corrupted``
+switch that drops the conditioning denominator from the success
+probability; it deliberately violates the composition law and is used to
+show the checks have power.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ class TransitionKernel:
     array memo (``_pmfs``; the empirical kind keeps no step of more than
     ``DIRECT_BINOMIAL_TRIALS`` points left) and shared by every caller: the
     increment and initial pmfs, for the jump kinds the pmf of each
-    intensity, and the dense leg matrices of ``step_rows``.  The step pmf
-    from a state is its increment pmf shifted by the state's index.
-    Nothing is cached beyond the instance.
+    intensity, a compound kind's grid step, and the leg matrices of
+    ``step_rows``.  The step pmf from a state is its increment pmf shifted
+    by the state's index.  Nothing is cached beyond the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -192,22 +193,29 @@ class TransitionKernel:
         index = self.index_of(state)
         return self.increment_pmf(B, B2, state).shifted(index)
 
-    def step_rows(self, B, B2, first: int, count: int) -> tuple[int, np.ndarray]:
-        """The step pmfs from B to B2 of the grid indices first, ...,
-        first + count - 1 as the rows of one dense matrix over a range of
-        grid indices: (first index of the range, rows), read only and
-        memoised."""
+    def step_rows(self, B, B2, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The step pmfs from B to B2 of the ascending grid indices ``index``
+        as the rows of one matrix over the grid indices they reach:
+        (columns, rows), ``rows[i, j]`` the probability of ``columns[j]``
+        from ``index[i]`` (``reach_columns``), read only and memoised."""
         def build():
-            states = self.values(np.arange(first, first + count)).tolist()
-            laws = [self.step_pmf(B, B2, x) for x in states]
+            laws = [self.step_pmf(B, B2, x) for x in self.values(index).tolist()]
             lo = min(law.first for law in laws)
-            rows = np.zeros((count, max(law.last for law in laws) - lo + 1))
+            reached = np.zeros(max(law.last for law in laws) - lo + 1, dtype=bool)
+            for law in laws:
+                reached[law.first - lo: law.last - lo + 1] |= law.probs != 0
+            columns = reach_columns(lo, reached)
+            rows = np.zeros((len(laws), len(columns)))
             for row, law in zip(rows, laws):
-                row[law.first - lo: law.last - lo + 1] = law.probs
+                if len(columns) == len(reached):
+                    row[law.first - lo: law.last - lo + 1] = law.probs
+                else:
+                    at, probs = law.atoms
+                    row[np.searchsorted(columns, at)] = probs
             rows.flags.writeable = False
-            return lo, rows
+            return columns, rows
 
-        return self._memo(("rows", B.mask, B2.mask, first, count), build)
+        return self._memo(("rows", B.mask, B2.mask, index.tobytes()), build)
 
     def grid_law(self, pmf: dict) -> GridLaw:
         """A dict pmf {internal state: probability} as a law on the value
@@ -397,7 +405,7 @@ class CompoundPoissonKernel(TransitionKernel):
 
     @property
     def value_step(self) -> Fraction:
-        return jump_step(self.jump_values, self.jump_probs)
+        return self._memo("step", lambda: jump_step(self.jump_values, self.jump_probs))
 
     def _pmf_of_mean(self, mean: float) -> GridLaw:
         return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
@@ -677,48 +685,76 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return _quantile_column(("beta", a, b), u, lambda v: special.betaincinv(a, b, v))
 
 
-def chain_rows(kernel, stages, states) -> tuple[int, np.ndarray]:
+def reach_columns(lo: int, reached: np.ndarray) -> np.ndarray:
+    """The grid indices a law is carried on, from the mask ``reached`` of
+    the indices it reaches among lo, lo + 1, ...: the whole range, or only
+    the reached indices where they fill less than half of it, so a sparse
+    reach (jumps {1, 1.001}, or {1, 1000}) costs its atoms, not its range."""
+    if 2 * np.count_nonzero(reached) < len(reached):
+        return lo + np.flatnonzero(reached)
+    return np.arange(lo, lo + len(reached))
+
+
+def _placed(columns: np.ndarray, lo: int):
+    """Where the entries over ``columns`` sit in a row over the grid indices
+    lo, lo + 1, ...: one slice when the columns are one range."""
+    if columns[-1] - columns[0] == len(columns) - 1:
+        return slice(int(columns[0]) - lo, int(columns[-1]) - lo + 1)
+    return columns - lo
+
+
+def chain_rows(kernel, stages, states) -> tuple[np.ndarray, np.ndarray]:
     """Exact laws of the internal state at stages[-1] after chaining the
     kernel through the consecutive stages, one row per internal state of
-    ``states`` at stages[0]: (first, rows), ``rows[i, j]`` the probability
-    of grid index first + j.  The start is one-hot rows over the range of
-    the states' grid indices, so a single leg gives its step laws bit for
-    bit."""
+    ``states`` at stages[0]: (columns, rows), ``rows[i, j]`` the probability
+    of grid index ``columns[j]``.  The start is one-hot rows over the range
+    of the states' grid indices, or over the distinct indices where the
+    range is more than twice the states, so a single leg gives its step laws
+    bit for bit."""
     index = kernel.index_of(states)
-    first = int(index.min())
-    rows = np.zeros((len(index), int(index.max()) - first + 1))
-    rows[np.arange(len(index)), index - first] = 1.0
-    return _push_rows(kernel, stages, first, rows)
+    lo = int(index.min())
+    width = int(index.max()) - lo + 1
+    if width <= 2 * len(index):
+        columns, slot = np.arange(lo, lo + width), index - lo
+    else:
+        columns, slot = np.unique(index, return_inverse=True)
+    rows = np.zeros((len(index), len(columns)))
+    rows[np.arange(len(index)), slot] = 1.0
+    return _push_rows(kernel, stages, columns, rows)
 
 
 def chain_law(kernel, stages, start: GridLaw) -> GridLaw:
     """Law of the internal state at stages[-1] when the chain starts from
-    the law ``start`` at stages[0], by the dense rows of ``chain_rows`` from
-    one start row."""
-    first, rows = _push_rows(kernel, stages, start.first, start.probs[None, :])
-    return GridLaw(first, rows[0], start.step)
+    the law ``start`` at stages[0], by the rows of ``chain_rows`` from one
+    start row over the ``reach_columns`` of ``start``."""
+    columns = reach_columns(start.first, start.probs != 0)
+    columns, rows = _push_rows(kernel, stages, columns,
+                               start.probs[columns - start.first][None, :])
+    probs = np.zeros(int(columns[-1] - columns[0]) + 1)
+    probs[_placed(columns, int(columns[0]))] = rows[0]
+    return GridLaw(int(columns[0]), probs, start.step)
 
 
-def _push_rows(kernel, stages, first: int, rows: np.ndarray) -> tuple[int, np.ndarray]:
-    """Laws at stages[0] over the grid indices first, first + 1, ...
-    carried to stages[-1]: each leg is the kernel's ``step_rows`` from
-    every index of the range the chain has reached, and the legs are
-    multiplied."""
+def _push_rows(kernel, stages, columns: np.ndarray,
+               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Laws at stages[0] over the grid indices ``columns`` carried to
+    stages[-1]: each leg is the kernel's ``step_rows`` from the columns the
+    chain has reached, and the legs are multiplied."""
     for a, b in zip(stages, stages[1:]):
         if a.mask != b.mask:
-            first, leg = kernel.step_rows(a, b, first, rows.shape[1])
+            columns, leg = kernel.step_rows(a, b, columns)
             rows = rows @ leg
-    return first, rows
+    return columns, rows
 
 
-def rows_tv(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> np.ndarray:
-    """Total variation distance between matching rows of two (first, rows)
-    laws, over the union of their grid ranges."""
-    (fa, ra), (fb, rb) = a, b
-    lo = min(fa, fb)
-    gap = np.zeros((len(ra), max(fa + ra.shape[1], fb + rb.shape[1]) - lo))
-    gap[:, fa - lo: fa - lo + ra.shape[1]] = ra
-    gap[:, fb - lo: fb - lo + rb.shape[1]] -= rb
+def rows_tv(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Total variation distance between matching rows of two (columns,
+    rows) laws, over the range of grid indices the two span."""
+    (ca, ra), (cb, rb) = a, b
+    lo = int(min(ca[0], cb[0]))
+    gap = np.zeros((len(ra), int(max(ca[-1], cb[-1])) - lo + 1))
+    gap[:, _placed(ca, lo)] = ra
+    gap[:, _placed(cb, lo)] -= rb
     return 0.5 * np.abs(gap).sum(axis=1)
 
 
@@ -740,9 +776,9 @@ def compose_kernels(kernel, B, B1, B2, x):
     _require_nested(B, B1)
     _require_nested(B1, B2)
     if kernel.finite_state:
-        first, rows = chain_rows(kernel, (B, B1, B2), [kernel.to_state(x)])
+        columns, rows = chain_rows(kernel, (B, B1, B2), [kernel.to_state(x)])
         at = np.flatnonzero(rows[0])
-        return FinitePmf(kernel.display(kernel.values(first + at)).tolist(),
+        return FinitePmf(kernel.display(kernel.values(columns[at])).tolist(),
                          rows[0, at] / rows[0, at].sum())
     if measure_of(kernel.measure, B2 - B1) == 0:
         return kernel_eval(kernel, B, B1, x)

@@ -26,7 +26,7 @@ from setmarkov import (
 )
 from setmarkov import construction, distributions, kernels, verify
 from setmarkov.cli import main
-from setmarkov.distributions import GridLaw, canonical_value, pmf_ppf, tv_distance
+from setmarkov.distributions import GridLaw, canonical_value, grid_step, pmf_ppf, tv_distance
 from setmarkov.grid import measure_of
 from setmarkov.kernels import chain_rows
 from setmarkov.verify import (
@@ -65,9 +65,14 @@ def tables(draw, width=None, floats=None):
 
 
 def law_of(table):
+    """The ``JointLaw`` of a dict table keyed by value tuples, on the grid of
+    the values' common step."""
     width = len(next(iter(table)))
-    keys = np.array(list(table)).reshape(len(table), width)
-    return JointLaw(tuple(f"C{i}" for i in range(width)), None, keys, list(table.values()))
+    keys = np.array(list(table), dtype=float).reshape(len(table), width)
+    step = grid_step(np.unique(keys).tolist())
+    codes = np.rint(keys * step.denominator / step.numerator).astype(np.int64)
+    return JointLaw(tuple(f"C{i}" for i in range(width)), None, codes,
+                    list(table.values()), step)
 
 
 def assert_same_law(got: dict, want: dict):
@@ -203,8 +208,10 @@ def test_memoised_pmfs_are_read_only_and_accepted_everywhere(lattice3, grid2):
         assert pmf_ppf(pmf, np.array([0.0, 0.5, 1.0])).shape == (3,)
         assert pmf_ppf(initial, np.array([0.5])).shape == (1,)
         assert tv_distance(pmf, dict(pmf)) == 0.0
-        first, rows = chain_rows(kernel, (B, B2), [0])
-        assert GridLaw(first, rows[0], kernel.value_step) == kernel.step_pmf(B, B2, 0)
+        columns, rows = chain_rows(kernel, (B, B2), [0])
+        assert np.array_equal(columns, np.arange(columns[0], columns[-1] + 1))
+        assert GridLaw(int(columns[0]), rows[0], kernel.value_step) == \
+            kernel.step_pmf(B, B2, 0)
         # the memo is per instance and takes no part in equality
         twin = dataclasses.replace(kernel)
         assert twin == kernel and hash(twin) == hash(kernel)

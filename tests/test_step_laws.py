@@ -231,9 +231,9 @@ def test_chain_rows_and_flow_matching_match_the_dict_chain(lattice3, grid2, name
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
                           (flow.stages[0], flow.stages[-1]))
     states = [kernel.to_state(x) for x in kernel.probe_states()]
-    first, rows = chain_rows(kernel, flow.stages, states)
+    columns, rows = chain_rows(kernel, flow.stages, states)
     assert rows.shape[0] == len(states)
-    support = kernel.values(np.arange(first, first + rows.shape[1])).tolist()
+    support = kernel.values(columns).tolist()
     for x, row in zip(states, rows):
         want = ref_chain_pmf(kernel, flow.stages, x)
         got = dict(zip(support, row.tolist()))
@@ -255,24 +255,29 @@ def test_chain_rows_and_flow_matching_match_the_dict_chain(lattice3, grid2, name
 def test_no_leg_moves_gives_one_hot_rows(grid2):
     k = EmpiricalKernel(2, CellMeasure.uniform_probability(grid2))
     B = IndexedSet.from_cells(grid2, [0])
-    first, rows = chain_rows(k, (B, B), [1, 0, 1])
-    assert first == 0
+    columns, rows = chain_rows(k, (B, B), [1, 0, 1])
+    assert columns.tolist() == [0, 1]
     assert rows.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_rows_tv_aligns_supports_by_value():
-    # (first grid index, rows): the two ranges are aligned by index
-    a = (0, np.array([[0.5, 0.5], [1.0, 0.0]]))
-    b = (1, np.array([[0.5, 0.5], [0.0, 1.0]]))
+    # (grid indices, rows): the two laws are aligned by index
+    a = (np.arange(0, 2), np.array([[0.5, 0.5], [1.0, 0.0]]))
+    b = (np.arange(1, 3), np.array([[0.5, 0.5], [0.0, 1.0]]))
     assert rows_tv(a, b).tolist() == [0.5, 1.0]
     assert rows_tv(b, a).tolist() == [0.5, 1.0]
     assert rows_tv(a, a).tolist() == [0.0, 0.0]
     # a range that holds zeros past the other's is the same law
-    c = (-1, np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+    c = (np.arange(-1, 3), np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 1.0, 0.0, 0.0]]))
     assert rows_tv(a, c).tolist() == [0.0, 0.0]
     # indices that meet only in part
-    d = (3, np.array([[1.0], [1.0]]))
+    d = (np.array([3]), np.array([[1.0], [1.0]]))
     assert rows_tv(b, d).tolist() == [1.0, 1.0]
+    # indices that are not one range: only the listed ones hold mass
+    e = (np.array([0, 1000]), np.array([[0.5, 0.5], [1.0, 0.0]]))
+    f = (np.array([1, 1000, 2000]), np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 1.0]]))
+    assert rows_tv(e, f).tolist() == [0.5, 1.0]
+    assert rows_tv(e, (np.arange(0, 2), a[1])).tolist() == [0.5, 0.0]
 
 
 def _twin(kernel):
@@ -296,16 +301,16 @@ def test_a_fresh_kernel_and_a_warmed_one_give_identical_laws(lattice3, grid2, na
             assert list(got.items()) == list(want.items())
             assert list(fresh.increment_pmf(B, B2, x).items()) == \
                 list(warm.increment_pmf(B, B2, x).items())
-        # each range of start indices has its own rows, one per index
+        # each set of start indices has its own rows, one per index
         index = [warm.index_of(x) for x in states]
         for first in range(min(index), max(index) + 1):
-            count = max(index) - first + 1
-            (f1, r1), (f2, r2) = fresh.step_rows(B, B2, first, count), \
-                warm.step_rows(B, B2, first, count)
-            assert f1 == f2 and np.array_equal(r1, r2)
+            starts = np.arange(first, max(index) + 1)
+            (c1, r1), (c2, r2) = fresh.step_rows(B, B2, starts), \
+                warm.step_rows(B, B2, starts)
+            assert np.array_equal(c1, c2) and np.array_equal(r1, r2)
             assert not r2.flags.writeable
-            values = warm.values(np.arange(f2, f2 + r2.shape[1])).tolist()
-            for i, row in zip(range(first, first + count), r2.tolist()):
+            values = warm.values(c2).tolist()
+            for i, row in zip(starts.tolist(), r2.tolist()):
                 want = fresh.step_pmf(B, B2, warm.values(i))
                 assert {z: p for z, p in zip(values, row) if z in want} == dict(want)
                 assert not any(p for z, p in zip(values, row) if z not in want)
@@ -317,7 +322,7 @@ def test_compound_kernels_with_other_jump_laws_share_no_cache_entry(grid2):
     k2 = CompoundPoissonKernel(lam, *JUMPS["half"])
     B, B2 = IndexedSet.from_cells(grid2, [0]), IndexedSet.from_cells(grid2, [0, 1, 2])
     for k in (k1, k2, k1):
-        k.step_rows(B, B2, 0, 2)
+        k.step_rows(B, B2, np.arange(2))
         k._mean_pmf(1.5)
     assert set(k1._pmfs) == set(k2._pmfs)
     for key in k1._pmfs:

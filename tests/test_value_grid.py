@@ -1,7 +1,8 @@
 """Finite laws on the value grid: the grid vectors against the dict pmfs
 the kernels gave before (``helpers.ref_increment_pmf``), Panjer's recursion
 on the grid against the heap version, the row count a refused table states,
-and the refusal of a grid too fine for one step law."""
+the refusal of a grid too fine for one step law, and the chaining of a fine
+grid over only the indices its jumps reach."""
 
 import json
 import math
@@ -32,6 +33,7 @@ from setmarkov.distributions import (
     jump_step,
 )
 from setmarkov.errors import ConfigError, TableSizeError
+from setmarkov.kernels import ck_defect
 from setmarkov.lattice import flow_from_ordering
 
 from helpers import (
@@ -160,6 +162,24 @@ def test_a_grid_too_fine_for_one_step_law_exits_2(tmp_path, capsys):
         assert "Traceback" not in err
         # sample has written its header when its first slice is drawn
         assert out.exists() == (command == "sample")
+
+
+def test_a_fine_grid_chains_only_the_indices_its_jumps_reach(tmp_path):
+    # jumps {1, 1.001} sit on the grid of step 0.001: one step law spans
+    # 12,000 grid points and reaches about 80 of them
+    spec = _ci_spec(((1, 1.001), (0.6, 0.4)))
+    kernel = spec.kernel
+    B, B1, B2 = (spec.ordering.prefix_set(i) for i in range(3))
+    assert ck_defect(kernel, B, B1, B2, kernel.probe_states()).defect < 1e-12
+    legs = [got[1] for key, got in kernel._pmfs.items() if key[0] == "rows"]
+    assert len(legs) == 3
+    assert all(rows.shape[1] < 400 for rows in legs)
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps({
+        "grid": {"extents": [2, 2]}, "semilattice": {"cell_lists": [[0, 1], [0, 2]]},
+        "process": {"kind": "compound_poisson", "measure": {"constant": 0.5},
+                    "jumps": {"values": [1, 1.001], "probs": [0.6, 0.4]}}}))
+    assert main(["validate", "--config", str(path), "--out", str(tmp_path / "v.json")]) == 0
 
 
 def test_an_initial_state_off_the_value_grid_is_refused():
