@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 from collections import deque
@@ -133,12 +134,18 @@ def format_rows(block: np.ndarray, dedupe: bool = True) -> bytes:
 
 def _write_csv(path, header, lines) -> int:
     """The header row through ``csv.writer`` (names are quoted as needed, in
-    UTF-8), then each bytes of the iterable.  Returns the bytes written."""
+    UTF-8), then each bytes of the iterable.  Returns the bytes written.
+    A draw or write that raises removes the file, if it is a regular one."""
     head = io.StringIO()
     csv.writer(head).writerow(header)
     with open(path, "wb") as f:
-        f.write(head.getvalue().encode())
-        f.writelines(lines)
+        try:
+            f.write(head.getvalue().encode())
+            f.writelines(lines)
+        except BaseException:
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.remove(path)
+            raise
     return os.path.getsize(path)
 
 

@@ -331,12 +331,12 @@ def chain_table(kernel, stages, start: GridLaw):
     all grid indices.
 
     Each step groups the rows by running index (its offset from the least
-    one), asks the kernel for the increment law of each distinct index
-    once, and expands every row by the atoms of its law; each probability
-    is the product of the row's and the step's.  The size of the next table
-    is known before it is built, and a table of more than ``TABLE_CAP``
-    entries raises ``TableSizeError`` instead, with the rows the whole table
-    would need (``_rows_needed``).
+    one), asks the kernel once for the increment law of each distinct
+    index, by that index, and expands every row by the atoms of its law;
+    each probability is the product of the row's and the step's.  The size
+    of the next table is known before it is built, and a table of more
+    than ``TABLE_CAP`` entries raises ``TableSizeError`` instead, with the
+    rows the whole table would need (``_rows_needed``).
     """
     running, probs = start.atoms
     columns = [running]
@@ -345,8 +345,7 @@ def chain_table(kernel, stages, start: GridLaw):
         lo = int(running.min())
         states, group = rank_codes(running - lo, int(running.max()) - lo + 1)
         states += lo
-        laws = [kernel.increment_pmf(prev, cur, x).atoms
-                for x in kernel.values(states).tolist()]
+        laws = [kernel.increment_pmf(prev, cur, x).atoms for x in states.tolist()]
         sizes = np.array([len(index) for index, _ in laws])
         counts = sizes[group]
         total = int(counts.sum())
@@ -376,8 +375,7 @@ def _rows_needed(kernel, legs, states, counts) -> int:
     for prev, cur in legs:
         nxt: dict[int, int] = {}
         for x, c in tally.items():
-            law = kernel.increment_pmf(prev, cur, float(kernel.values(x)))
-            for y in (x + law.atoms[0]).tolist():
+            for y in (x + kernel.increment_pmf(prev, cur, x).atoms[0]).tolist():
                 nxt[y] = nxt.get(y, 0) + c
         tally = nxt
     return sum(tally.values())

@@ -44,18 +44,25 @@ EMPTY_REST = 1e-15
 
 class MatrixSemigroup:
     """Transition and generator matrices acting on state vectors, along the
-    measure trace of a flow, on the integer states 0..cap.
+    measure trace of a flow, on the grid indices 0..cap.
 
     A subclass's ``matrix(s, t)`` builds the transition matrix on every
     call.  Every entry it may fill lies on one band, (row, row + jump) for
     each row and jump with row + jump <= cap, and ``_banded`` writes one
     value per band entry.  ``tail_cut`` is None when the transition matrices
     hold their step laws whole; a semigroup whose step laws are cut at a
-    tail sets it to the largest mass any matrix it built so far dropped."""
+    tail sets it to the largest mass any matrix it built so far dropped.
+    Matrices of more than ``construction.TABLE_CAP`` entries raise
+    ``ConfigError`` unbuilt, with the count."""
 
     tail_cut: float | None = None
 
     def __init__(self, trace: Trace, states: np.ndarray):
+        from . import construction  # read at call time, as the table cap is
+        entries = len(states) ** 2
+        if entries > construction.TABLE_CAP:
+            raise ConfigError(f"the flow semigroup's matrices on {len(states)} states need "
+                              f"{entries} entries, more than {construction.TABLE_CAP}")
         self.trace = trace
         self.states = states
         self._rows, self._jumps = np.nonzero(np.add.outer(states, states) <= states[-1])
@@ -154,48 +161,44 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
 
 class JumpFlowSemigroup(MatrixSemigroup):
     """Poisson / compound-poisson transition matrices along a flow, on the
-    integer states 0..cap.
+    grid indices 0..cap of the kernel's value grid.
 
     ``step_law(mean)`` is the kernel's own law of the increment over trace
     mass ``mean`` -- the ``GridLaw`` its exact tables use, cut at the same
-    tail, on the grid of the jumps' greatest common divisor -- so a row of
-    ``matrix`` is the kernel's step law.  Jumps must be positive integers;
-    the matrices are the exactly killed (sub-stochastic) restriction, so the
-    generator/semigroup identities hold to machine precision on states that
-    cannot reach the cap.  ``matrix`` places the step law's vector on a
-    dense vector by jump size and reads it onto the band by jump;
-    ``tail_cut`` records the mass the tail cut left out of that vector (1
-    minus its sum), the largest over the matrices built so far.
+    tail -- so a row of ``matrix`` is the kernel's step law; ``jumps`` are
+    the grid indices, each at least 1, of the jumps it takes, which the
+    kernel checks.  The cap is ``start_mass_cap``, the initial law's last
+    index, plus the step law's over the whole trace.
+    The matrices are the exactly killed (sub-stochastic) restriction, so
+    the generator/semigroup identities hold to machine precision on states
+    that cannot reach the cap.  ``matrix`` places the step law's vector by
+    jump index, one slice, and reads it onto the band by jump; ``tail_cut``
+    records the mass the tail cut left out of that vector (1 minus its
+    sum), the largest over the matrices built so far.
     """
 
-    def __init__(self, trace: Trace, step_law, jump_values=(1,), jump_probs=(1.0,),
+    def __init__(self, trace: Trace, step_law, jumps=(1,), jump_probs=(1.0,),
                  start_mass_cap: int = 0):
         self.step_law = step_law
-        jv = [int(v) for v in jump_values]
-        if jv != list(jump_values) or any(v < 1 for v in jv):
-            raise ConfigError("flow semigroup needs positive integer jumps")
-        self.jump_values = tuple(jv)
+        self.jumps = tuple(int(j) for j in jumps)
         self.jump_probs = tuple(float(p) for p in jump_probs)
-        span = float(trace.values[-1] - trace.values[0])
-        law = step_law(max(span, 1e-9))
-        reach = law.last * int(law.step)
-        self.cap = int(start_mass_cap + reach)
+        law = step_law(max(float(trace.values[-1] - trace.values[0]), 1e-9))
+        self.cap = start_mass_cap + law.last
         super().__init__(trace, np.arange(self.cap + 1))
-        self.probe_states = np.arange(0, max(self.cap - reach, 0) + 1)
+        self.probe_states = np.arange(start_mass_cap + 1)
         self.tail_cut = 0.0
 
     def matrix(self, s: float, t: float) -> np.ndarray:
         law = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
-        g = int(law.step)
-        by_jump = np.zeros(max(self.cap, law.last * g) + 1)
-        by_jump[law.first * g: law.last * g + 1: g] = law.probs
+        by_jump = np.zeros(max(self.cap, law.last) + 1)
+        by_jump[law.first: law.last + 1] = law.probs
         self.tail_cut = max(self.tail_cut, 1.0 - float(by_jump.sum()))
         return self._banded(by_jump[self._jumps])
 
     def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
         rate = self.trace.slope(s, side)
-        by_jump = np.zeros(max(self.cap, *self.jump_values) + 1)
-        by_jump[[0, *self.jump_values]] = [-rate] + [rate * p for p in self.jump_probs]
+        by_jump = np.zeros(max(self.cap, *self.jumps) + 1)
+        np.add.at(by_jump, [0, *self.jumps], [-rate] + [rate * p for p in self.jump_probs])
         return self._banded(by_jump[self._jumps])
 
 
@@ -493,8 +496,8 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
         return sum(w * (system.generator_matrix(v) @ system.matrix(v, b))
                    for v, w in zip(xs, ws))
 
-    starts = tuple(int(k) for k, p in sorted(spec.initial_pmf().items())
-                   if p > 1e-15 and int(k) in f_sys.probe_states)
+    index, probs = spec.initial_pmf().atoms
+    starts = tuple(index[(probs > 1e-15) & np.isin(index, f_sys.probe_states)].tolist())
     basis = np.vstack([np.eye(dim), f_sys.states.astype(float)])
 
     def worst(diff: np.ndarray) -> float:

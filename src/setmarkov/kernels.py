@@ -14,7 +14,7 @@ Construction, sampling, the checks and the flow semigroups call only the
 methods of ``TransitionKernel`` (listed there); none of them switches on
 ``kind``.  The finite-state kinds hold their laws as vectors on a value
 grid (``distributions.GridLaw``), and the exact composition checks chain
-them as rows over the grid indices the laws reach (``reach_columns``,
+them as rows over the grid indices the laws reach (``step_rows``,
 ``chain_rows``, ``rows_tv``).  The empirical kernel has a ``corrupted``
 switch that drops the conditioning denominator from the success
 probability; it deliberately violates the composition law and is used to
@@ -70,11 +70,6 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
         raise ConfigError("kernel evaluation needs B contained in B'")
 
 
-def _start_cap(kernel, flow) -> int:
-    """Largest state of the initial law at the flow's first stage."""
-    return int(max(kernel.initial_pmf_for(flow.stages[0])))
-
-
 def _binomial_law(trials: int, p: float) -> GridLaw:
     """``binomial_pmf`` on the integer grid: its counts are one range."""
     pmf = binomial_pmf(trials, p)
@@ -85,27 +80,29 @@ def _binomial_law(trials: int, p: float) -> GridLaw:
 class TransitionKernel:
     """The kernel protocol every layer calls.
 
-    Internal machinery works on *internal states* (integer counts for the
-    empirical kernel, reals otherwise).  A kind implements ``measure``,
-    ``flow_semigroup`` and ``describe_initial``; finite-state kinds add the
-    exact pmfs, which the default ``law`` renormalises and the default
-    ``initial_ppf`` and ``increment_ppf`` invert with ``pmf_ppf`` (a
-    uniform equal to the cdf at an atom draws the next atom; one above the
-    total of a table cut at ``PMF_TAIL`` draws the largest entry), and
-    continuous kinds add ``law``, ``cdf_probes`` and their own ppfs.  The
-    defaults of ``to_state``, ``display`` and ``probe_states`` suit
-    real-valued states.
+    Values are *internal states* (integer counts for the empirical kernel,
+    reals otherwise).  A kind implements ``measure``, ``flow_semigroup``
+    and ``describe_initial``; finite-state kinds add the exact pmfs, which
+    the default ``law`` renormalises and the default ``initial_ppf`` and
+    ``increment_ppf`` invert with ``pmf_ppf`` (a uniform equal to the cdf
+    at an atom draws the next atom; one above the total of a table cut at
+    ``PMF_TAIL`` draws the largest entry), and continuous kinds add
+    ``law``, ``cdf_probes`` and their own ppfs.  The defaults of
+    ``to_state``, ``display`` and ``probe_states`` suit real-valued states.
 
     A finite kind's states lie on its value grid: internal state
-    ``i * value_step`` at grid index i (``values``, ``index_of``).  Its pmfs
-    are ``GridLaw`` vectors over grid indices, which read as read-only dict
-    pmfs {state: probability}.  They are memoised on the instance in one
-    array memo (``_pmfs``; the empirical kind keeps no step of more than
+    ``i * value_step`` at grid index i (``values``, ``index_of``).
+    ``increment_pmf``, ``step_rows``, the exact tables and the flow
+    semigroups take grid indices; values are made only at input and output
+    (``step_pmf``, ``law``, the samplers).  The pmfs are ``GridLaw`` vectors
+    over grid indices, which read as read-only dict pmfs {state:
+    probability}.  They are memoised on the instance in one array memo
+    (``_pmfs``; the empirical kind keeps no step of more than
     ``DIRECT_BINOMIAL_TRIALS`` points left) and shared by every caller: the
     increment and initial pmfs, for the jump kinds the pmf of each
     intensity, a compound kind's grid step, and the leg matrices of
-    ``step_rows``.  The step pmf from a state is its increment pmf shifted
-    by the state's index.  Nothing is cached beyond the instance.
+    ``step_rows``.  The step law from an index is its increment pmf shifted
+    by the index.  Nothing is cached beyond the instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -175,12 +172,13 @@ class TransitionKernel:
         """Inverse cdf of (value at cur) - (value at prev) given internal
         states x at prev, one uniform of u per state: by default ``pmf_ppf``
         of the increment pmf of each distinct state, on that state's rows."""
-        # one stable sort groups the rows by state, so each row is read once
+        # one stable sort groups the rows by state, so each row is read once;
+        # the distinct states become grid indices in one call
         order = np.argsort(x, kind="stable")
         states, starts = np.unique(x[order], return_index=True)
         out = np.empty_like(u)
-        for state, rows in zip(states.tolist(), np.split(order, starts[1:])):
-            out[rows] = pmf_ppf(self.increment_pmf(prev, cur, state), u[rows])
+        for index, rows in zip(self.index_of(states).tolist(), np.split(order, starts[1:])):
+            out[rows] = pmf_ppf(self.increment_pmf(prev, cur, index), u[rows])
         return out
 
     def flow_semigroup(self, flow):
@@ -189,29 +187,25 @@ class TransitionKernel:
 
     def step_pmf(self, B, B2, state) -> GridLaw:
         """Law of the value at B2 given the value ``state`` at B: the
-        increment pmf shifted by the state's grid index."""
+        increment pmf of the state's grid index, shifted by it."""
         index = self.index_of(state)
-        return self.increment_pmf(B, B2, state).shifted(index)
+        return self.increment_pmf(B, B2, index).shifted(index)
 
     def step_rows(self, B, B2, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The step pmfs from B to B2 of the ascending grid indices ``index``
+        """The step laws from B to B2 of the ascending grid indices ``index``
         as the rows of one matrix over the grid indices they reach:
         (columns, rows), ``rows[i, j]`` the probability of ``columns[j]``
-        from ``index[i]`` (``reach_columns``), read only and memoised."""
+        from ``index[i]``, read only and memoised.  The columns are the
+        grid indices the laws reach, so a sparse reach (jumps {1, 1.001}, or
+        {1, 1000}) costs its atoms, not its range, and each row is placed by
+        its law's atoms."""
         def build():
-            laws = [self.step_pmf(B, B2, x) for x in self.values(index).tolist()]
-            lo = min(law.first for law in laws)
-            reached = np.zeros(max(law.last for law in laws) - lo + 1, dtype=bool)
-            for law in laws:
-                reached[law.first - lo: law.last - lo + 1] |= law.probs != 0
-            columns = reach_columns(lo, reached)
+            laws = [(i, self.increment_pmf(B, B2, i)) for i in index.tolist()]
+            columns = np.unique(np.concatenate([i + law.atoms[0] for i, law in laws]))
             rows = np.zeros((len(laws), len(columns)))
-            for row, law in zip(rows, laws):
-                if len(columns) == len(reached):
-                    row[law.first - lo: law.last - lo + 1] = law.probs
-                else:
-                    at, probs = law.atoms
-                    row[np.searchsorted(columns, at)] = probs
+            for row, (i, law) in zip(rows, laws):
+                at, probs = law.atoms
+                row[np.searchsorted(columns, i + at)] = probs
             rows.flags.writeable = False
             return columns, rows
 
@@ -230,7 +224,8 @@ class TransitionKernel:
         return GridLaw(int(index.min()), probs, self.value_step)
 
     def increment_pmf(self, B, B2, state) -> GridLaw:
-        """Law of (value at B2) - (value at B) given the value at B."""
+        """Law of (value at B2) - (value at B) given the value at B, at grid
+        index ``state``."""
         raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
 
     def initial_pmf_for(self, min_set) -> GridLaw:
@@ -429,9 +424,15 @@ class CompoundPoissonKernel(TransitionKernel):
         return pmf_ppf(self.increment_pmf(prev, cur), u)
 
     def flow_semigroup(self, flow):
-        return JumpFlowSemigroup(Trace.along_flow(self.lam, flow), self._mean_pmf,
-                                 self.jump_values, self.jump_probs,
-                                 start_mass_cap=_start_cap(self, flow))
+        trace = Trace.along_flow(self.lam, flow)
+        start_mass_cap = self.initial_pmf_for(flow.stages[0]).last
+        if any(int(v) != v or v < 1 for v in self.jump_values):
+            raise ConfigError("flow semigroup needs positive integer jumps")
+        # a jump of probability 0 is left out: off the grid of the others,
+        # its rounded index could be a jump taken
+        taken = [(v, p) for v, p in zip(self.jump_values, self.jump_probs) if p > 0]
+        return JumpFlowSemigroup(trace, self._mean_pmf, self.index_of([v for v, _ in taken]),
+                                 [p for _, p in taken], start_mass_cap=start_mass_cap)
 
     def describe_initial(self, min_set=None) -> str:
         if self.initial == "zero":
@@ -685,16 +686,6 @@ def _beta_ppf(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return _quantile_column(("beta", a, b), u, lambda v: special.betaincinv(a, b, v))
 
 
-def reach_columns(lo: int, reached: np.ndarray) -> np.ndarray:
-    """The grid indices a law is carried on, from the mask ``reached`` of
-    the indices it reaches among lo, lo + 1, ...: the whole range, or only
-    the reached indices where they fill less than half of it, so a sparse
-    reach (jumps {1, 1.001}, or {1, 1000}) costs its atoms, not its range."""
-    if 2 * np.count_nonzero(reached) < len(reached):
-        return lo + np.flatnonzero(reached)
-    return np.arange(lo, lo + len(reached))
-
-
 def _placed(columns: np.ndarray, lo: int):
     """Where the entries over ``columns`` sit in a row over the grid indices
     lo, lo + 1, ...: one slice when the columns are one range."""
@@ -707,29 +698,20 @@ def chain_rows(kernel, stages, states) -> tuple[np.ndarray, np.ndarray]:
     """Exact laws of the internal state at stages[-1] after chaining the
     kernel through the consecutive stages, one row per internal state of
     ``states`` at stages[0]: (columns, rows), ``rows[i, j]`` the probability
-    of grid index ``columns[j]``.  The start is one-hot rows over the range
-    of the states' grid indices, or over the distinct indices where the
-    range is more than twice the states, so a single leg gives its step laws
-    bit for bit."""
+    of grid index ``columns[j]``.  The start is one-hot rows over the
+    states' distinct grid indices, so a single leg gives its step laws bit
+    for bit."""
     index = kernel.index_of(states)
-    lo = int(index.min())
-    width = int(index.max()) - lo + 1
-    if width <= 2 * len(index):
-        columns, slot = np.arange(lo, lo + width), index - lo
-    else:
-        columns, slot = np.unique(index, return_inverse=True)
-    rows = np.zeros((len(index), len(columns)))
-    rows[np.arange(len(index)), slot] = 1.0
-    return _push_rows(kernel, stages, columns, rows)
+    columns = np.unique(index)
+    return _push_rows(kernel, stages, columns, (index[:, None] == columns).astype(float))
 
 
 def chain_law(kernel, stages, start: GridLaw) -> GridLaw:
     """Law of the internal state at stages[-1] when the chain starts from
     the law ``start`` at stages[0], by the rows of ``chain_rows`` from one
-    start row over the ``reach_columns`` of ``start``."""
-    columns = reach_columns(start.first, start.probs != 0)
-    columns, rows = _push_rows(kernel, stages, columns,
-                               start.probs[columns - start.first][None, :])
+    start row over the atoms of ``start``."""
+    columns, probs = start.atoms
+    columns, rows = _push_rows(kernel, stages, columns, probs[None, :])
     probs = np.zeros(int(columns[-1] - columns[0]) + 1)
     probs[_placed(columns, int(columns[0]))] = rows[0]
     return GridLaw(int(columns[0]), probs, start.step)

@@ -207,10 +207,11 @@ def _finite_state_rows(cfg):
     # flow matching: a refined chain against the one-step chain
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
                           (flow.stages[0], flow.stages[-1]))
-    # the matrix semigroup needs a closed integer state grid and float
-    # binomial coefficients: compound kernels with non-integer jumps and
-    # empirical kernels past DIRECT_BINOMIAL_TRIALS points get only the
-    # kernel-level checks, and the flow_matching row says so
+    # the matrix semigroup needs positive integer jumps, float binomial
+    # coefficients and matrices within TABLE_CAP: compound kernels with
+    # other jumps or too many states, and empirical kernels past
+    # DIRECT_BINOMIAL_TRIALS points, get only the kernel-level checks, and
+    # the flow_matching row says so
     try:
         system, left_out = system_along_flow(kernel, flow), ""
     except ConfigError as e:

@@ -639,22 +639,24 @@ def _fill_band(M, offset, value):
 
 def ref_jump_matrix(system, s, t) -> np.ndarray:
     """A jump semigroup's transition matrix filled one step-law atom at a
-    time, each atom along its whole band."""
+    time, each atom along its whole band at its grid index."""
     size = system.cap + 1
     M = np.zeros((size, size))
-    for v, p in system.step_law(max(system.trace(t) - system.trace(s), 0.0)).items():
-        _fill_band(M, int(round(v)), p)
+    law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
+    for v, p in law.items():
+        _fill_band(M, int(round(v / law.step)), p)
     return M
 
 
 def ref_jump_generator_matrix(system, s, side="+") -> np.ndarray:
-    """A jump semigroup's generator matrix filled one jump at a time."""
+    """A jump semigroup's generator matrix filled one jump at a time, each
+    at its grid index."""
     rate = system.trace.slope(s, side)
     size = system.cap + 1
     G = np.zeros((size, size))
     _fill_band(G, 0, -rate)
-    for v, p in zip(system.jump_values, system.jump_probs):
-        _fill_band(G, v, rate * p)
+    for j, p in zip(system.jumps, system.jump_probs):
+        _fill_band(G, j, rate * p)
     return G
 
 

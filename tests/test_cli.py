@@ -344,7 +344,8 @@ def test_sample_compound_at_a_large_intensity_is_not_constant(tmp_path):
     assert abs(np.mean(values) - 1200.0) < 6.0
 
 
-# the matrix semigroup needs float binomial coefficients and integer jumps
+# the matrix semigroup needs float binomial coefficients, integer jumps and
+# matrices of at most TABLE_CAP entries: jumps {1, 1000} give 27,001 states
 SEMIGROUP_LEFT_OUT = {
     "n <= 1000": dict(BASE, semilattice={"cell_lists": [[0, 1, 2], [0, 1, 2, 3]]},
                       process={"kind": "empirical", "n": 2000,
@@ -352,6 +353,9 @@ SEMIGROUP_LEFT_OUT = {
     "positive integer jumps": dict(BASE, process={
         "kind": "compound_poisson", "measure": {"constant": 0.5},
         "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}}),
+    "729054001 entries": dict(BASE, process={
+        "kind": "compound_poisson", "measure": {"constant": 0.5},
+        "jumps": {"values": [1, 1000], "probs": [0.5, 0.5]}}),
 }
 
 
@@ -366,6 +370,7 @@ def test_semigroup_left_out_is_a_config_error_and_reported(tmp_path, capsys, rea
     assert err.startswith("config error: ") and reason in err and "Traceback" not in err
     out = tmp_path / "report.json"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     instance = checks["flow_matching"]["instance"]
     assert instance.startswith("one-step vs refined chain; matrix-semigroup rows left out: ")

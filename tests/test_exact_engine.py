@@ -208,10 +208,13 @@ def test_memoised_pmfs_are_read_only_and_accepted_everywhere(lattice3, grid2):
         assert pmf_ppf(pmf, np.array([0.0, 0.5, 1.0])).shape == (3,)
         assert pmf_ppf(initial, np.array([0.5])).shape == (1,)
         assert tv_distance(pmf, dict(pmf)) == 0.0
+        # one leg's columns are the grid indices its step law reaches
         columns, rows = chain_rows(kernel, (B, B2), [0])
-        assert np.array_equal(columns, np.arange(columns[0], columns[-1] + 1))
-        assert GridLaw(int(columns[0]), rows[0], kernel.value_step) == \
-            kernel.step_pmf(B, B2, 0)
+        law = kernel.step_pmf(B, B2, 0)
+        assert np.array_equal(columns, law.atoms[0])
+        placed = np.zeros(columns[-1] - columns[0] + 1)
+        placed[columns - columns[0]] = rows[0]
+        assert GridLaw(int(columns[0]), placed, kernel.value_step) == law
         # the memo is per instance and takes no part in equality
         twin = dataclasses.replace(kernel)
         assert twin == kernel and hash(twin) == hash(kernel)

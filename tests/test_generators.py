@@ -60,9 +60,9 @@ def unit_trace():
 
 def compound_semigroup(trace, values, probs, start_mass_cap=0):
     """The jump semigroup on ``trace`` with the step law of a compound
-    poisson kernel with these jumps."""
+    poisson kernel with these jumps, handed as grid indices."""
     kernel = CompoundPoissonKernel(CellMeasure(GroundGrid((1, 1)), [1.0]), values, probs)
-    return JumpFlowSemigroup(trace, kernel._pmf_of_mean, values, probs,
+    return JumpFlowSemigroup(trace, kernel._pmf_of_mean, kernel.index_of(values), probs,
                              start_mass_cap=start_mass_cap)
 
 

@@ -30,6 +30,7 @@ from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
 from setmarkov.distributions import compound_poisson_dict, poisson_pmf, poisson_tail_count
+from setmarkov.errors import ConfigError
 from setmarkov.generators import (
     JumpFlowSemigroup,
     permutation_identity_check,
@@ -177,6 +178,10 @@ def _jump_systems():
     for name in ("poisson_lattice4", "compound_lattice3", "compound_staircase"):
         spec = load_config(str(CONFIGS / f"{name}.json")).spec
         yield system_along_flow(spec.kernel, flow_from_ordering(spec.ordering))
+    # jumps {2, 4} on the compound staircase sit on the grid of step 2:
+    # jump indices 1 and 2
+    even = CompoundPoissonKernel(spec.kernel.lam, (2, 4), (0.6, 0.4))
+    yield system_along_flow(even, flow_from_ordering(spec.ordering))
 
 
 def test_scattered_jump_matrices_equal_the_per_atom_fill():
@@ -195,6 +200,40 @@ def test_scattered_jump_matrices_equal_the_per_atom_fill():
         # 1 minus a float sum: within a few units of 1.0's last place
         assert system.tail_cut == pytest.approx(max(cuts), abs=5e-16)
         assert 0.0 < system.tail_cut <= PMF_TAIL
+
+
+def test_a_jump_semigroup_runs_on_grid_indices():
+    # jumps {2, 4}: grid step 2, so the states and jumps are halved values
+    *_, even = _jump_systems()
+    law = even.step_law(even.trace(1.0) - even.trace(0.0))
+    assert law.step == 2 and even.jumps == (1, 2)
+    assert np.array_equal(even.matrix(0.0, 1.0)[0, law.first: law.last + 1], law.probs)
+
+
+def test_a_jump_of_probability_0_takes_no_grid_index():
+    # jumps {4, 5} with probabilities {1, 0} sit on the grid of step 4, where
+    # the 5 would round onto the index of the 4 and take its rate
+    spec = load_config(str(CONFIGS / "compound_staircase.json")).spec
+    flow = flow_from_ordering(spec.ordering)
+    lam = spec.kernel.lam
+    left = system_along_flow(CompoundPoissonKernel(lam, (4, 5), (1.0, 0.0)), flow)
+    alone = system_along_flow(CompoundPoissonKernel(lam, (4,), (1.0,)), flow)
+    assert left.jumps == alone.jumps == (1,) and left.cap == alone.cap
+    for s in (0.0, 0.5):
+        assert np.array_equal(left.generator_matrix(s), alone.generator_matrix(s))
+        assert np.array_equal(left.matrix(s, 1.0), alone.matrix(s, 1.0))
+    # an off-grid jump of probability 0 is refused, as every non-integer jump
+    for values, probs in (((1, 2, 2.5), (0.5, 0.5, 0.0)), ((2, 2.6), (1.0, 0.0))):
+        kernel = CompoundPoissonKernel(lam, values, probs)
+        with pytest.raises(ConfigError, match="flow semigroup needs positive integer jumps"):
+            system_along_flow(kernel, flow)
+
+
+def test_equal_jump_indices_add_their_rates():
+    unit = Trace([0.0, 1.0], [0.0, 1.0])
+    split = JumpFlowSemigroup(unit, poisson_pmf, (1, 1), (0.5, 0.5))
+    whole = JumpFlowSemigroup(unit, poisson_pmf, (1,), (1.0,))
+    assert np.array_equal(split.generator_matrix(0.5), whole.generator_matrix(0.5))
 
 
 @pytest.mark.parametrize("name", ["empirical", "corrupted", "poisson", "compound_integer",

@@ -160,13 +160,13 @@ def test_a_grid_too_fine_for_one_step_law_exits_2(tmp_path, capsys):
         assert err.startswith("error: a step law on the value grid of step 1e-07 needs ")
         assert err.rstrip().endswith("grid points, more than 10000000")
         assert "Traceback" not in err
-        # sample has written its header when its first slice is drawn
-        assert out.exists() == (command == "sample")
+        # sample removes the file it opened when a draw raises
+        assert not out.exists()
 
 
 def test_a_fine_grid_chains_only_the_indices_its_jumps_reach(tmp_path):
-    # jumps {1, 1.001} sit on the grid of step 0.001: one step law spans
-    # 12,000 grid points and reaches about 80 of them
+    # jumps {1, 1.001} sit on the grid of step 0.001: the first step law
+    # spans 12,013 grid points and reaches 91 of them
     spec = _ci_spec(((1, 1.001), (0.6, 0.4)))
     kernel = spec.kernel
     B, B1, B2 = (spec.ordering.prefix_set(i) for i in range(3))
