@@ -6,9 +6,10 @@ transition operators driven entirely by the measure trace t -> m(f(t))
 (piecewise linear between knots, ``lattice.Trace``), which each kernel
 takes of its own measure when it builds its semigroup (``flow_semigroup``).
 Finite-state kinds are represented by matrices on one (row, jump) band,
-built afresh for every pair of times; the empirical kind's binomial
-coefficients come from ``distributions.binomial_coefficients``, as
-``binomial_pmf``'s do.  The gaussian and dirichlet kinds are represented by
+built afresh as one stack for many times at once (all Gauss nodes of a
+segment, in pieces of at most ``construction.TABLE_CAP`` entries); the
+empirical kind's binomial coefficients come from
+``distributions.binomial_coefficients``, as ``binomial_pmf``'s do.  The gaussian and dirichlet kinds are represented by
 quadrature (the Gauss-Hermite, resp. Gauss-Jacobi rules of ``quadrature``)
 applied to test functions that are elementwise on float64 arrays, one array
 call per rule.
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import binomial_coefficients
-from .errors import ConfigError, UnsupportedKernelError
+from .errors import ConfigError, TableSizeError, UnsupportedKernelError
 from .lattice import ConsistentOrdering, DiscreteFlow, Trace, flow_from_ordering
 from .quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
 
@@ -46,14 +47,18 @@ class MatrixSemigroup:
     """Transition and generator matrices acting on state vectors, along the
     measure trace of a flow, on the grid indices 0..cap.
 
-    A subclass's ``matrix(s, t)`` builds the transition matrix on every
-    call.  Every entry it may fill lies on one band, (row, row + jump) for
-    each row and jump with row + jump <= cap, and ``_banded`` writes one
-    value per band entry.  ``tail_cut`` is None when the transition matrices
-    hold their step laws whole; a semigroup whose step laws are cut at a
-    tail sets it to the largest mass any matrix it built so far dropped.
-    Matrices of more than ``construction.TABLE_CAP`` entries raise
-    ``ConfigError`` unbuilt, with the count."""
+    A subclass builds stacks: ``matrices(ss, t)`` gives T_{s_i,t} for each
+    time of the array ``ss``, and ``generator_matrices(vs, side)`` gives
+    G_{v_i}, built afresh on every call; ``matrix`` and ``generator_matrix``
+    are their one-time calls.  Every entry a matrix may fill lies on one
+    band, (row, row + jump) for each row and jump with row + jump <= cap,
+    and ``_banded`` writes one value per band entry of every matrix of a
+    stack at once, at flat positions set up here.  ``tail_cut`` is None when
+    the transition matrices hold their step laws whole; a semigroup whose
+    step laws are cut at a tail sets it to the largest mass any matrix it
+    built so far dropped.  Matrices of more than ``construction.TABLE_CAP``
+    entries raise ``ConfigError`` unbuilt, with the count, and ``chunks``
+    splits the times of a stack so that no stack holds more."""
 
     tail_cut: float | None = None
 
@@ -66,19 +71,43 @@ class MatrixSemigroup:
         self.trace = trace
         self.states = states
         self._rows, self._jumps = np.nonzero(np.add.outer(states, states) <= states[-1])
+        self._flat = self._rows * (len(states) + 1) + self._jumps
 
-    def _banded(self, values) -> np.ndarray:
-        """The matrix with ``values[i]`` at the i-th band entry, row by row
-        and jump by jump, and 0 off the band."""
-        M = np.zeros((len(self.states), len(self.states)))
-        M[self._rows, self._rows + self._jumps] = values
-        return M
+    def _banded(self, values: np.ndarray) -> np.ndarray:
+        """The stack of matrices with ``values[k, i]`` at the i-th band entry
+        of the k-th, row by row and jump by jump, and 0 off the band."""
+        dim = len(self.states)
+        M = np.zeros((len(values), dim * dim))
+        M[:, self._flat] = values
+        return M.reshape(-1, dim, dim)
+
+    def chunks(self, times: np.ndarray) -> list[np.ndarray]:
+        """``times`` in order, in pieces whose stacks of matrices hold at most
+        ``construction.TABLE_CAP`` entries (one time a piece at the least)."""
+        from . import construction
+        size = max(1, construction.TABLE_CAP // len(self.states) ** 2)
+        return [times[i: i + size] for i in range(0, len(times), size)]
+
+    def matrix(self, s: float, t: float) -> np.ndarray:
+        return self.matrices(np.array([s], dtype=float), t)[0]
+
+    def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
+        return self.generator_matrices(np.array([s], dtype=float), side)[0]
 
     def apply(self, s, t, h):
         return self.matrix(s, t) @ np.asarray(h, dtype=float)
 
     def apply_generator(self, s, h, side="+"):
         return self.generator_matrix(s, side) @ np.asarray(h, dtype=float)
+
+    def generator_terms(self, vs: np.ndarray, end: float, h):
+        """G_v T_{v,end} h read at the probe states, for each time v of
+        ``vs`` in order: two batched products per chunk of times."""
+        h = np.asarray(h, dtype=float)
+        columns = h.reshape(len(h), -1)  # a vector h as one column
+        for chunk in self.chunks(vs):
+            for term in self.generator_matrices(chunk) @ (self.matrices(chunk, end) @ columns):
+                yield self.values(term.reshape(h.shape))
 
     def values(self, h):
         return np.asarray(h, dtype=float)[self.probe_states]
@@ -97,6 +126,12 @@ class QuadratureSemigroup:
     arrays of any shape, like numpy ufuncs, read off at fixed probe points.
     ``apply`` and ``apply_generator`` return such functions: they broadcast
     the argument over a trailing node axis and contract it with the weights."""
+
+    def generator_terms(self, vs: np.ndarray, end: float, h):
+        """G_v T_{v,end} h read at the probe points, for each time v of
+        ``vs`` in order, one time at a time."""
+        for v in vs:
+            yield self.values(self.apply_generator(v, self.apply(v, end, h)))
 
     def values(self, h):
         return h(self.probes)
@@ -136,27 +171,32 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
         self._comb = np.array([c for m in range(n, -1, -1)
                                for c in binomial_coefficients(m, range(m + 1))])
 
-    def matrix(self, s: float, t: float) -> np.ndarray:
-        n = self.n
-        gs = self.trace(s)
-        p = empirical_success(self.trace(t) - gs, gs, self.corrupted)
-        q = 1.0 - p
+    def matrices(self, ss: np.ndarray, t: float) -> np.ndarray:
+        gt, gs = self.trace(t), self.trace(ss).tolist()
+        ps = [empirical_success(gt - g, g, self.corrupted) for g in gs]
         # powers by Python's float pow, as distributions.binomial_pmf takes them
-        p_pow = np.array([p**j for j in range(n + 1)])
-        q_pow = np.array([q**j for j in range(n + 1)])
-        return self._banded(self._comb * p_pow[self._jumps] * q_pow[self._tails])
+        p_pow = np.array([[p**j for j in range(self.n + 1)] for p in ps])
+        q_pow = np.array([[(1.0 - p)**j for j in range(self.n + 1)] for p in ps])
+        return self._banded(self._comb * p_pow[:, self._jumps] * q_pow[:, self._tails])
 
     def exhausted(self, t):
         # the corrupted rule never divides by the mass left outside
         return not self.corrupted and 1.0 - self.trace(t) <= EMPTY_REST
 
-    def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
-        n = self.n
-        slope = self.trace.slope(s, side)
-        rest = 1.0 if self.corrupted else 1.0 - self.trace(s)
-        rate = 0.0 if slope == 0.0 else slope / rest
-        out = (n - self.states[:-1]) * rate
-        return np.diag(np.append(-out, 0.0)) + np.diag(out, 1)
+    def generator_matrices(self, vs: np.ndarray, side: str = "+") -> np.ndarray:
+        slope = self.trace.slope(vs, side)
+        rest = np.ones_like(slope) if self.corrupted else 1.0 - self.trace(vs)
+        if ((slope != 0.0) & (rest == 0.0)).any():
+            raise ConfigError("generator undefined where a stage that holds all the mass "
+                              "still grows")
+        # a stage that does not grow moves nothing, even when it holds all the mass
+        rate = np.divide(slope, rest, out=np.zeros_like(slope), where=slope != 0.0)
+        # out of state k at rate (n - k) * rate, up by one
+        stay, up = self._jumps == 0, self._jumps == 1
+        values = np.zeros((len(vs), len(self._rows)))
+        values[:, stay] = np.multiply.outer(rate, self._rows[stay] - self.n)
+        values[:, up] = np.multiply.outer(rate, self.n - self._rows[up])
+        return self._banded(values)
 
 
 class JumpFlowSemigroup(MatrixSemigroup):
@@ -171,8 +211,8 @@ class JumpFlowSemigroup(MatrixSemigroup):
     index, plus the step law's over the whole trace.
     The matrices are the exactly killed (sub-stochastic) restriction, so
     the generator/semigroup identities hold to machine precision on states
-    that cannot reach the cap.  ``matrix`` places the step law's vector by
-    jump index, one slice, and reads it onto the band by jump; ``tail_cut``
+    that cannot reach the cap.  ``matrices`` places each step law's vector
+    by jump index, one slice, and reads it onto the band by jump; ``tail_cut``
     records the mass the tail cut left out of that vector (1 minus its
     sum), the largest over the matrices built so far.
     """
@@ -188,18 +228,22 @@ class JumpFlowSemigroup(MatrixSemigroup):
         self.probe_states = np.arange(start_mass_cap + 1)
         self.tail_cut = 0.0
 
-    def matrix(self, s: float, t: float) -> np.ndarray:
-        law = self.step_law(max(self.trace(t) - self.trace(s), 0.0))
-        by_jump = np.zeros(max(self.cap, law.last) + 1)
-        by_jump[law.first: law.last + 1] = law.probs
-        self.tail_cut = max(self.tail_cut, 1.0 - float(by_jump.sum()))
-        return self._banded(by_jump[self._jumps])
+    def matrices(self, ss: np.ndarray, t: float) -> np.ndarray:
+        gt, values = self.trace(t), []
+        for gs in self.trace(ss).tolist():
+            law = self.step_law(max(gt - gs, 0.0))
+            by_jump = np.zeros(max(self.cap, law.last) + 1)
+            by_jump[law.first: law.last + 1] = law.probs
+            self.tail_cut = max(self.tail_cut, 1.0 - float(by_jump.sum()))
+            values.append(by_jump[self._jumps])
+        return self._banded(np.array(values))
 
-    def generator_matrix(self, s: float, side: str = "+") -> np.ndarray:
-        rate = self.trace.slope(s, side)
-        by_jump = np.zeros(max(self.cap, *self.jumps) + 1)
-        np.add.at(by_jump, [0, *self.jumps], [-rate] + [rate * p for p in self.jump_probs])
-        return self._banded(by_jump[self._jumps])
+    def generator_matrices(self, vs: np.ndarray, side: str = "+") -> np.ndarray:
+        rate = self.trace.slope(vs, side)
+        by_jump = np.zeros((len(vs), max(self.cap, *self.jumps) + 1))
+        np.add.at(by_jump, (slice(None), [0, *self.jumps]),
+                  np.multiply.outer(rate, [-1.0, *self.jump_probs]))
+        return self._banded(by_jump[:, self._jumps])
 
 
 class GaussianFlowSemigroup(QuadratureSemigroup):
@@ -336,16 +380,17 @@ def generator_integral(system, s: float, t: float, h, knot_compose: bool = False
     transition operator compose through the knots, which matters only for
     families that break the composition law.  Composed from a node v of the
     segment (a, b), it is T_{vb} applied to T_{bt} h through the knots, so
-    every node of the segment reads one T_{bt} h."""
+    every node of the segment reads one T_{bt} h.  The semigroup gives the
+    nodes' terms (``generator_terms``); they are summed node by node, in
+    order."""
     pts = system.trace.breakpoints(s, t)
     acc = np.zeros_like(system.values(h))
     for a, b in zip(pts, pts[1:]):
         xs, ws = gauss_segment(a, b, GAUSS_NODES)
         end, rest = ((b, apply_through_knots(system, b, t, h)) if knot_compose and b < t
                      else (t, h))
-        for v, w in zip(xs, ws):
-            inner = system.apply(v, end, rest)
-            acc = acc + w * system.values(system.apply_generator(v, inner))
+        for w, term in zip(ws, system.generator_terms(xs, end, rest)):
+            acc = acc + w * term
     return acc
 
 
@@ -387,6 +432,16 @@ def generator_matching_defect(kernel, flow1: DiscreteFlow, span1, flow2: Discret
     v1 = generator_integral(sys1, flow1.times[i1], flow1.times[j1], h, knot_compose=True)
     v2 = generator_integral(sys2, flow2.times[i2], flow2.times[j2], h, knot_compose=True)
     return float(np.max(np.abs(v1 - v2)))
+
+
+def leg_generator_integral(system: MatrixSemigroup, a: float, b: float) -> np.ndarray:
+    """integral_a^b G_v T_{vb} dv as a matrix, by the Gauss rule of
+    ``generator_integral`` on the one segment (a, b): G_v T_{vb} for a chunk
+    of nodes v at a time, summed node by node, in order."""
+    xs, ws = gauss_segment(a, b, GAUSS_NODES)
+    terms = (P for c in system.chunks(xs)
+             for P in system.generator_matrices(c) @ system.matrices(c, b))
+    return sum(w * P for w, P in zip(ws, terms))
 
 
 @dataclass
@@ -473,8 +528,12 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
     state x of the initial support inside the semigroup's ``probe_states``,
     and h, h2, h3 run over the indicators of all states plus the state
     function.  Exact matrix algebra on one side; the other side is also
-    expressed through generator integrals (quadrature residual).
+    expressed through generator integrals (quadrature residual).  Level 3
+    holds arrays of states³ entries (the chain's last leg is always an
+    observed one, so none holds more); past ``construction.TABLE_CAP`` it
+    raises ``TableSizeError`` unbuilt, with the count.
     """
+    from . import construction  # read at call time, as the table cap is
     if level not in (2, 3):
         raise ConfigError("only levels 2 and 3 are implemented")
     if not spec.kernel.finite_state:
@@ -485,16 +544,16 @@ def permutation_identity_check(spec, ord1: ConsistentOrdering, ord2: ConsistentO
     f_sys = system_along_flow(spec.kernel, flow_from_ordering(ord1))
     g_sys = system_along_flow(spec.kernel, flow_from_ordering(ord2))
     dim = len(f_sys.states)
+    if level == 3 and dim**3 > construction.TABLE_CAP:
+        raise TableSizeError(f"the level-3 permutation identity on {dim} states needs "
+                             f"arrays of {dim**3} entries, more than {construction.TABLE_CAP}")
 
     def Tg(i: int, j: int) -> np.ndarray:  # between 1-based slots of ordering 2
         return np.eye(dim) if i == j else g_sys.matrix(float(i - 1), float(j - 1))
 
     def gen_int(system, slot: int) -> np.ndarray:
         """Generator integral over the flow leg that ends at 1-based ``slot``."""
-        a, b = float(slot - 2), float(slot - 1)
-        xs, ws = gauss_segment(a, b, GAUSS_NODES)
-        return sum(w * (system.generator_matrix(v) @ system.matrix(v, b))
-                   for v, w in zip(xs, ws))
+        return leg_generator_integral(system, float(slot - 2), float(slot - 1))
 
     index, probs = spec.initial_pmf().atoms
     starts = tuple(index[(probs > 1e-15) & np.isin(index, f_sys.probe_states)].tolist())

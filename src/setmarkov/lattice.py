@@ -428,21 +428,25 @@ class Trace:
     def along_flow(cls, measure: CellMeasure, flow: "DiscreteFlow") -> "Trace":
         return cls(flow.times, [measure_of(measure, s) for s in flow.stages])
 
-    def __call__(self, t: float) -> float:
-        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
-            raise ConfigError(f"time {t} outside trace domain")
-        return float(np.interp(t, self.times, self.values))
+    def __call__(self, t):
+        """The trace at t, a float, or at each time of an array t, an array."""
+        t = np.asarray(t, dtype=float)
+        outside = ~((self.times[0] - 1e-12 <= t) & (t <= self.times[-1] + 1e-12))
+        if outside.any():
+            raise ConfigError(f"time {t[outside].flat[0]} outside trace domain")
+        out = np.interp(t, self.times, self.values)
+        return float(out) if out.ndim == 0 else out
 
-    def slope(self, t: float, side: str = "+") -> float:
-        """One-sided derivative; ``side`` resolves the knot ambiguity."""
+    def slope(self, t, side: str = "+"):
+        """One-sided derivative at t, a float, or at each time of an array t,
+        an array; ``side`` resolves the knot ambiguity: '-' reads the segment
+        that ends at a knot, '+' the one that starts there."""
         if side not in ("+", "-"):
             raise ConfigError("side must be '+' or '-'")
-        on_knot = any(abs(t - k) < 1e-12 for k in self.times)
-        pick = "left" if on_knot and side == "-" else "right"
-        k = int(np.searchsorted(self.times, t, side=pick)) - 1
-        k = min(max(k, 0), len(self.times) - 2)
-        return float((self.values[k + 1] - self.values[k]) /
-                     (self.times[k + 1] - self.times[k]))
+        k = np.searchsorted(self.times, t, side="left" if side == "-" else "right") - 1
+        k = np.clip(k, 0, len(self.times) - 2)
+        out = (self.values[k + 1] - self.values[k]) / (self.times[k + 1] - self.times[k])
+        return float(out) if np.ndim(out) == 0 else out
 
     def breakpoints(self, s: float, t: float) -> list[float]:
         inner = [float(k) for k in self.times if s + 1e-12 < k < t - 1e-12]

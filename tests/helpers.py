@@ -51,6 +51,14 @@ a heap of pending values: the reference, bit for bit, for the grid vectors
 of ``distributions.compound_poisson_dict``.  ``ref_increment_pmf`` and
 ``ref_initial_pmf`` give a kernel's dict pmfs as those tables and
 ``binomial_pmf`` give them: the reference for the kernels' grid laws.
+``ref_empirical_matrix`` and ``ref_empirical_generator_matrix`` build an
+empirical semigroup matrix at one time from Python floats, entry by entry:
+with ``ref_jump_matrix`` and its generator partner, the reference for the
+stacked ``matrices`` and ``generator_matrices`` of the matrix semigroups.
+``ref_generator_integral`` and ``ref_leg_generator_integral`` take one Gauss
+node at a time through ``apply`` and ``matrix``: the reference for the node
+stacks of ``generators.generator_integral`` and
+``generators.leg_generator_integral``.
 ``ref_binom_ppf`` and ``ref_poisson_ppf`` are scipy's quantile functions,
 the samplers the empirical and poisson kernels used before they inverted
 their own pmf tables: the reference for ``kernels.TransitionKernel``'s
@@ -83,8 +91,11 @@ from setmarkov.construction import (
     sample_increments,
 )
 from setmarkov.generators import (
+    EMPTY_REST,
+    GAUSS_NODES,
     GAUSS_STENCIL,
     JACOBI_ORDER,
+    apply_through_knots,
     generator_integral,
     system_along_flow,
 )
@@ -658,6 +669,65 @@ def ref_jump_generator_matrix(system, s, side="+") -> np.ndarray:
     for j, p in zip(system.jumps, system.jump_probs):
         _fill_band(G, j, rate * p)
     return G
+
+
+def _ref_empirical_success(system, s, t) -> float:
+    gs = system.trace(s)
+    gain = max(system.trace(t) - gs, 0.0)
+    if system.corrupted:
+        return min(gain, 1.0)
+    rest = 1.0 - gs
+    return 0.0 if rest <= EMPTY_REST else min(gain / rest, 1.0)
+
+
+def ref_empirical_matrix(system, s, t) -> np.ndarray:
+    """An empirical semigroup's transition matrix at one pair of times,
+    entry by entry: comb(n - k, j) p^j q^(n-k-j) at (k, k + j)."""
+    n = system.n
+    p = _ref_empirical_success(system, s, t)
+    q = 1.0 - p
+    M = np.zeros((n + 1, n + 1))
+    for k in range(n + 1):
+        for j in range(n - k + 1):
+            M[k, k + j] = float(math.comb(n - k, j)) * p**j * q**(n - k - j)
+    return M
+
+
+def ref_empirical_generator_matrix(system, s, side="+") -> np.ndarray:
+    """An empirical semigroup's generator matrix at one time: from state k
+    up by one at rate (n - k) times the trace slope over the mass left."""
+    n = system.n
+    slope = system.trace.slope(s, side)
+    rest = 1.0 if system.corrupted else 1.0 - system.trace(s)
+    rate = 0.0 if slope == 0.0 else slope / rest
+    G = np.zeros((n + 1, n + 1))
+    for k in range(n):
+        G[k, k] = -((n - k) * rate)
+        G[k, k + 1] = (n - k) * rate
+    return G
+
+
+def ref_generator_integral(system, s, t, h, knot_compose=False):
+    """``generators.generator_integral`` one Gauss node at a time, each
+    through the semigroup's ``apply`` and ``apply_generator``."""
+    pts = system.trace.breakpoints(s, t)
+    acc = np.zeros_like(system.values(h))
+    for a, b in zip(pts, pts[1:]):
+        xs, ws = gauss_segment(a, b, GAUSS_NODES)
+        end, rest = ((b, apply_through_knots(system, b, t, h)) if knot_compose and b < t
+                     else (t, h))
+        for v, w in zip(xs, ws):
+            inner = system.apply(v, end, rest)
+            acc = acc + w * system.values(system.apply_generator(v, inner))
+    return acc
+
+
+def ref_leg_generator_integral(system, a, b):
+    """``generators.leg_generator_integral`` one Gauss node at a time, each
+    through the semigroup's ``matrix`` and ``generator_matrix``."""
+    xs, ws = gauss_segment(a, b, GAUSS_NODES)
+    return sum(w * (system.generator_matrix(v) @ system.matrix(v, b))
+               for v, w in zip(xs, ws))
 
 
 def ref_binom_ppf(u, n, p):

@@ -257,6 +257,9 @@ class NanSystem:
     def apply_generator(self, s, h, side="+"):
         return h
 
+    def generator_terms(self, vs, end, h):
+        return [self.values(h) for _ in vs]
+
     def exhausted(self, t):
         return False
 

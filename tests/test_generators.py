@@ -16,13 +16,15 @@ from setmarkov import (
     GroundGrid,
     IndexedSet,
     PoissonIncrementKernel,
+    construction,
     enumerate_consistent_orderings,
     flow_from_ordering,
+    generators,
 )
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.distributions import poisson_pmf
-from setmarkov.errors import ConfigError, UnsupportedKernelError
+from setmarkov.errors import ConfigError, TableSizeError, UnsupportedKernelError
 from setmarkov.generators import (
     JACOBI_ORDER,
     DirichletFlowSemigroup,
@@ -774,3 +776,27 @@ def test_generator_fd_is_skipped_where_the_stage_holds_all_the_mass(tmp_path, ki
     code, rows = checks["gencheck"]
     assert code == 0 and rows["generator_fd"]["note"] == reason
     assert rows["generator_fd"]["residuals"] == [] and rows["generator_fd"]["pass"]
+
+
+def test_a_level_3_permutation_check_past_the_table_cap_is_refused_and_stated(monkeypatch):
+    # compound_lattice3's semigroup has 55 states: 3,025-entry matrices fit a
+    # cap of 100,000, the 166,375-entry level-3 arrays do not
+    cfg = load_config(str(CONFIGS / "compound_lattice3.json"))
+    spec = cfg.spec
+    orders = enumerate_consistent_orderings(spec.lattice)
+    monkeypatch.setattr(construction, "TABLE_CAP", 100_000)
+    # refused before any transition matrix is built
+    monkeypatch.setattr(generators.JumpFlowSemigroup, "matrices", None)
+    with pytest.raises(TableSizeError, match="on 55 states needs arrays of 166375 entries, "
+                                             "more than 100000"):
+        permutation_identity_check(spec, orders[0], orders[1], 3)
+    monkeypatch.undo()
+    monkeypatch.setattr(construction, "TABLE_CAP", 100_000)
+    rows = {r["name"]: r for r in run_validation_suite(cfg)}
+    for name in ("permutation_identity_3", "permutation_identity_3_generator"):
+        assert rows[name]["pass"] and rows[name]["defect"] == 0.0
+        assert rows[name]["instance"] == (
+            "orderings 0 and 1 (slots 1 3 2), skipped: the level-3 permutation identity "
+            "on 55 states needs arrays of 166375 entries, more than 100000")
+    assert rows["permutation_identity_2"]["defect"] > 0.0
+    assert all(r["pass"] for r in rows.values())

@@ -5,7 +5,9 @@ configs, recorded before their checks shared quantile columns and evaluated
 composed cdfs over all probes at once; and of the `gencheck` reports of the
 finite-state bench configs that fit the table cap, recorded before the flow
 semigroups dropped their knot-leg memo and shared one binomial-coefficient
-recurrence with ``binomial_pmf``.
+recurrence with ``binomial_pmf``; and of the seed-0 ``validate`` reports of
+those configs, recorded before the matrix flow semigroups built all Gauss
+nodes of a segment as one stack.
 
 ``FDD_SHA256["compound_poisson"]`` was re-recorded when the compound
 poisson tables began to come from Panjer's recursion over the values that
@@ -152,10 +154,19 @@ REPORT_SHA256 = {
         "a6e223bacb8a8d6feb3bc85286941519c3dacf10186c94c173bf1dec050dfbc4",
     ("gencheck", "corrupted_lattice3", 0):
         "86ef1a5246da2f126a563ab0900989532d3174349ee85c850e51da6602d47f77",
+    ("validate", "empirical10_staircase", 0):
+        "a2553119d2ac29a58368fbb2cad49fe117f89dc4c8633b62f30ec949fa905cad",
+    ("validate", "poisson_lattice4", 0):
+        "75224bac61088f226f651234e94562bb3b66a0bcb9798debdb9f819056709fb3",
+    ("validate", "compound_lattice3", 0):
+        "e40d62f08ee35d921bd5e7d99ce56b8d2c024670ddae45f8b007925a1d9180e1",
+    ("validate", "corrupted_lattice3", 0):
+        "53e1208e058029d11c006ea19346cc2f1b18e4393c50049cd842ae82d4abe296",
 }
 
 # the reports whose checks fail: the corrupted kind breaks its own generator
-REPORT_EXIT = {("gencheck", "corrupted_lattice3", 0): 1}
+REPORT_EXIT = {("gencheck", "corrupted_lattice3", 0): 1,
+               ("validate", "corrupted_lattice3", 0): 1}
 
 
 def _config(tmp_path, name):

@@ -709,3 +709,24 @@ class TestChapmanKolmogorov:
         direct = kernel_eval(k, sets2["s0"], sets2["s012"], 0.0)
         for z in (0.2, 0.5, 0.8):
             assert comp.cdf(z) == pytest.approx(direct.cdf(z), abs=1e-6)
+
+
+@pytest.mark.parametrize("name", ["empirical10_staircase", "poisson_lattice4",
+                                  "compound_lattice3", "corrupted_lattice3"])
+def test_degenerate_prefix_triples_read_exactly_0(name):
+    # the composition row skips the prefix triples with a leg that does not
+    # move: both chains are then the same chain, and ck_defect reads 0.0
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    kernel = cfg.spec.kernel
+    orders, _, _ = suite._orderings(cfg)
+    degenerate = set()
+    for o in orders:
+        masks = o.prefix_masks
+        for i, j, k in itertools.combinations_with_replacement(range(len(masks)), 3):
+            key = (masks[i], masks[j], masks[k])
+            if (masks[i] == masks[j] or masks[j] == masks[k]) and key not in degenerate:
+                degenerate.add(key)
+                r = ck_defect(kernel, o.prefix_set(i), o.prefix_set(j), o.prefix_set(k),
+                              kernel.probe_states())
+                assert r.defect == 0.0
+    assert degenerate
