@@ -300,11 +300,14 @@ def _continuous_rows(cfg):
                          worst, tol["mc_sigmas"]))
 
     # ordering invariance by Monte Carlo
-    gap = ordering_invariance_defect(spec, orders, mc=(seed, count))
-    rows.append(_row("ordering_invariance",
-                     f"{len(orders) * (len(orders) - 1) // 2} ordering pairs{cut}, "
-                     "MC sigmas",
-                     gap.sigmas, tol["mc_sigmas"]))
+    instance = f"{len(orders) * (len(orders) - 1) // 2} ordering pairs{cut}, MC sigmas"
+    try:
+        sigmas = ordering_invariance_defect(spec, orders, mc=(seed, count)).sigmas
+    except TableSizeError as e:
+        # stated with the count, as a skipped permutation identity row is
+        instance += f", skipped: {e}"
+        sigmas = 0.0
+    rows.append(_row("ordering_invariance", instance, sigmas, tol["mc_sigmas"]))
 
     # marginal laws
     arr = sample_increments(spec, seed, count)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import construction
 from .construction import (
     JointLaw,
     MixtureSpec,
@@ -27,7 +28,7 @@ from .construction import (
     rank_codes,
     sample_increments,
 )
-from .errors import ConfigError, UnsupportedKernelError
+from .errors import ConfigError, TableSizeError, UnsupportedKernelError
 from .kernels import Defect, chain_law, chains_tv, shared_columns
 from .lattice import (
     ConsistentOrdering,
@@ -142,9 +143,8 @@ def mc_event_probabilities(aligned: np.ndarray, medians: np.ndarray,
 
 
 def mc_probe_thresholds(aligned: np.ndarray):
-    medians = np.quantile(aligned, 0.5, axis=0)
-    quartiles = np.quantile(aligned, [0.25, 0.75], axis=0)
-    return medians, quartiles
+    q = np.quantile(aligned, [0.25, 0.5, 0.75], axis=0)
+    return q[1], q[[0, 2]]
 
 
 def probability_gap(p1: np.ndarray, p2: np.ndarray, count: int) -> Defect:
@@ -244,6 +244,14 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
     (``aligned_increment_samples``), so each stream and each distinct
     quantile column is computed once and shared across orderings
     (``kernels.shared_columns``, or the scope a caller already opened).
+
+    The orderings are sampled one at a time, and each sample is reduced to
+    its event probabilities before the next is drawn: the check holds one
+    ordering's sample besides the shared columns, whatever the number of
+    orderings.  With d members, each ordering keeps 2^d - 1 + 2d event
+    probabilities (``mc_event_probabilities``); past
+    ``construction.TABLE_CAP`` of them over all orderings it raises
+    ``TableSizeError`` before sampling, with the count.
     """
     lattice = orderings[0].lattice
     if any(o.lattice is not lattice and o.lattice.members != lattice.members
@@ -256,11 +264,20 @@ def ordering_invariance_defect(spec, orderings: list[ConsistentOrdering],
         raise UnsupportedKernelError(
             f"{spec.kernel.kind} kernel needs mc=(seed, count) for this check"
         )
+    d = len(orderings[0])
+    events = len(orderings) * ((1 << d) - 1 + 2 * d)
+    if events > construction.TABLE_CAP:
+        raise TableSizeError(f"the Monte Carlo ordering row needs {events} event "
+                             f"probabilities, more than {construction.TABLE_CAP}")
     seed, count = mc
     with shared_columns():
-        aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
-    medians, quartiles = mc_probe_thresholds(aligned[0])
-    probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
+        first = aligned_increment_samples(spec, orderings[0], seed, count)
+        medians, quartiles = mc_probe_thresholds(first)
+        probs = [mc_event_probabilities(first, medians, quartiles)]
+        del first
+        for o in orderings[1:]:
+            probs.append(mc_event_probabilities(
+                aligned_increment_samples(spec, o, seed, count), medians, quartiles))
     pairs = [(i, j) for i in range(len(orderings)) for j in range(i + 1, len(orderings))]
     return max((probability_gap(probs[i], probs[j], count) for i, j in pairs),
                key=lambda gap: gap.sigmas, default=Defect(0.0, 0.0))

@@ -26,8 +26,13 @@ partners evaluate the quadrature operators one point and one node at a
 time: the reference for the array path of the gaussian and dirichlet flow
 semigroups.
 ``ref_mc_ordering_invariance`` samples every ordering on its own, with no
-quantile column shared between orderings: the reference for the shared
-columns of the Monte Carlo ``verify.ordering_invariance_defect``.
+quantile column shared between orderings, and holds every ordering's sample
+until the last pair is compared: the reference for the shared columns of
+the Monte Carlo ``verify.ordering_invariance_defect`` and for its one
+sample at a time.
+``ref_mc_probe_thresholds`` takes the medians and the quartiles from two
+``np.quantile`` calls: the reference for the one call of
+``verify.mc_probe_thresholds``.
 ``ref_mc_event_probabilities`` takes one boolean ``mean`` per probe event:
 the reference for the ``bincount`` and superset sums of
 ``verify.mc_event_probabilities``.
@@ -105,7 +110,6 @@ from setmarkov.verify import (
     aligned_increment_samples,
     conditional_independence_defect,
     mc_event_probabilities,
-    mc_probe_thresholds,
     probability_gap,
 )
 from setmarkov.quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
@@ -540,9 +544,10 @@ def pointwise(f, x):
 def ref_mc_ordering_invariance(spec, orderings, seed, count):
     """The Monte Carlo ordering-invariance defect, one ordering at a time:
     each is sampled outside any shared-quantile block, so it computes every
-    quantile column itself; then every pair is compared in turn."""
+    quantile column itself; every sample is drawn before any is reduced to
+    its event probabilities, then every pair is compared in turn."""
     aligned = [aligned_increment_samples(spec, o, seed, count) for o in orderings]
-    medians, quartiles = mc_probe_thresholds(aligned[0])
+    medians, quartiles = ref_mc_probe_thresholds(aligned[0])
     probs = [mc_event_probabilities(a, medians, quartiles) for a in aligned]
     worst = None  # the first pair with the most sigmas
     for i in range(len(orderings)):
@@ -551,6 +556,15 @@ def ref_mc_ordering_invariance(spec, orderings, seed, count):
             if worst is None or gap.sigmas > worst.sigmas:
                 worst = gap
     return worst or Defect(0.0, 0.0)
+
+
+def ref_mc_probe_thresholds(aligned):
+    """The per-variable medians, then the lower and upper quartiles, each
+    from its own ``np.quantile`` call: the reference for the one call of
+    ``verify.mc_probe_thresholds``."""
+    medians = np.quantile(aligned, 0.5, axis=0)
+    quartiles = np.quantile(aligned, [0.25, 0.75], axis=0)
+    return medians, quartiles
 
 
 def ref_mc_event_probabilities(aligned, medians, quartiles):

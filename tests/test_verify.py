@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from setmarkov.errors import (
     TableSizeError,
     UnsupportedKernelError,
 )
-from setmarkov.lattice import ConsistentOrdering, DiscreteFlow
+from setmarkov.lattice import ConsistentOrdering, DiscreteFlow, leading_orderings
 from setmarkov.verify import (
     flow_markov_defect,
     flow_matching_defect,
@@ -47,6 +48,7 @@ from helpers import (
     ref_exact_fdd,
     ref_mc_event_probabilities,
     ref_mc_ordering_invariance,
+    ref_mc_probe_thresholds,
     ref_all_pairs_flow_markov_defect,
     ref_permuted,
     ref_sub_lattice_increment_independence_defect,
@@ -443,6 +445,66 @@ class TestSharedQuantiles:
         assert seen == [None]
 
 
+class TestStreamedOrderings:
+    """The Monte Carlo ordering check reduces each ordering's sample to its
+    event probabilities before it draws the next one."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("cap", [16, 2])
+    @pytest.mark.parametrize("stem", ["gaussian_staircase", "dirichlet_staircase"])
+    def test_streamed_defect_is_the_all_at_once_defect(self, stem, cap, seed):
+        spec = _bench_spec(stem)
+        orders, _ = leading_orderings(spec.lattice, cap)
+        got = ordering_invariance_defect(spec, orders, mc=(seed, 2000))
+        want = ref_mc_ordering_invariance(spec, orders, seed, 2000)
+        assert np.array([got.defect, got.se]).tobytes() == \
+            np.array([want.defect, want.se]).tobytes()
+
+    @pytest.mark.parametrize("stem", ["gaussian_staircase", "dirichlet_staircase"])
+    def test_peak_does_not_grow_with_the_ordering_count(self, stem):
+        # inside a scope the first call filled, every column is a memo hit, so
+        # the traced peak is what the check holds besides the shared columns:
+        # about two samples of one ordering, for 4 orderings as for 16; one
+        # held sample per ordering would take 16 orderings past 3x the 4
+        count, members = 20_000, 6
+        spec = _bench_spec(stem)
+        orders = enumerate_consistent_orderings(spec.lattice)
+        peaks = []
+        with kernels.shared_columns():
+            ordering_invariance_defect(spec, orders, mc=(0, count))
+            for k in (4, 16):
+                tracemalloc.start()
+                try:
+                    ordering_invariance_defect(spec, orders[:k], mc=(0, count))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + count * members * 8 // 2, peaks
+
+    def test_row_past_the_table_cap_is_refused_and_stated(self, monkeypatch):
+        # six members: 2^6 - 1 + 12 = 75 events for each of the 16 orderings
+        cfg = load_config(str(CONFIGS / "gaussian_staircase.json"))
+        orders = enumerate_consistent_orderings(cfg.spec.lattice)
+        today = suite.run_validation_suite(cfg)
+        monkeypatch.setattr(construction, "TABLE_CAP", 1200)
+        assert suite.run_validation_suite(cfg) == today
+        monkeypatch.setattr(construction, "TABLE_CAP", 1199)
+        # refused before anything is sampled
+        with monkeypatch.context() as m:
+            m.setattr(verify, "aligned_increment_samples", None)
+            with pytest.raises(TableSizeError, match="needs 1200 event probabilities, "
+                                                     "more than 1199"):
+                ordering_invariance_defect(cfg.spec, orders, mc=(0, 2000))
+        rows = suite.run_validation_suite(cfg)
+        row = next(r for r in rows if r["name"] == "ordering_invariance")
+        assert row["instance"] == (
+            "120 ordering pairs, MC sigmas, skipped: the Monte Carlo ordering row needs "
+            "1200 event probabilities, more than 1199")
+        assert row["defect"] == 0.0 and row["pass"]
+        assert [r for r in rows if r is not row] == \
+            [r for r in today if r["name"] != "ordering_invariance"]
+
+
 class TestColumnScope:
     """``suite.run_validation_suite`` opens one column memo around a whole
     continuous run, so the ordering check and the marginal laws share every
@@ -642,6 +704,9 @@ def test_event_probabilities_match_the_mean_per_event(data):
     else:
         aligned = rng.standard_normal((count, d))
     medians, quartiles = mc_probe_thresholds(aligned)
+    want_medians, want_quartiles = ref_mc_probe_thresholds(aligned)
+    assert medians.tobytes() == want_medians.tobytes()
+    assert quartiles.tobytes() == want_quartiles.tobytes()
     if data.draw(st.booleans()):
         # thresholds read off sampled values, so rows sit exactly on them
         rows = rng.integers(0, count, (3, d))
