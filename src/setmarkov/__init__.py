@@ -41,10 +41,9 @@ from .construction import (
     FddSpec,
     JointLaw,
     MixtureSpec,
-    ProcessSample,
-    evaluate_on_algebra,
+    algebra_mask,
+    algebra_values,
     exact_fdd,
     joint_over_increments,
-    sample_fdd,
     sample_increments,
 )

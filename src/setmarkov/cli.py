@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .config import load_config, merge_tolerance_overrides
-from .construction import MixtureSpec, decompose_over_lefts, exact_fdd, sample_increments
+from .construction import MixtureSpec, algebra_values, exact_fdd, sample_increments
 from .errors import ConfigError, SetMarkovError
 from .floatfmt import WIDTH, format_floats
 from .suite import FD_EPS, run_gencheck, run_validation_suite
@@ -167,17 +167,12 @@ def cmd_sample(args) -> int:
     spec = cfg.spec
     kernel = spec.kernel
     n, workers = args.n, args.workers
-    groups = [decompose_over_lefts(spec.lefts, mask) for _, mask in cfg.derived_sets]
+    masks = [mask for _, mask in cfg.derived_sets]
 
     def slice_block(first: int) -> np.ndarray:
         """Rows first .. first + SLICE_ROWS - 1 in display units, derived sets last."""
         inc = sample_increments(spec, cfg.seed, min(SLICE_ROWS, n - first), start=first)
-        block = np.zeros((len(inc), inc.shape[1] + len(groups)))
-        block[:, :inc.shape[1]] = inc
-        for j, g in enumerate(groups, inc.shape[1]):
-            for i in g:  # from 0.0, term by term, as Python's sum adds
-                block[:, j] += inc[:, i]
-        return kernel.display(block)
+        return kernel.display(np.hstack([inc, algebra_values(spec.lefts, inc, masks)]))
 
     def formatted(block):
         """The CSV lines of a drawn slice, one bytes a block; the slice is

@@ -7,16 +7,14 @@ exit with a precise message.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import FddSpec, MixtureSpec
+from .construction import FddSpec, MixtureSpec, algebra_mask
 from .errors import ConfigError, SetMarkovError
 from .grid import CellMeasure, GroundGrid
 from .kernels import (
@@ -170,20 +168,21 @@ def _count(exp: dict, key: str, default: int, least: int) -> int:
 
 def _derived_sets(node, members) -> tuple:
     """(name, mask) of each derived set: the union of the ``union`` members
-    (0-based indices) minus the union of the ``minus`` ones."""
+    (0-based indices) minus the union of the ``minus`` ones
+    (``construction.algebra_mask``)."""
     path = "/experiment/derived_sets"
     _check(isinstance(node, list) and all(isinstance(d, dict) for d in node), path,
            "a list of objects")
     out = []
     for i, d in enumerate(node):
-        masks = []
+        picked = []
         for key in ("union", "minus"):
             idx = d.get(key, [])
             _check(isinstance(idx, list) and all(type(j) is int and 0 <= j < len(members)
                                                  for j in idx),
                    f"{path}/{i}/{key}", f"a list of member indices 0..{len(members) - 1}")
-            masks.append(functools.reduce(operator.or_, [members[j].mask for j in idx], 0))
-        out.append((d.get("name", f"D{i}"), masks[0] & ~masks[1]))
+            picked.append([members[j] for j in idx])
+        out.append((d.get("name", f"D{i}"), algebra_mask(*picked)))
     return tuple(out)
 
 

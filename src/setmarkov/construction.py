@@ -24,9 +24,10 @@ probabilities with ``bincount``; values are made only for output
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -394,11 +395,13 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     """Increment matrix (count rows, one column per left neighbourhood) in
     internal state units, fully determined by (seed, row index, column).
 
-    ``step_keys`` optionally renames the per-column stream keys (default:
-    the column index).  The verify module keys columns by the left
-    neighbourhood they create, which couples the draws of two orderings of
-    the same lattice variable-by-variable.  Inside ``kernels.shared_columns``
-    each stream, and each quantile column drawn from it, is computed once.
+    ``step_keys`` optionally permutes the columns: the ordering's slot i is
+    drawn from the stream of key ``step_keys[i]`` and written at that column
+    (default: the identity).  The verify module passes each slot's canonical
+    rank, which couples the draws of two orderings of the same lattice
+    variable by variable and lines up their columns.  Inside
+    ``kernels.shared_columns`` each stream, and each quantile column drawn
+    from it, is computed once.
     """
     if isinstance(spec, MixtureSpec):
         n_steps = len(spec.ordering)
@@ -417,65 +420,23 @@ def sample_increments(spec, seed: int, count: int, start: int = 0,
     ordering = spec.ordering
     n_steps = len(ordering)
     keys = list(step_keys) if step_keys is not None else list(range(n_steps))
-    if len(keys) != n_steps:
-        raise ConfigError("step_keys must name every column")
+    if sorted(keys) != list(range(n_steps)):
+        raise ConfigError("step_keys must be a permutation of the columns")
     out = np.empty((count, n_steps))
-    u = _stream(seed, keys[0], start, count)
+    col = keys[0]
+    u = _stream(seed, col, start, count)
     if spec.initial is not None:
-        out[:, 0] = pmf_ppf(spec.initial_pmf(), u)
+        out[:, col] = pmf_ppf(spec.initial_pmf(), u)
     else:
-        out[:, 0] = kernel.initial_ppf(spec.min_set, u)
-    x = out[:, 0].copy()
+        out[:, col] = kernel.initial_ppf(spec.min_set, u)
+    x = out[:, col].copy()
     for i in range(1, n_steps):
-        u = _stream(seed, keys[i], start, count)
-        out[:, i] = kernel.increment_ppf(ordering.prefix_set(i - 1),
-                                         ordering.prefix_set(i), x, u)
-        x = x + out[:, i]
+        col = keys[i]
+        u = _stream(seed, col, start, count)
+        out[:, col] = kernel.increment_ppf(ordering.prefix_set(i - 1),
+                                           ordering.prefix_set(i), x, u)
+        x = x + out[:, col]
     return out
-
-
-@dataclass(frozen=True)
-class ProcessSample:
-    """One additive realization: a value per left neighbourhood, plus the
-    derived evaluator on unions of neighbourhoods."""
-
-    lefts: LeftNeighbourhoods
-    increments: tuple[float, ...]
-
-    def value(self, target) -> float:
-        """Process value on a union of left neighbourhoods (0 on the empty set)."""
-        parts = decompose_over_lefts(self.lefts, target)
-        return sum((self.increments[i] for i in parts), 0.0)
-
-
-def evaluate_on_algebra(sample: ProcessSample, plus, minus=None) -> float:
-    """Value on (union of plus) minus (union of minus); both member unions."""
-    grid = sample.lefts.sets[0].grid
-    pm = _union_mask(plus)
-    mm = _union_mask(minus) if minus is not None else 0
-    return sample.value(IndexedSet(grid, pm & ~mm))
-
-
-def _union_mask(sets) -> int:
-    if sets is None:
-        return 0
-    if hasattr(sets, "mask"):
-        return sets.mask
-    if isinstance(sets, int):
-        return sets
-    out = 0
-    for s in sets:
-        out |= getattr(s, "mask", s)
-    return out
-
-
-def sample_fdd(spec, seed: int, count: int) -> list[ProcessSample]:
-    """Deterministic seeded samples; sample s depends only on (seed, s)."""
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    arr = sample_increments(spec, seed, count)
-    lefts = spec.lefts
-    return [ProcessSample(lefts, tuple(float(v) for v in row)) for row in arr]
 
 
 def decompose_over_lefts(lefts: LeftNeighbourhoods, target) -> list[int]:
@@ -493,12 +454,33 @@ def decompose_over_lefts(lefts: LeftNeighbourhoods, target) -> list[int]:
     return idx
 
 
+def algebra_mask(plus, minus=()) -> int:
+    """The mask of a set of the algebra the members generate: the union of
+    ``plus`` minus the union of ``minus``, each a collection of sets or
+    masks."""
+    def union(sets):
+        return reduce(operator.or_, (getattr(s, "mask", s) for s in sets), 0)
+    return union(plus) & ~union(minus)
+
+
+def algebra_values(lefts: LeftNeighbourhoods, increments: np.ndarray, masks) -> np.ndarray:
+    """The process on sets of the algebra, one column per mask (or set) and
+    one row per row of the increment matrix: from 0.0, the set's increment
+    columns (``decompose_over_lefts``) added one at a time in ascending
+    order.  Each column is contiguous."""
+    out = np.zeros((len(increments), len(masks)), order="F")
+    for j, mask in enumerate(masks):
+        for i in decompose_over_lefts(lefts, mask):
+            out[:, j] += increments[:, i]
+    return out
+
+
 def joint_over_increments(spec, targets) -> JointLaw:
     """Joint law of the process over arbitrary unions of left neighbourhoods,
     as the pushforward of the exact increment law through block sums."""
     law = exact_fdd(spec)
     lefts = spec.lefts
     groups = [decompose_over_lefts(lefts, t) for t in targets]
-    sets = tuple(IndexedSet(spec.lattice.grid, _union_mask(t)) for t in targets)
+    sets = tuple(IndexedSet(spec.lattice.grid, getattr(t, "mask", t)) for t in targets)
     labels = tuple(f"S{i}" for i in range(len(targets)))
     return law.pushforward_sums(groups, labels=labels, sets=sets)

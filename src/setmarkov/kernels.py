@@ -426,8 +426,8 @@ class CompoundPoissonKernel(TransitionKernel):
     def flow_semigroup(self, flow):
         trace = Trace.along_flow(self.lam, flow)
         start_mass_cap = self.initial_pmf_for(flow.stages[0]).last
-        if any(int(v) != v or v < 1 for v in self.jump_values):
-            raise ConfigError("flow semigroup needs positive integer jumps")
+        if any(v <= 0 for v in self.jump_values):
+            raise ConfigError("flow semigroup needs positive jumps")
         # a jump of probability 0 is left out: off the grid of the others,
         # its rounded index could be a jump taken
         taken = [(v, p) for v, p in zip(self.jump_values, self.jump_probs) if p > 0]

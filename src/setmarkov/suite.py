@@ -15,6 +15,7 @@ from scipy import special
 
 from .construction import (
     MixtureSpec,
+    algebra_values,
     decompose_over_lefts,
     exact_fdd,
     sample_increments,
@@ -212,7 +213,7 @@ def _finite_state_rows(cfg):
     # flow matching: a refined chain against the one-step chain
     coarse = DiscreteFlow((flow.times[0], flow.times[-1]),
                           (flow.stages[0], flow.stages[-1]))
-    # the matrix semigroup needs positive integer jumps, float binomial
+    # the matrix semigroup needs positive jumps, float binomial
     # coefficients and matrices within TABLE_CAP: compound kernels with
     # other jumps or too many states, and empirical kernels past
     # DIRECT_BINOMIAL_TRIALS points, get only the kernel-level checks, and
@@ -312,7 +313,7 @@ def _continuous_rows(cfg):
     # marginal laws
     arr = sample_increments(spec, seed, count)
     mem = cfg.lattice.members
-    values = [_member_values(arr, spec.lefts, m) for m in mem]
+    values = algebra_values(spec.lefts, arr, mem).T
     if kernel.kind == "dirichlet":
         worst = 0.0
         for m, vals in zip(mem, values):
@@ -345,10 +346,6 @@ def _continuous_rows(cfg):
     rows.append(_integral_identity_row(system, flow, h, tol["dirichlet_quadrature"]))
     rows.append(_fd_order_row(system, h, "generator_fd_order", kernel.kind))
     return rows
-
-
-def _member_values(arr, lefts, member):
-    return arr[:, decompose_over_lefts(lefts, member)].sum(axis=1)
 
 
 def ks_statistic(values, cdf):

@@ -108,16 +108,17 @@ def canonical_variable_order(ordering: ConsistentOrdering) -> tuple[int, ...]:
 def aligned_increment_samples(spec, ordering, seed: int, count: int) -> np.ndarray:
     """Sampled increments with columns in the canonical variable order.
 
-    Column streams are keyed by the canonical variable id, so two orderings
-    of the same lattice reuse the same uniforms variable-by-variable; under
-    an ordering-invariant law the sampled vectors then nearly coincide and
-    the Monte Carlo comparison loses almost no power to noise.
+    Each slot is drawn from the stream of its canonical rank and written at
+    that column (``sample_increments``'s ``step_keys``), so the sample comes
+    out in canonical order as it is drawn, and two orderings of the same
+    lattice reuse the same uniforms variable by variable; under an
+    ordering-invariant law the sampled vectors then nearly coincide and the
+    Monte Carlo comparison loses almost no power to noise.
     """
     canon = canonical_variable_order(ordering)
     rank = {col: r for r, col in enumerate(canon)}
     keys = [rank[i] for i in range(len(ordering))]
-    arr = sample_increments(spec.with_ordering(ordering), seed, count, step_keys=keys)
-    return arr[:, list(canon)]
+    return sample_increments(spec.with_ordering(ordering), seed, count, step_keys=keys)
 
 
 def mc_event_probabilities(aligned: np.ndarray, medians: np.ndarray,

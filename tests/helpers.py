@@ -64,6 +64,15 @@ stacked ``matrices`` and ``generator_matrices`` of the matrix semigroups.
 node at a time through ``apply`` and ``matrix``: the reference for the node
 stacks of ``generators.generator_integral`` and
 ``generators.leg_generator_integral``.
+``ref_block_values``, ``ref_member_values`` and ``ref_path_value`` are the
+three sums that evaluated a sample on the generated algebra before
+``construction.algebra_values`` replaced them: the derived columns of
+``sample``, the member columns of the continuous ``marginal_law`` rows and
+the value of one sampled path.  ``ref_derived_mask`` is the mask fold of the
+derived sets: the reference for ``construction.algebra_mask``.
+``ref_aligned_increment_samples`` draws every slot in its ordering's column
+and gathers a second copy in canonical order: the reference for the
+in-place ``verify.aligned_increment_samples``.
 ``ref_binom_ppf`` and ``ref_poisson_ppf`` are scipy's quantile functions,
 the samplers the empirical and poisson kernels used before they inverted
 their own pmf tables: the reference for ``kernels.TransitionKernel``'s
@@ -75,6 +84,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 
 import numpy as np
 from scipy import stats
@@ -91,6 +101,7 @@ from setmarkov.grid import measure_of
 from setmarkov.construction import (
     FddSpec,
     MixtureSpec,
+    _stream,
     decompose_over_lefts,
     exact_fdd,
     sample_increments,
@@ -108,6 +119,7 @@ from setmarkov.lattice import close_under_intersection, embed_chain, flow_from_o
 from setmarkov.kernels import Defect
 from setmarkov.verify import (
     aligned_increment_samples,
+    canonical_variable_order,
     conditional_independence_defect,
     mc_event_probabilities,
     probability_gap,
@@ -601,6 +613,57 @@ def ref_sample_csv(config_path, n, seed, path):
             for g in groups:
                 vals.append(repr(float(kernel.display(sum(row[i] for i in g)))))
             w.writerow(vals)
+
+
+def ref_block_values(lefts, arr, masks):
+    """The derived columns of ``sample`` before ``algebra_values``: each a
+    column of a zero block, to which the set's increment columns are added
+    term by term."""
+    groups = [decompose_over_lefts(lefts, mask) for mask in masks]
+    block = np.zeros((len(arr), arr.shape[1] + len(groups)))
+    block[:, :arr.shape[1]] = arr
+    for j, g in enumerate(groups, arr.shape[1]):
+        for i in g:
+            block[:, j] += arr[:, i]
+    return block[:, arr.shape[1]:]
+
+
+def ref_member_values(arr, lefts, member):
+    """The member column of the continuous ``marginal_law`` rows before
+    ``algebra_values``: numpy's sum over the fancy-indexed columns."""
+    return arr[:, decompose_over_lefts(lefts, member)].sum(axis=1)
+
+
+def ref_path_value(lefts, row, target):
+    """One sampled path's value on a union of left neighbourhoods before
+    ``algebra_values``: Python's ``sum`` of its increments, from 0.0."""
+    return sum((row[i] for i in decompose_over_lefts(lefts, target)), 0.0)
+
+
+def ref_derived_mask(members, union, minus=()):
+    """The mask of a derived set, as the config folded it: the union of the
+    ``union`` members (indices) minus the union of the ``minus`` ones."""
+    masks = [functools.reduce(operator.or_, [members[j].mask for j in idx], 0)
+             for idx in (union, minus)]
+    return masks[0] & ~masks[1]
+
+
+def ref_aligned_increment_samples(spec, ordering, seed, count):
+    """The aligned sample as a second copy: slot i of the ordering drawn in
+    column i, from the stream of its canonical rank, then the columns
+    gathered in canonical order.  A kernel's own initial law only."""
+    spec = spec.with_ordering(ordering)
+    kernel = spec.kernel
+    canon = canonical_variable_order(ordering)
+    arr = np.empty((count, len(ordering)))
+    arr[:, 0] = kernel.initial_ppf(spec.min_set, _stream(seed, canon.index(0), 0, count))
+    x = arr[:, 0].copy()
+    for i in range(1, len(ordering)):
+        u = _stream(seed, canon.index(i), 0, count)
+        arr[:, i] = kernel.increment_ppf(ordering.prefix_set(i - 1), ordering.prefix_set(i),
+                                         x, u)
+        x = x + arr[:, i]
+    return arr[:, list(canon)]
 
 
 def ref_fdd_csv(config_path, path):

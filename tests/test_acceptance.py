@@ -22,12 +22,12 @@ from setmarkov import (
     IndexedSet,
     MixtureSpec,
     PoissonIncrementKernel,
+    algebra_values,
     close_under_intersection,
     enumerate_consistent_orderings,
     exact_fdd,
     flow_from_ordering,
     joint_over_increments,
-    sample_fdd,
     sample_increments,
 )
 from setmarkov.cli import main
@@ -285,10 +285,11 @@ def test_criterion_6_additivity_on_sampled_paths():
     ]
     worst = 0.0
     for spec in specs:
-        for s in sample_fdd(spec, SEED, 10_000):
-            for a, b in itertools.combinations(lat.members, 2):
-                gap = abs(s.value(a | b) + s.value(a & b) - s.value(a) - s.value(b))
-                worst = max(worst, gap)
+        arr = sample_increments(spec, SEED, 10_000)
+        for a, b in itertools.combinations(lat.members, 2):
+            union, meet, va, vb = algebra_values(spec.lefts, arr, [a | b, a & b, a, b]).T
+            gap = np.abs(union + meet - va - vb).max()
+            worst = max(worst, gap)
     report(6, worst < 1e-9,
            f"inclusion-exclusion gap {worst:.2e} < 1e-9 on 4 x 10^4 paths")
 

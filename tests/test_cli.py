@@ -347,15 +347,15 @@ def test_sample_compound_at_a_large_intensity_is_not_constant(tmp_path):
     assert abs(np.mean(values) - 1200.0) < 6.0
 
 
-# the matrix semigroup needs float binomial coefficients, integer jumps and
+# the matrix semigroup needs float binomial coefficients, positive jumps and
 # matrices of at most TABLE_CAP entries: jumps {1, 1000} give 27,001 states
 SEMIGROUP_LEFT_OUT = {
     "n <= 1000": dict(BASE, semilattice={"cell_lists": [[0, 1, 2], [0, 1, 2, 3]]},
                       process={"kind": "empirical", "n": 2000,
                                "measure": {"weights": [0.97, 0.01, 0.01, 0.01]}}),
-    "positive integer jumps": dict(BASE, process={
+    "positive jumps": dict(BASE, process={
         "kind": "compound_poisson", "measure": {"constant": 0.5},
-        "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}}),
+        "jumps": {"values": [-1, 0, 2.5], "probs": [0.3, 0.2, 0.5]}}),
     "729054001 entries": dict(BASE, process={
         "kind": "compound_poisson", "measure": {"constant": 0.5},
         "jumps": {"values": [1, 1000], "probs": [0.5, 0.5]}}),
@@ -379,6 +379,26 @@ def test_semigroup_left_out_is_a_config_error_and_reported(tmp_path, capsys, rea
     assert instance.startswith("one-step vs refined chain; matrix-semigroup rows left out: ")
     assert reason in instance
     assert "generator_matching" not in checks and "integral_identity" not in checks
+
+
+SEMIGROUP_ROWS = ("generator_matching", "integral_identity", "generator_fd_order",
+                  "permutation_identity_2", "permutation_identity_2_generator",
+                  "permutation_identity_3", "permutation_identity_3_generator")
+
+
+def test_a_non_integer_jump_gets_the_semigroup_rows(tmp_path, capsys):
+    # jumps {1, 2.5} live on the grid of step 0.5, whose index 1 no jump
+    # reaches: the jump semigroup runs on the grid indices all the same
+    cfg = write_config(tmp_path, dict(BASE, process={
+        "kind": "compound_poisson", "measure": {"constant": 0.5},
+        "jumps": {"values": [1, 2.5], "probs": [0.6, 0.4]}}))
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["flow_matching"]["instance"] == "one-step vs refined chain"
+    assert all(checks[name]["pass"] for name in SEMIGROUP_ROWS)
+    assert main(["gencheck", "--config", cfg, "--out", str(tmp_path / "g.json")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_validate_past_the_table_cap_fails_before_the_ck_rows(tmp_path, monkeypatch):

@@ -12,11 +12,11 @@ from setmarkov import (
     IndexedSet,
     MixtureSpec,
     PoissonIncrementKernel,
+    algebra_mask,
+    algebra_values,
     close_under_intersection,
-    evaluate_on_algebra,
     exact_fdd,
     joint_over_increments,
-    sample_fdd,
     sample_increments,
 )
 from setmarkov import construction
@@ -245,32 +245,31 @@ class TestSampling:
 
 class TestProcessSamples:
     def test_disjoint_union_additivity(self, empirical_spec3, grid2):
-        samples = sample_fdd(empirical_spec3, 17, 10)
-        for s in samples:
-            v =  s.value(cells(grid2, 1, 2))
-            assert v == s.increments[1] + s.increments[2]
+        arr = sample_increments(empirical_spec3, 17, 10)
+        values = algebra_values(empirical_spec3.lefts, arr, [cells(grid2, 1, 2)])
+        for row, v in zip(arr, values[:, 0]):
+            assert v == row[1] + row[2]
 
     def test_empty_target_is_zero(self, empirical_spec3, grid2):
-        s = sample_fdd(empirical_spec3, 17, 1)[0]
-        assert s.value(IndexedSet(grid2, 0)) == 0.0
+        arr = sample_increments(empirical_spec3, 17, 1)
+        assert algebra_values(empirical_spec3.lefts, arr, [IndexedSet(grid2, 0)])[0, 0] == 0.0
 
     def test_inclusion_exclusion(self, lattice6, uniform4):
         spec = FddSpec(lattice6, EmpiricalKernel(3, uniform4))
-        samples = sample_fdd(spec, 23, 50)
+        arr = sample_increments(spec, 23, 50)
         members = lattice6.members
-        for s in samples:
-            for a, b in itertools.combinations(members, 2):
-                lhs = s.value(a | b) + s.value(a & b)
-                rhs = s.value(a) + s.value(b)
-                assert abs(lhs - rhs) < 1e-9
+        for a, b in itertools.combinations(members, 2):
+            union, meet, va, vb = algebra_values(spec.lefts, arr, [a | b, a & b, a, b]).T
+            lhs = union + meet
+            rhs = va + vb
+            assert np.all(np.abs(lhs - rhs) < 1e-9)
 
-    def test_evaluate_on_algebra_difference(self, empirical_spec3, grid2):
-        s = sample_fdd(empirical_spec3, 29, 1)[0]
-        v = evaluate_on_algebra(s, [cells(grid2, 0, 1), cells(grid2, 0, 2)],
-                                [cells(grid2, 0, 1)])
-        assert v == s.increments[2]
+    def test_algebra_mask_difference(self, empirical_spec3, grid2):
+        arr = sample_increments(empirical_spec3, 29, 1)
+        mask = algebra_mask([cells(grid2, 0, 1), cells(grid2, 0, 2)], [cells(grid2, 0, 1)])
+        assert algebra_values(empirical_spec3.lefts, arr, [mask])[0, 0] == arr[0, 2]
 
     def test_undecomposable_target_names_cells(self, empirical_spec3, grid2):
-        s = sample_fdd(empirical_spec3, 31, 1)[0]
+        arr = sample_increments(empirical_spec3, 31, 1)
         with pytest.raises(DecompositionError, match=r"\[3\]"):
-            s.value(cells(grid2, 0, 3))
+            algebra_values(empirical_spec3.lefts, arr, [cells(grid2, 0, 3)])

@@ -25,7 +25,7 @@ from setmarkov import (
     suite,
 )
 from setmarkov.config import load_config
-from setmarkov.construction import _stream, sample_increments
+from setmarkov.construction import _stream, algebra_values, sample_increments
 from setmarkov.distributions import (
     BetaSegment,
     NormalLaw,
@@ -398,7 +398,7 @@ def test_ks_statistic_is_the_stats_kstest_statistic_bit_for_bit(seed):
     arr = sample_increments(cfg.spec, seed, cfg.mc_samples)
     lefts = left_neighbourhoods(cfg.spec.ordering)
     for m in cfg.lattice.members:
-        vals = suite._member_values(arr, lefts, m)
+        vals = algebra_values(lefts, arr, [m])[:, 0]
         a = measure_of(alpha, m)
         b = alpha.total - a
         want = stats.kstest(vals, lambda z: stats.beta.cdf(z, a, b)).statistic

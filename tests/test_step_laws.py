@@ -210,23 +210,32 @@ def test_a_jump_semigroup_runs_on_grid_indices():
     assert np.array_equal(even.matrix(0.0, 1.0)[0, law.first: law.last + 1], law.probs)
 
 
-def test_a_jump_of_probability_0_takes_no_grid_index():
+@pytest.mark.parametrize("jumps, kept, indices", [
     # jumps {4, 5} with probabilities {1, 0} sit on the grid of step 4, where
     # the 5 would round onto the index of the 4 and take its rate
+    (((4, 5), (1.0, 0.0)), ((4,), (1.0,)), (1,)),
+    # an off-grid jump of probability 0 is left out the same way
+    (((1, 2, 2.5), (0.5, 0.5, 0.0)), ((1, 2), (0.5, 0.5)), (1, 2)),
+    (((2, 2.6), (1.0, 0.0)), ((2,), (1.0,)), (1,)),
+])
+def test_a_jump_of_probability_0_takes_no_grid_index(jumps, kept, indices):
     spec = load_config(str(CONFIGS / "compound_staircase.json")).spec
     flow = flow_from_ordering(spec.ordering)
     lam = spec.kernel.lam
-    left = system_along_flow(CompoundPoissonKernel(lam, (4, 5), (1.0, 0.0)), flow)
-    alone = system_along_flow(CompoundPoissonKernel(lam, (4,), (1.0,)), flow)
-    assert left.jumps == alone.jumps == (1,) and left.cap == alone.cap
+    left = system_along_flow(CompoundPoissonKernel(lam, *jumps), flow)
+    alone = system_along_flow(CompoundPoissonKernel(lam, *kept), flow)
+    assert left.jumps == alone.jumps == indices and left.cap == alone.cap
     for s in (0.0, 0.5):
         assert np.array_equal(left.generator_matrix(s), alone.generator_matrix(s))
         assert np.array_equal(left.matrix(s, 1.0), alone.matrix(s, 1.0))
-    # an off-grid jump of probability 0 is refused, as every non-integer jump
-    for values, probs in (((1, 2, 2.5), (0.5, 0.5, 0.0)), ((2, 2.6), (1.0, 0.0))):
-        kernel = CompoundPoissonKernel(lam, values, probs)
-        with pytest.raises(ConfigError, match="flow semigroup needs positive integer jumps"):
-            system_along_flow(kernel, flow)
+
+
+@pytest.mark.parametrize("values", [(-1, 2), (0, 2.5), (1, -0.5)])
+def test_a_jump_at_or_below_0_is_refused(values):
+    spec = load_config(str(CONFIGS / "compound_staircase.json")).spec
+    kernel = CompoundPoissonKernel(spec.kernel.lam, values, (0.5, 0.5))
+    with pytest.raises(ConfigError, match="flow semigroup needs positive jumps"):
+        system_along_flow(kernel, flow_from_ordering(spec.ordering))
 
 
 def test_equal_jump_indices_add_their_rates():

@@ -45,6 +45,7 @@ from setmarkov.verify import (
 
 from helpers import (
     ref_align_variables,
+    ref_aligned_increment_samples,
     ref_exact_fdd,
     ref_mc_event_probabilities,
     ref_mc_ordering_invariance,
@@ -443,6 +444,43 @@ class TestSharedQuantiles:
             assert not worker.is_alive()
             assert kernels._COLUMN_MEMO.get() == {}
         assert seen == [None]
+
+
+class TestAlignedSamples:
+    """An aligned sample writes each slot of its ordering at the slot's
+    canonical column, so it is made in place, with no gathered copy."""
+
+    @pytest.mark.parametrize("stem", ["gaussian_staircase", "dirichlet_staircase",
+                                      "empirical6_staircase"])
+    def test_aligned_sample_is_the_gathered_copy(self, stem):
+        spec = _bench_spec(stem)
+        for o in enumerate_consistent_orderings(spec.lattice)[::5]:
+            got = verify.aligned_increment_samples(spec, o, 7, 2000)
+            want = ref_aligned_increment_samples(spec, o, 7, 2000)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stem", ["gaussian_staircase", "dirichlet_staircase"])
+    def test_peak_is_below_two_samples(self, stem):
+        # inside a scope the first call filled, every column is a memo hit:
+        # the sample and the running sum are what is left, where the gathered
+        # copy made two samples
+        count, members = 20_000, 6
+        spec = _bench_spec(stem)
+        o = enumerate_consistent_orderings(spec.lattice)[3]
+        with kernels.shared_columns():
+            verify.aligned_increment_samples(spec, o, 0, count)
+            tracemalloc.start()
+            try:
+                verify.aligned_increment_samples(spec, o, 0, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * count * members * 8, peak
+
+    @pytest.mark.parametrize("keys", [[0, 0, 1, 2, 3, 4], [0, 1, 2], [1, 2, 3, 4, 5, 6]])
+    def test_step_keys_must_be_a_permutation(self, keys):
+        with pytest.raises(ConfigError, match="step_keys must be a permutation"):
+            sample_increments(_bench_spec("gaussian_staircase"), 0, 10, step_keys=keys)
 
 
 class TestStreamedOrderings:
