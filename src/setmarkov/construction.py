@@ -346,7 +346,7 @@ def chain_table(kernel, stages, start: GridLaw):
         lo = int(running.min())
         states, group = rank_codes(running - lo, int(running.max()) - lo + 1)
         states += lo
-        laws = [kernel.increment_pmf(prev, cur, x).atoms for x in states.tolist()]
+        laws = [law.atoms for law in kernel.increment_pmfs(prev, cur, states.tolist())]
         sizes = np.array([len(index) for index, _ in laws])
         counts = sizes[group]
         total = int(counts.sum())
@@ -375,8 +375,8 @@ def _rows_needed(kernel, legs, states, counts) -> int:
     tally = dict(zip(states.tolist(), counts.tolist()))
     for prev, cur in legs:
         nxt: dict[int, int] = {}
-        for x, c in tally.items():
-            for y in (x + kernel.increment_pmf(prev, cur, x).atoms[0]).tolist():
+        for (x, c), law in zip(tally.items(), kernel.increment_pmfs(prev, cur, list(tally))):
+            for y in (x + law.atoms[0]).tolist():
                 nxt[y] = nxt.get(y, 0) + c
         tally = nxt
     return sum(tally.values())

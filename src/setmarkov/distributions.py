@@ -5,10 +5,14 @@ indices of a value grid, index i standing for ``canonical_value(i *
 step)`` (``grid_values``; ``grid_step`` finds the step of a set of values,
 ``jump_step`` that of a jump law), which reads as a read-only dict pmf.
 ``FinitePmf`` serves the kernels' ``law``; the closed-form families carry a
-cdf.  The cut count tables live here, each with its cut policy:
-``binomial_pmf``, ``poisson_pmf`` and ``compound_poisson_dict`` (Panjer's
-recursion on the grid); ``binomial_coefficients`` gives the coefficients to
-``binomial_pmf`` and to the empirical flow semigroup alike.
+cdf.  The cut count tables live here, each with its cut policy, and each is
+built for many trial counts or means in one call: ``binomial_band``,
+``poisson_laws`` (over the tail counts of ``poisson_tail_counts``) and
+``compound_poisson_laws`` (Panjer's recursion on the grid, one walk for all
+the means); ``binomial_pmf``, ``poisson_pmf``, ``poisson_tail_count`` and
+``compound_poisson_dict`` are their one-row cases.
+``binomial_coefficients`` and ``binomial_terms`` give the coefficients and
+the terms to ``binomial_band`` and to the empirical flow semigroup alike.
 ``TwoStage`` represents the composition of two kernels for the continuous
 families and evaluates its cdf by quadrature over the intermediate value (a
 64-node Gauss-Hermite rule when both stages are normal and the second is not
@@ -102,18 +106,63 @@ def binomial_pmf(trials: int, p: float) -> FinitePmf:
     """Exact binomial pmf over the counts within 12 standard deviations + 70
     of the mean: all of 0..trials up to 70 trials.  By Bernstein's
     inequality each tail left out has mass below exp(-72) < 1e-31, and a
-    table keeps O(sqrt(trials)) atoms."""
+    table keeps O(sqrt(trials)) atoms.  The one-row case of
+    ``binomial_band``."""
+    (first,), (last,), band = binomial_band([trials], p)
+    return FinitePmf(range(first, last + 1), band[0].tolist())
+
+
+def binomial_band(trials, p: float) -> tuple[list[int], list[int], np.ndarray]:
+    """The binomial(t, p) count laws of the trial counts t of ``trials``,
+    one row each, cut as ``binomial_pmf`` cuts them: (first, last, band),
+    with ``band[r, k]`` the probability of count ``first[r] + k`` up to the
+    count ``last[r]``, and 0 past it.  Up to ``DIRECT_BINOMIAL_TRIALS``
+    trials an entry is comb(t, j) p^j q^(t - j), all such rows by one
+    ``binomial_terms`` call, each row's coefficients from
+    ``binomial_coefficients``; rows of more trials take
+    ``stats.binom.pmf``, all in one call."""
     if not 0.0 <= p <= 1.0 + 1e-12:
         raise ConfigError(f"binomial success probability {p} outside [0, 1]")
     p = min(p, 1.0)
     q = 1.0 - p
-    mean, reach = trials * p, 12.0 * math.sqrt(trials * p * q) + 70
-    counts = range(max(int(mean - reach), 0), min(int(mean + reach), trials) + 1)
-    if trials > DIRECT_BINOMIAL_TRIALS:
-        from scipy import stats
-        return FinitePmf(counts, stats.binom.pmf(np.array(counts), trials, p).tolist())
-    return FinitePmf(counts, [c * p**j * q ** (trials - j)
-                              for j, c in zip(counts, binomial_coefficients(trials, counts))])
+    cuts = []
+    for t in trials:
+        mean, reach = t * p, 12.0 * math.sqrt(t * p * q) + 70
+        cuts.append((t, max(int(mean - reach), 0), min(int(mean + reach), t)))
+    t, first, last = (np.array(c) for c in zip(*cuts))
+    counts = first[:, None] + np.arange(int((last - first).max()) + 1)
+    inside = counts <= last[:, None]
+    direct = t <= DIRECT_BINOMIAL_TRIALS
+    if direct.all():
+        width = counts.shape[1]
+        coef = np.array([c for n, lo, hi in cuts for c in binomial_coefficients(
+            n, range(lo, hi + 1)) + [0.0] * (width - 1 - hi + lo)]).reshape(counts.shape)
+        # a count past the last has coefficient 0 and both exponents 0
+        band = binomial_terms(coef, [p], np.where(inside, counts, 0),
+                              np.where(inside, t[:, None] - counts, 0))[0]
+        return first.tolist(), last.tolist(), band
+    band = np.zeros(counts.shape)
+    if direct.any():
+        part = binomial_band(t[direct].tolist(), p)[2]
+        band[direct, :part.shape[1]] = part
+    # comb(t, t // 2) overflows a float from 1030 trials on
+    from scipy import stats
+    large = ~direct
+    band[large] = np.where(inside[large], stats.binom.pmf(counts[large], t[large, None], p), 0.0)
+    return first.tolist(), last.tolist(), band
+
+
+def binomial_terms(coef: np.ndarray, ps, counts: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """coef * p^counts * q^tails, q = 1 - p, for each success probability p
+    of ``ps``, one leading row per p, elementwise over the coefficients
+    ``coef`` and the integer exponents ``counts`` and ``tails``: the
+    binomial terms of the empirical step laws and of the empirical flow
+    semigroup alike.  The powers are Python's float pow, one vector per p;
+    numpy's ``power`` may round them otherwise."""
+    top = range(max(int(counts.max()), int(tails.max())) + 1)
+    p_pow = np.array([p**j for p in ps for j in top]).reshape(len(ps), -1)
+    q_pow = np.array([q**j for q in [1.0 - p for p in ps] for j in top]).reshape(len(ps), -1)
+    return coef * p_pow[:, counts] * q_pow[:, tails]
 
 
 def binomial_coefficients(trials: int, counts: range) -> list[float]:
@@ -248,19 +297,37 @@ class TwoStage:
 
 def poisson_tail_count(mean: float, tail: float) -> int:
     """Smallest k >= 0 with P(Poisson(mean) > k) <= tail: where the exact
-    pmfs truncate the count.  One vectorised sf over a range of counts that
-    is doubled until the tail drops below ``tail``; ``special.pdtrc`` is the
-    function ``stats.poisson.sf`` evaluates, without its argument checks.
-    The search starts at floor(mean), which is at most the median, so for
-    ``tail`` < 1/2 no count below it qualifies and a large mean costs
-    O(sqrt(mean)) evaluations."""
-    lo = int(mean)
-    hi = int(mean + 12.0 * math.sqrt(mean)) + 32
-    while True:
-        below = np.flatnonzero(special.pdtrc(np.arange(lo, hi), mean) <= tail)
-        if below.size:
-            return lo + int(below[0])
-        hi *= 2
+    pmfs truncate the count.  The one-mean case of
+    ``poisson_tail_counts``."""
+    return int(poisson_tail_counts([mean], tail)[0])
+
+
+def poisson_tail_counts(means, tail: float) -> np.ndarray:
+    """``poisson_tail_count`` of each mean of ``means``: the first count of
+    its search range with ``special.pdtrc`` (the function
+    ``stats.poisson.sf`` evaluates, without its argument checks) at most
+    ``tail``.  A mean's range runs from floor(mean), which is at most the
+    median, so for ``tail`` < 1/2 no count below it qualifies, to
+    mean + 12 sqrt(mean) + 32, doubled until it holds such a count: a large
+    mean costs O(sqrt(mean)) evaluations.  The ranges of all the means are
+    laid end to end for one vectorised sf."""
+    means = np.asarray(means, dtype=float)
+    lo = means.astype(np.int64)
+    hi = (means + 12.0 * np.sqrt(means)).astype(np.int64) + 32
+    out = np.empty(len(means), dtype=np.int64)
+    todo = np.arange(len(means))
+    while todo.size:
+        sizes = hi[todo] - lo[todo]
+        ends = np.cumsum(sizes)
+        k = np.arange(int(ends[-1])) + np.repeat(lo[todo] - (ends - sizes), sizes)
+        hits = np.flatnonzero(special.pdtrc(k, np.repeat(means[todo], sizes)) <= tail)
+        # the first hit at or past each range's start; past the last count if none
+        first = np.append(hits, len(k))[np.searchsorted(hits, ends - sizes)]
+        found = first < ends
+        out[todo[found]] = k[first[found]]
+        todo = todo[~found]
+        hi[todo] *= 2
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,19 +398,43 @@ def grid_values(index, step: Fraction) -> np.ndarray:
                     dtype=float).reshape(index.shape)
 
 
+def _left_cut(means: np.ndarray) -> np.ndarray:
+    """max(int(mean - 12 sqrt(mean)), 0) of each mean: the count below which
+    a poisson table holds less than exp(-72) of the mass (Chernoff); 0 below
+    a mean of 144."""
+    return np.maximum((means - 12.0 * np.sqrt(means)).astype(np.int64), 0)
+
+
 def poisson_pmf(mean: float) -> GridLaw:
     """The Poisson(mean) count law on the integers, the one table both jump
-    kinds read.  Cut on the right where the tail drops below ``PMF_TAIL``
-    (``poisson_tail_count``) and, from a mean of 144 on, on the left below
-    mean - 12 sqrt(mean), which holds less than exp(-72) of the mass
-    (Chernoff): a table keeps O(sqrt(mean)) atoms.  The weights are taken in
-    log space, so none underflows at a large mean."""
-    if mean == 0:
-        return GridLaw(0, np.ones(1))
-    k = np.arange(max(int(mean - 12.0 * math.sqrt(mean)), 0),
-                  poisson_tail_count(mean, PMF_TAIL) + 1)
-    # the expression stats.poisson.pmf evaluates, without its argument checks
-    return GridLaw(int(k[0]), np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean))
+    kinds read: the one-row case of ``poisson_laws``."""
+    return poisson_laws([mean])[0]
+
+
+def poisson_laws(means) -> list[GridLaw]:
+    """The Poisson(mean) count law on the integers of each mean of
+    ``means``.  Each is cut on the right where the tail drops below
+    ``PMF_TAIL`` (``poisson_tail_counts``, one search for all) and, from a
+    mean of 144 on, on the left below mean - 12 sqrt(mean) (``_left_cut``):
+    a table keeps O(sqrt(mean)) atoms.  The weights are taken in log space,
+    so none underflows at a large mean, and the tables' counts are laid end
+    to end for one broadcast of the expression ``stats.poisson.pmf``
+    evaluates, without its argument checks; each table is a view of its
+    piece."""
+    means = np.asarray(means, dtype=float)
+    laws = [None if mean else GridLaw(0, np.ones(1)) for mean in means.tolist()]
+    live = np.flatnonzero(means)
+    if not live.size:
+        return laws
+    first = _left_cut(means[live])
+    sizes = poisson_tail_counts(means[live], PMF_TAIL) + 1 - first
+    ends = np.cumsum(sizes)
+    k = np.arange(int(ends[-1])) + np.repeat(first - (ends - sizes), sizes)
+    mean = np.repeat(means[live], sizes)
+    probs = np.exp(special.xlogy(k, mean) - special.gammaln(k + 1) - mean)
+    for i, lo, a, b in zip(live.tolist(), first.tolist(), (ends - sizes).tolist(), ends.tolist()):
+        laws[i] = GridLaw(lo, probs[a:b])
+    return laws
 
 
 def _check_length(length: int, step: Fraction):
@@ -355,45 +446,65 @@ def _check_length(length: int, step: Fraction):
                              f"{length} grid points, more than {construction.TABLE_CAP}")
 
 
-def _panjer(rates: dict, mean: float, tail: float, step: Fraction) -> GridLaw:
-    """Law of a Poisson(mean) number of iid positive jumps on the grid of
-    ``step``, jump v at rate ``rates[v]``, by Panjer's (1981) recursion
-    x f(x) = sum_v v rates[v] f(x - v) from f(0) = exp(-mean).  It keeps the
-    values that at most ``poisson_tail_count(mean, tail)`` jumps reach, so at
-    most ``tail`` of the mass is left out, and cuts the left tail as
-    ``poisson_pmf`` does.
+def _panjer(rates: dict, means: np.ndarray, tail: float, step: Fraction) -> list[GridLaw]:
+    """Laws of a Poisson(mean) number of iid positive jumps on the grid of
+    ``step``, one per mean of ``means``, jump v at rate ``rates[v][i]`` for
+    the i-th mean, by Panjer's (1981) recursion x f(x) = sum_v v rates[v]
+    f(x - v) from f(0) = exp(-mean).  Each keeps the values that at most
+    ``poisson_tail_count(mean, tail)`` jumps reach, so at most ``tail`` of
+    its mass is left out, and cuts the left tail as ``poisson_laws`` does.
 
-    The grid is walked upwards and each value passes its terms on, so each
-    sum takes its terms from its predecessors in ascending value (the
-    largest jump first) and starts from the first of them.  f is held times
-    2**e: e lifts exp(-mean) into the float range past a mean of 700, and
-    2**512 is shed, from every pending sum too, when f passes it."""
-    most = poisson_tail_count(mean, tail)
-    floor = max(int(mean - 12.0 * math.sqrt(mean)), 0) * min(rates)
+    The grid is walked upwards once for all the means, one column each, and
+    each value passes its terms on, so each sum takes its terms from its
+    predecessors in ascending value (the largest jump first) and starts
+    from the first of them: every column holds the bits of a walk of its
+    mean alone.  A value that only more jumps than a mean's cut reach (the
+    fewest jumps to each value are the same for every mean) passes 0 on in
+    that column.  f is held times 2**e: e lifts exp(-mean) into the float
+    range past a mean of 700, and 2**512 is shed, from every pending sum of
+    the column too, when f passes it."""
+    most = poisson_tail_counts(means, tail)
+    floor = _left_cut(means) * min(rates)
     jumps = [(round(v * step.denominator / step.numerator), v * r) for v, r in rates.items()]
-    size = most * max(j for j, _ in jumps) + 1
+    size = int(most.max()) * max(j for j, _ in jumps) + 1
     _check_length(size, step)
-    x = grid_values(range(size), step).tolist()
-    e = max(math.ceil((mean - 700.0) / math.log(2.0)), 0)
-    ahead, fewest = [0.0] * size, [most + 1] * size
-    ahead[0], fewest[0] = math.exp(e * math.log(2.0) - mean), 0
-    out = [0.0] * size
+    x = grid_values(range(size), step)
+    fewest = [0] + [size] * (size - 1)
     for i in range(size):
-        if (n := fewest[i]) > most:
-            continue  # not reached, or only by more than ``most`` jumps
-        if (g := ahead[i] / (x[i] or 1.0)) > 2.0 ** 512:
-            g, e = math.ldexp(g, -512), e - 512
-            ahead[i + 1:] = [math.ldexp(t, -512) for t in ahead[i + 1:]]
-        if x[i] >= floor:
-            out[i] = math.ldexp(g, -e)
+        for j, _ in jumps:
+            if i + j < size and fewest[i + j] > fewest[i] + 1:
+                fewest[i + j] = fewest[i] + 1
+    dead = np.array(fewest)[:, None] > most
+    # f at a value a mean's walk does not reach divides to 0
+    divisor = np.where(dead, np.inf, np.where(x == 0.0, 1.0, x)[:, None])
+    skipped = dead.all(axis=1).tolist()
+    e = np.array([max(math.ceil((m - 700.0) / math.log(2.0)), 0) for m in means.tolist()])
+    # one pending row per value, and a spare row past the last for each jump
+    ahead = np.zeros((size + max(j for j, _ in jumps), len(means)))
+    ahead[0] = [math.exp(k * math.log(2.0) - m) for k, m in zip(e.tolist(), means.tolist())]
+    f = np.zeros((size, len(means)))  # f times 2**e, e as it stands at each value
+    shed = np.zeros(f.shape, dtype=np.int64)
+    pending, held = list(ahead), list(f)
+    # an unlifted f is a probability, far below 2**512
+    lifted = bool(e.any())
+    for i in range(size):
+        if skipped[i]:
+            continue
+        g = np.divide(pending[i], divisor[i], out=held[i])
+        if lifted and g.max() > 2.0 ** 512:
+            big = g > 2.0 ** 512
+            g[big] = np.ldexp(g[big], -512)
+            ahead[i + 1:, big] = np.ldexp(ahead[i + 1:, big], -512)
+            shed[i, big] = 512
         for j, vr in jumps:
-            if (y := i + j) < size:
-                ahead[y] += vr * g
-                if fewest[y] > n:
-                    fewest[y] = n + 1
-    first = next(i for i, p in enumerate(out) if p)
-    last = size - next(i for i, p in enumerate(reversed(out)) if p)
-    return GridLaw(first, np.array(out[first:last]), step)
+            pending[i + j] += vr * g
+    out = np.ldexp(f, np.cumsum(shed, axis=0) - e)
+    out[x[:, None] < floor] = 0.0
+    atoms = out != 0.0
+    firsts = atoms.argmax(axis=0).tolist()
+    ends = (size - atoms[::-1].argmax(axis=0)).tolist()
+    return [GridLaw(a, column[a:b], step)
+            for column, a, b in zip(np.ascontiguousarray(out.T), firsts, ends)]
 
 
 def _mirrored(law: GridLaw, step: Fraction) -> GridLaw:
@@ -401,21 +512,40 @@ def _mirrored(law: GridLaw, step: Fraction) -> GridLaw:
     return GridLaw(-law.last, law.probs[::-1].copy(), step)
 
 
+def _convolved(up: GridLaw, down: GridLaw, step: Fraction) -> GridLaw:
+    """The law of the sum of two independent indices, each sum taking its
+    terms in ascending index of ``up``."""
+    _check_length(len(up.probs) + len(down.probs) - 1, step)
+    out = np.zeros(len(up.probs) + len(down.probs) - 1)
+    for k in np.flatnonzero(up.probs).tolist():
+        out[k: k + len(down.probs)] += up.probs[k] * down.probs
+    return GridLaw(up.first + down.first, out, step)
+
+
 def compound_poisson_dict(lam: float, jump_values, jump_probs) -> GridLaw:
     """Law of a Poisson(lam) number of iid jumps, on the grid of
     ``jump_step(jump_values, jump_probs)``: a ``GridLaw``, which reads as a
-    dict pmf {value: probability}.
+    dict pmf {value: probability}.  The one-row case of
+    ``compound_poisson_laws``."""
+    return compound_poisson_laws([lam], jump_values, jump_probs)[0]
 
-    One nonzero jump size v reads ``poisson_pmf``, count k at index k (or -k
-    for v < 0).  Otherwise the jumps of each sign make a ``_panjer`` table of
-    their sizes, cut at ``PMF_TAIL`` over the number of signs and mirrored
-    back, and two signs are convolved once, each sum taking its terms in
-    ascending value of its positive part.  A zero or negative jump thins
-    each sign's intensity to the sum of its rates; positive jumps keep
-    ``lam``.  A law whose grid would hold more than ``construction.TABLE_CAP``
-    points raises ``TableSizeError`` before it is built.
+
+def compound_poisson_laws(lams, jump_values, jump_probs) -> list[GridLaw]:
+    """Laws of a Poisson(lam) number of iid jumps, one per intensity of
+    ``lams``, on the grid of ``jump_step(jump_values, jump_probs)``.
+
+    One nonzero jump size v reads ``poisson_laws``, count k at index k (or
+    -k for v < 0).  Otherwise the jumps of each sign make one ``_panjer``
+    walk of their sizes for all the intensities, cut at ``PMF_TAIL`` over
+    the number of signs and mirrored back, and two signs are convolved once
+    per intensity, each sum taking its terms in ascending value of its
+    positive part.  A zero or negative jump thins each sign's intensity to
+    the sum of its rates; positive jumps keep ``lam``.  A law whose grid
+    would hold more than ``construction.TABLE_CAP`` points raises
+    ``TableSizeError`` before it is built.
     """
-    if lam < 0:
+    lams = np.asarray(lams, dtype=float)
+    if (lams < 0).any():
         raise ConfigError("compound poisson intensity must be nonnegative")
     base = {_key(v): float(p) for v, p in zip(jump_values, jump_probs)}
     if abs(sum(base.values()) - 1.0) > PMF_TOTAL_TOL:
@@ -423,23 +553,20 @@ def compound_poisson_dict(lam: float, jump_values, jump_probs) -> GridLaw:
     nonzero = {v: p for v, p in base.items() if v and p > 0}
     step = jump_step(jump_values, jump_probs)
     if not nonzero:
-        return GridLaw(0, np.ones(1), step)
+        return [GridLaw(0, np.ones(1), step) for _ in range(len(lams))]
+    thinned = min(base) <= 0
     if len(nonzero) == 1:
         ((v, p),) = nonzero.items()
-        counts = poisson_pmf(lam if min(base) > 0 else lam * p)
-        return GridLaw(counts.first, counts.probs, step) if v > 0 else _mirrored(counts, step)
+        counts = poisson_laws(lams * p if thinned else lams)
+        return [GridLaw(c.first, c.probs, step) if v > 0 else _mirrored(c, step)
+                for c in counts]
     sides = [(sign, rates) for sign in (1.0, -1.0)
-             if (rates := {sign * v: lam * p for v, p in nonzero.items() if sign * v > 0})]
-    laws = [_panjer(rates, lam if min(base) > 0 else math.fsum(rates.values()),
-                    PMF_TAIL / len(sides), step) for _, rates in sides]
+             if (rates := {sign * v: lams * p for v, p in nonzero.items() if sign * v > 0})]
+    laws = [_panjer(rates, np.array([math.fsum(r) for r in zip(*rates.values())])
+                    if thinned else lams, PMF_TAIL / len(sides), step) for _, rates in sides]
     if len(laws) == 1:
-        return laws[0] if sides[0][0] > 0 else _mirrored(laws[0], step)
-    up, down = laws[0].probs, _mirrored(laws[1], step)
-    _check_length(len(up) + len(down.probs) - 1, step)
-    out = np.zeros(len(up) + len(down.probs) - 1)
-    for k in np.flatnonzero(up).tolist():
-        out[k: k + len(down.probs)] += up[k] * down.probs
-    return GridLaw(laws[0].first + down.first, out, step)
+        return laws[0] if sides[0][0] > 0 else [_mirrored(law, step) for law in laws[0]]
+    return [_convolved(up, _mirrored(down, step), step) for up, down in zip(*laws)]
 
 
 def jump_step(jump_values, jump_probs) -> Fraction:

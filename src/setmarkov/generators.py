@@ -8,8 +8,11 @@ takes of its own measure when it builds its semigroup (``flow_semigroup``).
 Finite-state kinds are represented by matrices on one (row, jump) band,
 built afresh as one stack for many times at once (all Gauss nodes of a
 segment, in pieces of at most ``construction.TABLE_CAP`` entries); the
-empirical kind's binomial coefficients come from
-``distributions.binomial_coefficients``, as ``binomial_pmf``'s do.  The gaussian and dirichlet kinds are represented by
+empirical kind's binomial coefficients and terms come from
+``distributions.binomial_coefficients`` and ``distributions.binomial_terms``,
+as the kernel's binomial band's do, and the jump kinds take the step laws
+of all the times of a stack in one call.  The gaussian and dirichlet kinds
+are represented by
 quadrature (the Gauss-Hermite, resp. Gauss-Jacobi rules of ``quadrature``)
 applied to test functions that are elementwise on float64 arrays, one array
 call per rule.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import binomial_coefficients
+from .distributions import binomial_coefficients, binomial_terms
 from .errors import ConfigError, TableSizeError, UnsupportedKernelError
 from .lattice import ConsistentOrdering, DiscreteFlow, Trace, flow_from_ordering
 from .quadrature import gauss_segment, hermite, jacobi01, jacobi01_raw
@@ -174,10 +177,7 @@ class EmpiricalFlowSemigroup(MatrixSemigroup):
     def matrices(self, ss: np.ndarray, t: float) -> np.ndarray:
         gt, gs = self.trace(t), self.trace(ss).tolist()
         ps = [empirical_success(gt - g, g, self.corrupted) for g in gs]
-        # powers by Python's float pow, as distributions.binomial_pmf takes them
-        p_pow = np.array([[p**j for j in range(self.n + 1)] for p in ps])
-        q_pow = np.array([[(1.0 - p)**j for j in range(self.n + 1)] for p in ps])
-        return self._banded(self._comb * p_pow[:, self._jumps] * q_pow[:, self._tails])
+        return self._banded(binomial_terms(self._comb, ps, self._jumps, self._tails))
 
     def exhausted(self, t):
         # the corrupted rule never divides by the mass left outside
@@ -203,40 +203,45 @@ class JumpFlowSemigroup(MatrixSemigroup):
     """Poisson / compound-poisson transition matrices along a flow, on the
     grid indices 0..cap of the kernel's value grid.
 
-    ``step_law(mean)`` is the kernel's own law of the increment over trace
-    mass ``mean`` -- the ``GridLaw`` its exact tables use, cut at the same
-    tail -- so a row of ``matrix`` is the kernel's step law; ``jumps`` are
-    the grid indices, each at least 1, of the jumps it takes, which the
-    kernel checks.  The cap is ``start_mass_cap``, the initial law's last
-    index, plus the step law's over the whole trace.
+    ``step_laws(means)`` gives the kernel's own laws of the increment over
+    each trace mass of ``means`` -- the ``GridLaw`` vectors its exact tables
+    use, cut at the same tail -- so a row of ``matrix`` is the kernel's step
+    law; ``jumps`` are the grid indices, each at least 1, of the jumps it
+    takes, which the kernel checks.  The cap is ``start_mass_cap``, the
+    initial law's last index, plus the step law's over the whole trace.
     The matrices are the exactly killed (sub-stochastic) restriction, so
     the generator/semigroup identities hold to machine precision on states
-    that cannot reach the cap.  ``matrices`` places each step law's vector
-    by jump index, one slice, and reads it onto the band by jump; ``tail_cut``
-    records the mass the tail cut left out of that vector (1 minus its
-    sum), the largest over the matrices built so far.
+    that cannot reach the cap.  ``matrices`` asks for the laws of all its
+    times at once, places each law's vector by jump index in one row of a
+    (times, jump index) array, and reads the array onto the band by jump;
+    ``tail_cut`` records the mass the tail cut left out of such a row (1
+    minus its sum over max(cap, the law's last index) + 1 entries), the
+    largest over the matrices built so far.
     """
 
-    def __init__(self, trace: Trace, step_law, jumps=(1,), jump_probs=(1.0,),
+    def __init__(self, trace: Trace, step_laws, jumps=(1,), jump_probs=(1.0,),
                  start_mass_cap: int = 0):
-        self.step_law = step_law
+        self.step_laws = step_laws
         self.jumps = tuple(int(j) for j in jumps)
         self.jump_probs = tuple(float(p) for p in jump_probs)
-        law = step_law(max(float(trace.values[-1] - trace.values[0]), 1e-9))
+        (law,) = step_laws([max(float(trace.values[-1] - trace.values[0]), 1e-9)])
         self.cap = start_mass_cap + law.last
         super().__init__(trace, np.arange(self.cap + 1))
         self.probe_states = np.arange(start_mass_cap + 1)
         self.tail_cut = 0.0
 
     def matrices(self, ss: np.ndarray, t: float) -> np.ndarray:
-        gt, values = self.trace(t), []
-        for gs in self.trace(ss).tolist():
-            law = self.step_law(max(gt - gs, 0.0))
-            by_jump = np.zeros(max(self.cap, law.last) + 1)
-            by_jump[law.first: law.last + 1] = law.probs
-            self.tail_cut = max(self.tail_cut, 1.0 - float(by_jump.sum()))
-            values.append(by_jump[self._jumps])
-        return self._banded(np.array(values))
+        gt = self.trace(t)
+        laws = self.step_laws([max(gt - gs, 0.0) for gs in self.trace(ss).tolist()])
+        lengths = np.maximum(self.cap, [law.last for law in laws]) + 1
+        by_jump = np.zeros((len(laws), int(lengths.max())))
+        for row, law in zip(by_jump, laws):
+            row[law.first: law.last + 1] = law.probs
+        # each row summed over its own length, as a row of that length sums
+        for length in np.unique(lengths).tolist():
+            sums = by_jump[lengths == length, :length].sum(axis=1)
+            self.tail_cut = max(self.tail_cut, 1.0 - float(sums.min()))
+        return self._banded(by_jump[:, self._jumps])
 
     def generator_matrices(self, vs: np.ndarray, side: str = "+") -> np.ndarray:
         rate = self.trace.slope(vs, side)

@@ -43,8 +43,8 @@ from .distributions import (
     NormalLaw,
     PointMass,
     TwoStage,
-    binomial_pmf,
-    compound_poisson_dict,
+    binomial_band,
+    compound_poisson_laws,
     grid_values,
     jump_step,
     pmf_ppf,
@@ -70,10 +70,11 @@ def _require_nested(B: IndexedSet, B2: IndexedSet):
         raise ConfigError("kernel evaluation needs B contained in B'")
 
 
-def _binomial_law(trials: int, p: float) -> GridLaw:
-    """``binomial_pmf`` on the integer grid: its counts are one range."""
-    pmf = binomial_pmf(trials, p)
-    return GridLaw(pmf.values[0], np.array(pmf.probs))
+def _binomial_laws(trials: list[int], p: float) -> list[GridLaw]:
+    """The laws of ``distributions.binomial_band``, each on the integer grid
+    over its own counts."""
+    first, last, band = binomial_band(trials, p)
+    return [GridLaw(a, row[:b - a + 1]) for a, b, row in zip(first, last, band)]
 
 
 @dataclass(frozen=True)
@@ -92,17 +93,19 @@ class TransitionKernel:
 
     A finite kind's states lie on its value grid: internal state
     ``i * value_step`` at grid index i (``values``, ``index_of``).
-    ``increment_pmf``, ``step_rows``, the exact tables and the flow
-    semigroups take grid indices; values are made only at input and output
-    (``step_pmf``, ``law``, the samplers).  The pmfs are ``GridLaw`` vectors
-    over grid indices, which read as read-only dict pmfs {state:
-    probability}.  They are memoised on the instance in one array memo
-    (``_pmfs``; the empirical kind keeps no step of more than
-    ``DIRECT_BINOMIAL_TRIALS`` points left) and shared by every caller: the
-    increment and initial pmfs, for the jump kinds the pmf of each
-    intensity, a compound kind's grid step, and the leg matrices of
+    ``increment_pmf``, ``increment_pmfs``, ``step_band``, ``step_rows``, the
+    exact tables and the flow semigroups take grid indices; values are made
+    only at input and output (``step_pmf``, ``law``, the samplers).  The
+    pmfs are ``GridLaw`` vectors over grid indices, which read as read-only
+    dict pmfs {state: probability}.  They are memoised on the instance in
+    one array memo (``_pmfs``; an empirical kernel of more than
+    ``DIRECT_BINOMIAL_TRIALS`` points keeps no step law) and shared by every
+    caller: the increment and initial pmfs, for the jump kinds the pmf of
+    each intensity, a compound kind's grid step, and the leg matrices of
     ``step_rows``.  The step law from an index is its increment pmf shifted
-    by the index.  Nothing is cached beyond the instance.
+    by the index; the laws of a whole leg come from one call
+    (``increment_pmfs``, ``step_band``).  Nothing is cached beyond the
+    instance.
     """
 
     _pmfs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -117,6 +120,16 @@ class TransitionKernel:
             # setdefault: a sampler thread that lost a race gets the stored value
             got = self._pmfs.setdefault(key, compute())
         return got
+
+    def _memo_all(self, keys: list, compute) -> list:
+        """The values under ``keys``: those the memo lacks come from one call
+        ``compute(missing keys)``, in the order of the keys."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._pmfs]
+        if missing:
+            for key, value in zip(missing, compute(missing)):
+                # setdefault: a thread that lost a race keeps the stored value
+                self._pmfs.setdefault(key, value)
+        return [self._pmfs[key] for key in keys]
 
     @property
     def value_step(self) -> Fraction:
@@ -197,19 +210,28 @@ class TransitionKernel:
         (columns, rows), ``rows[i, j]`` the probability of ``columns[j]``
         from ``index[i]``, read only and memoised.  The columns are the
         grid indices the laws reach, so a sparse reach (jumps {1, 1.001}, or
-        {1, 1000}) costs its atoms, not its range, and each row is placed by
-        its law's atoms."""
+        {1, 1000}) costs its atoms, not its range.  The laws come as one
+        band (``step_band``) and every atom of every row is placed in one
+        fancy write."""
         def build():
-            laws = [(i, self.increment_pmf(B, B2, i)) for i in index.tolist()]
-            columns = np.unique(np.concatenate([i + law.atoms[0] for i, law in laws]))
-            rows = np.zeros((len(laws), len(columns)))
-            for row, (i, law) in zip(rows, laws):
-                at, probs = law.atoms
-                row[np.searchsorted(columns, i + at)] = probs
+            starts, band = self.step_band(B, B2, index)
+            band = np.broadcast_to(band, (len(index), band.shape[1]))
+            row, k = np.nonzero(band)
+            at = starts[row] + k
+            columns = np.unique(at)
+            rows = np.zeros((len(index), len(columns)))
+            rows[row, np.searchsorted(columns, at)] = band[row, k]
             rows.flags.writeable = False
             return columns, rows
 
         return self._memo(("rows", B.mask, B2.mask, index.tobytes()), build)
+
+    def step_band(self, B, B2, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The step laws from B to B2 of the grid indices ``index`` as one
+        band: (starts, band), ``band[i, k]`` the probability of grid index
+        ``starts[i] + k`` from ``index[i]``; a band of one row is the law
+        from every index."""
+        raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
 
     def grid_law(self, pmf: dict) -> GridLaw:
         """A dict pmf {internal state: probability} as a law on the value
@@ -226,6 +248,10 @@ class TransitionKernel:
     def increment_pmf(self, B, B2, state) -> GridLaw:
         """Law of (value at B2) - (value at B) given the value at B, at grid
         index ``state``."""
+        raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
+
+    def increment_pmfs(self, B, B2, states: list) -> list[GridLaw]:
+        """``increment_pmf`` at each grid index of ``states``, in one call."""
         raise UnsupportedKernelError(f"{self.kind} kernel is not finite-state")
 
     def initial_pmf_for(self, min_set) -> GridLaw:
@@ -284,22 +310,38 @@ class EmpiricalKernel(TransitionKernel):
                                  self.corrupted)
 
     def increment_pmf(self, B, B2, state):
+        return self.increment_pmfs(B, B2, [state])[0]
+
+    def increment_pmfs(self, B, B2, states):
+        """The binomial laws of the points left outside B, memoised per
+        count left; the counts the memo lacks take one ``binomial_band``.
+        A kernel of more than ``DIRECT_BINOMIAL_TRIALS`` points keeps none:
+        a step meets O(sqrt(n)) tables of O(sqrt(n)) atoms each."""
         _require_nested(B, B2)
         if B.mask == B2.mask:
-            return _NO_MOVE
-        rest = self.n - int(state)
+            return [_NO_MOVE] * len(states)
+        rests = [self.n - int(state) for state in states]
 
-        def build():
-            return _binomial_law(rest, self.success_probability(B, B2))
+        def build(rests):
+            return _binomial_laws(rests, self.success_probability(B, B2))
 
-        if rest > DIRECT_BINOMIAL_TRIALS:
-            # a step meets O(sqrt(n)) such tables of O(sqrt(n)) atoms: not kept
-            return build()
-        return self._memo((B.mask, B2.mask, rest), build)
+        if self.n > DIRECT_BINOMIAL_TRIALS:
+            return build(rests)
+        return self._memo_all([(B.mask, B2.mask, rest) for rest in rests],
+                              lambda keys: build([rest for *_, rest in keys]))
 
     def initial_pmf_for(self, min_set: IndexedSet):
-        return self._memo(("initial", min_set.mask), lambda: _binomial_law(
-            self.n, measure_of(self.F, min_set)))
+        return self._memo(("initial", min_set.mask), lambda: _binomial_laws(
+            [self.n], measure_of(self.F, min_set))[0])
+
+    def step_band(self, B, B2, index):
+        """The increment laws of the indices (``increment_pmfs``), one row
+        each, shifted by the index."""
+        laws = self.increment_pmfs(B, B2, index.tolist())
+        band = np.zeros((len(laws), max(len(law.probs) for law in laws)))
+        for row, law in zip(band, laws):
+            row[:len(law.probs)] = law.probs
+        return index + [law.first for law in laws], band
 
     def flow_semigroup(self, flow):
         if self.n > DIRECT_BINOMIAL_TRIALS:
@@ -369,9 +411,10 @@ class CompoundPoissonKernel(TransitionKernel):
     """Independent compound-poisson increments with intensity measure
     ``lam``: a poisson number of iid jumps from the finite jump pmf
     (``jump_values``, ``jump_probs``), on the value grid of the jumps'
-    common step (``distributions.jump_step``).  The increment over
-    intensity ``mean`` is ``_pmf_of_mean(mean)``, cut at ``PMF_TAIL``; the
-    kernel memoises it per mean (``_mean_pmf``), and its tables and its flow
+    common step (``distributions.jump_step``).  The increments over the
+    intensities ``means`` are ``_pmfs_of_means(means)``, cut at
+    ``PMF_TAIL``; the kernel memoises them per mean (``_mean_pmfs``, which
+    builds the means it lacks in one call), and its tables and its flow
     semigroup both read the memo.  ``_law_name`` names the law in texts and
     ``_initial_name`` its non-zero initial law."""
 
@@ -402,18 +445,31 @@ class CompoundPoissonKernel(TransitionKernel):
     def value_step(self) -> Fraction:
         return self._memo("step", lambda: jump_step(self.jump_values, self.jump_probs))
 
-    def _pmf_of_mean(self, mean: float) -> GridLaw:
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs)
+    def _pmfs_of_means(self, means) -> list[GridLaw]:
+        return compound_poisson_laws(means, self.jump_values, self.jump_probs)
+
+    def _mean_pmfs(self, means) -> list[GridLaw]:
+        """``_pmfs_of_means``, memoised per mean: steps over cells of equal
+        intensity share one table, and the means the memo lacks come from
+        one call, which builds their tables together."""
+        return self._memo_all([("mean", m) for m in means],
+                              lambda keys: self._pmfs_of_means([m for _, m in keys]))
 
     def _mean_pmf(self, mean: float) -> GridLaw:
-        """``_pmf_of_mean(mean)``, memoised per mean: steps over cells of
-        equal intensity share one table."""
-        return self._memo(("mean", mean), lambda: self._pmf_of_mean(mean))
+        return self._mean_pmfs([mean])[0]
 
     def increment_pmf(self, B, B2, state=0):
         _require_nested(B, B2)
         return self._memo((B.mask, B2.mask),
                           lambda: self._mean_pmf(measure_of(self.lam, B2 - B)))
+
+    def increment_pmfs(self, B, B2, states):
+        return [self.increment_pmf(B, B2)] * len(states)
+
+    def step_band(self, B, B2, index):
+        """The one increment law from every index."""
+        law = self.increment_pmf(B, B2)
+        return index + law.first, law.probs[None, :]
 
     def initial_pmf_for(self, min_set):
         # the zero initial law is the increment over no cells
@@ -431,7 +487,7 @@ class CompoundPoissonKernel(TransitionKernel):
         # a jump of probability 0 is left out: off the grid of the others,
         # its rounded index could be a jump taken
         taken = [(v, p) for v, p in zip(self.jump_values, self.jump_probs) if p > 0]
-        return JumpFlowSemigroup(trace, self._mean_pmf, self.index_of([v for v, _ in taken]),
+        return JumpFlowSemigroup(trace, self._mean_pmfs, self.index_of([v for v, _ in taken]),
                                  [p for _, p in taken], start_mass_cap=start_mass_cap)
 
     def describe_initial(self, min_set=None) -> str:

@@ -47,6 +47,13 @@ table: ``distributions.compound_poisson_dict`` runs Panjer's recursion, and
 ``ref_jump_matrix`` and ``ref_jump_generator_matrix`` fill a jump semigroup
 matrix one atom at a time: the reference for the scattered band of
 ``generators.JumpFlowSemigroup``.
+``ref_poisson_tail_count`` searches one mean's tail at a time,
+``ref_binomial_probs`` builds one cut binomial law from ``math.comb``, and
+``ref_jump_tail_cut`` sums one step law at a time: the references for the
+stacked tail search, the binomial band and the stacked ``tail_cut`` of
+``generators.JumpFlowSemigroup``.  ``ref_step_uniforms`` draws four doubles
+from ``Generator.random`` per one kept: the reference for the words that
+``rng.step_uniforms`` keeps.
 ``ref_sample_csv`` and ``ref_fdd_csv`` write the ``sample`` and ``fdd`` CSVs
 row by row through ``csv.writer``: the reference for the block writer of
 ``cli``.
@@ -87,7 +94,7 @@ import math
 import operator
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from setmarkov.config import load_config
 from setmarkov.distributions import (
@@ -730,7 +737,7 @@ def ref_jump_matrix(system, s, t) -> np.ndarray:
     time, each atom along its whole band at its grid index."""
     size = system.cap + 1
     M = np.zeros((size, size))
-    law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
+    (law,) = system.step_laws([max(system.trace(t) - system.trace(s), 0.0)])
     for v, p in law.items():
         _fill_band(M, int(round(v / law.step)), p)
     return M
@@ -846,6 +853,54 @@ def ref_panjer(rates: dict, mean: float, tail: float) -> dict:
             else:
                 t[0], t[1] = t[0] + v * r * g, min(t[1], n + 1)
     return out
+
+
+def ref_poisson_tail_count(mean: float, tail: float) -> int:
+    """The tail search of one mean: ``special.pdtrc`` over floor(mean) ..
+    mean + 12 sqrt(mean) + 32, the range doubled until a count's sf is at
+    most ``tail``."""
+    lo, hi = int(mean), int(mean + 12.0 * math.sqrt(mean)) + 32
+    while True:
+        below = np.flatnonzero(special.pdtrc(np.arange(lo, hi), mean) <= tail)
+        if below.size:
+            return lo + int(below[0])
+        hi *= 2
+
+
+def ref_binomial_probs(trials: int, p: float) -> tuple[int, list]:
+    """(first count, probabilities) of the cut binomial law, one count at a
+    time: comb(trials, j) p^j q^(trials - j) from ``math.comb`` in Python
+    floats up to 1000 trials, ``stats.binom.pmf`` past them."""
+    q = 1.0 - p
+    mean, reach = trials * p, 12.0 * math.sqrt(trials * p * q) + 70
+    counts = range(max(int(mean - reach), 0), min(int(mean + reach), trials) + 1)
+    if trials > 1000:
+        return counts.start, stats.binom.pmf(np.array(counts), trials, p).tolist()
+    return counts.start, [float(math.comb(trials, j)) * p**j * q ** (trials - j)
+                          for j in counts]
+
+
+def ref_jump_tail_cut(system, ss, t) -> float:
+    """The largest mass the tail cut left out of a jump semigroup's step
+    laws at the times ``ss``, one time at a time: 1 minus the sum of the law
+    placed by jump index in a vector of max(cap, its last index) + 1
+    entries."""
+    cut = 0.0
+    for s in ss:
+        (law,) = system.step_laws([max(system.trace(t) - system.trace(s), 0.0)])
+        by_jump = np.zeros(max(system.cap, law.last) + 1)
+        by_jump[law.first: law.last + 1] = law.probs
+        cut = max(cut, 1.0 - float(by_jump.sum()))
+    return cut
+
+
+def ref_step_uniforms(seed: int, step_index: int, start: int, count: int) -> np.ndarray:
+    """The first double of each Philox counter block from
+    ``Generator.random``, four doubles drawn per one kept."""
+    bg = np.random.Philox(key=np.array([seed, step_index], dtype=np.uint64))
+    if start:
+        bg.advance(start)
+    return np.ascontiguousarray(np.random.Generator(bg).random(4 * count)[::4])
 
 
 def ref_poisson_dict(mean: float) -> dict:

@@ -31,7 +31,7 @@ from setmarkov import (
     sample_increments,
 )
 from setmarkov.cli import main
-from setmarkov.distributions import binomial_pmf, poisson_pmf, tv_distance
+from setmarkov.distributions import binomial_pmf, poisson_laws, tv_distance
 from setmarkov.generators import (
     DirichletFlowSemigroup,
     EmpiricalFlowSemigroup,
@@ -302,7 +302,7 @@ def test_criterion_7_generators():
     zero_ok = max(errs1) < 1e-12
     ratios_ok = True
     details = []
-    poisson = JumpFlowSemigroup(unit, poisson_pmf)
+    poisson = JumpFlowSemigroup(unit, poisson_laws)
     systems = [
         ("empirical n=2", EmpiricalFlowSemigroup(2, unit), np.array([1.0, 0.0, 0.0])),
         ("poisson", poisson, np.cos(np.arange(poisson.cap + 1).astype(float))),

@@ -223,9 +223,10 @@ def test_memoised_pmfs_are_read_only_and_accepted_everywhere(lattice3, grid2):
 
 def test_binomial_runs_once_per_step_key(monkeypatch, lattice6, uniform4):
     calls = []
-    real = kernels.binomial_pmf
-    monkeypatch.setattr(kernels, "binomial_pmf",
-                        lambda *a: calls.append(a) or real(*a))
+    real = kernels.binomial_band
+    # one row per law built
+    monkeypatch.setattr(kernels, "binomial_band",
+                        lambda trials, p: calls.extend(trials) or real(trials, p))
     n = 10
     spec = FddSpec(lattice6, EmpiricalKernel(n, uniform4))
     wanted = {"initial"}
@@ -241,9 +242,11 @@ def test_binomial_runs_once_per_step_key(monkeypatch, lattice6, uniform4):
 
 def test_poisson_tail_search_runs_once_per_step(monkeypatch, lattice6, grid4):
     calls = []
-    real = distributions.poisson_tail_count
-    monkeypatch.setattr(distributions, "poisson_tail_count",
-                        lambda *a: calls.append(a) or real(*a))
+    real = distributions.poisson_tail_counts
+    # one call per mean searched
+    monkeypatch.setattr(distributions, "poisson_tail_counts",
+                        lambda means, tail: calls.extend((m, tail) for m in means)
+                        or real(means, tail))
     # a small mean keeps each table short; the count does not depend on it
     lam = CellMeasure(grid4, [1e-3] * 16)
     spec = FddSpec(lattice6, PoissonIncrementKernel(lam))

@@ -23,7 +23,7 @@ from setmarkov import (
 )
 from setmarkov.cli import main
 from setmarkov.config import load_config
-from setmarkov.distributions import poisson_pmf
+from setmarkov.distributions import poisson_laws
 from setmarkov.errors import ConfigError, TableSizeError, UnsupportedKernelError
 from setmarkov.generators import (
     JACOBI_ORDER,
@@ -64,7 +64,7 @@ def compound_semigroup(trace, values, probs, start_mass_cap=0):
     """The jump semigroup on ``trace`` with the step law of a compound
     poisson kernel with these jumps, handed as grid indices."""
     kernel = CompoundPoissonKernel(CellMeasure(GroundGrid((1, 1)), [1.0]), values, probs)
-    return JumpFlowSemigroup(trace, kernel._pmf_of_mean, kernel.index_of(values), probs,
+    return JumpFlowSemigroup(trace, kernel._mean_pmfs, kernel.index_of(values), probs,
                              start_mass_cap=start_mass_cap)
 
 
@@ -134,7 +134,7 @@ class TestFiniteDifferenceOrder:
             assert 1.5 <= a / b <= 3.0
 
     def test_poisson_first_order(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_laws)
         h = np.cos(np.arange(sg.cap + 1).astype(float))
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2, 5e-3, 2.5e-3], h)
         for a, b in zip(errs, errs[1:]):
@@ -155,7 +155,7 @@ class TestFiniteDifferenceOrder:
             assert 1.5 <= a / b <= 3.0
 
     def test_constant_function_vanishes(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_laws)
         h = np.ones(sg.cap + 1)
         errs = finite_difference_generator_errors(sg, 0.25, [1e-2], h)
         assert errs[0] < 1e-12
@@ -163,7 +163,7 @@ class TestFiniteDifferenceOrder:
 
 class TestClosedFormGenerators:
     def test_poisson_constant_h_is_zero(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_laws)
         g = closed_form_generator(sg, 0.25, np.ones(sg.cap + 1))
         assert np.max(np.abs(sg.values(g))) == 0.0
 
@@ -437,7 +437,7 @@ class TestSemigroupProperty:
         assert gap < 1e-9
 
     def test_poisson(self, unit_trace):
-        sg = JumpFlowSemigroup(unit_trace, poisson_pmf)
+        sg = JumpFlowSemigroup(unit_trace, poisson_laws)
         h = np.cos(np.arange(sg.cap + 1).astype(float))
         two_step = sg.apply(0.1, 0.4, sg.apply(0.4, 0.8, h))
         direct = sg.apply(0.1, 0.8, h)

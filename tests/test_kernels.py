@@ -30,7 +30,7 @@ from setmarkov.distributions import (
     BetaSegment,
     NormalLaw,
     PointMass,
-    compound_poisson_dict,
+    compound_poisson_laws,
     pmf_ppf,
     tv_distance,
 )
@@ -235,7 +235,7 @@ class _WholeSetPoisson(PoissonIncrementKernel):
 
     def increment_pmf(self, B, B2, state=0):
         return self._memo((B.mask, B2.mask),
-                          lambda: self._pmf_of_mean(measure_of(self.lam, B2)))
+                          lambda: self._mean_pmf(measure_of(self.lam, B2)))
 
 
 def test_poisson_mutant_breaks_samples_and_validate():
@@ -255,8 +255,8 @@ class _SwappedJumpCompound(CompoundPoissonKernel):
     """Mutant: the exact tables and the sampler read the jump law with its
     probabilities swapped; the generator still reads the real jump law."""
 
-    def _pmf_of_mean(self, mean):
-        return compound_poisson_dict(mean, self.jump_values, self.jump_probs[::-1])
+    def _pmfs_of_means(self, means):
+        return compound_poisson_laws(means, self.jump_values, self.jump_probs[::-1])
 
 
 def test_compound_mutant_breaks_samples_and_validate():

@@ -15,7 +15,10 @@ F(Ck), 1 - F(C0 u ... u Ck)).
 The measures are uneven, so a column read against the wrong cell would show.
 """
 
+import functools
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 from hypothesis import given, settings
@@ -48,8 +51,14 @@ def _key(v) -> float:
     return round(float(v), 9)
 
 
-def oracle_column(mean: float, values, probs) -> dict:
-    """Law of a Poisson(mean) number of iid jumps, to well past any cut."""
+def oracle_column(mean: float, values, probs) -> Mapping:
+    """Law of a Poisson(mean) number of iid jumps, to well past any cut: a
+    read-only dict, built once per (mean, jump law) for the session."""
+    return _oracle_column(float(mean), tuple(values), tuple(probs))
+
+
+@functools.cache
+def _oracle_column(mean: float, values: tuple, probs: tuple) -> Mapping:
     counts = np.arange(int(mean + 12.0 * math.sqrt(mean)) + 30)
     weights = stats.poisson.pmf(counts, mean)
     out: dict[float, float] = {}
@@ -64,7 +73,7 @@ def oracle_column(mean: float, values, probs) -> dict:
             power = step
         for v, p in power.items():
             out[v] = out.get(v, 0.0) + w * p
-    return out
+    return MappingProxyType(out)
 
 
 def product_law_tv(law, columns) -> float:

@@ -29,7 +29,12 @@ from setmarkov import (
 from setmarkov.cli import main
 from setmarkov.config import load_config
 from setmarkov.construction import MixtureSpec
-from setmarkov.distributions import compound_poisson_dict, poisson_pmf, poisson_tail_count
+from setmarkov.distributions import (
+    compound_poisson_dict,
+    poisson_laws,
+    poisson_pmf,
+    poisson_tail_count,
+)
 from setmarkov.errors import ConfigError
 from setmarkov.generators import (
     JumpFlowSemigroup,
@@ -155,10 +160,14 @@ def assert_matches_the_oracle(got, mean, values, probs):
 
 
 def test_compound_kernel_pmf_of_mean_is_the_reference(grid2):
+    # one mean at a time; all the means of a jump law in one stack hold the
+    # same bits
     for (values, probs), means in ORACLE_MEANS.items():
         k = CompoundPoissonKernel(CellMeasure(grid2, [0.4] * 4), values, probs)
-        for mean in means:
-            assert_matches_the_oracle(k._pmf_of_mean(mean), mean, values, probs)
+        stacked = CompoundPoissonKernel(k.lam, values, probs)._mean_pmfs(means)
+        for mean, law in zip(means, stacked):
+            assert_matches_the_oracle(k._mean_pmf(mean), mean, values, probs)
+            assert list(law.items()) == list(k._mean_pmf(mean).items())
 
 
 def test_compound_table_at_a_mean_of_800_is_fast():
@@ -174,7 +183,7 @@ def test_compound_table_at_a_mean_of_800_is_fast():
 
 def _jump_systems():
     unit = Trace([0.0, 1.0, 2.0], [0.0, 0.75, 2.0])
-    yield JumpFlowSemigroup(unit, poisson_pmf, start_mass_cap=3)
+    yield JumpFlowSemigroup(unit, poisson_laws, start_mass_cap=3)
     for name in ("poisson_lattice4", "compound_lattice3", "compound_staircase"):
         spec = load_config(str(CONFIGS / f"{name}.json")).spec
         yield system_along_flow(spec.kernel, flow_from_ordering(spec.ordering))
@@ -195,7 +204,7 @@ def test_scattered_jump_matrices_equal_the_per_atom_fill():
             for side in "+-":
                 assert np.array_equal(system.generator_matrix(s, side),
                                       ref_jump_generator_matrix(system, s, side))
-            law = system.step_law(max(system.trace(t) - system.trace(s), 0.0))
+            (law,) = system.step_laws([max(system.trace(t) - system.trace(s), 0.0)])
             cuts.append(1.0 - math.fsum(law.values()))
         # 1 minus a float sum: within a few units of 1.0's last place
         assert system.tail_cut == pytest.approx(max(cuts), abs=5e-16)
@@ -205,7 +214,7 @@ def test_scattered_jump_matrices_equal_the_per_atom_fill():
 def test_a_jump_semigroup_runs_on_grid_indices():
     # jumps {2, 4}: grid step 2, so the states and jumps are halved values
     *_, even = _jump_systems()
-    law = even.step_law(even.trace(1.0) - even.trace(0.0))
+    (law,) = even.step_laws([even.trace(1.0) - even.trace(0.0)])
     assert law.step == 2 and even.jumps == (1, 2)
     assert np.array_equal(even.matrix(0.0, 1.0)[0, law.first: law.last + 1], law.probs)
 
@@ -240,8 +249,8 @@ def test_a_jump_at_or_below_0_is_refused(values):
 
 def test_equal_jump_indices_add_their_rates():
     unit = Trace([0.0, 1.0], [0.0, 1.0])
-    split = JumpFlowSemigroup(unit, poisson_pmf, (1, 1), (0.5, 0.5))
-    whole = JumpFlowSemigroup(unit, poisson_pmf, (1,), (1.0,))
+    split = JumpFlowSemigroup(unit, poisson_laws, (1, 1), (0.5, 0.5))
+    whole = JumpFlowSemigroup(unit, poisson_laws, (1,), (1.0,))
     assert np.array_equal(split.generator_matrix(0.5), whole.generator_matrix(0.5))
 
 

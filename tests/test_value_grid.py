@@ -118,7 +118,8 @@ def test_panjer_on_the_grid_is_the_heap_recursion(jumps):
         # one side alone: the recursion, its cut and its rescaling
         rates = {abs(v): mean * p for v, p in zip(values, probs) if v}
         if len(rates) > 1:
-            side = _panjer(rates, math.fsum(rates.values()), PMF_TAIL, grid_step(rates))
+            (side,) = _panjer({v: np.array([r]) for v, r in rates.items()},
+                              np.array([math.fsum(rates.values())]), PMF_TAIL, grid_step(rates))
             assert_same_pmf(side, ref_panjer(rates, math.fsum(rates.values()), PMF_TAIL))
 
 
